@@ -4,26 +4,17 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
-	"nbody/internal/metrics"
+	"nbody/internal/frame"
 )
 
-// Snapshot format, version 1. A checkpoint is a self-describing binary
-// record (all integers and float bit patterns little-endian):
-//
-//	offset  size       field
-//	0       8          magic "NBODYCKP"
-//	8       4          version (uint32, currently 1)
-//	12      8          payload length in bytes (uint64)
-//	20      len        payload (below)
-//	20+len  4          CRC32C (Castagnoli) of the payload
-//
-// payload, for n particles (length = 32 + 56n):
+// Snapshot format, version 1. A checkpoint is one internal/frame record
+// (magic "NBODYCKP", version, payload length, payload, CRC32C) whose
+// payload, for n particles (length = 32 + 56n, all integers and float bit
+// patterns little-endian), is:
 //
 //	0       8          n (uint64)
 //	8       8          completed steps (uint64)
@@ -39,21 +30,16 @@ import (
 // versions. The payload length is written redundantly with n so torn or
 // forged records fail structural validation before any field is trusted,
 // and the trailing CRC32C catches bit rot that structure cannot.
-var checkpointMagic = [8]byte{'N', 'B', 'O', 'D', 'Y', 'C', 'K', 'P'}
+var ckFormat = frame.Format{
+	Magic:   [8]byte{'N', 'B', 'O', 'D', 'Y', 'C', 'K', 'P'},
+	Version: 1,
+	Corrupt: ErrCorruptCheckpoint,
+}
 
 const (
-	checkpointVersion  = 1
 	ckPayloadFixed     = 32    // n, step, time, dt
 	ckBytesPerParticle = 7 * 8 // 3 position + 3 velocity + 1 charge floats
-	ckHeaderLen        = 8 + 4 + 8
 )
-
-var ckCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// corruptf wraps ErrCorruptCheckpoint with detail.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorruptCheckpoint, fmt.Sprintf(format, args...))
-}
 
 // Checkpoint writes a versioned, checksummed snapshot of the simulation's
 // full restartable state — positions, velocities, charges, time, step
@@ -87,23 +73,10 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 		le.PutUint64(payload[off:], math.Float64bits(q))
 		off += 8
 	}
-
-	var hdr [ckHeaderLen]byte
-	copy(hdr[:8], checkpointMagic[:])
-	le.PutUint32(hdr[8:], checkpointVersion)
-	le.PutUint64(hdr[12:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := ckFormat.Write(w, payload); err != nil {
 		return fmt.Errorf("nbody: write checkpoint: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("nbody: write checkpoint: %w", err)
-	}
-	var crc [4]byte
-	le.PutUint32(crc[:], crc32.Checksum(payload, ckCRCTable))
-	if _, err := w.Write(crc[:]); err != nil {
-		return fmt.Errorf("nbody: write checkpoint: %w", err)
-	}
-	metrics.AddCheckpoints(1)
+	s.counts.Update(func(c *simCounts) { c.checkpoints++ })
 	return nil
 }
 
@@ -112,45 +85,8 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 // any point leaves either the previous snapshot or the new one — never a
 // readable-but-torn file.
 func (s *Simulation) CheckpointFile(path string) error {
-	return writeFileAtomic(path, s.Checkpoint)
-}
-
-// writeFileAtomic streams fill into a temp file next to path, fsyncs the
-// file, renames it over path, and fsyncs the directory so the rename
-// itself is durable.
-func writeFileAtomic(path string, fill func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	if err := frame.WriteFileAtomic(path, s.Checkpoint); err != nil {
 		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if tmp != "" {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	if err := fill(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("nbody: checkpoint %s: %w", path, err)
-	}
-	tmp = "" // committed: disable the cleanup
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -179,32 +115,17 @@ func (st *CheckpointState) Len() int { return len(st.Positions) }
 // is reported with ErrCorruptCheckpoint; corrupt input never panics and
 // never yields a silently wrong state.
 func DecodeCheckpoint(r io.Reader) (*CheckpointState, error) {
-	le := binary.LittleEndian
-	var hdr [ckHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, corruptf("truncated header (%v)", err)
-	}
-	if [8]byte(hdr[:8]) != checkpointMagic {
-		return nil, corruptf("bad magic %q", hdr[:8])
-	}
-	if v := le.Uint32(hdr[8:]); v != checkpointVersion {
-		return nil, corruptf("unsupported version %d (want %d)", v, checkpointVersion)
-	}
-	plen := le.Uint64(hdr[12:])
-	if plen < ckPayloadFixed || (plen-ckPayloadFixed)%ckBytesPerParticle != 0 {
-		return nil, corruptf("implausible payload length %d", plen)
-	}
-	payload, err := readFullLimited(r, plen)
+	payload, err := ckFormat.Read(r, func(plen uint64) error {
+		if plen < ckPayloadFixed || (plen-ckPayloadFixed)%ckBytesPerParticle != 0 {
+			return fmt.Errorf("implausible payload length %d", plen)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, corruptf("truncated payload (%v)", err)
+		return nil, err
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, corruptf("truncated checksum (%v)", err)
-	}
-	if got, want := crc32.Checksum(payload, ckCRCTable), le.Uint32(crcBuf[:]); got != want {
-		return nil, corruptf("checksum mismatch (computed %08x, stored %08x)", got, want)
-	}
+	le, corruptf := binary.LittleEndian, ckFormat.Corruptf
+	plen := uint64(len(payload))
 
 	nParticles := (plen - ckPayloadFixed) / ckBytesPerParticle
 	if n := le.Uint64(payload[0:]); n != nParticles {
@@ -281,7 +202,7 @@ func ResumeSimulationState(st *CheckpointState, solver Accelerator) (*Simulation
 	if err := sim.solve(); err != nil {
 		return nil, fmt.Errorf("nbody: resume: initial solve: %w", err)
 	}
-	metrics.AddResumes(1)
+	sim.counts.Update(func(c *simCounts) { c.resumes++ })
 	return sim, nil
 }
 
@@ -308,28 +229,4 @@ func ResumeSimulationFile(path string, solver Accelerator) (*Simulation, error) 
 		return nil, fmt.Errorf("resume %s: %w", path, err)
 	}
 	return sim, nil
-}
-
-// readFullLimited reads exactly want bytes, growing the buffer only as
-// data actually arrives, so a forged length field in a corrupt snapshot
-// cannot force a huge up-front allocation.
-func readFullLimited(r io.Reader, want uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	first := want
-	if first > chunk {
-		first = chunk
-	}
-	buf := make([]byte, 0, first)
-	for uint64(len(buf)) < want {
-		next := want - uint64(len(buf))
-		if next > chunk {
-			next = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, next)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

@@ -3,6 +3,7 @@ package nbody_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -12,7 +13,6 @@ import (
 	"testing"
 
 	"nbody"
-	"nbody/internal/metrics"
 )
 
 // ckSimulation builds a deterministic simulation for checkpoint tests: a
@@ -121,6 +121,52 @@ func TestCheckpointRoundTripState(t *testing.T) {
 	}
 }
 
+// zeroAccel is a solver-free Accelerator for tests that only exercise the
+// checkpoint codec.
+type zeroAccel struct{}
+
+func (zeroAccel) Accelerations(s *nbody.System) ([]float64, []nbody.Vec3, error) {
+	return make([]float64, s.Len()), make([]nbody.Vec3, s.Len()), nil
+}
+
+// TestCheckpointGoldenBytes pins the on-disk and on-wire format: a fixed
+// two-particle state must encode to exactly the bytes the pre-internal/frame
+// codec (commit e479957) wrote, and those bytes must decode back to it.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	const golden = "4e424f4459434b50010000009000000000000000" +
+		"02000000000000000700000000000000000000000000ec3f000000000000c03f" +
+		"000000000000d03f000000000000e03f000000000000e83f000000000000e43f000000000000d83f000000000000c03f" +
+		"000000000000f0bf000000000000004000000000000008c0000000000000e03f000000000000d0bf0000000000000000" +
+		"000000000000f83f00000000000000c0" +
+		"297e3cc1"
+	st := &nbody.CheckpointState{
+		Step: 7, Time: 0.875, DT: 0.125,
+		Positions:  []nbody.Vec3{{X: 0.25, Y: 0.5, Z: 0.75}, {X: 0.625, Y: 0.375, Z: 0.125}},
+		Velocities: []nbody.Vec3{{X: -1, Y: 2, Z: -3}, {X: 0.5, Y: -0.25, Z: 0}},
+		Charges:    []float64{1.5, -2},
+	}
+	sim, err := nbody.ResumeSimulationState(st, zeroAccel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != golden {
+		t.Fatalf("checkpoint bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	back, err := nbody.DecodeCheckpoint(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Step != 7 || back.Time != 0.875 || back.DT != 0.125 ||
+		back.Positions[1] != st.Positions[1] || back.Velocities[0] != st.Velocities[0] || back.Charges[1] != -2 {
+		t.Fatalf("golden decoded to %+v", back)
+	}
+}
+
 // ckBytes produces a valid snapshot as raw bytes.
 func ckBytes(t *testing.T) []byte {
 	t.Helper()
@@ -224,12 +270,11 @@ func TestPeriodicCheckpoints(t *testing.T) {
 	if err := sim.EnableCheckpoints(path, 2); err != nil {
 		t.Fatal(err)
 	}
-	metrics.ResetRecovery()
 	if err := sim.Step(5); err != nil {
 		t.Fatal(err)
 	}
-	if rec := metrics.ReadRecovery(); rec.Checkpoints != 2 {
-		t.Errorf("checkpoints written = %d, want 2 (steps 2 and 4)", rec.Checkpoints)
+	if ck, res := sim.Counters(); ck != 2 || res != 0 {
+		t.Errorf("(checkpoints, resumes) = (%d, %d), want (2, 0): steps 2 and 4", ck, res)
 	}
 	resumed, err := nbody.ResumeSimulationFile(path, ckSolver(t))
 	if err != nil {
@@ -238,8 +283,10 @@ func TestPeriodicCheckpoints(t *testing.T) {
 	if got, want := resumed.Steps(), 4; got != want {
 		t.Errorf("resumed at step %d, want %d (the last interval multiple)", got, want)
 	}
-	if rec := metrics.ReadRecovery(); rec.Resumes != 1 {
-		t.Errorf("resumes = %d, want 1", rec.Resumes)
+	// The counts belong to the simulation that performed them: the resumed
+	// one was restored once and has written nothing.
+	if ck, res := resumed.Counters(); ck != 0 || res != 1 {
+		t.Errorf("resumed (checkpoints, resumes) = (%d, %d), want (0, 1)", ck, res)
 	}
 
 	entries, err := os.ReadDir(dir)

@@ -153,7 +153,7 @@ func main() {
 	case *nbody.Resilient:
 		fmt.Printf("ladder=%v served-by=rung %d\n", sv.RungNames(), sv.LastRung())
 	}
-	reportRecovery()
+	reportRecovery(s, nil)
 
 	if *check {
 		want, _ := nbody.NewDirect().Potentials(sys)
@@ -205,13 +205,20 @@ func simulate(s nbody.Solver, sys *nbody.System, rec cli.RecoveryFlags, steps in
 		s.Name(), sim.System.Len(), sim.Steps(), sim.Time(), wall.Round(time.Millisecond))
 	fmt.Printf("energy: kinetic=%.6g potential=%.6g total=%.6g drift=%.3e\n",
 		k, u, e, math.Abs(e-e0)/math.Max(math.Abs(e0), 1e-300))
-	reportRecovery()
+	reportRecovery(s, sim)
 }
 
-// reportRecovery prints the self-healing counters when any recovery event
-// fired; a healthy run prints nothing.
-func reportRecovery() {
-	r := metrics.ReadRecovery()
+// reportRecovery prints the self-healing counters of this run's own
+// supervisor (when -retries/-fallback built one) and simulation, when any
+// recovery event fired; a healthy run prints nothing.
+func reportRecovery(s nbody.Solver, sim *nbody.Simulation) {
+	var r metrics.RecoveryStats
+	if rs, ok := s.(*nbody.Resilient); ok {
+		r.Retries, r.BreakerTrips, r.Degradations = rs.Counters()
+	}
+	if sim != nil {
+		r.Checkpoints, r.Resumes = sim.Counters()
+	}
 	if r.Zero() {
 		return
 	}

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"nbody/internal/cli"
-	"nbody/internal/metrics"
 	"nbody/internal/serve"
 	"nbody/internal/serve/loadgen"
 	"nbody/internal/simd"
@@ -318,11 +317,9 @@ func reportLoadtest(cfg serve.Config, results []*loadgen.Result, opts loadtestOp
 	return nil
 }
 
-// runOnePolicy runs one harness pass against a fresh server. The
-// process-wide overload counters are reset first so each run's server-side
-// accounting is its own.
+// runOnePolicy runs one harness pass against a fresh server, whose
+// counters are its own.
 func runOnePolicy(cfg serve.Config, tenants []loadgen.Tenant, duration time.Duration) (*loadgen.Result, error) {
-	metrics.ResetOverload()
 	srv, err := serve.New(cfg)
 	if err != nil {
 		return nil, err

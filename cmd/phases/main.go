@@ -57,6 +57,7 @@ func main() {
 	// bench solves do not pollute the reported breakdown. An explicit -depth
 	// pins the depth; otherwise the planner chooses it (tuned entry, measured
 	// search under -autotune, or the analytic cost model).
+	var plannerStats *metrics.PlannerStats
 	if *autotune || *planStore != "" {
 		if *solver != "core" {
 			log.Fatal("-autotune/-plan-store apply to -solver core")
@@ -86,6 +87,8 @@ func main() {
 			log.Fatal(err)
 		}
 		*depth = spec.Opts.Depth
+		c := planner.Counters()
+		plannerStats = &c
 	}
 
 	if *workers {
@@ -102,12 +105,9 @@ func main() {
 	if *workers {
 		st.CaptureWorkers()
 	}
-	// Recovery, overload, and planner counters ride along in both outputs;
-	// on a run that exercised none of them the sections are zero and the
-	// table and JSON omit them.
-	st.CaptureRecovery()
-	st.CaptureOverload()
-	st.CapturePlanner()
+	// The planner counters ride along in both outputs when this run owned
+	// a planner (-autotune / -plan-store).
+	st.Planner = plannerStats
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

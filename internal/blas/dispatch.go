@@ -3,7 +3,7 @@ package blas
 import "nbody/internal/simd"
 
 // This file is the backend seam of the BLAS layer: every public kernel
-// (Dgemm, DgemmAssign, Dgemv, GemmPanels) routes its inner loops through
+// (Dgemm, DgemmAssign, Dgemv) routes its inner loops through
 // one of the function pointers below, and applyBackend rebinds them when
 // internal/simd switches backends. The scalar bindings are the portable
 // fallback and the only ones on non-amd64 builds; the AVX2 bindings live in
@@ -22,12 +22,11 @@ import "nbody/internal/simd"
 // results differ by rounding only, bounded by the cross-backend matrix in
 // gemm_kernels_test.go and the solver-level differential suite.
 var (
-	gemmK12Impl    func(m, n int, a, b, c []float64)            = gemmK12
-	gemmK72Impl    func(m, n int, a, b, c []float64)            = gemmK72
-	gemmImpl       func(m, k, n int, a, b, c []float64)         = gemm4k
-	gemmAssignImpl func(m, k, n int, a, b, c []float64)         = gemmAssignScalar
-	gemvImpl       func(rows, cols int, a, x, y []float64)      = gemvScalar
-	microImpl      func(kc int, ap, bp []float64, acc *[16]float64) = microScalar
+	gemmK12Impl    func(m, n int, a, b, c []float64)       = gemmK12
+	gemmK72Impl    func(m, n int, a, b, c []float64)       = gemmK72
+	gemmImpl       func(m, k, n int, a, b, c []float64)    = gemm4k
+	gemmAssignImpl func(m, k, n int, a, b, c []float64)    = gemmAssignScalar
+	gemvImpl       func(rows, cols int, a, x, y []float64) = gemvScalar
 )
 
 func init() { simd.Register(applyBackend) }
@@ -50,7 +49,6 @@ func bindScalar() {
 	gemmImpl = gemm4k
 	gemmAssignImpl = gemmAssignScalar
 	gemvImpl = gemvScalar
-	microImpl = microScalar
 }
 
 // gemvScalar is the portable Dgemv inner loop: each row's dot product is
@@ -63,18 +61,5 @@ func gemvScalar(rows, cols int, a, x, y []float64) {
 			s += v * x[j]
 		}
 		y[i] += s
-	}
-}
-
-// microScalar routes one packed 4x4 micro-kernel invocation to the scalar
-// register-tile implementations of gemm_packed.go.
-func microScalar(kc int, ap, bp []float64, acc *[16]float64) {
-	switch kc {
-	case 12:
-		micro4x4K12(ap, bp, acc)
-	case 72:
-		micro4x4K72(ap, bp, acc)
-	default:
-		micro4x4(kc, ap, bp, acc)
 	}
 }

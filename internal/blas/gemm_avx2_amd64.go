@@ -20,9 +20,6 @@ func gemmK72AVX2(m, n int, a, b, c *float64)
 //go:noescape
 func dgemvAVX2(rows, cols int, a, x, y *float64)
 
-//go:noescape
-func micro4x4AVX2(kc int, ap, bp, acc *float64)
-
 // haveAVX2 reports that this build carries the AVX2 kernels; whether the
 // host can run them is internal/simd's call (dispatch.go consults both).
 const haveAVX2 = true
@@ -42,12 +39,5 @@ func bindAVX2() {
 	}
 	gemvImpl = func(rows, cols int, a, x, y []float64) {
 		dgemvAVX2(rows, cols, &a[0], &x[0], &y[0])
-	}
-	microImpl = func(kc int, ap, bp []float64, acc *[16]float64) {
-		if kc == 0 {
-			clear(acc[:])
-			return
-		}
-		micro4x4AVX2(kc, &ap[0], &bp[0], &acc[0])
 	}
 }

@@ -354,42 +354,3 @@ gvsum:
 gvdone:
 	VZEROUPPER
 	RET
-
-// func micro4x4AVX2(kc int, ap, bp, acc *float64)
-//
-// The packed-path micro-kernel: a 4x4 C tile in four YMM registers (one
-// per row) across the whole k loop — the register residency the scalar
-// tile loses to spills. acc[r*4+c] = fma chain ascending k from 0, the
-// same per-element order as the streaming kernels on a zero C.
-TEXT ·micro4x4AVX2(SB), NOSPLIT, $0-32
-	MOVQ kc+0(FP), R8
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DX
-	MOVQ acc+24(FP), DI
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	TESTQ R8, R8
-	JLE   mkstore
-mkloop:
-	VMOVUPD (DX), Y4
-	VBROADCASTSD (SI), Y5
-	VFMADD231PD Y4, Y5, Y0
-	VBROADCASTSD 8(SI), Y5
-	VFMADD231PD Y4, Y5, Y1
-	VBROADCASTSD 16(SI), Y5
-	VFMADD231PD Y4, Y5, Y2
-	VBROADCASTSD 24(SI), Y5
-	VFMADD231PD Y4, Y5, Y3
-	ADDQ  $32, SI
-	ADDQ  $32, DX
-	DECQ  R8
-	JNZ   mkloop
-mkstore:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VZEROUPPER
-	RET

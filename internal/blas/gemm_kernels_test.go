@@ -310,42 +310,6 @@ func requireBackend(t *testing.T, name string) {
 	t.Skipf("backend %s not supported on this host", name)
 }
 
-// TestGemmPanelsMatchesNaive guards the packed alternative path per
-// backend: on scalar, PackA4 + PackB4 + GemmPanels must reproduce the
-// naive triple loop bitwise (single accumulator ascending k); on avx2, the
-// FMA micro-kernel must reproduce the math.FMA chain bitwise.
-func TestGemmPanelsMatchesNaive(t *testing.T) {
-	shapes := [][3]int{{12, 12, 128}, {72, 72, 96}, {12, 98, 16}, {4, 1, 4}, {16, 24, 8}}
-	run := func(t *testing.T, ref func(a, b, c Matrix)) {
-		rng := rand.New(rand.NewSource(9))
-		for _, sh := range shapes {
-			m, k, n := sh[0], sh[1], sh[2]
-			a := randMatrix(rng, m, k)
-			b := randMatrix(rng, k, n)
-			ap := make([]float64, m*k)
-			bp := make([]float64, k*n)
-			PackA4(a, ap)
-			PackB4(b, bp)
-			got := make([]float64, m*n)
-			GemmPanels(ap, bp, m, k, n, got)
-			want := NewMatrix(m, n)
-			ref(a, b, want)
-			for i := range want.Data {
-				if got[i] != want.Data[i] {
-					t.Fatalf("shape (%d,%d,%d): element %d = %g, want bitwise %g", m, k, n, i, got[i], want.Data[i])
-				}
-			}
-		}
-	}
-	t.Run("scalar", func(t *testing.T) {
-		withBackend(t, simd.Scalar, func() { run(t, naiveGemm) })
-	})
-	t.Run("avx2", func(t *testing.T) {
-		requireBackend(t, simd.AVX2)
-		withBackend(t, simd.AVX2, func() { run(t, fmaGemm) })
-	})
-}
-
 func benchDgemm(b *testing.B, m, k, n int) {
 	for _, be := range simd.Supported() {
 		b.Run(be, func(b *testing.B) {
@@ -399,31 +363,4 @@ func simdBenchName(k int, backend string) string {
 		return "K12/" + backend
 	}
 	return "K72/" + backend
-}
-
-// BenchmarkGemmPanelsK12x128 measures the packed alternative at the
-// aggregation chunk shape per backend, for comparison against the
-// streaming dispatch (packing cost excluded — both operands pre-packed).
-func BenchmarkGemmPanelsK12x128(b *testing.B) {
-	for _, be := range simd.Supported() {
-		b.Run(be, func(b *testing.B) {
-			withBackend(b, be, func() {
-				rng := rand.New(rand.NewSource(10))
-				m, k, n := 12, 12, 128
-				a := randMatrix(rng, m, k)
-				bm := randMatrix(rng, k, n)
-				ap := make([]float64, m*k)
-				bp := make([]float64, k*n)
-				PackA4(a, ap)
-				PackB4(bm, bp)
-				c := make([]float64, m*n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					GemmPanels(ap, bp, m, k, n, c)
-				}
-				flops := float64(DgemmFlops(m, k, n)) * float64(b.N)
-				b.ReportMetric(flops/b.Elapsed().Seconds()/1e6, "Mflops/s")
-			})
-		})
-	}
 }

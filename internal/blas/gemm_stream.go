@@ -3,8 +3,9 @@ package blas
 // This file holds the streaming GEMM kernels Dgemm dispatches to: i-k-j
 // loops unrolled four deep in k, so the inner loop reads four B rows
 // against one C row and retires eight flops per C-element store. On the
-// scalar Go backend this shape beats the BLIS-style packed micro-kernel of
-// gemm_packed.go at every translation size (see EXPERIMENTS.md): packing
+// scalar Go backend this shape beat the BLIS-style packed micro-kernel the
+// package once carried at every translation size (see EXPERIMENTS.md; the
+// packed path was removed once AVX2 did not change the verdict): packing
 // passes and 4x4 register tiles pay off only when the register allocator
 // can hold the tile, and with sixteen accumulators plus operand temporaries
 // the compiler spills, while the k-unrolled stream keeps live values under

@@ -114,6 +114,9 @@ type Gateway struct {
 	budget *tokenBucket
 	lat    *latencyEWMA
 	mux    *http.ServeMux
+	// stats are this gateway's event counters, shared by pointer with its
+	// pool (ejections, recoveries) and its stream sessions.
+	stats metrics.Set[metrics.GatewayStats]
 }
 
 // New builds the gateway and synchronously probes every replica once, so
@@ -129,7 +132,7 @@ func New(cfg Config) (*Gateway, error) {
 		budget: newTokenBucket(c.RetryRate, c.RetryBurst),
 		lat:    &latencyEWMA{},
 	}
-	g.pool = newPool(c.Replicas, g.client, c.ProbeEvery, c.DownAfter, c.BreakerThreshold, c.BreakerCooldown)
+	g.pool = newPool(c.Replicas, g.client, &g.stats, c.ProbeEvery, c.DownAfter, c.BreakerThreshold, c.BreakerCooldown)
 	g.pool.Start()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", g.handleSolve)
@@ -191,7 +194,7 @@ type MetricsDoc struct {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	doc := MetricsDoc{
 		Replicas:    g.pool.Status(),
-		Gateway:     metrics.ReadGateway(),
+		Gateway:     g.stats.Read(),
 		RetryTokens: g.budget.available(),
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -278,7 +281,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 			g.logf("retry budget exhausted, forwarding failure for %s", rep.url)
 			break
 		}
-		metrics.AddFailovers(1)
+		g.stats.Update(func(s *metrics.GatewayStats) { s.Failovers++ })
 		g.logf("solve failover from %s (%v)", rep.url, outcomeReason(out))
 	}
 	g.forwardFailure(w, last)
@@ -376,7 +379,7 @@ func (g *Gateway) raceSolve(ctx context.Context, primary *Replica, body []byte, 
 		if second != nil && g.budget.take(1) {
 			hedged = true
 			tried[second] = true
-			metrics.AddHedgesFired(1)
+			g.stats.Update(func(s *metrics.GatewayStats) { s.HedgesFired++ })
 			go func() { ch <- g.sendSolve(hctx, second, body, idemKey, n) }()
 		}
 		first = <-ch
@@ -411,11 +414,13 @@ func (g *Gateway) raceSolve(ctx context.Context, primary *Replica, body []byte, 
 }
 
 func (g *Gateway) noteHedgeResult(winner *solveOutcome, primary *Replica) {
-	if winner.rep == primary {
-		metrics.AddHedgesLost(1)
-	} else {
-		metrics.AddHedgesWon(1)
-	}
+	g.stats.Update(func(s *metrics.GatewayStats) {
+		if winner.rep == primary {
+			s.HedgesLost++
+		} else {
+			s.HedgesWon++
+		}
+	})
 }
 
 // forwardResponse streams the committed upstream answer to the client.

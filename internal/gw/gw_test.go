@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"nbody"
-	"nbody/internal/metrics"
 	"nbody/internal/serve"
 )
 
@@ -104,7 +103,6 @@ func (r *testReplica) Restart() {
 
 func newGateway(t *testing.T, cfg Config) *Gateway {
 	t.Helper()
-	metrics.ResetGateway()
 	cfg.Quiet = true
 	g, err := New(cfg)
 	if err != nil {
@@ -203,7 +201,7 @@ func TestGatewayFailoverOnDeadReplica(t *testing.T) {
 	if got := resp.Header.Get("X-GW-Replica"); got != r1.URL() {
 		t.Fatalf("served by %q, want %q", got, r1.URL())
 	}
-	if s := metrics.ReadGateway(); s.Failovers < 1 || s.Ejections < 1 {
+	if s := g.stats.Read(); s.Failovers < 1 || s.Ejections < 1 {
 		t.Fatalf("expected failover + ejection, got %+v", s)
 	}
 	// The transport failure marks r0 down immediately; later solves must
@@ -252,7 +250,7 @@ func TestGatewayProbeDetectsDrainingAndRecovery(t *testing.T) {
 	waitState(t, g, r0.URL(), "down")
 	r0.Restart()
 	waitState(t, g, r0.URL(), "healthy")
-	if s := metrics.ReadGateway(); s.Recoveries < 1 {
+	if s := g.stats.Read(); s.Recoveries < 1 {
 		t.Fatalf("expected a recovery, got %+v", s)
 	}
 }
@@ -303,7 +301,7 @@ func TestGatewayRetryBudgetExhaustion(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (budget spent, no failover)", resp.StatusCode)
 	}
-	if s := metrics.ReadGateway(); s.Failovers != 0 {
+	if s := g.stats.Read(); s.Failovers != 0 {
 		t.Fatalf("failovers %d, want 0 with an empty budget", s.Failovers)
 	}
 }
@@ -395,7 +393,7 @@ func TestGatewayHedgeWins(t *testing.T) {
 	if elapsed >= 400*time.Millisecond {
 		t.Fatalf("hedge did not rescue the tail: took %v", elapsed)
 	}
-	if s := metrics.ReadGateway(); s.HedgesFired < 1 || s.HedgesWon < 1 {
+	if s := g.stats.Read(); s.HedgesFired < 1 || s.HedgesWon < 1 {
 		t.Fatalf("expected a fired+won hedge, got %+v", s)
 	}
 }
@@ -490,10 +488,10 @@ func TestGatewayStreamResumeBitwise(t *testing.T) {
 	if !last.Final || len(last.Positions) != n {
 		t.Fatalf("no final frame with full state: %+v", last)
 	}
-	if s := metrics.ReadGateway(); s.StreamResumes < 1 {
+	if s := g.stats.Read(); s.StreamResumes < 1 {
 		t.Fatalf("expected a stream resume, got %+v", s)
 	}
-	if s := metrics.ReadGateway(); s.StreamsLost != 0 {
+	if s := g.stats.Read(); s.StreamsLost != 0 {
 		t.Fatalf("stream counted lost: %+v", s)
 	}
 
@@ -677,7 +675,7 @@ func TestGatewayChaosKillLoop(t *testing.T) {
 	close(stop)
 	chaos.Wait()
 
-	t.Logf("gateway stats: %+v, retry tokens %.1f", metrics.ReadGateway(), g.budget.available())
+	t.Logf("gateway stats: %+v, retry tokens %.1f", g.stats.Read(), g.budget.available())
 	if solve5xx != 0 {
 		t.Errorf("%d well-behaved solves saw 5xx (ok %d, transport err %d)", solve5xx, solveOK, solveErr)
 	}
@@ -687,7 +685,7 @@ func TestGatewayChaosKillLoop(t *testing.T) {
 	if solveOK == 0 {
 		t.Error("no solve succeeded at all")
 	}
-	if s := metrics.ReadGateway(); s.StreamsLost != 0 {
+	if s := g.stats.Read(); s.StreamsLost != 0 {
 		t.Errorf("streams lost under chaos: %+v", s)
 	}
 	for si, f := range streamFinals {

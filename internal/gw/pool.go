@@ -49,6 +49,7 @@ func stateName(s int32) string {
 type Replica struct {
 	url     string
 	breaker *resilience.Breaker
+	stats   *metrics.Set[metrics.GatewayStats] // the owning gateway's
 
 	mu         sync.Mutex
 	state      int32
@@ -106,13 +107,15 @@ func (r *Replica) load() int64 {
 // than waiting DownAfter probes.
 func (r *Replica) failed(transportDown bool) {
 	if r.breaker.Failure() {
-		metrics.AddEjections(1)
+		r.ejected()
 	}
-	if transportDown {
-		if r.setState(stateDown) == stateHealthy {
-			metrics.AddEjections(1)
-		}
+	if transportDown && r.setState(stateDown) == stateHealthy {
+		r.ejected()
 	}
+}
+
+func (r *Replica) ejected() {
+	r.stats.Update(func(s *metrics.GatewayStats) { s.Ejections++ })
 }
 
 // succeeded records one successful request: closes the breaker.
@@ -141,7 +144,7 @@ type Pool struct {
 }
 
 // newPool builds the pool; Start begins probing.
-func newPool(urls []string, client *http.Client, probeEvery time.Duration, downAfter, breakerThreshold int, breakerCooldown time.Duration) *Pool {
+func newPool(urls []string, client *http.Client, stats *metrics.Set[metrics.GatewayStats], probeEvery time.Duration, downAfter, breakerThreshold int, breakerCooldown time.Duration) *Pool {
 	p := &Pool{
 		client:     client,
 		probeEvery: probeEvery,
@@ -153,6 +156,7 @@ func newPool(urls []string, client *http.Client, probeEvery time.Duration, downA
 		p.replicas = append(p.replicas, &Replica{
 			url:     strings.TrimRight(u, "/"),
 			breaker: resilience.NewBreaker(breakerThreshold, breakerCooldown),
+			stats:   stats,
 		})
 	}
 	return p
@@ -241,7 +245,7 @@ func (p *Pool) probe(r *Replica) {
 	now := r.state
 	r.mu.Unlock()
 	if was == stateDown && now == stateHealthy {
-		metrics.AddRecoveries(1)
+		r.stats.Update(func(s *metrics.GatewayStats) { s.Recoveries++ })
 		// The process came back (a restart): the old breaker evidence is
 		// about its previous life.
 		r.breaker.Success()
@@ -257,7 +261,7 @@ func (p *Pool) probeFailed(r *Replica) {
 	}
 	r.mu.Unlock()
 	if trip {
-		metrics.AddEjections(1)
+		r.ejected()
 	}
 }
 

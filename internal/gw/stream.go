@@ -182,7 +182,7 @@ func (s *streamSession) runLeg(ctx context.Context, rep *Replica) *legResult {
 	body := s.upstreamBody
 	if s.attempt > 0 && s.lastToken != "" {
 		body = s.resumeBody()
-		metrics.AddStreamResumes(1)
+		s.g.stats.Update(func(c *metrics.GatewayStats) { c.StreamResumes++ })
 		s.g.logf("resuming stream on %s (step <= %d)", rep.url, s.lastStep)
 	}
 	s.attempt++
@@ -335,7 +335,7 @@ func (s *streamSession) forwardFrame(line []byte, f *serve.Frame) error {
 
 // giveUp ends a stream the gateway could not keep alive.
 func (s *streamSession) giveUp(last *legResult) {
-	metrics.AddStreamsLost(1)
+	s.lost()
 	if s.started {
 		s.abortNow()
 		return
@@ -353,8 +353,12 @@ func (s *streamSession) giveUp(last *legResult) {
 }
 
 func (s *streamSession) abort() {
-	metrics.AddStreamsLost(1)
+	s.lost()
 	s.abortNow()
+}
+
+func (s *streamSession) lost() {
+	s.g.stats.Update(func(c *metrics.GatewayStats) { c.StreamsLost++ })
 }
 
 // abortNow severs a mid-flight stream: with the status long gone, a

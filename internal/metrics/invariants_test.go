@@ -8,10 +8,13 @@ package metrics_test
 // with -race in CI).
 
 import (
+	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"nbody"
 	"nbody/internal/blas"
 	"nbody/internal/core"
 	"nbody/internal/direct"
@@ -222,11 +225,13 @@ func TestNilRecInert(t *testing.T) {
 	}
 }
 
-// TestRecoveryCountersConcurrent hammers the process-wide recovery counters
-// from many goroutines; with -race this proves the recording paths are
-// race-free, and the exact final totals prove no increments are lost.
+// TestRecoveryCountersConcurrent hammers one instance-scoped counter set
+// from many goroutines; with -race this proves the holder's recording and
+// reading paths are race-free, the exact final totals prove no increments
+// are lost, and a second set standing beside it proves the counts belong to
+// the instance: nothing one owner records is visible on another.
 func TestRecoveryCountersConcurrent(t *testing.T) {
-	metrics.ResetRecovery()
+	var set, bystander metrics.Set[metrics.RecoveryStats]
 	const workers = 8
 	const perWorker = 1000
 	var wg sync.WaitGroup
@@ -235,26 +240,31 @@ func TestRecoveryCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				metrics.AddRetries(1)
-				metrics.AddBreakerTrips(2)
-				metrics.AddDegradations(3)
-				metrics.AddCheckpoints(4)
-				metrics.AddResumes(5)
+				set.Update(func(r *metrics.RecoveryStats) {
+					r.Retries++
+					r.BreakerTrips += 2
+					r.Degradations += 3
+					r.Checkpoints += 4
+					r.Resumes += 5
+				})
 			}
 		}()
 	}
-	// Concurrent reads must also be safe.
+	// Concurrent reads must also be safe, and every read consistent: the
+	// five fields move together under the lock.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			_ = metrics.ReadRecovery()
+			if r := set.Read(); r.Resumes != 5*r.Retries {
+				t.Errorf("torn read: %+v", r)
+				return
+			}
 		}
 	}()
 	wg.Wait()
 	<-done
 
-	rec := metrics.ReadRecovery()
 	const total = workers * perWorker
 	want := metrics.RecoveryStats{
 		Retries:      total,
@@ -263,37 +273,56 @@ func TestRecoveryCountersConcurrent(t *testing.T) {
 		Checkpoints:  4 * total,
 		Resumes:      5 * total,
 	}
-	if rec != want {
+	if rec := set.Read(); rec != want {
 		t.Errorf("recovery counters %+v, want %+v", rec, want)
 	}
-	metrics.ResetRecovery()
-	if rec := metrics.ReadRecovery(); !rec.Zero() {
-		t.Errorf("counters after reset: %+v, want zero", rec)
+	if rec := bystander.Read(); !rec.Zero() {
+		t.Errorf("a second set saw the first one's events: %+v", rec)
 	}
 }
 
-// TestRecoveryZeroOnHappyPath runs a full healthy solve and asserts the
-// recovery layer recorded nothing: the counters only move when something
-// actually goes wrong, so any nonzero value in a report is signal.
+// TestRecoveryZeroOnHappyPath runs a healthy supervised solve and a healthy
+// simulation step and asserts their owners recorded nothing: the counters
+// only move when something actually goes wrong, so any nonzero value in a
+// report is signal.
 func TestRecoveryZeroOnHappyPath(t *testing.T) {
-	metrics.ResetRecovery()
-	pos, q := testutil.RandomSystem(4096, 9)
-	s, err := core.NewSolver(testutil.UnitBox(), core.Config{Degree: 5, Depth: 3})
+	sys := nbody.NewUniformSystem(4096, 9)
+	box := sys.BoundingBox()
+	box.Side *= 4 // room for the simulation step
+	a, err := nbody.NewAnderson(box, nbody.Options{Depth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials(pos, q); err != nil {
+	r, err := nbody.NewResilient(nbody.RetryPolicy{}, a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := metrics.ReadRecovery(); !rec.Zero() {
-		t.Errorf("healthy solve recorded recovery events: %+v", rec)
+	if _, err := r.Potentials(sys); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := nbody.NewSimulation(sys, nil, r, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	var rec metrics.RecoveryStats
+	rec.Retries, rec.BreakerTrips, rec.Degradations = r.Counters()
+	rec.Checkpoints, rec.Resumes = sim.Counters()
+	if !rec.Zero() {
+		t.Errorf("healthy run recorded recovery events: %+v", rec)
 	}
 
-	// A snapshot captured on a healthy run must omit the recovery section
-	// from both the table and the JSON.
-	snap := s.Stats()
-	snap.CaptureRecovery()
-	if snap.Recovery != nil && !snap.Recovery.Zero() {
-		t.Errorf("captured recovery stats %+v on a healthy run", snap.Recovery)
+	// A solver's phase snapshot carries no serving-side sections at all:
+	// cmd/phases JSON has phases (and the planner it owns), nothing else.
+	raw, err := json.Marshal(a.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"recovery", "overload", "planner"} {
+		if strings.Contains(string(raw), `"`+key+`"`) {
+			t.Errorf("phase snapshot JSON carries a %q section: %s", key, raw)
+		}
 	}
 }

@@ -50,41 +50,10 @@ type Snapshot struct {
 	HeapAllocs int64
 	HeapBytes  int64
 
-	// Recovery, when captured with CaptureRecovery, holds the self-healing
-	// layer's counters (retries, breaker trips, ladder degradations,
-	// checkpoints, resumes). All-zero on a healthy run.
-	Recovery *RecoveryStats
-
-	// Overload, when captured with CaptureOverload, holds the
-	// overload-control layer's counters (deadline sheds, stale drops,
-	// brownout activity). All-zero on an unloaded process.
-	Overload *OverloadStats
-
-	// Planner, when captured with CapturePlanner, holds the plan
-	// subsystem's counters (tune hits/misses, measured searches, plan
-	// provenance, store traffic). All-zero on a process that never planned.
+	// Planner, when the caller owns a planner (cmd/phases with -autotune
+	// or -plan-store), holds that planner's counters: tune hits/misses,
+	// measured searches, plan provenance, store traffic.
 	Planner *PlannerStats
-}
-
-// CaptureRecovery copies the process-wide recovery counters into the
-// snapshot, so reports and JSON output carry them alongside the phases.
-func (s *Snapshot) CaptureRecovery() {
-	r := ReadRecovery()
-	s.Recovery = &r
-}
-
-// CaptureOverload copies the process-wide overload counters into the
-// snapshot, alongside the phases and the recovery counters.
-func (s *Snapshot) CaptureOverload() {
-	o := ReadOverload()
-	s.Overload = &o
-}
-
-// CapturePlanner copies the process-wide planner counters into the
-// snapshot, alongside the phases, recovery, and overload sections.
-func (s *Snapshot) CapturePlanner() {
-	p := ReadPlanner()
-	s.Planner = &p
 }
 
 // Diff returns the per-phase delta s minus prev: the accounting of exactly
@@ -92,7 +61,7 @@ func (s *Snapshot) CapturePlanner() {
 // solver exclusively (e.g. a server request that checked a plan out of a
 // cache) use it to scope the solver's cumulative recorder to one request.
 // The shape fields (Particles, Depth, K, Backend) are taken from s;
-// worker, heap, and recovery captures do not subtract meaningfully and are
+// worker, heap, and planner captures do not subtract meaningfully and are
 // cleared.
 func (s *Snapshot) Diff(prev *Snapshot) Snapshot {
 	d := *s
@@ -106,8 +75,6 @@ func (s *Snapshot) Diff(prev *Snapshot) Snapshot {
 	d.NearPairs -= prev.NearPairs
 	d.Workers = nil
 	d.HeapAllocs, d.HeapBytes = 0, 0
-	d.Recovery = nil
-	d.Overload = nil
 	d.Planner = nil
 	return d
 }
@@ -212,16 +179,6 @@ func (s *Snapshot) Table() string {
 	if s.Time[PhaseSetup] != 0 {
 		fmt.Fprintf(&b, "  (setup, amortized: %v)\n", s.Time[PhaseSetup].Round(time.Microsecond))
 	}
-	if s.Recovery != nil && !s.Recovery.Zero() {
-		r := s.Recovery
-		fmt.Fprintf(&b, "  recovery: %d retries, %d breaker trips, %d degradations, %d checkpoints, %d resumes\n",
-			r.Retries, r.BreakerTrips, r.Degradations, r.Checkpoints, r.Resumes)
-	}
-	if s.Overload != nil && !s.Overload.Zero() {
-		o := s.Overload
-		fmt.Fprintf(&b, "  overload: %d shed, %d stale drops, %d browned, %d brownout raises, %d drops\n",
-			o.Shed, o.ShedStale, o.Browned, o.BrownoutRaises, o.BrownoutDrops)
-	}
 	if s.Planner != nil && !s.Planner.Zero() {
 		p := s.Planner
 		fmt.Fprintf(&b, "  planner: %d tune hits, %d misses, %d searches (%v), plans %d pinned / %d analytic / %d tuned\n",
@@ -260,21 +217,19 @@ func (s *Snapshot) MarshalJSON() ([]byte, error) {
 		})
 	}
 	return json.Marshal(struct {
-		Particles  int            `json:"particles"`
-		Depth      int            `json:"depth"`
-		K          int            `json:"k"`
-		Backend    string         `json:"backend,omitempty"`
-		TotalNS    int64          `json:"total_ns"`
-		TotalFlops int64          `json:"total_flops"`
-		T2Count    int64          `json:"t2_count"`
-		NearPairs  int64          `json:"near_pairs"`
-		HeapAllocs int64          `json:"heap_allocs,omitempty"`
-		HeapBytes  int64          `json:"heap_bytes,omitempty"`
-		Phases     []phaseJSON    `json:"phases"`
-		Workers    []WorkerStat   `json:"workers,omitempty"`
-		Recovery   *RecoveryStats `json:"recovery,omitempty"`
-		Overload   *OverloadStats `json:"overload,omitempty"`
-		Planner    *PlannerStats  `json:"planner,omitempty"`
+		Particles  int           `json:"particles"`
+		Depth      int           `json:"depth"`
+		K          int           `json:"k"`
+		Backend    string        `json:"backend,omitempty"`
+		TotalNS    int64         `json:"total_ns"`
+		TotalFlops int64         `json:"total_flops"`
+		T2Count    int64         `json:"t2_count"`
+		NearPairs  int64         `json:"near_pairs"`
+		HeapAllocs int64         `json:"heap_allocs,omitempty"`
+		HeapBytes  int64         `json:"heap_bytes,omitempty"`
+		Phases     []phaseJSON   `json:"phases"`
+		Workers    []WorkerStat  `json:"workers,omitempty"`
+		Planner    *PlannerStats `json:"planner,omitempty"`
 	}{
 		Particles:  s.Particles,
 		Depth:      s.Depth,
@@ -288,8 +243,6 @@ func (s *Snapshot) MarshalJSON() ([]byte, error) {
 		HeapBytes:  s.HeapBytes,
 		Phases:     phases,
 		Workers:    s.Workers,
-		Recovery:   s.Recovery,
-		Overload:   s.Overload,
 		Planner:    s.Planner,
 	})
 }

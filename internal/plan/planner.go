@@ -179,15 +179,14 @@ func (p *Planner) modelNS(n, depth, k int, supernodes bool) int64 {
 
 // Resolve answers "what Plan should this shape use" and reports where the
 // answer came from. It never runs a solve: a tuned entry answers from
-// memory, everything else from the analytic model. Counters (instance and
-// process-wide) record the outcome.
+// memory, everything else from the analytic model. The planner's counters
+// record the outcome.
 func (p *Planner) Resolve(shape ShapeKey, req Request) (Plan, Provenance) {
 	cap := p.depthCap(req)
 	if req.Depth > 0 {
 		p.mu.Lock()
 		p.counters.PlansPinned++
 		p.mu.Unlock()
-		metrics.AddPlansPinned(1)
 		return planFor(shape, req, req.Depth), ProvenancePinned
 	}
 	if !req.NoTuned {
@@ -198,19 +197,15 @@ func (p *Planner) Resolve(shape ShapeKey, req Request) (Plan, Provenance) {
 			p.counters.PlansTuned++
 			depth := t.Depth
 			p.mu.Unlock()
-			metrics.AddTuneHits(1)
-			metrics.AddPlansTuned(1)
 			return planFor(shape, req, depth), ProvenanceTuned
 		}
 		p.counters.TuneMisses++
 		p.mu.Unlock()
-		metrics.AddTuneMisses(1)
 	}
 	depth := p.AnalyticDepth(shape.N, AccuracyK(shape.Accuracy), req.Supernodes, cap)
 	p.mu.Lock()
 	p.counters.PlansAnalytic++
 	p.mu.Unlock()
-	metrics.AddPlansAnalytic(1)
 	return planFor(shape, req, depth), ProvenanceAnalytic
 }
 
@@ -291,13 +286,10 @@ func (p *Planner) Tune(shape ShapeKey, req Request, bench func(Plan) (time.Durat
 			p.counters.PlansTuned++
 			depth := t.Depth
 			p.mu.Unlock()
-			metrics.AddTuneHits(1)
-			metrics.AddPlansTuned(1)
 			return planFor(shape, req, depth), nil, ProvenanceTuned, nil
 		}
 		p.counters.TuneMisses++
 		p.mu.Unlock()
-		metrics.AddTuneMisses(1)
 	}
 
 	cap := p.depthCap(req)
@@ -330,9 +322,6 @@ func (p *Planner) Tune(shape ShapeKey, req Request, bench func(Plan) (time.Durat
 	p.tuned[tuneKeyOf(shape, req)] = &TunedPlan{Depth: best, Seconds: bestT.Seconds(), Obs: 1}
 	p.counters.PlansTuned++
 	p.mu.Unlock()
-	metrics.AddSearches(1)
-	metrics.AddSearchNS(int64(elapsed))
-	metrics.AddPlansTuned(1)
 	return planFor(shape, req, best), trials, ProvenanceTuned, nil
 }
 
@@ -348,8 +337,7 @@ func (p *Planner) Tuned(shape ShapeKey, req Request) (TunedPlan, bool) {
 	return *t, true
 }
 
-// Counters snapshots this planner's counters (the process-wide mirror lives
-// in internal/metrics for cmd/phases-style reports).
+// Counters snapshots this planner's counters.
 func (p *Planner) Counters() metrics.PlannerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -5,28 +5,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
-	"nbody/internal/metrics"
+	"nbody/internal/frame"
 )
 
-// Tuned-plan store format, version 1 — the same self-describing layout as
-// the simulation checkpoint (all integers and float bit patterns
-// little-endian):
-//
-//	offset  size       field
-//	0       8          magic "NBODYPLN"
-//	8       4          version (uint32, currently 1)
-//	12      8          payload length in bytes (uint64)
-//	20      len        payload (below)
-//	20+len  4          CRC32C (Castagnoli) of the payload
-//
-// payload, for c tuned entries (length = 8 + 48c):
+// Tuned-plan store format, version 1: one internal/frame record (magic
+// "NBODYPLN", version, payload length, payload, CRC32C) — the same envelope
+// as the simulation checkpoint — whose payload, for c tuned entries (length
+// = 8 + 48c, all integers and float bit patterns little-endian), is:
 //
 //	0       8          entry count c (uint64)
 //	8       48 each    entries:
@@ -46,26 +36,23 @@ import (
 // the payload length is written redundantly with the entry count so torn or
 // forged records fail structural validation before any field is trusted.
 // The trailing CRC32C catches the bit rot structure cannot.
-var storeMagic = [8]byte{'N', 'B', 'O', 'D', 'Y', 'P', 'L', 'N'}
-
 const (
-	storeVersion   = 1
-	storeHeaderLen = 8 + 4 + 8
-	storeEntryLen  = 48
+	storeVersion  = 1
+	storeEntryLen = 48
 	// storeMaxEntries bounds what a reader will accept: far above any real
 	// tuned table, far below anything that could hurt.
 	storeMaxEntries = 1 << 20
 )
-
-var storeCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorruptStore marks a tuned-plan store that failed structural or
 // checksum validation. A corrupt store never panics, never loads partially,
 // and never yields a silently wrong plan.
 var ErrCorruptStore = errors.New("plan: corrupt tuned-plan store")
 
-func storeCorruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrCorruptStore, fmt.Sprintf(format, args...))
+var storeFormat = frame.Format{
+	Magic:   [8]byte{'N', 'B', 'O', 'D', 'Y', 'P', 'L', 'N'},
+	Version: storeVersion,
+	Corrupt: ErrCorruptStore,
 }
 
 // distCode maps fingerprint buckets onto their wire codes (and back).
@@ -129,20 +116,7 @@ func (p *Planner) Encode(w io.Writer) error {
 		le.PutUint64(payload[off+40:], uint64(t.Obs))
 		off += storeEntryLen
 	}
-
-	var hdr [storeHeaderLen]byte
-	copy(hdr[:8], storeMagic[:])
-	le.PutUint32(hdr[8:], storeVersion)
-	le.PutUint64(hdr[12:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("plan: write store: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("plan: write store: %w", err)
-	}
-	var crc [4]byte
-	le.PutUint32(crc[:], crc32.Checksum(payload, storeCRCTable))
-	if _, err := w.Write(crc[:]); err != nil {
+	if err := storeFormat.Write(w, payload); err != nil {
 		return fmt.Errorf("plan: write store: %w", err)
 	}
 	return nil
@@ -155,35 +129,20 @@ func (p *Planner) Encode(w io.Writer) error {
 // fields — is reported with ErrCorruptStore and leaves the planner
 // untouched. Returns the number of entries loaded.
 func (p *Planner) Decode(r io.Reader) (int, error) {
-	le := binary.LittleEndian
-	var hdr [storeHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, storeCorruptf("truncated header (%v)", err)
-	}
-	if [8]byte(hdr[:8]) != storeMagic {
-		return 0, storeCorruptf("bad magic %q", hdr[:8])
-	}
-	if v := le.Uint32(hdr[8:]); v != storeVersion {
-		return 0, storeCorruptf("unsupported version %d (want %d)", v, storeVersion)
-	}
-	plen := le.Uint64(hdr[12:])
-	if plen < 8 || (plen-8)%storeEntryLen != 0 {
-		return 0, storeCorruptf("implausible payload length %d", plen)
-	}
-	if (plen-8)/storeEntryLen > storeMaxEntries {
-		return 0, storeCorruptf("entry count %d over limit", (plen-8)/storeEntryLen)
-	}
-	payload, err := readFullLimited(r, plen)
+	payload, err := storeFormat.Read(r, func(plen uint64) error {
+		if plen < 8 || (plen-8)%storeEntryLen != 0 {
+			return fmt.Errorf("implausible payload length %d", plen)
+		}
+		if (plen-8)/storeEntryLen > storeMaxEntries {
+			return fmt.Errorf("entry count %d over limit", (plen-8)/storeEntryLen)
+		}
+		return nil
+	})
 	if err != nil {
-		return 0, storeCorruptf("truncated payload (%v)", err)
+		return 0, err
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return 0, storeCorruptf("truncated checksum (%v)", err)
-	}
-	if got, want := crc32.Checksum(payload, storeCRCTable), le.Uint32(crcBuf[:]); got != want {
-		return 0, storeCorruptf("checksum mismatch (computed %08x, stored %08x)", got, want)
-	}
+	le, storeCorruptf := binary.LittleEndian, storeFormat.Corruptf
+	plen := uint64(len(payload))
 
 	count := le.Uint64(payload[0:])
 	if want := uint64(8 + storeEntryLen*count); count > storeMaxEntries || want != plen {
@@ -252,13 +211,12 @@ func (p *Planner) Decode(r io.Reader) (int, error) {
 // the same directory, fsynced, then renamed over path — a crash leaves
 // either the previous store or the new one, never a torn file.
 func (p *Planner) Save(path string) error {
-	if err := writeFileAtomic(path, p.Encode); err != nil {
-		return err
+	if err := frame.WriteFileAtomic(path, p.Encode); err != nil {
+		return fmt.Errorf("plan: save store %s: %w", path, err)
 	}
 	p.mu.Lock()
 	p.counters.StoreSaves++
 	p.mu.Unlock()
-	metrics.AddStoreSaves(1)
 	return nil
 }
 
@@ -281,70 +239,5 @@ func (p *Planner) Load(path string) (int, error) {
 	p.mu.Lock()
 	p.counters.StoreLoads++
 	p.mu.Unlock()
-	metrics.AddStoreLoads(1)
 	return n, nil
-}
-
-// writeFileAtomic streams fill into a temp file next to path, fsyncs the
-// file, renames it over path, and fsyncs the directory so the rename itself
-// is durable (the checkpoint codec's discipline).
-func writeFileAtomic(path string, fill func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if tmp != "" {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	if err := fill(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("plan: save store %s: %w", path, err)
-	}
-	tmp = "" // committed: disable the cleanup
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// readFullLimited reads exactly want bytes, growing the buffer only as data
-// actually arrives, so a forged length field cannot force a huge up-front
-// allocation.
-func readFullLimited(r io.Reader, want uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	first := want
-	if first > chunk {
-		first = chunk
-	}
-	buf := make([]byte, 0, first)
-	for uint64(len(buf)) < want {
-		next := want - uint64(len(buf))
-		if next > chunk {
-			next = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, next)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

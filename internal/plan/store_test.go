@@ -3,13 +3,15 @@ package plan
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"nbody/internal/frame"
 )
 
 // storeFixture builds a planner with a small tuned table covering every
@@ -42,8 +44,8 @@ func encodeStore(t *testing.T, p *Planner) []byte {
 // payload, so the mutation reaches field validation instead of being caught
 // by the CRC.
 func refreshCRC(b []byte) {
-	payload := b[storeHeaderLen : len(b)-4]
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(payload, storeCRCTable))
+	payload := b[frame.HeaderLen : len(b)-4]
+	binary.LittleEndian.PutUint32(b[len(b)-4:], frame.Checksum(payload))
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -80,9 +82,27 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreGoldenBytes pins the on-disk format: the fixture table must
+// encode to exactly the bytes the pre-internal/frame codec (commit e479957)
+// wrote, and those bytes must load.
+func TestStoreGoldenBytes(t *testing.T) {
+	const golden = "4e424f4459504c4e0100000098000000000000000300000000000000" +
+		"0004000000000000000000000c00000003000000010000000000000000000000fca9f1d24d62703f0200000000000000" +
+		"0010000000000000020000003200000004000000030000000000000000000000fa7e6abc7493883f0200000000000000" +
+		"00200000000000000000000062000000020000000200000003000000000000000ad7a3703d0ab73f0200000000000000" +
+		"d6c6ef08"
+	if got := hex.EncodeToString(encodeStore(t, storeFixture(t))); got != golden {
+		t.Fatalf("store bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	raw, _ := hex.DecodeString(golden)
+	if n, err := NewPlanner(6).Decode(bytes.NewReader(raw)); n != 3 || err != nil {
+		t.Fatalf("Decode(golden) = (%d, %v), want (3, nil)", n, err)
+	}
+}
+
 func TestStoreEmptyRoundTrip(t *testing.T) {
 	raw := encodeStore(t, NewPlanner(6))
-	if want := storeHeaderLen + 8 + 4; len(raw) != want {
+	if want := frame.HeaderLen + 8 + 4; len(raw) != want {
 		t.Fatalf("empty store is %d bytes, want %d", len(raw), want)
 	}
 	if n, err := NewPlanner(6).Decode(bytes.NewReader(raw)); n != 0 || err != nil {
@@ -96,14 +116,14 @@ func TestStoreEmptyRoundTrip(t *testing.T) {
 func TestStoreCorruption(t *testing.T) {
 	le := binary.LittleEndian
 	valid := encodeStore(t, storeFixture(t))
-	entry := func(b []byte, i int) []byte { return b[storeHeaderLen+8+i*storeEntryLen:] }
+	entry := func(b []byte, i int) []byte { return b[frame.HeaderLen+8+i*storeEntryLen:] }
 
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
 	}{
 		{"empty input", func(b []byte) []byte { return nil }},
-		{"truncated header", func(b []byte) []byte { return b[:storeHeaderLen-3] }},
+		{"truncated header", func(b []byte) []byte { return b[:frame.HeaderLen-3] }},
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0x40; return b }},
 		{"unsupported version", func(b []byte) []byte { le.PutUint32(b[8:], storeVersion+1); return b }},
 		{"payload length below minimum", func(b []byte) []byte { le.PutUint64(b[12:], 7); return b }},
@@ -112,12 +132,12 @@ func TestStoreCorruption(t *testing.T) {
 			le.PutUint64(b[12:], 8+storeEntryLen*uint64(storeMaxEntries+1))
 			return b
 		}},
-		{"truncated payload", func(b []byte) []byte { return b[:storeHeaderLen+12] }},
+		{"truncated payload", func(b []byte) []byte { return b[:frame.HeaderLen+12] }},
 		{"truncated checksum", func(b []byte) []byte { return b[:len(b)-2] }},
-		{"payload bitflip", func(b []byte) []byte { b[storeHeaderLen+9] ^= 0x01; return b }},
+		{"payload bitflip", func(b []byte) []byte { b[frame.HeaderLen+9] ^= 0x01; return b }},
 		{"checksum bitflip", func(b []byte) []byte { b[len(b)-1] ^= 0x80; return b }},
 		{"count inconsistent with length", func(b []byte) []byte {
-			le.PutUint64(b[storeHeaderLen:], 2) // 3 entries on the wire
+			le.PutUint64(b[frame.HeaderLen:], 2) // 3 entries on the wire
 			refreshCRC(b)
 			return b
 		}},

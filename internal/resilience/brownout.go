@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"nbody/internal/metrics"
 )
 
 // BrownoutConfig tunes a Brownout controller. The zero value of every field
@@ -72,9 +70,8 @@ type BrownoutStats struct {
 // optimality: it must never flap fidelity on transient spikes, and it must
 // always return to full fidelity once pressure subsides.
 //
-// Every level change is recorded through the process-wide overload counters
-// in internal/metrics, the same pattern the retry supervisor uses for its
-// recovery counters.
+// Every level change is counted on the controller itself (Stats), the same
+// pattern the retry supervisor uses for its recovery counters.
 type Brownout struct {
 	cfg BrownoutConfig
 
@@ -153,7 +150,6 @@ func (b *Brownout) step(now time.Time) {
 		if now.Sub(b.overSince) >= b.cfg.RaiseAfter && b.level < b.cfg.MaxLevel {
 			b.level++
 			b.raises++
-			metrics.AddBrownoutRaises(1)
 			b.overSince = now // a further raise needs a fresh dwell
 		}
 	case b.ewma < lo:
@@ -165,7 +161,6 @@ func (b *Brownout) step(now time.Time) {
 		if now.Sub(b.underSince) >= b.cfg.DropAfter && b.level > 0 {
 			b.level--
 			b.drops++
-			metrics.AddBrownoutDrops(1)
 			b.underSince = now
 		}
 	default:
@@ -184,7 +179,6 @@ func (b *Brownout) decayIdle(now time.Time) {
 	for b.level > 0 && now.Sub(b.lastObs) >= b.cfg.DropAfter {
 		b.level--
 		b.drops++
-		metrics.AddBrownoutDrops(1)
 		b.lastObs = b.lastObs.Add(b.cfg.DropAfter)
 		b.ewma = 0
 		b.overSince, b.underSince = time.Time{}, time.Time{}

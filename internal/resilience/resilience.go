@@ -16,11 +16,11 @@
 // Skip advances the ladder without burning attempts (the rung cannot
 // perform the requested operation at all).
 //
-// Every retry, breaker trip, and rung change is recorded through the
-// process-wide counters in internal/metrics, so cmd/phases and the
-// invariant tests can observe the layer working (and observe it idle: a
-// healthy run records nothing). The happy path — first rung, first attempt
-// succeeds — performs no allocations and no metrics traffic.
+// Every retry, breaker trip, and rung change is counted on the Supervisor
+// that performed it (Counters), so whoever owns the supervisor can observe
+// the layer working (and observe it idle: a healthy run records nothing).
+// The happy path — first rung, first attempt succeeds — performs no
+// allocations and touches no counter.
 package resilience
 
 import (
@@ -31,8 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"nbody/internal/metrics"
 )
 
 // Class is an error classification: what the supervisor should do with a
@@ -157,11 +155,9 @@ type Supervisor struct {
 	rng      *rand.Rand
 	breakers []*Breaker
 
-	// Per-supervisor mirrors of the process-wide recovery counters, so a
-	// caller that owns this supervisor exclusively (e.g. one server
-	// request holding one cached plan) can attribute recovery events to
-	// itself exactly, where the global counters only attribute them to
-	// the process.
+	// This supervisor's recovery events. A caller that owns it exclusively
+	// (e.g. one server request holding one cached plan) diffs two Counters
+	// snapshots to attribute events to itself exactly.
 	retries      atomic.Int64
 	breakerTrips atomic.Int64
 	degradations atomic.Int64
@@ -229,7 +225,6 @@ func (s *Supervisor) Do(ctx context.Context, attempt func(ctx context.Context, r
 	lastRung := 0
 	for rung := 0; rung < len(s.breakers); rung++ {
 		if rung > 0 {
-			metrics.AddDegradations(1)
 			s.degradations.Add(1)
 		}
 		if s.breakerRejects(rung) {
@@ -279,7 +274,6 @@ func (s *Supervisor) runRung(ctx context.Context, rung int, attempt func(ctx con
 		if a >= s.p.MaxAttempts {
 			return err
 		}
-		metrics.AddRetries(1)
 		s.retries.Add(1)
 		if serr := s.sleep(ctx, a); serr != nil {
 			return serr
@@ -369,7 +363,6 @@ func (s *Supervisor) recordFailure(rung int) bool {
 	if !s.breakers[rung].Failure() {
 		return false
 	}
-	metrics.AddBreakerTrips(1)
 	s.breakerTrips.Add(1)
 	return true
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"nbody/internal/metrics"
 )
 
 var errBoom = errors.New("boom")
@@ -47,7 +45,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // TestHappyPathZero proves a first-attempt success touches nothing: no
 // retries, no degradations, no breaker state, and no allocations.
 func TestHappyPathZero(t *testing.T) {
-	metrics.ResetRecovery()
 	s, err := New(fastPolicy(), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +54,7 @@ func TestHappyPathZero(t *testing.T) {
 	if err != nil || rung != 0 {
 		t.Fatalf("Do = (%d, %v), want (0, nil)", rung, err)
 	}
-	if rc := metrics.ReadRecovery(); !rc.Zero() {
+	if rc := s.Counters(); rc != (Counters{}) {
 		t.Errorf("happy path recorded recovery events: %+v", rc)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -73,7 +70,6 @@ func TestHappyPathZero(t *testing.T) {
 // TestRetriesThenSucceeds: two transient failures inside the first rung's
 // budget must be retried on the same rung and counted.
 func TestRetriesThenSucceeds(t *testing.T) {
-	metrics.ResetRecovery()
 	s, err := New(fastPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +88,7 @@ func TestRetriesThenSucceeds(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("attempts = %d, want 3", calls)
 	}
-	rc := metrics.ReadRecovery()
+	rc := s.Counters()
 	if rc.Retries != 2 || rc.Degradations != 0 {
 		t.Errorf("recovery = %+v, want 2 retries, 0 degradations", rc)
 	}
@@ -101,7 +97,6 @@ func TestRetriesThenSucceeds(t *testing.T) {
 // TestDegradesToNextRung: a rung that always fails transiently exhausts
 // its budget and the ladder steps down.
 func TestDegradesToNextRung(t *testing.T) {
-	metrics.ResetRecovery()
 	s, err := New(fastPolicy(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +115,7 @@ func TestDegradesToNextRung(t *testing.T) {
 	if perRung[0] != 3 || perRung[1] != 1 {
 		t.Errorf("attempts per rung = %v, want {0:3, 1:1}", perRung)
 	}
-	rc := metrics.ReadRecovery()
+	rc := s.Counters()
 	if rc.Retries != 2 || rc.Degradations != 1 {
 		t.Errorf("recovery = %+v, want 2 retries, 1 degradation", rc)
 	}
@@ -129,7 +124,6 @@ func TestDegradesToNextRung(t *testing.T) {
 // TestSkipAdvancesWithoutRetry: a Skip-classified error moves down the
 // ladder immediately, burning neither attempts nor backoff.
 func TestSkipAdvancesWithoutRetry(t *testing.T) {
-	metrics.ResetRecovery()
 	errNoCan := errors.New("unsupported")
 	p := fastPolicy()
 	p.Classify = func(err error) Class {
@@ -156,7 +150,7 @@ func TestSkipAdvancesWithoutRetry(t *testing.T) {
 	if perRung[0] != 1 {
 		t.Errorf("skipped rung attempted %d times, want 1", perRung[0])
 	}
-	if rc := metrics.ReadRecovery(); rc.Retries != 0 {
+	if rc := s.Counters(); rc.Retries != 0 {
 		t.Errorf("skip recorded %d retries, want 0", rc.Retries)
 	}
 }
@@ -265,7 +259,6 @@ func TestDeadlineDerivedAttemptBudget(t *testing.T) {
 // breaker (ending the rung early), the open rung is skipped on the next
 // Do, and after the cooldown the rung is probed again.
 func TestBreakerTripsAndCoolsDown(t *testing.T) {
-	metrics.ResetRecovery()
 	p := fastPolicy()
 	p.BreakerThreshold = 2
 	p.BreakerCooldown = 30 * time.Millisecond
@@ -302,7 +295,7 @@ func TestBreakerTripsAndCoolsDown(t *testing.T) {
 	if perRung[0] != 0 {
 		t.Errorf("open breaker still allowed %d attempts on rung 0", perRung[0])
 	}
-	rc := metrics.ReadRecovery()
+	rc := s.Counters()
 	if rc.BreakerTrips != 1 {
 		t.Errorf("breaker trips = %d, want 1", rc.BreakerTrips)
 	}

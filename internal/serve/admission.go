@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nbody/internal/faults"
-	"nbody/internal/metrics"
 )
 
 // Policy selects how workers pick the next admitted request.
@@ -213,7 +212,6 @@ func (d *Dispatcher) DoBudget(ctx context.Context, tenant string, bud Budget, fn
 			ts.Shed++
 			d.stats.Shed++
 			d.mu.Unlock()
-			metrics.AddShed(1)
 			return &ShedError{Tenant: tenant, Estimate: bud.Estimate, Wait: wait, RetryAfter: retryAfterHint(wait)}
 		}
 	}
@@ -302,7 +300,6 @@ func (d *Dispatcher) worker() {
 			ts.Completed++
 			d.stats.ShedStale++
 			d.stats.Completed++
-			metrics.AddShedStale(1)
 			d.maybeReap(j.tq)
 			continue
 		}

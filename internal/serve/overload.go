@@ -94,8 +94,9 @@ func (s *Server) observePressure(queueWait time.Duration) {
 type OverloadMetrics struct {
 	AdmissionEnabled bool `json:"admission_enabled"`
 	BrownoutEnabled  bool `json:"brownout_enabled"`
-	// Counters are the process-wide overload counters (shared with the
-	// cmd/phases-style snapshot table via metrics.CaptureOverload).
+	// Counters are this server's overload events, read from their owners:
+	// sheds from the dispatcher, raises and drops from the brownout
+	// controller, browned responses from the server itself.
 	Counters metrics.OverloadStats `json:"counters"`
 	// Brownout is the controller snapshot: current level, smoothed
 	// pressure, lifetime raises and drops.
@@ -110,13 +111,20 @@ type OverloadMetrics struct {
 
 func (s *Server) readOverload() OverloadMetrics {
 	shapes, scale, obs := s.est.Stats()
+	disp, brown := s.disp.Stats(), s.brown.Stats()
 	return OverloadMetrics{
 		AdmissionEnabled: !s.cfg.DisableAdmission,
 		BrownoutEnabled:  !s.cfg.DisableBrownout,
-		Counters:         metrics.ReadOverload(),
-		Brownout:         s.brown.Stats(),
-		EstimatorShapes:  shapes,
-		EstimatorScale:   scale,
-		EstimatorObs:     obs,
+		Counters: metrics.OverloadStats{
+			Shed:           disp.Shed,
+			ShedStale:      disp.ShedStale,
+			Browned:        s.events.Read().browned,
+			BrownoutRaises: brown.Raises,
+			BrownoutDrops:  brown.Drops,
+		},
+		Brownout:        brown,
+		EstimatorShapes: shapes,
+		EstimatorScale:  scale,
+		EstimatorObs:    obs,
 	}
 }

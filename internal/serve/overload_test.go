@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"nbody"
-	"nbody/internal/metrics"
 	"nbody/internal/resilience"
 )
 
@@ -161,10 +160,11 @@ func TestShedHTTPRetryAfter(t *testing.T) {
 	if err != nil || ra < 1 {
 		t.Errorf("Retry-After = %q, want integer >= 1", resp.Header.Get("Retry-After"))
 	}
-	if got := metrics.ReadOverload().Shed; got == 0 {
-		t.Error("process-wide shed counter not incremented")
+	m := srv.ReadMetrics()
+	if m.Overload.Counters.Shed == 0 {
+		t.Error("/v1/metrics overload.counters.shed not incremented")
 	}
-	if srv.ReadMetrics().Admission.Shed == 0 {
+	if m.Admission.Shed == 0 {
 		t.Error("/v1/metrics admission.shed not incremented")
 	}
 }
@@ -243,7 +243,6 @@ func TestBrownoutEndToEnd(t *testing.T) {
 	sys := nbody.NewUniformSystem(512, 3)
 
 	srv.brown = newBrownoutAtLevel(t, 2)
-	before := metrics.ReadOverload().Browned
 	body := solveBody(t, "t", sys, func(r *SolveRequest) { r.Accuracy = "accurate" })
 	resp, data := postSolve(t, hs.URL, body)
 	if resp.StatusCode != http.StatusOK {
@@ -256,8 +255,8 @@ func TestBrownoutEndToEnd(t *testing.T) {
 	if !sr.Degraded || sr.BrownoutLevel != 2 {
 		t.Fatalf("degraded=%v level=%d, want degraded at level 2", sr.Degraded, sr.BrownoutLevel)
 	}
-	if got := metrics.ReadOverload().Browned; got <= before {
-		t.Error("browned counter did not advance")
+	if got := srv.ReadMetrics().Overload.Counters.Browned; got != 1 {
+		t.Errorf("browned counter = %d after one degraded response, want 1", got)
 	}
 
 	srv.brown = newBrownoutAtLevel(t, 0)

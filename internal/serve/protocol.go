@@ -194,8 +194,8 @@ type PhaseRow struct {
 	Flops int64  `json:"flops"`
 }
 
-// RecoveryDelta is the per-request slice of the process-wide recovery
-// counters: what the self-healing layer did for this request alone.
+// RecoveryDelta is the per-request slice of the server's recovery counters:
+// what the self-healing layer did for this request alone.
 type RecoveryDelta struct {
 	Retries      int64 `json:"retries,omitempty"`
 	BreakerTrips int64 `json:"breaker_trips,omitempty"`

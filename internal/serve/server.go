@@ -144,8 +144,35 @@ type Server struct {
 	// carrying a resume token.
 	draining atomic.Bool
 
+	events metrics.Set[serverEvents]
+
 	mu       sync.Mutex
 	statuses map[int]int64
+}
+
+// serverEvents are the event counts no component of the server keeps for
+// it: responses served at brownout-degraded fidelity, and the recovery
+// events of every request it ran — each request's ladder delta off the plan
+// it held, plus the checkpoints and resumes of each stream's simulation.
+type serverEvents struct {
+	browned  int64
+	recovery metrics.RecoveryStats
+}
+
+// noteRecovery folds one request's recovery events — its ladder delta, and
+// its simulation's checkpoints and resumes when it ran one — into the
+// server's totals.
+func (s *Server) noteRecovery(d RecoveryDelta, checkpoints, resumes int64) {
+	if d == (RecoveryDelta{}) && checkpoints == 0 && resumes == 0 {
+		return
+	}
+	s.events.Update(func(e *serverEvents) {
+		e.recovery.Retries += d.Retries
+		e.recovery.BreakerTrips += d.BreakerTrips
+		e.recovery.Degradations += d.Degradations
+		e.recovery.Checkpoints += checkpoints
+		e.recovery.Resumes += resumes
+	})
 }
 
 // New builds a Server and starts its worker fleet. Close releases it.
@@ -468,7 +495,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		if degraded {
 			resp.Degraded = true
 			resp.BrownoutLevel = level
-			metrics.AddBrowned(1)
+			s.events.Update(func(e *serverEvents) { e.browned++ })
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if idemKey == "" {
@@ -528,6 +555,9 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, sys *nbody.Syst
 	default:
 		err = plan.Ladder.PotentialsIntoCtx(ctx, plan.Phi, sys)
 	}
+	r1, b1, d1 := plan.Ladder.Counters()
+	delta := RecoveryDelta{Retries: r1 - r0, BreakerTrips: b1 - b0, Degradations: d1 - d0}
+	s.noteRecovery(delta, 0, 0) // a failed solve's retries and trips count too
 	if err != nil {
 		return nil, 0, err
 	}
@@ -562,8 +592,7 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, sys *nbody.Syst
 			}
 		}
 	}
-	r1, b1, d1 := plan.Ladder.Counters()
-	if delta := (RecoveryDelta{Retries: r1 - r0, BreakerTrips: b1 - b0, Degradations: d1 - d0}); delta != (RecoveryDelta{}) {
+	if delta != (RecoveryDelta{}) {
 		resp.Recovery = &delta
 	}
 	return resp, measured, nil
@@ -629,7 +658,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				s.planner.Observe(key, elapsed/time.Duration(stepsRun))
 			}
 			if degraded {
-				metrics.AddBrowned(1)
+				s.events.Update(func(e *serverEvents) { e.browned++ })
 			}
 		}
 		return serr
@@ -664,6 +693,15 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, req *Simulat
 	defer s.plans.Release(plan)
 
 	var sim *nbody.Simulation
+	r0, b0, d0 := plan.Ladder.Counters()
+	defer func() {
+		r1, b1, d1 := plan.Ladder.Counters()
+		var checkpoints, resumes int64
+		if sim != nil {
+			checkpoints, resumes = sim.Counters()
+		}
+		s.noteRecovery(RecoveryDelta{Retries: r1 - r0, BreakerTrips: b1 - b0, Degradations: d1 - d0}, checkpoints, resumes)
+	}()
 	start := 0
 	if req.resume != nil {
 		sim, err = nbody.ResumeSimulationState(req.resume, ctxAccelerator{plan.Ladder, ctx})
@@ -829,7 +867,7 @@ func (s *Server) ReadMetrics() Metrics {
 		PlanCache: s.plans.Stats(),
 		Latency:   s.lat.stats(),
 		Statuses:  statuses,
-		Recovery:  metrics.ReadRecovery(),
+		Recovery:  s.events.Read().recovery,
 		Overload:  s.readOverload(),
 		Planner: PlannerMetrics{
 			AutotuneEnabled: !s.cfg.DisableAutotune,

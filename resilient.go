@@ -164,8 +164,7 @@ func (r *Resilient) LastRung() int { return int(r.lastRung.Load()) }
 // Counters returns this Resilient's own recovery-event counts (retries,
 // breaker trips, ladder degradations), monotonic across its lifetime. A
 // caller that owns the Resilient exclusively for the duration of one solve
-// can diff two snapshots for exact per-solve attribution — the scoped
-// counterpart of the process-wide metrics.ReadRecovery.
+// can diff two snapshots for exact per-solve attribution.
 func (r *Resilient) Counters() (retries, breakerTrips, degradations int64) {
 	c := r.sup.Counters()
 	return c.Retries, c.BreakerTrips, c.Degradations

@@ -531,16 +531,16 @@ func TestResilientFaultMatrixAnderson(t *testing.T) {
 	sites := append([]string{}, core.FaultSites...)
 	sites = append(sites, core.FaultSiteLeafOuterBody, core.FaultSiteNearBody)
 	for _, site := range sites {
-		metrics.ResetRecovery()
+		before := recoveryOf(r)
 		faults.InjectPanic(site, "injected: "+site)
 		if err := r.PotentialsInto(phi, sys); err != nil {
 			t.Fatalf("site %s: supervised solve failed: %v", site, err)
 		}
 		faults.Reset()
 		testutil.CheckClose(t, "supervised "+site, phi, want, boundFast)
-		rec := metrics.ReadRecovery()
-		if rec.Retries < 1 {
-			t.Errorf("site %s: %d retries recorded, want >= 1", site, rec.Retries)
+		rec := recoveryOf(r)
+		if got := rec.Retries - before.Retries; got < 1 {
+			t.Errorf("site %s: %d retries recorded, want >= 1", site, got)
 		}
 		if rec.Degradations != 0 {
 			t.Errorf("site %s: %d degradations on a one-rung ladder", site, rec.Degradations)
@@ -549,6 +549,12 @@ func TestResilientFaultMatrixAnderson(t *testing.T) {
 			t.Errorf("site %s: finished on rung %d, want 0", site, got)
 		}
 	}
+}
+
+// recoveryOf reads r's own recovery counters in the wire shape.
+func recoveryOf(r *nbody.Resilient) (rec metrics.RecoveryStats) {
+	rec.Retries, rec.BreakerTrips, rec.Degradations = r.Counters()
+	return rec
 }
 
 // TestResilientFaultMatrixDataParallel is the same healing matrix on the
@@ -569,7 +575,7 @@ func TestResilientFaultMatrixDataParallel(t *testing.T) {
 	want := direct.PotentialsParallel(sys.Positions, sys.Charges)
 
 	for _, site := range dpfmm.FaultSites {
-		metrics.ResetRecovery()
+		before := recoveryOf(r)
 		faults.InjectPanicN(site, "injected: "+site, 2)
 		phi, err := r.Potentials(sys)
 		if err != nil {
@@ -577,8 +583,8 @@ func TestResilientFaultMatrixDataParallel(t *testing.T) {
 		}
 		faults.Reset()
 		testutil.CheckClose(t, "supervised "+site, phi, want, boundFast)
-		if rec := metrics.ReadRecovery(); rec.Retries < 2 {
-			t.Errorf("site %s: %d retries recorded, want >= 2", site, rec.Retries)
+		if got := recoveryOf(r).Retries - before.Retries; got < 2 {
+			t.Errorf("site %s: %d retries recorded, want >= 2", site, got)
 		}
 	}
 }
@@ -647,7 +653,6 @@ func TestResilientDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics.ResetRecovery()
 	phi, err := r.Potentials(sys)
 	if err != nil {
 		t.Fatalf("ladder with healthy fallback failed: %v", err)
@@ -660,7 +665,7 @@ func TestResilientDegradation(t *testing.T) {
 	if bad.calls != 3 {
 		t.Errorf("failing rung probed %d times, want MaxAttempts = 3", bad.calls)
 	}
-	rec := metrics.ReadRecovery()
+	rec := recoveryOf(r)
 	if rec.Degradations != 1 {
 		t.Errorf("degradations = %d, want 1", rec.Degradations)
 	}
@@ -688,14 +693,13 @@ func TestResilientBreakerSkipsOpenRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics.ResetRecovery()
 	if _, err := r.Potentials(sys); err != nil {
 		t.Fatalf("first solve: %v", err)
 	}
 	if bad.calls != 2 {
 		t.Fatalf("failing rung probed %d times before the trip, want 2", bad.calls)
 	}
-	if rec := metrics.ReadRecovery(); rec.BreakerTrips != 1 {
+	if rec := recoveryOf(r); rec.BreakerTrips != 1 {
 		t.Fatalf("breaker trips = %d, want 1", rec.BreakerTrips)
 	}
 
@@ -738,7 +742,6 @@ func TestResilientHappyPathNoNewAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	metrics.ResetRecovery()
 	supervised := testing.AllocsPerRun(10, func() {
 		if err := r.PotentialsInto(phi, sys); err != nil {
 			t.Fatal(err)
@@ -747,7 +750,7 @@ func TestResilientHappyPathNoNewAllocs(t *testing.T) {
 	if supervised > base {
 		t.Errorf("supervised solve allocates %.0f/op, bare solver %.0f/op: the happy path must add nothing", supervised, base)
 	}
-	if rec := metrics.ReadRecovery(); !rec.Zero() {
+	if rec := recoveryOf(r); !rec.Zero() {
 		t.Errorf("happy path recorded recovery events: %+v", rec)
 	}
 	if got := r.LastRung(); got != 0 {
@@ -806,14 +809,13 @@ func TestResilientPermanentAbortsWholeLadder(t *testing.T) {
 		Charges:   append([]float64{}, sys.Charges...),
 	}
 	bad.Positions[5] = nbody.Vec3{X: math.NaN()}
-	metrics.ResetRecovery()
 	if _, err := r.Potentials(bad); !errors.Is(err, nbody.ErrInvalidSystem) {
 		t.Fatalf("got %v, want ErrInvalidSystem", err)
 	}
 	if fallback.calls != 0 {
 		t.Errorf("fallback probed %d times on a permanent error, want 0", fallback.calls)
 	}
-	if rec := metrics.ReadRecovery(); rec.Retries != 0 {
+	if rec := recoveryOf(r); rec.Retries != 0 {
 		t.Errorf("retries = %d on a permanent error, want 0", rec.Retries)
 	}
 }
@@ -833,7 +835,6 @@ func TestResilientSkipsIncapableRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics.ResetRecovery()
 	phi, acc, err := r.Accelerations(sys)
 	if err != nil {
 		t.Fatalf("Accelerations through a potentials-only rung: %v", err)
@@ -844,7 +845,7 @@ func TestResilientSkipsIncapableRung(t *testing.T) {
 	if got := r.LastRung(); got != 1 {
 		t.Errorf("LastRung = %d, want 1", got)
 	}
-	if rec := metrics.ReadRecovery(); rec.Retries != 0 {
+	if rec := recoveryOf(r); rec.Retries != 0 {
 		t.Errorf("retries = %d for a capability skip, want 0", rec.Retries)
 	}
 	// Potentials must still prefer the Barnes-Hut rung.

@@ -28,7 +28,7 @@ trap 'rm -f "$solve_txt" "$gemm_txt" "$phases_json"' EXIT
 
 go test ./internal/core/ -run '^$' -bench 'BenchmarkSolve(K12Depth4|SupernodesK32Depth4)$' \
     -benchmem -benchtime 5x | tee "$solve_txt"
-go test ./internal/blas/ -run '^$' -bench 'BenchmarkDgemm|BenchmarkGemmPanels' \
+go test ./internal/blas/ -run '^$' -bench 'BenchmarkDgemm' \
     -benchmem -benchtime 2s | tee "$gemm_txt"
 go run ./cmd/phases -n 32768 -depth 4 -degree 5 -json > "$phases_json"
 

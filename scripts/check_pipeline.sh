@@ -27,4 +27,22 @@ if [ -n "$bad" ]; then
     echo "declare the work as a pipeline.Phase (or pipeline.Step) instead" >&2
     exit 1
 fi
+# Second boundary: event counters belong to the instance that counts them
+# (Supervisor, Brownout, Dispatcher, Planner, Server, Gateway, Simulation).
+# internal/metrics holds only wire structs and the instance-scoped Set
+# holder: it may declare no package-level variable at all, and the
+# process-global accessor families deleted in PR 12 may not come back under
+# their old names anywhere (tests included; bench/ is its own module).
+globals=$(grep -n '^var' internal/metrics/*.go | grep -v '_test\.go:' || true)
+mirror=$(grep -rnE --include='*.go' \
+        -e 'metrics\.(Add|Read|Reset)[A-Z]' \
+        -e '\.Capture(Recovery|Overload|Planner)\(' \
+        cmd internal examples ./*.go \
+    || true)
+if [ -n "$globals$mirror" ]; then
+    echo "check_pipeline: process-global counter state is back:" >&2
+    echo "$globals$mirror" >&2
+    echo "count the event on the instance that produces it (metrics.Set for counters with no other home)" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"

@@ -52,6 +52,20 @@ type Simulation struct {
 	// Periodic checkpointing, armed by EnableCheckpoints.
 	ckPath  string
 	ckEvery int
+
+	counts metrics.Set[simCounts]
+}
+
+// simCounts are the recovery events this simulation performed itself.
+type simCounts struct{ checkpoints, resumes int64 }
+
+// Counters returns how many snapshots this simulation has written and how
+// many times it was restored from one (1 for a resumed simulation, else 0)
+// — the Simulation half of metrics.RecoveryStats, beside
+// Resilient.Counters.
+func (s *Simulation) Counters() (checkpoints, resumes int64) {
+	c := s.counts.Read()
+	return c.checkpoints, c.resumes
 }
 
 // EnableCheckpoints arms periodic checkpointing: after every `every`
