@@ -20,6 +20,9 @@ func gemmK72AVX2(m, n int, a, b, c *float64)
 //go:noescape
 func dgemvAVX2(rows, cols int, a, x, y *float64)
 
+//go:noescape
+func rowsTAVX2(k, n, stride int, tt, src, dst *float64)
+
 // haveAVX2 reports that this build carries the AVX2 kernels; whether the
 // host can run them is internal/simd's call (dispatch.go consults both).
 const haveAVX2 = true
@@ -39,5 +42,8 @@ func bindAVX2() {
 	}
 	gemvImpl = func(rows, cols int, a, x, y []float64) {
 		dgemvAVX2(rows, cols, &a[0], &x[0], &y[0])
+	}
+	rowsTImpl = func(k, n, stride int, tt, src, dst []float64) {
+		rowsTAVX2(k, n, stride, &tt[0], &src[0], &dst[0])
 	}
 }

@@ -354,3 +354,227 @@ gvsum:
 gvdone:
 	VZEROUPPER
 	RET
+
+// func rowsTAVX2(k, n, stride int, tt, src, dst *float64)
+//
+// The gather-free row kernel (rows.go): for i < n,
+//
+//	dst[i*stride : +k] += T * src[i*stride : +k],   tt = Tᵀ, row-major.
+//
+// Reduction order: every destination element is one FMA chain from zero,
+// ascending j — s = fma(tt[j,c], src[j], s) — then one add into dst. That is
+// dgemmAssignAVX2 followed by a scatter-add, element for element.
+//
+// Structure: destination columns in blocks of 12 (three YMM), boxes in
+// groups of 4, 2 and 1, so the full group holds 4 x 12 sums in Y0-Y11 —
+// twelve independent chains against the 4-cycle FMA latency — while row j
+// of the Tᵀ panel sits in Y12-Y14 and one broadcast source value in Y15.
+// With K = 12 that is the whole matrix per box group and the j loop is the
+// only loop. The column block is the outer loop, so at large K a 12-wide
+// panel of Tᵀ stays in L1 across the boxes of the row. The trailing k % 12
+// columns go four at a time through one masked vector (Y14 holds the mask).
+//
+// Registers:
+//	R8  k      R9  3*stride bytes   R10 stride bytes   R11 k*8
+//	SI  tt     DX  src              DI  dst            BX  column
+//	CX  boxes left   R12 src box   R13 dst box+column
+//	R14 tt panel row   AX  src element   R15 j countdown
+
+#define ZERO3(a, b, c) \
+	VXORPD a, a, a; \
+	VXORPD b, b, b; \
+	VXORPD c, c, c
+
+// FMA3 folds one source value into the three sums of a box.
+#define FMA3(src, a, b, c) \
+	VBROADCASTSD src, Y15; \
+	VFMADD231PD Y12, Y15, a; \
+	VFMADD231PD Y13, Y15, b; \
+	VFMADD231PD Y14, Y15, c
+
+// ADD3 adds a box's three sums into its destination.
+#define ADD3(d0, d1, d2, a, b, c) \
+	VADDPD d0, a, a; \
+	VMOVUPD a, d0; \
+	VADDPD d1, b, b; \
+	VMOVUPD b, d1; \
+	VADDPD d2, c, c; \
+	VMOVUPD c, d2
+
+// FMA1M/ADD1M are the masked-tail forms: one vector per box, mask in Y14,
+// panel row in Y12, Y13 scratch.
+#define FMA1M(src, a) \
+	VBROADCASTSD src, Y15; \
+	VFMADD231PD Y12, Y15, a
+
+#define ADD1M(d, a) \
+	VMASKMOVPD d, Y14, Y13; \
+	VADDPD Y13, a, a; \
+	VMASKMOVPD a, Y14, d
+
+TEXT ·rowsTAVX2(SB), NOSPLIT, $0-48
+	MOVQ k+0(FP), R8
+	MOVQ stride+16(FP), R10
+	MOVQ tt+24(FP), SI
+	MOVQ src+32(FP), DX
+	MOVQ dst+40(FP), DI
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R9
+	MOVQ R8, R11
+	SHLQ $3, R11
+	XORQ BX, BX
+
+rtcol:
+	LEAQ 12(BX), AX
+	CMPQ AX, R8
+	JG   rttail
+	MOVQ n+8(FP), CX
+	MOVQ DX, R12
+	LEAQ (DI)(BX*8), R13
+
+rtf4:
+	CMPQ CX, $4
+	JL   rtf2
+	ZERO3(Y0, Y1, Y2)
+	ZERO3(Y3, Y4, Y5)
+	ZERO3(Y6, Y7, Y8)
+	ZERO3(Y9, Y10, Y11)
+	LEAQ (SI)(BX*8), R14
+	MOVQ R12, AX
+	MOVQ R8, R15
+rtf4j:
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VMOVUPD 64(R14), Y14
+	FMA3((AX), Y0, Y1, Y2)
+	FMA3((AX)(R10*1), Y3, Y4, Y5)
+	FMA3((AX)(R10*2), Y6, Y7, Y8)
+	FMA3((AX)(R9*1), Y9, Y10, Y11)
+	ADDQ R11, R14
+	ADDQ $8, AX
+	DECQ R15
+	JNZ  rtf4j
+	ADD3((R13), 32(R13), 64(R13), Y0, Y1, Y2)
+	ADD3((R13)(R10*1), 32(R13)(R10*1), 64(R13)(R10*1), Y3, Y4, Y5)
+	ADD3((R13)(R10*2), 32(R13)(R10*2), 64(R13)(R10*2), Y6, Y7, Y8)
+	ADD3((R13)(R9*1), 32(R13)(R9*1), 64(R13)(R9*1), Y9, Y10, Y11)
+	LEAQ (R12)(R10*4), R12
+	LEAQ (R13)(R10*4), R13
+	SUBQ $4, CX
+	JMP  rtf4
+
+rtf2:
+	CMPQ CX, $2
+	JL   rtf1
+	ZERO3(Y0, Y1, Y2)
+	ZERO3(Y3, Y4, Y5)
+	LEAQ (SI)(BX*8), R14
+	MOVQ R12, AX
+	MOVQ R8, R15
+rtf2j:
+	VMOVUPD (R14), Y12
+	VMOVUPD 32(R14), Y13
+	VMOVUPD 64(R14), Y14
+	FMA3((AX), Y0, Y1, Y2)
+	FMA3((AX)(R10*1), Y3, Y4, Y5)
+	ADDQ R11, R14
+	ADDQ $8, AX
+	DECQ R15
+	JNZ  rtf2j
+	ADD3((R13), 32(R13), 64(R13), Y0, Y1, Y2)
+	ADD3((R13)(R10*1), 32(R13)(R10*1), 64(R13)(R10*1), Y3, Y4, Y5)
+	LEAQ (R12)(R10*2), R12
+	LEAQ (R13)(R10*2), R13
+	SUBQ $2, CX
+
+rtf1:
+	TESTQ CX, CX
+	JLE  rtcolnext
+	ZERO3(Y0, Y1, Y2)
+	LEAQ (SI)(BX*8), R14
+	MOVQ R12, AX
+	MOVQ R8, R15
+rtf1j:
+	VBROADCASTSD (AX), Y15
+	VFMADD231PD (R14), Y15, Y0
+	VFMADD231PD 32(R14), Y15, Y1
+	VFMADD231PD 64(R14), Y15, Y2
+	ADDQ R11, R14
+	ADDQ $8, AX
+	DECQ R15
+	JNZ  rtf1j
+	ADD3((R13), 32(R13), 64(R13), Y0, Y1, Y2)
+
+rtcolnext:
+	ADDQ $12, BX
+	JMP  rtcol
+
+rttail:
+	MOVQ R8, AX
+	SUBQ BX, AX              // columns left, 0..11
+	JLE  rtdone
+	VPCMPEQQ Y14, Y14, Y14   // a full vector of four columns
+	CMPQ AX, $4
+	JGE  rtmasked
+	SHLQ $5, AX
+	LEAQ masktab<>(SB), CX
+	VMOVUPD (CX)(AX*1), Y14  // the last 1..3 columns
+rtmasked:
+	MOVQ n+8(FP), CX
+	MOVQ DX, R12
+	LEAQ (DI)(BX*8), R13
+
+rtt4:
+	CMPQ CX, $4
+	JL   rtt1
+	ZERO3(Y0, Y1, Y2)
+	VXORPD Y3, Y3, Y3
+	LEAQ (SI)(BX*8), R14
+	MOVQ R12, AX
+	MOVQ R8, R15
+rtt4j:
+	VMASKMOVPD (R14), Y14, Y12
+	FMA1M((AX), Y0)
+	FMA1M((AX)(R10*1), Y1)
+	FMA1M((AX)(R10*2), Y2)
+	FMA1M((AX)(R9*1), Y3)
+	ADDQ R11, R14
+	ADDQ $8, AX
+	DECQ R15
+	JNZ  rtt4j
+	ADD1M((R13), Y0)
+	ADD1M((R13)(R10*1), Y1)
+	ADD1M((R13)(R10*2), Y2)
+	ADD1M((R13)(R9*1), Y3)
+	LEAQ (R12)(R10*4), R12
+	LEAQ (R13)(R10*4), R13
+	SUBQ $4, CX
+	JMP  rtt4
+
+rtt1:
+	TESTQ CX, CX
+	JLE  rttailnext
+	VXORPD Y0, Y0, Y0
+	LEAQ (SI)(BX*8), R14
+	MOVQ R12, AX
+	MOVQ R8, R15
+rtt1j:
+	VMASKMOVPD (R14), Y14, Y12
+	FMA1M((AX), Y0)
+	ADDQ R11, R14
+	ADDQ $8, AX
+	DECQ R15
+	JNZ  rtt1j
+	ADD1M((R13), Y0)
+	ADDQ R10, R12
+	ADDQ R10, R13
+	DECQ CX
+	JMP  rtt1
+
+rttailnext:
+	ADDQ $4, BX
+	JMP  rttail
+
+rtdone:
+	VZEROUPPER
+	RET

@@ -8,14 +8,25 @@ import (
 	"nbody/internal/blas"
 )
 
+// This file applies the translations of many boxes as level-3 BLAS
+// (Section 3.3.3, technique 4), in two forms:
+//
+//   - aggregatedApply, the paper's form, for the parent-child sweeps (T1,
+//     T3): gather the source vectors as columns of a K x chunk block, one
+//     GEMM, scatter-add the product. The copy costs 2/K of the multiply
+//     (Table 3) — tolerable there, at 8 translations per box.
+//   - t2Job, the gather-free form, for the interactive-field conversion
+//     (T2, 189 translations per box): the targets of one (octant, offset)
+//     are an evenly strided lattice, so with boxes as the ROWS of the
+//     product their vectors are multiplied where they lie
+//     (blas.DgemmRowsT) and nothing is copied.
+
 // aggScratch holds the working set of one aggregation chunk: the K x chunk
-// gathered right-hand block, the K x chunk product block, and the decoded
-// destination offsets of a lattice chunk. Pooled by pointer so steady-state
-// solves recycle it without allocating.
+// gathered right-hand block and the K x chunk product block. Pooled by
+// pointer so steady-state solves recycle it without allocating.
 type aggScratch struct {
-	b   []float64 // gathered source block, k * aggregationChunk
-	c   []float64 // product block, k * aggregationChunk
-	idx []int32   // aggregationChunk decoded destination indices
+	b []float64 // gathered source block, k * aggregationChunk
+	c []float64 // product block, k * aggregationChunk
 }
 
 var aggPool = sync.Pool{New: func() any { return new(aggScratch) }}
@@ -26,12 +37,8 @@ func getAggScratch(k int) *aggScratch {
 		s.b = make([]float64, k*aggregationChunk)
 		s.c = make([]float64, k*aggregationChunk)
 	}
-	if cap(s.idx) < aggregationChunk {
-		s.idx = make([]int32, aggregationChunk)
-	}
 	s.b = s.b[:k*aggregationChunk]
 	s.c = s.c[:k*aggregationChunk]
-	s.idx = s.idx[:aggregationChunk]
 	return s
 }
 
@@ -111,111 +118,24 @@ func aggChunk(s *aggScratch, t blas.Matrix, src, dst []float64, srcIdx, dstIdx [
 	}
 }
 
-// aggregatedApplyLattice is aggregatedApply for the interactive-field (T2)
-// sweeps, where the (source, target) pairs of one (octant, offset) form a
-// regular parity-aligned lattice (see latticeT2). Instead of materializing
-// index arrays — which for deep hierarchies would cost hundreds of
-// megabytes across the 875 offsets — target indices are decoded on the fly
-// and the source index is target + lat.delta.
-func aggregatedApplyLattice(ctx context.Context, t blas.Matrix, src, dst []float64, lat latticeT2, k int) {
-	n := int(lat.count)
-	if n == 0 {
-		return
-	}
-	nchunks := (n + aggregationChunk - 1) / aggregationChunk
-	if blas.Serial() || nchunks == 1 {
-		s := getAggScratch(k)
-		for ci := 0; ci < nchunks; ci++ {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			latChunk(s, t, src, dst, lat, k, ci)
+// t2Job is the body of one level's interactive-field region (see t2Sweep):
+// job i applies every lattice of its octant, in s.interactive[oct] order, to
+// the targets it owns. Owners are disjoint, so jobs write disjoint boxes,
+// and each box receives its offsets in the same order under any schedule —
+// results are bitwise independent of the worker count.
+func (s *Solver) t2Job(sw *t2Sweep, i int) {
+	k := s.ts.K
+	far, loc := s.far[sw.level], s.loc[sw.level]
+	rowStride := 2 * sw.grid * k
+	j := sw.job(i)
+	for li := sw.octLo[j.oct]; li < sw.octLo[j.oct+1]; li++ {
+		lat := &sw.lats[li]
+		first, ok := lat.clip(j)
+		if !ok {
+			continue
 		}
-		aggPool.Put(s)
-		return
-	}
-	_ = blas.ParallelCtx(ctx, nchunks, func(ci int) {
-		s := getAggScratch(k)
-		latChunk(s, t, src, dst, lat, k, ci)
-		aggPool.Put(s)
-	})
-}
-
-// latticeWalk is a cursor over the target boxes of one latticeT2, advanced
-// x fastest. The packed and generic chunk bodies share the decode.
-type latticeWalk struct {
-	ix, iy         int
-	x, y, z        int
-	nx, ny         int
-	lox, loy, grid int
-}
-
-// startLatticeWalk decodes the lattice point at linear position lo.
-func startLatticeWalk(lat latticeT2, lo int) latticeWalk {
-	nx, ny := int(lat.nx), int(lat.ny)
-	ix := lo % nx
-	rem := lo / nx
-	iy := rem % ny
-	iz := rem / ny
-	return latticeWalk{
-		ix: ix, iy: iy,
-		x:  int(lat.lox) + 2*ix,
-		y:  int(lat.loy) + 2*iy,
-		z:  int(lat.loz) + 2*iz,
-		nx: nx, ny: ny,
-		lox: int(lat.lox), loy: int(lat.loy),
-		grid: int(lat.grid),
-	}
-}
-
-// index returns the linear box index of the current lattice point.
-func (w *latticeWalk) index() int { return (w.z*w.grid+w.y)*w.grid + w.x }
-
-// next advances one lattice point, x fastest.
-func (w *latticeWalk) next() {
-	w.ix++
-	w.x += 2
-	if w.ix == w.nx {
-		w.ix, w.x = 0, w.lox
-		w.iy++
-		w.y += 2
-		if w.iy == w.ny {
-			w.iy, w.y = 0, w.loy
-			w.z += 2
-		}
-	}
-}
-
-// latChunk processes chunk ci of one lattice sweep: decode target boxes,
-// gather src[target+delta] as columns, one assign-gemm, scatter-add into
-// the targets.
-func latChunk(s *aggScratch, t blas.Matrix, src, dst []float64, lat latticeT2, k, ci int) {
-	lo := ci * aggregationChunk
-	hi := lo + aggregationChunk
-	if hi > int(lat.count) {
-		hi = int(lat.count)
-	}
-	cols := hi - lo
-	b := blas.Matrix{Rows: k, Cols: cols, Data: s.b[:k*cols]}
-	c := blas.Matrix{Rows: k, Cols: cols, Data: s.c[:k*cols]}
-	delta := int(lat.delta) * k
-	w := startLatticeWalk(lat, lo)
-	for j := 0; j < cols; j++ {
-		db := w.index() * k
-		s.idx[j] = int32(db)
-		col := src[db+delta : db+delta+k]
-		for r, v := range col {
-			b.Data[r*cols+j] = v
-		}
-		w.next()
-	}
-	blas.DgemmAssign(t, b, c)
-	for j := 0; j < cols; j++ {
-		db := int(s.idx[j])
-		out := dst[db : db+k]
-		for r := range out {
-			out[r] += c.Data[r*cols+j]
-		}
+		at := first * k
+		blas.DgemmRowsT(lat.tt, far[at+int(lat.delta)*k:], loc[at:], int(lat.nx), 2*k, int(lat.ny), rowStride)
 	}
 }
 

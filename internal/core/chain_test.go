@@ -106,7 +106,7 @@ func TestT2ChainMatchesDirect(t *testing.T) {
 		}
 		gs := sampleOuter(cfg.Rule, geom.Vec3{}, cfg.RadiusRatio, pos, q)
 		gt := make([]float64, ts.K)
-		mulAdd(ts.T2For(o), gs, gt)
+		ts.ApplyT2(o, gs, gt)
 		tc := geom.Vec3{X: -float64(o.X), Y: -float64(o.Y), Z: -float64(o.Z)}
 		for trial := 0; trial < 10; trial++ {
 			x := tc.Add(geom.Vec3{

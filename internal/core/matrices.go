@@ -28,12 +28,16 @@ type TranslationSet struct {
 	// T3[oct]: parent (side 2) inner values -> contribution at child (side
 	// 1) inner points.
 	T3 [8]blas.Matrix
-	// T2 indexed by relative offset in the cube [-(2d+1), 2d+1]^3 via
+	// T2T indexed by relative offset in the cube [-(2d+1), 2d+1]^3 via
 	// t2Index: same-size (side 1) source outer values -> target inner
 	// points. The full cube is generated "for ease of indexing" exactly as
 	// the paper does (1331 matrices for d = 2, including the 125 never
-	// used).
-	T2 []blas.Matrix
+	// used). Unlike the other sets these are stored TRANSPOSED — row j,
+	// column i maps source value j to destination point i — because that is
+	// the orientation the gather-free row kernel streams
+	// (blas.DgemmRowsT). It is the only resident copy: the per-box paths
+	// read it through ApplyT2, in the same reduction order.
+	T2T []blas.Matrix
 	// T2Super[oct] maps supernode parent offsets (see
 	// tree.SupernodeDecomposition) to matrices taking a parent-level (side
 	// 2) source outer to the child (side 1) target inner points.
@@ -96,7 +100,7 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 	bound := tree.InteractiveOffsetBound(cfg.Separation)
 	side := 2*bound + 1
 	ts.t2Side = side
-	ts.T2 = make([]blas.Matrix, side*side*side)
+	ts.T2T = make([]blas.Matrix, side*side*side)
 	a := cfg.RadiusRatio
 	for dz := -bound; dz <= bound; dz++ {
 		for dy := -bound; dy <= bound; dy++ {
@@ -108,7 +112,9 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 				// The stored offset o satisfies source = target + o, so the
 				// target center sits at -o relative to the source center.
 				rel := geom.Vec3{X: -float64(dx), Y: -float64(dy), Z: -float64(dz)}
-				ts.T2[ts.t2Index(off)] = t2Matrix(cfg, rel, a, a)
+				t := t2Matrix(cfg, rel, a, a)
+				transposeSquare(t)
+				ts.T2T[ts.t2Index(off)] = t
 			}
 		}
 	}
@@ -173,18 +179,33 @@ func (ts *TranslationSet) t2Index(o geom.Coord3) int {
 	return ((o.Z+b)*ts.t2Side+(o.Y+b))*ts.t2Side + (o.X + b)
 }
 
-// T2For returns the translation matrix for a relative offset in the
-// interactive field.
-func (ts *TranslationSet) T2For(o geom.Coord3) blas.Matrix { return ts.T2[ts.t2Index(o)] }
+// t2tFor returns the transposed conversion matrix for a relative offset in
+// the interactive field (see T2T).
+func (ts *TranslationSet) t2tFor(o geom.Coord3) blas.Matrix { return ts.T2T[ts.t2Index(o)] }
+
+// ApplyT2 converts one box: dst += T2(o) * src, for source = target + o.
+func (ts *TranslationSet) ApplyT2(o geom.Coord3, src, dst []float64) {
+	blas.DgemvT(ts.t2tFor(o), src, dst)
+}
+
+// transposeSquare transposes a square matrix in place.
+func transposeSquare(t blas.Matrix) {
+	n := t.Rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			t.Data[i*n+j], t.Data[j*n+i] = t.Data[j*n+i], t.Data[i*n+j]
+		}
+	}
+}
 
 // NumT2Matrices returns the size of the full T2 indexing cube: 1331 for
 // separation 2, matching the paper's count.
-func (ts *TranslationSet) NumT2Matrices() int { return len(ts.T2) }
+func (ts *TranslationSet) NumT2Matrices() int { return len(ts.T2T) }
 
 // MatrixBytes returns the memory footprint of the T2 matrix store in bytes
 // (the paper: 1.53 MB for K = 12, 53.9 MB for K = 72).
 func (ts *TranslationSet) MatrixBytes() int64 {
-	return int64(len(ts.T2)) * int64(ts.K) * int64(ts.K) * 8
+	return int64(len(ts.T2T)) * int64(ts.K) * int64(ts.K) * 8
 }
 
 // octantOffset returns the child-center offset from the parent center in

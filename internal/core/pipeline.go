@@ -75,7 +75,7 @@ func (s *Solver) buildPhases() {
 				if s.cfg.Supernodes && l > 2 {
 					s.applyT2Supernodes(s.far[l-1], s.far[l], s.loc[l], l)
 				} else {
-					s.applyT2(s.far[l], s.loc[l], l)
+					s.applyT2(l)
 				}
 				return nil
 			}})

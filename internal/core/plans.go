@@ -25,9 +25,10 @@ type gatherPlan struct {
 // grid, and the source index is always target index + delta (the linear
 // index of the fixed offset). Materialized index arrays for the T2 sweeps
 // would cost O(875 * boxes) memory per level; the lattice form is O(1) per
-// (octant, offset).
+// (octant, offset). tt is the offset's conversion matrix, transposed (see
+// TranslationSet.T2T).
 type latticeT2 struct {
-	t             blas.Matrix
+	tt            blas.Matrix
 	delta         int32
 	lox, loy, loz int32
 	nx, ny, nz    int32
@@ -79,22 +80,67 @@ func buildT3Plans(h tree.Hierarchy, depth int) [][8]gatherPlan {
 	return plans
 }
 
-// buildT2Plan enumerates the non-empty (octant, offset) lattices of one
-// level's interactive field.
-func (s *Solver) buildT2Plan(l int) []latticeT2 {
+// t2Sweep is one level's interactive-field schedule: owner-computes, one
+// parallel region per level. Targets of different octants are disjoint and,
+// within an octant, so are z-planes, so a job is an (octant, z-plane) and
+// walks its octant's lattices over the targets it owns. No two jobs write
+// the same box, and every target receives its offsets in
+// s.interactive[oct] order. Built once in NewSolver, region body included,
+// so a steady-state sweep allocates no closure.
+type t2Sweep struct {
+	lats  []latticeT2 // octant-major; within an octant, s.interactive[oct] order
+	octLo [9]int32    // octant o owns lats[octLo[o]:octLo[o+1]]
+	level int
+	grid  int   // boxes per axis at this level
+	count int64 // conversions per sweep (sum of lattice counts)
+	run   func(job int)
+}
+
+// t2Job names the targets one job owns: the boxes of octant oct in plane z.
+type t2Job struct{ oct, z int }
+
+// jobs returns the number of jobs in the sweep.
+func (sw *t2Sweep) jobs() int { return 8 * (sw.grid / 2) }
+
+// job decodes job index i: octant-major, then plane.
+func (sw *t2Sweep) job(i int) t2Job {
+	half := sw.grid / 2
+	oct := i / half
+	return t2Job{oct: oct, z: 2*(i%half) + oct>>2&1}
+}
+
+// clip returns the part of the lattice that job j owns: the box index of
+// its first target (the plane's ny rows are two apart in y, each with nx
+// targets two apart in x). ok is false when the lattice has no target in
+// the job's plane. The lattice must belong to the job's octant, so parities
+// agree and only the range needs checking.
+func (lat *latticeT2) clip(j t2Job) (first int, ok bool) {
+	if j.z < int(lat.loz) || j.z > int(lat.loz+2*(lat.nz-1)) {
+		return 0, false
+	}
+	g := int(lat.grid)
+	return (j.z*g+int(lat.loy))*g + int(lat.lox), true
+}
+
+// buildT2Sweep enumerates the non-empty (octant, offset) lattices of one
+// level's interactive field and prebuilds the region body.
+func (s *Solver) buildT2Sweep(l int) *t2Sweep {
 	n := s.hier.GridSize(l)
-	var plan []latticeT2
+	sw := &t2Sweep{level: l, grid: n}
 	for oct := 0; oct < 8; oct++ {
 		for _, o := range s.interactive[oct] {
 			lat, ok := offsetLattice(n, oct, o)
 			if !ok {
 				continue
 			}
-			lat.t = s.ts.T2For(o)
-			plan = append(plan, lat)
+			lat.tt = s.ts.t2tFor(o)
+			sw.lats = append(sw.lats, lat)
+			sw.count += int64(lat.count)
 		}
+		sw.octLo[oct+1] = int32(len(sw.lats))
 	}
-	return plan
+	sw.run = func(i int) { s.t2Job(sw, i) }
+	return sw
 }
 
 // offsetLattice computes the clipped, parity-aligned target lattice for

@@ -20,13 +20,18 @@ import (
 //
 // Steady-state reuse contract: everything a solve needs besides the output
 // slices — the per-level far/local expansion grids, the partition scratch,
-// the box-sorted particle mirrors, and every upward/downward gather map —
-// is owned by the Solver and built once in NewSolver (see plans.go). A
-// Solver therefore performs repeated solves (time-stepping, parameter
-// sweeps) without per-solve allocation: use PotentialsInto /
-// AccelerationsInto with caller-owned output buffers for the fully
-// allocation-free path. Consecutive solves on identical inputs are bitwise
-// reproducible. A Solver is not safe for concurrent solves.
+// the box-sorted particle mirrors, every upward/downward gather map, and
+// each level's interactive-field schedule with its region body — is owned
+// by the Solver and built once in NewSolver (see plans.go). A Solver
+// therefore performs repeated solves (time-stepping, parameter sweeps)
+// without rebuilding anything: use PotentialsInto / AccelerationsInto with
+// caller-owned output buffers. With one executor such a solve allocates
+// nothing; on a worker pool it allocates only what the scheduler needs per
+// parallel region (a few dozen small objects at depth 4, one per region for
+// T2). Consecutive solves on identical inputs are bitwise reproducible, and
+// for a given near-field path (symmetric with one executor, one-sided on a
+// pool) the result does not depend on the number of workers. A Solver is
+// not safe for concurrent solves.
 type Solver struct {
 	cfg  Config
 	hier tree.Hierarchy
@@ -46,7 +51,7 @@ type Solver struct {
 	// Traversal plans, built once in NewSolver (plans.go).
 	upPlan [][8]gatherPlan // parent level l: far[l+1] -> far[l]
 	t3Plan [][8]gatherPlan // child level l: loc[l-1] -> loc[l]
-	t2Plan [][]latticeT2   // level l interactive-field lattices
+	t2Plan []*t2Sweep      // level l interactive-field schedule
 
 	// Per-level expansion grids, reused (and re-zeroed) every solve.
 	far, loc [][]float64
@@ -128,12 +133,12 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 	if !ncfg.DisableAggregation {
 		s.upPlan = buildUpwardPlans(h, depth)
 		s.t3Plan = buildT3Plans(h, depth)
-		s.t2Plan = make([][]latticeT2, depth+1)
+		s.t2Plan = make([]*t2Sweep, depth+1)
 		for l := 2; l <= depth; l++ {
 			if ncfg.Supernodes && l > 2 {
 				continue // supernode path converts at parent granularity
 			}
-			s.t2Plan[l] = s.buildT2Plan(l)
+			s.t2Plan[l] = s.buildT2Sweep(l)
 		}
 	}
 	s.buildPhases()
@@ -433,10 +438,11 @@ func (s *Solver) applyT3(parentLoc, childLoc []float64, l int) {
 
 // applyT2 converts interactive-field outer approximations to local fields
 // at one level, without supernodes.
-func (s *Solver) applyT2(far, loc []float64, l int) {
+func (s *Solver) applyT2(l int) {
 	k := s.ts.K
 	n := s.hier.GridSize(l)
 	if s.cfg.DisableAggregation {
+		far, loc := s.far[l], s.loc[l]
 		var count int64
 		s.par(n*n*n, func(b int) {
 			c := geom.CoordFromIndex(b, n)
@@ -448,7 +454,7 @@ func (s *Solver) applyT2(far, loc []float64, l int) {
 					continue
 				}
 				sb := sc.Index(n)
-				blas.Dgemv(s.ts.T2For(o), far[sb*k:(sb+1)*k], dst)
+				s.ts.ApplyT2(o, far[sb*k:(sb+1)*k], dst)
 				local++
 			}
 			atomicAdd64(&count, local)
@@ -457,17 +463,14 @@ func (s *Solver) applyT2(far, loc []float64, l int) {
 		s.rec.AddFlops(PhaseT2, count*blas.DgemmFlops(k, k, 1))
 		return
 	}
-	// Aggregated: one batched gemm sweep per (octant, offset) lattice.
-	var count int64
-	for _, lat := range s.t2Plan[l] {
-		if s.ctx != nil && s.ctx.Err() != nil {
-			break
-		}
-		aggregatedApplyLattice(s.ctx, lat.t, far, loc, lat, k)
-		count += int64(lat.count)
+	// Aggregated: one owner-computes region for the whole level (t2Sweep).
+	// A canceled region applied only part of it, so it is not counted.
+	sw := s.t2Plan[l]
+	if blas.ParallelCtx(s.ctx, sw.jobs(), sw.run) != nil {
+		return
 	}
-	s.rec.AddT2(count)
-	s.rec.AddFlops(PhaseT2, count*blas.DgemmFlops(k, k, 1))
+	s.rec.AddT2(sw.count)
+	s.rec.AddFlops(PhaseT2, sw.count*blas.DgemmFlops(k, k, 1))
 }
 
 // applyT2Supernodes converts the interactive field using the supernode
@@ -500,7 +503,7 @@ func (s *Solver) applyT2Supernodes(parentFar, far, loc []float64, l int) {
 				continue
 			}
 			sb := sc.Index(n)
-			blas.Dgemv(s.ts.T2For(o), far[sb*k:(sb+1)*k], dst)
+			s.ts.ApplyT2(o, far[sb*k:(sb+1)*k], dst)
 			local++
 		}
 		atomicAdd64(&count, local)

@@ -58,7 +58,6 @@ func (s *Solver) octMember(oct int, o geom.Coord3) bool {
 func (s *Solver) applyOffsetLocal(aligned, loc *dp.Grid3, o geom.Coord3) {
 	pipeline.Step(&s.rec, metrics.PhaseT2, FaultSiteT2, func() {
 		k := s.TS.K
-		t := s.TS.T2For(o)
 		eff := s.M.Cost.GemmEfficiency(k)
 		n := loc.N
 		layout := loc.Layout
@@ -70,7 +69,7 @@ func (s *Solver) applyOffsetLocal(aligned, loc *dp.Grid3, o geom.Coord3) {
 			if !c.Add(o).In(n) {
 				return // masked: the shifted data wrapped around the domain
 			}
-			blas.Dgemv(t, aligned.At(c), dst)
+			s.TS.ApplyT2(o, aligned.At(c), dst)
 			atomicAdd(&applied, 1)
 			s.M.ChargeCompute(layout.VUOf(c), blas.DgemmFlops(k, k, 1), eff)
 		})
@@ -266,7 +265,7 @@ func (s *Solver) t2Ghost(far, loc *dp.Grid3) {
 								continue
 							}
 							src := buf[(((lz+g+o.Z)*gy+(ly+g+o.Y))*gx+(lx+g+o.X))*k:]
-							blas.Dgemv(s.TS.T2For(o), src[:k], dst)
+							s.TS.ApplyT2(o, src[:k], dst)
 							flops += blas.DgemmFlops(k, k, 1)
 							nt++
 						}

@@ -73,7 +73,7 @@ type panicBox struct {
 // job is one parallel region. Participants (the caller plus any pool
 // workers that pick the job up) claim [lo, hi) chunks from next until the
 // range is exhausted or the job aborts; completion (or fully drained
-// abortion) closes fin.
+// abortion) releases fin.
 type job struct {
 	fnIdx   func(i int)
 	fnChunk func(lo, hi int)
@@ -89,19 +89,24 @@ type job struct {
 	// aborted stops further chunk claiming after a panic or cancellation.
 	aborted atomic.Bool
 	// inflight counts participants currently inside participate; the last
-	// one to leave an aborted job closes fin, which is what lets submit
+	// one to leave an aborted job releases fin, which is what lets submit
 	// guarantee no participant still runs the body after it returns.
 	inflight atomic.Int64
 	// panicVal holds the first recovered panic (CAS winner).
 	panicVal atomic.Pointer[panicBox]
 
+	// fin holds the submitter until the job is over: submit adds one, and
+	// finish releases it exactly once. Embedded rather than a channel made
+	// per submit, so a region costs one allocation (the job itself) — a
+	// solver issuing a few regions per phase would otherwise pay for it on
+	// every time step.
 	finOnce sync.Once
-	fin     chan struct{}
+	fin     sync.WaitGroup
 }
 
 // finish signals job completion exactly once, whether by normal range
 // exhaustion or by a drained abort.
-func (j *job) finish() { j.finOnce.Do(func() { close(j.fin) }) }
+func (j *job) finish() { j.finOnce.Do(j.fin.Done) }
 
 var (
 	initOnce sync.Once
@@ -265,7 +270,7 @@ func submit(j *job) error {
 	if j.chunk < 1 {
 		j.chunk = 1
 	}
-	j.fin = make(chan struct{})
+	j.fin.Add(1)
 	// Wake at most as many workers as there are chunks beyond the one the
 	// caller will take itself.
 	wake := int((j.n + j.chunk - 1) / j.chunk)
@@ -283,7 +288,7 @@ wakeLoop:
 		}
 	}
 	j.participate(0)
-	<-j.fin
+	j.fin.Wait()
 	if pb := j.panicVal.Load(); pb != nil {
 		// Re-raise the first panic of the region on the submitting
 		// goroutine (the participant's stack was captured in pb.stack for
@@ -298,7 +303,7 @@ wakeLoop:
 
 // participate runs the job on behalf of one participant, containing any
 // panic the body raises: the first panic is recorded, the job aborts, and
-// the last participant to leave an aborted job closes fin. Pool workers
+// the last participant to leave an aborted job releases fin. Pool workers
 // call it from their job loop, the submitting caller from submit; either
 // way the goroutine survives the panic.
 func (j *job) participate(slot int) {

@@ -103,7 +103,8 @@ func TestFullQueueCompletesOnCaller(t *testing.T) {
 	var blocked atomic.Int32
 	blockers := make([]*job, Workers()-1)
 	for i := range blockers {
-		b := &job{n: 1, chunk: 1, fin: make(chan struct{})}
+		b := &job{n: 1, chunk: 1}
+		b.fin.Add(1)
 		b.fnIdx = func(int) {
 			blocked.Add(1)
 			<-gate
@@ -120,7 +121,7 @@ func TestFullQueueCompletesOnCaller(t *testing.T) {
 fill:
 	for {
 		select {
-		case jobs <- &job{fin: make(chan struct{})}:
+		case jobs <- &job{}:
 			stale++
 		default:
 			break fill
@@ -149,7 +150,7 @@ fill:
 
 	close(gate)
 	for _, b := range blockers {
-		<-b.fin
+		b.fin.Wait()
 	}
 	// Let the workers chew through the stale jobs before other tests rely
 	// on wake-ups landing.
@@ -335,5 +336,31 @@ func BenchmarkRunEmpty4096(b *testing.B) {
 func BenchmarkRunChunksEmpty4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		RunChunks(4096, func(lo, hi int) {})
+	}
+}
+
+// TestRunAllocs pins the allocation cost of a parallel region on the pool
+// path: the job itself and nothing else (no completion channel, and no
+// closure when the caller passes a prebuilt body). Solvers issue a few
+// regions per phase on every time step, so each allocation here is paid
+// per region per step.
+func TestRunAllocs(t *testing.T) {
+	if Workers() == 1 {
+		t.Skip("pool path needs more than one worker")
+	}
+	var sink atomic.Int64
+	fnIdx := func(i int) { sink.Add(int64(i)) }
+	fnChunk := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, region := range map[string]func(){
+		"Run":          func() { Run(256, fnIdx) },
+		"RunChunks":    func() { RunChunks(256, fnChunk) },
+		"RunCtx":       func() { _ = RunCtx(ctx, 256, fnIdx) },
+		"RunChunksCtx": func() { _ = RunChunksCtx(ctx, 256, fnChunk) },
+	} {
+		if got := testing.AllocsPerRun(200, region); got > 1 {
+			t.Errorf("%s: %.1f allocs per region, want at most 1 (the job)", name, got)
+		}
 	}
 }
