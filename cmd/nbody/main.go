@@ -49,7 +49,7 @@ func main() {
 		ckPath   = flag.String("checkpoint", "", "snapshot path for periodic checkpoints")
 		ckEvery  = flag.Int("checkpoint-every", 0, "steps between checkpoints (needs -checkpoint)")
 		resume   = flag.String("resume", "", "resume the simulation from this snapshot")
-		backend  = flag.String("backend", "auto", cli.BackendHelp)
+		backend  = flag.String("backend", "", cli.BackendHelp)
 
 		autotune  = flag.Bool("autotune", false, cli.AutotuneHelp)
 		planStore = flag.String("plan-store", "", cli.PlanStoreHelp)

@@ -50,7 +50,7 @@ func main() {
 		maxDepth  = flag.Int("max-depth", 6, "hierarchy-depth cap per request")
 		deadline  = flag.Duration("deadline", 60*time.Second, "default per-request deadline")
 		fallback  = flag.String("fallback", "", "degradation ladder below Anderson, comma-separated (e.g. bh,direct)")
-		backend   = flag.String("backend", "", "compute backend: scalar | avx2 (default: auto-detect)")
+		backend   = flag.String("backend", "", cli.BackendHelp)
 		quiet     = flag.Bool("quiet", false, "drop per-request logs")
 
 		noAdmission = flag.Bool("no-admission", false, "disable cost-model admission (serve mode)")
@@ -77,10 +77,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *backend != "" {
-		if err := cli.SetBackend(*backend); err != nil {
-			log.Fatalf("nbodyd: %v", err)
-		}
+	if err := cli.SetBackend(*backend); err != nil {
+		log.Fatalf("nbodyd: %v", err)
 	}
 
 	cfg := serve.Config{

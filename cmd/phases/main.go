@@ -39,7 +39,7 @@ func main() {
 		solves  = flag.Int("solves", 1, "number of solves to accumulate")
 		asJSON  = flag.Bool("json", false, "emit JSON instead of the table")
 		workers = flag.Bool("workers", true, "capture per-worker scheduler utilization")
-		backend = flag.String("backend", "auto", cli.BackendHelp)
+		backend = flag.String("backend", "", cli.BackendHelp)
 
 		autotune  = flag.Bool("autotune", false, cli.AutotuneHelp)
 		planStore = flag.String("plan-store", "", cli.PlanStoreHelp)

@@ -40,13 +40,13 @@ var gemmShapes = [][3]int{
 	{12, 12, 3},
 	{12, 12, 4},
 	{12, 12, 7},
-	{12, 12, 19},  // 16-block + masked tail
-	{12, 12, 31},  // 16 + 4x3 + tail
-	{72, 72, 35},  // 32-block + tail
-	{1, 12, 12},   // single row
+	{12, 12, 19}, // 16-block + masked tail
+	{12, 12, 31}, // 16 + 4x3 + tail
+	{72, 72, 35}, // 32-block + tail
+	{1, 12, 12},  // single row
 	{4, 4, 4},
 	{3, 5, 2},
-	{5, 1, 7},     // k below the unroll width
+	{5, 1, 7}, // k below the unroll width
 	{2, 2, 2},
 	{1, 1, 1},
 }

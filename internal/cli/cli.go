@@ -22,7 +22,7 @@ const (
 	DistHelp     = "distribution: uniform|plummer|neutral"
 	AccuracyHelp = "anderson preset: fast|balanced|accurate"
 	StrategyHelp = "dp ghost strategy: direct-unaliased|linearized-unaliased|direct-aliased|linearized-aliased"
-	BackendHelp  = "compute backend: auto|scalar|avx2 (auto picks the fastest the CPU supports)"
+	BackendHelp  = "compute backend: auto|scalar|avx2 (auto picks the fastest the CPU supports; default: NBODY_BACKEND, else auto)"
 )
 
 // backendNames is the flag-to-backend table for SetBackend. "auto" is the
@@ -35,10 +35,16 @@ var backendNames = map[string]string{
 
 // SetBackend applies the -backend flag: it validates the name against the
 // table above and switches internal/simd (and with it every dispatched
-// kernel) before any solver is built. Selecting a backend the host cannot
-// run is an error, not a silent fallback — scripted benchmarks must never
-// record numbers for a backend they did not actually use.
+// kernel) before any solver is built. The empty name — the flag's default —
+// keeps what the process started with, NBODY_BACKEND included, so the
+// environment pins a backend unless the command line names one. Selecting a
+// backend the host cannot run is an error, not a silent fallback — scripted
+// benchmarks must never record numbers for a backend they did not actually
+// use.
 func SetBackend(name string) error {
+	if name == "" {
+		return nil
+	}
 	resolved, ok := backendNames[name]
 	if !ok {
 		return fmt.Errorf("unknown backend %q (%s)", name, BackendHelp)

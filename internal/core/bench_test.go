@@ -74,6 +74,32 @@ func BenchmarkSolveK12Depth4(b *testing.B) {
 	b.ReportMetric(float64(32768*b.N)/b.Elapsed().Seconds(), "particles/s")
 }
 
+// BenchmarkAccelPlummerDepth3 measures the steady-state force solve on a
+// clustered set, the regime of a leapfrog step (the bench's step_plummer
+// shape): the near field is almost all of it, and a handful of central
+// boxes hold almost every particle.
+func BenchmarkAccelPlummerDepth3(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	pos, q := plummerParticles(rng, 8192)
+	s, err := NewSolver(plummerBox(), Config{Degree: 5, Depth: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	phi := make([]float64, len(pos))
+	acc := make([]geom.Vec3, len(pos))
+	if err := s.AccelerationsInto(phi, acc, pos, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.AccelerationsInto(phi, acc, pos, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(8192*b.N)/b.Elapsed().Seconds(), "particles/s")
+}
+
 func BenchmarkSolveSupernodesK32Depth4(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	pos, q := uniformParticles(rng, 32768)

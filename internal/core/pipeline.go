@@ -87,7 +87,7 @@ func (s *Solver) buildPhases() {
 			Run:   func(context.Context) error { s.evalLocal(s.in.acc != nil); return nil }},
 		pipeline.Phase{Name: PhaseNear, Site: FaultSiteNear,
 			Slice: func() []float64 { return s.phiS },
-			Run:   func(context.Context) error { s.nearField(s.in.acc != nil); return nil }},
+			Run:   func(context.Context) error { s.nearField(); return nil }},
 		// Scatter the box-ordered results back to particle order (the
 		// inverse reshape; charged to the sort phase like the forward one).
 		pipeline.Phase{Name: PhaseSort, Site: FaultSiteScatter,

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"nbody/internal/blas"
 	"nbody/internal/direct"
 	"nbody/internal/geom"
+	"nbody/internal/kernels"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
 	"nbody/internal/tree"
@@ -28,10 +30,13 @@ import (
 // caller-owned output buffers. With one executor such a solve allocates
 // nothing; on a worker pool it allocates only what the scheduler needs per
 // parallel region (a few dozen small objects at depth 4, one per region for
-// T2). Consecutive solves on identical inputs are bitwise reproducible, and
-// for a given near-field path (symmetric with one executor, one-sided on a
-// pool) the result does not depend on the number of workers. A Solver is
-// not safe for concurrent solves.
+// T2 and for the near field). Consecutive solves on identical inputs are
+// bitwise reproducible. A force solve (Accelerations*) is moreover bitwise
+// independent of the number of workers, one included: every sweep writes a
+// box from exactly one job, in an order fixed by the box. A potential solve
+// is independent of the size of a pool, but with a single executor takes
+// the symmetric near field (nearFieldSym), whose summation order differs.
+// A Solver is not safe for concurrent solves.
 type Solver struct {
 	cfg  Config
 	hier tree.Hierarchy
@@ -40,7 +45,12 @@ type Solver struct {
 	interactive [8][]geom.Coord3
 	supers      [8]tree.Supernodes
 	nearOff     []geom.Coord3
-	nearHalf    []geom.Coord3 // lexicographically positive half of nearOff
+	nearHalf    []geom.Coord3 // tree.HalfNearOffsets: the serial symmetric potential sweep
+
+	// nearRun is the near-field region body (nearBox), built once here like
+	// t2Sweep.run; nearPairs collects the sweep's pair count from its jobs.
+	nearRun   func(b int)
+	nearPairs atomic.Int64
 
 	// rec is the always-on per-phase recorder; snap is the materialized
 	// view Stats() refreshes (kept on the Solver so Stats() allocates
@@ -116,11 +126,8 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 		}
 	}
 	s.nearOff = tree.NearOffsets(ncfg.Separation)
-	for _, o := range s.nearOff {
-		if o.Z > 0 || (o.Z == 0 && (o.Y > 0 || (o.Y == 0 && o.X > 0))) {
-			s.nearHalf = append(s.nearHalf, o)
-		}
-	}
+	s.nearHalf = tree.HalfNearOffsets(ncfg.Separation)
+	s.nearRun = s.nearBox
 
 	depth := ncfg.Depth
 	k := s.ts.K
@@ -562,67 +569,86 @@ func (s *Solver) evalLocal(wantForce bool) {
 }
 
 // nearField is step 5: direct evaluation against the d-separation near
-// field. The box-sorted mirrors make every box a contiguous slice, so no
-// per-box gather copies are needed. With multiple workers the sweep is
-// one-sided per target box so boxes parallelize without races; with a
-// single executor it switches to the symmetric form (each unordered box
-// pair evaluated once, both sides accumulated), halving the pair count.
-func (s *Solver) nearField(wantForce bool) {
-	if blas.Serial() {
-		s.nearFieldSym(wantForce)
+// field, one-sided per target box so boxes parallelize without races and
+// the result of a box depends on nothing but the box — hence not on how
+// many workers share the sweep, or in what order.
+//
+// Run addressing: box indices run x fastest, so in the box-sorted mirrors
+// the 2d+1 x-neighbours of any (dy, dz) row are one contiguous slice,
+// posS[Start[row+xlo] : Start[row+xhi+1]] with xlo/xhi clipped to the grid.
+// A target box therefore issues one kernel call per in-grid row — 25 for
+// d = 2 — over sources up to 2d+1 boxes long, not one per source box. Its
+// own box is simply part of its own row's run; the kernels' r == 0 guard
+// drops each particle's pair with itself, so there is no within-box pass.
+//
+// A force solve takes this sweep at every worker count, through the fused
+// potential+field kernel. A potential solve with a single executor keeps
+// the symmetric form (nearFieldSym), which halves the pair count and at one
+// core is the faster of the two.
+func (s *Solver) nearField() {
+	if s.in.acc == nil && blas.Serial() {
+		s.nearFieldSym()
 		return
 	}
 	n := s.part.Grid
-	var pairs int64
-	s.par(n*n*n, func(b int) {
-		pipeline.Fire(FaultSiteNearBody)
-		tLo, tHi := s.part.Start[b], s.part.Start[b+1]
-		if tLo == tHi {
-			return
-		}
-		c := geom.CoordFromIndex(b, n)
-		tPos := s.posS[tLo:tHi]
-		tQ := s.qS[tLo:tHi]
-		tPhi := s.phiS[tLo:tHi]
-		var tAcc []geom.Vec3
-		if wantForce {
-			tAcc = s.accS[tLo:tHi]
-		}
-		var local int64
-		for _, o := range s.nearOff {
-			sc := c.Add(o)
-			if !sc.In(n) {
-				continue
-			}
-			sb := sc.Index(n)
-			sLo, sHi := s.part.Start[sb], s.part.Start[sb+1]
-			if sLo == sHi {
-				continue
-			}
-			sPos := s.posS[sLo:sHi]
-			sQ := s.qS[sLo:sHi]
-			direct.Accumulate(tPos, tPhi, sPos, sQ)
-			if wantForce {
-				direct.AccumulateForce(tPos, tAcc, sPos, sQ)
-			}
-			local += int64(tHi-tLo) * int64(sHi-sLo)
-		}
-		// Intra-box interactions (symmetric, race-free: own box only).
-		direct.Within(tPos, tQ, tPhi)
-		if wantForce {
-			direct.WithinForce(tPos, tQ, tAcc)
-		}
-		local += int64(tHi-tLo) * int64(tHi-tLo-1) / 2
-		atomicAdd64(&pairs, local)
-	})
+	s.nearPairs.Store(0)
+	// A canceled region evaluated only part of the near field: not counted.
+	if blas.ParallelCtx(s.ctx, n*n*n, s.nearRun) != nil {
+		return
+	}
+	pairs := s.nearPairs.Load()
 	s.rec.AddNearPairs(pairs)
 	s.rec.AddFlops(PhaseNear, pairs*direct.FlopsPerPair)
 }
 
-// nearFieldSym is the single-executor near field: a plain loop over boxes
-// visiting each unordered box pair once through the positive offset half,
-// with Newton's-third-law pair kernels writing both sides.
-func (s *Solver) nearFieldSym(wantForce bool) {
+// nearBox is the body of the near-field region (s.nearRun): all source runs
+// of target box b. It reads the solve in flight from the Solver, so the
+// closure over it is built once in NewSolver and a sweep allocates nothing.
+func (s *Solver) nearBox(b int) {
+	pipeline.Fire(FaultSiteNearBody)
+	start := s.part.Start
+	tLo, tHi := start[b], start[b+1]
+	if tLo == tHi {
+		return
+	}
+	n := s.part.Grid
+	d := s.cfg.Separation
+	c := geom.CoordFromIndex(b, n)
+	xlo, xhi := max(c.X-d, 0), min(c.X+d, n-1)
+	tPos, tPhi := s.posS[tLo:tHi], s.phiS[tLo:tHi]
+	wantForce := s.in.acc != nil
+	var tAcc []geom.Vec3
+	if wantForce {
+		tAcc = s.accS[tLo:tHi]
+	}
+	var sources int
+	for z := max(c.Z-d, 0); z <= min(c.Z+d, n-1); z++ {
+		for y := max(c.Y-d, 0); y <= min(c.Y+d, n-1); y++ {
+			row := (z*n + y) * n
+			sLo, sHi := start[row+xlo], start[row+xhi+1]
+			if sLo == sHi {
+				continue
+			}
+			if wantForce {
+				kernels.AccumulateFused(tPos, tPhi, tAcc, s.posS[sLo:sHi], s.qS[sLo:sHi])
+			} else {
+				kernels.Accumulate(tPos, tPhi, s.posS[sLo:sHi], s.qS[sLo:sHi])
+			}
+			sources += sHi - sLo
+		}
+	}
+	// Every target meets every source of its runs except itself, and a pair
+	// inside the box is one interaction seen from both ends: the count of
+	// the per-box sweep this replaces, t*s per near box plus t(t-1)/2.
+	t := int64(tHi - tLo)
+	s.nearPairs.Add(t*(int64(sources)-t) + t*(t-1)/2)
+}
+
+// nearFieldSym is the single-executor near field of a potential solve: a
+// plain loop over boxes visiting each unordered box pair once through the
+// positive offset half, with the Newton's-third-law pair kernel writing
+// both sides.
+func (s *Solver) nearFieldSym() {
 	n := s.part.Grid
 	var pairs int64
 	for b := 0; b < n*n*n; b++ {
@@ -651,18 +677,10 @@ func (s *Solver) nearFieldSym(wantForce bool) {
 			if sLo == sHi {
 				continue
 			}
-			sPos := s.posS[sLo:sHi]
-			sQ := s.qS[sLo:sHi]
-			direct.Pairwise(tPos, tQ, tPhi, sPos, sQ, s.phiS[sLo:sHi])
-			if wantForce {
-				direct.PairwiseForce(tPos, tQ, s.accS[tLo:tHi], sPos, sQ, s.accS[sLo:sHi])
-			}
+			kernels.Pairwise(tPos, tQ, tPhi, s.posS[sLo:sHi], s.qS[sLo:sHi], s.phiS[sLo:sHi])
 			pairs += int64(tHi-tLo) * int64(sHi-sLo)
 		}
-		direct.Within(tPos, tQ, tPhi)
-		if wantForce {
-			direct.WithinForce(tPos, tQ, s.accS[tLo:tHi])
-		}
+		kernels.Within(tPos, tQ, tPhi)
 		pairs += int64(tHi-tLo) * int64(tHi-tLo-1) / 2
 	}
 	s.rec.AddNearPairs(pairs)

@@ -21,8 +21,8 @@ func FuzzGridIndexMath(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(1), int16(0))
 	f.Add(uint8(2), uint8(2), uint8(2), int16(1000))
 	f.Fuzz(func(t *testing.T, nExp, nodesExp, axisRaw uint8, shiftRaw int16) {
-		n := 1 << (1 + nExp%3)          // grid extent 2, 4, or 8
-		nodes := 1 << (nodesExp % 4)    // 1..8 nodes (x4 VUs)
+		n := 1 << (1 + nExp%3)       // grid extent 2, 4, or 8
+		nodes := 1 << (nodesExp % 4) // 1..8 nodes (x4 VUs)
 		m, err := NewMachine(nodes, 4, CostModel{})
 		if err != nil {
 			t.Fatal(err)

@@ -89,7 +89,10 @@ func accumulateScalar(posA []geom.Vec3, phiA []float64, posB []geom.Vec3, qB []f
 }
 
 // AccumulateForce adds to accA the field induced at posA by the source set,
-// with the (y-x)/r^3 convention. Backend-dispatched (dispatch.go).
+// with the (y-x)/r^3 convention. Backend-dispatched (dispatch.go). No solver
+// calls it any more (force solves take AccumulateFused); it stays because
+// bench/probes.go times it as kernels.accumulate_force_minter_s and bench/
+// is frozen — retiring that probe retires this kernel.
 func AccumulateForce(posA []geom.Vec3, accA []geom.Vec3, posB []geom.Vec3, qB []float64) {
 	accumulateForceImpl(posA, accA, posB, qB)
 }
@@ -111,46 +114,35 @@ func accumulateForceScalar(posA, accA, posB []geom.Vec3, qB []float64) {
 	}
 }
 
-// WithinForce accumulates the intra-set accelerations (self-interactions
-// excluded) into acc.
-func WithinForce(pos []geom.Vec3, q []float64, acc []geom.Vec3) {
-	for i := range pos {
-		pi := pos[i]
-		for j := i + 1; j < len(pos); j++ {
-			d := pos[j].Sub(pi)
-			r2 := d.Norm2()
-			if r2 == 0 {
-				continue // coincident particles: self-exclusion, not Inf
-			}
-			inv := 1 / (r2 * math.Sqrt(r2))
-			f := d.Scale(inv)
-			acc[i] = acc[i].Add(f.Scale(q[j]))
-			acc[j] = acc[j].Sub(f.Scale(q[i]))
-		}
-	}
+// AccumulateFused adds to phiA and accA the potential and the field induced
+// at posA by the source set in one pass: both come from a single
+// inv = 1/sqrt(r2), the field weight as q*inv * (inv*inv), so a pair costs
+// one square root and one divide where Accumulate followed by
+// AccumulateForce costs two of each. Field convention (y-x)/r^3. The
+// sources may alias the targets (a box inside its own source run): the
+// r2 == 0 guard drops each particle's pair with itself, like any other
+// coincident pair. Backend-dispatched (dispatch.go).
+func AccumulateFused(posA []geom.Vec3, phiA []float64, accA []geom.Vec3, posB []geom.Vec3, qB []float64) {
+	accumulateFusedImpl(posA, phiA, accA, posB, qB)
 }
 
-// PairwiseForce is the force counterpart of Pairwise: it adds the mutual
-// fields of two disjoint particle sets to both sides, with the (y-x)/r^3
-// convention. The force pair is equal and opposite, so one kernel
-// evaluation (one reciprocal distance cube) serves both boxes. The sets
-// must not alias.
-func PairwiseForce(posA []geom.Vec3, qA []float64, accA []geom.Vec3, posB []geom.Vec3, qB []float64, accB []geom.Vec3) {
+func accumulateFusedScalar(posA []geom.Vec3, phiA []float64, accA []geom.Vec3, posB []geom.Vec3, qB []float64) {
 	for i := range posA {
 		pi := posA[i]
-		qi := qA[i]
-		ai := accA[i]
+		var p float64
+		var a geom.Vec3
 		for j := range posB {
 			d := posB[j].Sub(pi)
 			r2 := d.Norm2()
 			if r2 == 0 {
 				continue // coincident particles: self-exclusion, not Inf
 			}
-			inv := 1 / (r2 * math.Sqrt(r2))
-			f := d.Scale(inv)
-			ai = ai.Add(f.Scale(qB[j]))
-			accB[j] = accB[j].Sub(f.Scale(qi))
+			inv := 1 / math.Sqrt(r2)
+			qi := qB[j] * inv
+			p += qi
+			a = a.Add(d.Scale(qi * (inv * inv)))
 		}
-		accA[i] = ai
+		phiA[i] += p
+		accA[i] = accA[i].Add(a)
 	}
 }

@@ -81,6 +81,15 @@ func closeEnough(t *testing.T, kernel string, cnt, scnt int, got, want []float64
 	}
 }
 
+// flatten lays a Vec3 slice out as x0 y0 z0 x1 ... for closeEnough.
+func flatten(v []geom.Vec3) []float64 {
+	out := make([]float64, 0, 3*len(v))
+	for _, p := range v {
+		out = append(out, p.X, p.Y, p.Z)
+	}
+	return out
+}
+
 func TestNearFieldSoACrossBackend(t *testing.T) {
 	for _, be := range simd.Supported() {
 		t.Run(be, func(t *testing.T) {
@@ -150,17 +159,23 @@ func TestNearFieldAoSCrossBackend(t *testing.T) {
 					wacc := append([]geom.Vec3(nil), acc...)
 					AccumulateForce(posA, acc, posB, qB)
 					accumulateForceScalar(posA, wacc, posB, qB)
-					for i := range wacc {
-						for c, pair := range [3][2]float64{
-							{acc[i].X, wacc[i].X}, {acc[i].Y, wacc[i].Y}, {acc[i].Z, wacc[i].Z},
-						} {
-							diff := math.Abs(pair[0] - pair[1])
-							if diff/(math.Abs(pair[1])+1) > 1e-12 {
-								t.Fatalf("AccumulateForce cnt=%d scnt=%d: particle %d axis %d = %g, want %g",
-									cnt, scnt, i, c, pair[0], pair[1])
-							}
-						}
-					}
+					closeEnough(t, "AccumulateForce", cnt, scnt, flatten(acc), flatten(wacc))
+
+					// The fused kernel against its own scalar loop, and against
+					// the two kernels it replaces (a different formula for the
+					// field weight, so rounding only).
+					facc := append([]geom.Vec3(nil), wacc...)
+					fphi := append([]float64(nil), want...)
+					sacc := append([]geom.Vec3(nil), wacc...)
+					sphi := append([]float64(nil), want...)
+					AccumulateFused(posA, fphi, facc, posB, qB)
+					accumulateFusedScalar(posA, sphi, sacc, posB, qB)
+					closeEnough(t, "AccumulateFused phi", cnt, scnt, fphi, sphi)
+					closeEnough(t, "AccumulateFused acc", cnt, scnt, flatten(facc), flatten(sacc))
+					accumulateScalar(posA, want, posB, qB)
+					accumulateForceScalar(posA, wacc, posB, qB)
+					closeEnough(t, "AccumulateFused phi vs Accumulate", cnt, scnt, fphi, want)
+					closeEnough(t, "AccumulateFused acc vs AccumulateForce", cnt, scnt, flatten(facc), flatten(wacc))
 				}
 			})
 		})
@@ -221,12 +236,137 @@ func TestNearFieldCoincidentExclusion(t *testing.T) {
 					Accumulate(posA, phi4, posB, sq)
 					acc := make([]geom.Vec3, 2)
 					AccumulateForce(posA, acc, posB, sq)
-					for _, v := range [][]float64{gx, gy, gz, phi2, phi3, sphi, phi4,
-						{acc[0].X, acc[0].Y, acc[0].Z, acc[1].X, acc[1].Y, acc[1].Z}} {
+					phi5 := make([]float64, 2)
+					acc5 := make([]geom.Vec3, 2)
+					AccumulateFused(posA, phi5, acc5, posB, sq)
+					for i := range phi5 {
+						if math.Abs(phi5[i]-wantPhi[i]) > 1e-12*(math.Abs(wantPhi[i])+1) {
+							t.Fatalf("lane %d: fused phi[%d] = %g, want %g", lane, i, phi5[i], wantPhi[i])
+						}
+					}
+					closeEnough(t, "AccumulateFused acc vs AccumulateForce", 2, scnt, flatten(acc5), flatten(acc))
+
+					// Sources aliasing the targets, as when a box sits inside
+					// its own source run: every particle meets itself in lane
+					// `j mod 4` and must drop out; a distinct particle at the
+					// same point (source lane+1 moved onto source lane) drops
+					// out of that pair too, and a zero charge on the dead lane
+					// must not turn its Inf into NaN.
+					posB[(lane+1)%scnt] = posB[lane]
+					qz := append([]float64(nil), sq...)
+					qz[lane] = 0
+					selfPhi := make([]float64, scnt)
+					selfAcc := make([]geom.Vec3, scnt)
+					AccumulateFused(posB, selfPhi, selfAcc, posB, qz)
+					wantSelfPhi := make([]float64, scnt)
+					wantSelfAcc := make([]geom.Vec3, scnt)
+					for i := range posB {
+						for j := range posB {
+							d := posB[j].Sub(posB[i])
+							if r2 := d.Norm2(); r2 > 0 {
+								wantSelfPhi[i] += qz[j] / math.Sqrt(r2)
+								wantSelfAcc[i] = wantSelfAcc[i].Add(d.Scale(qz[j] / (r2 * math.Sqrt(r2))))
+							}
+						}
+					}
+					closeEnough(t, "AccumulateFused aliased phi", scnt, scnt, selfPhi, wantSelfPhi)
+					closeEnough(t, "AccumulateFused aliased acc", scnt, scnt, flatten(selfAcc), flatten(wantSelfAcc))
+
+					for _, v := range [][]float64{gx, gy, gz, phi2, phi3, sphi, phi4, flatten(acc),
+						phi5, flatten(acc5), selfPhi, flatten(selfAcc)} {
 						for i, x := range v {
 							if math.IsInf(x, 0) || math.IsNaN(x) {
 								t.Fatalf("lane %d: coincident source leaked Inf/NaN at %d: %v", lane, i, x)
 							}
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// fusedOrder transcribes AccumulateFused's documented reduction order for
+// one backend (dispatch.go) with explicit math.FMA where the avx2 body
+// fuses and explicitly rounded products where it does not.
+func fusedOrder(be string, posA []geom.Vec3, phiA []float64, accA, posB []geom.Vec3, qB []float64) {
+	s4 := 0
+	if be == simd.AVX2 {
+		s4 = len(posB) &^ 3
+	}
+	for i, a := range posA {
+		if s4 > 0 {
+			var p, fx, fy, fz [4]float64
+			for g := 0; g < s4; g += 4 {
+				for l := 0; l < 4; l++ {
+					b := posB[g+l]
+					dx, dy, dz := b.X-a.X, b.Y-a.Y, b.Z-a.Z
+					r2 := math.FMA(dz, dz, math.FMA(dy, dy, float64(dx*dx)))
+					inv := 0.0
+					if r2 != 0 {
+						inv = 1 / math.Sqrt(r2)
+					}
+					qi := float64(qB[g+l] * inv)
+					p[l] += qi
+					w := float64(qi * float64(inv*inv))
+					fx[l] = math.FMA(w, dx, fx[l])
+					fy[l] = math.FMA(w, dy, fy[l])
+					fz[l] = math.FMA(w, dz, fz[l])
+				}
+			}
+			hsum := func(v [4]float64) float64 { return (v[0] + v[2]) + (v[1] + v[3]) }
+			phiA[i] += hsum(p)
+			accA[i].X += hsum(fx)
+			accA[i].Y += hsum(fy)
+			accA[i].Z += hsum(fz)
+		}
+		var p, fx, fy, fz float64
+		for j := s4; j < len(posB); j++ {
+			b := posB[j]
+			dx, dy, dz := b.X-a.X, b.Y-a.Y, b.Z-a.Z
+			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+			if r2 == 0 {
+				continue
+			}
+			inv := 1 / math.Sqrt(r2)
+			qi := float64(qB[j] * inv)
+			p += qi
+			w := float64(qi * float64(inv*inv))
+			fx += float64(w * dx)
+			fy += float64(w * dy)
+			fz += float64(w * dz)
+		}
+		phiA[i] += p
+		accA[i].X += fx
+		accA[i].Y += fy
+		accA[i].Z += fz
+	}
+}
+
+// TestAccumulateFusedOrderExact pins the fused kernel's reduction order on
+// every backend, bit for bit, across source counts on both sides of the
+// vector width and with a tail of every length.
+func TestAccumulateFusedOrderExact(t *testing.T) {
+	for _, be := range simd.Supported() {
+		t.Run(be, func(t *testing.T) {
+			withBackend(t, be, func() {
+				rng := rand.New(rand.NewSource(28))
+				for _, scnt := range []int{1, 3, 4, 5, 64, 67} {
+					const cnt = 9
+					posA := poisonedVec3(rng, cnt)
+					posB := poisonedVec3(rng, scnt)
+					posB[scnt/2] = posA[cnt/2] // one dead lane among live ones
+					qB := poisoned(scnt, func(int) float64 { return rng.NormFloat64() })
+					phi := poisoned(cnt, func(int) float64 { return rng.NormFloat64() })
+					acc := poisonedVec3(rng, cnt)
+					wphi := append([]float64(nil), phi...)
+					wacc := append([]geom.Vec3(nil), acc...)
+					AccumulateFused(posA, phi, acc, posB, qB)
+					fusedOrder(be, posA, wphi, wacc, posB, qB)
+					for i := range wphi {
+						if phi[i] != wphi[i] || acc[i] != wacc[i] {
+							t.Fatalf("scnt=%d target %d: got (%v, %v), the documented order gives (%v, %v)",
+								scnt, i, phi[i], acc[i], wphi[i], wacc[i])
 						}
 					}
 				}
@@ -317,7 +457,7 @@ func BenchmarkAccumulateForceSoA64(b *testing.B) {
 	}
 }
 
-func BenchmarkAccumulateAoS64(b *testing.B) {
+func benchAoS64(b *testing.B, kernel func(posA []geom.Vec3, phi []float64, acc, posB []geom.Vec3, qB []float64)) {
 	for _, be := range simd.Supported() {
 		b.Run(be, func(b *testing.B) {
 			withBackend(b, be, func() {
@@ -327,9 +467,10 @@ func BenchmarkAccumulateAoS64(b *testing.B) {
 				posB := poisonedVec3(rng, cnt)
 				qB := poisoned(cnt, func(int) float64 { return rng.NormFloat64() })
 				phi := make([]float64, cnt)
+				acc := make([]geom.Vec3, cnt)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					Accumulate(posA, phi, posB, qB)
+					kernel(posA, phi, acc, posB, qB)
 				}
 				inter := float64(cnt) * float64(cnt) * float64(b.N)
 				b.ReportMetric(inter/b.Elapsed().Seconds()/1e6, "Minter/s")
@@ -337,3 +478,20 @@ func BenchmarkAccumulateAoS64(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkAccumulateAoS64(b *testing.B) {
+	benchAoS64(b, func(posA []geom.Vec3, phi []float64, _, posB []geom.Vec3, qB []float64) {
+		Accumulate(posA, phi, posB, qB)
+	})
+}
+
+// BenchmarkAccumulateTwoPassAoS64 is what a force solve's near field paid
+// per source set before the fused kernel; Minter/s counts each pair once.
+func BenchmarkAccumulateTwoPassAoS64(b *testing.B) {
+	benchAoS64(b, func(posA []geom.Vec3, phi []float64, acc, posB []geom.Vec3, qB []float64) {
+		Accumulate(posA, phi, posB, qB)
+		AccumulateForce(posA, acc, posB, qB)
+	})
+}
+
+func BenchmarkAccumulateFusedAoS64(b *testing.B) { benchAoS64(b, AccumulateFused) }

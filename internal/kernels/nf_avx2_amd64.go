@@ -26,6 +26,9 @@ func accumPotAoSAVX2(pa *geom.Vec3, phi *float64, cnt int, pb *geom.Vec3, q *flo
 //go:noescape
 func accumForceAoSAVX2(pa, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
 
+//go:noescape
+func accumFusedAoSAVX2(pa *geom.Vec3, phi *float64, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
+
 // haveAVX2 reports that this build carries the AVX2 kernels; whether the
 // host can run them is internal/simd's call (dispatch.go consults both).
 const haveAVX2 = true
@@ -33,6 +36,7 @@ const haveAVX2 = true
 func bindAVX2() {
 	accumulateImpl = accumulateVec
 	accumulateForceImpl = accumulateForceVec
+	accumulateFusedImpl = accumulateFusedVec
 	accumPotSoAImpl = accumPotSoAVec
 	accumForceSoAImpl = accumForceSoAVec
 	pairPotSoAImpl = pairPotSoAVec
@@ -57,6 +61,17 @@ func accumulateForceVec(posA, accA, posB []geom.Vec3, qB []float64) {
 	}
 	if s4 < scnt {
 		accumulateForceScalar(posA, accA, posB[s4:], qB[s4:])
+	}
+}
+
+func accumulateFusedVec(posA []geom.Vec3, phiA []float64, accA, posB []geom.Vec3, qB []float64) {
+	cnt, scnt := len(posA), len(posB)
+	s4 := scnt &^ 3
+	if cnt > 0 && s4 > 0 {
+		accumFusedAoSAVX2(&posA[0], &phiA[0], &accA[0], cnt, &posB[0], &qB[0], s4)
+	}
+	if s4 < scnt {
+		accumulateFusedScalar(posA, phiA, accA, posB[s4:], qB[s4:])
 	}
 }
 

@@ -390,3 +390,85 @@ faosj:
 faosdone:
 	VZEROUPPER
 	RET
+
+// func accumFusedAoSAVX2(pa *geom.Vec3, phi *float64, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
+// One-sided AoS potential + field from one inv = 1/sqrt(r2):
+// phi[i] += sum q[j]*inv, acc[i] += sum (b-a) * (q[j]*inv)*(inv*inv),
+// guard r2 != 0. The mask is applied to inv, before any multiply can turn a
+// dead lane's Inf into NaN. pb may alias pa (a box inside its own run).
+TEXT ·accumFusedAoSAVX2(SB), NOSPLIT, $0-56
+	MOVQ    pa+0(FP), SI
+	MOVQ    phi+8(FP), DI
+	MOVQ    acc+16(FP), R8
+	MOVQ    cnt+24(FP), R10
+	MOVQ    pb+32(FP), R11
+	MOVQ    q+40(FP), R14
+	MOVQ    scnt+48(FP), R15
+	IMUL3Q  $24, R15, R15     // source position bytes
+	VMOVUPD nfones<>(SB), Y15
+
+fusi:
+	TESTQ R10, R10
+	JZ    fusdone
+	VBROADCASTSD (SI), Y4     // xi
+	VBROADCASTSD 8(SI), Y5    // yi
+	VBROADCASTSD 16(SI), Y6   // zi
+	VXORPD Y0, Y0, Y0         // p
+	VXORPD Y1, Y1, Y1         // fx
+	VXORPD Y2, Y2, Y2         // fy
+	VXORPD Y3, Y3, Y3         // fz
+	XORQ   BX, BX             // position byte offset
+	XORQ   CX, CX             // charge byte offset
+
+fusj:
+	VMOVUPD (R11)(BX*1), Y7
+	VMOVUPD 32(R11)(BX*1), Y8
+	VMOVUPD 64(R11)(BX*1), Y9
+	AOSX(Y7, Y8, Y9, Y10, Y13)
+	AOSY(Y7, Y8, Y9, Y11, Y13)
+	AOSZ(Y7, Y8, Y9, Y12, Y13)
+	VSUBPD      Y4, Y10, Y10  // dx = bx - xi
+	VSUBPD      Y5, Y11, Y11  // dy
+	VSUBPD      Y6, Y12, Y12  // dz
+	VMULPD      Y10, Y10, Y13
+	VFMADD231PD Y11, Y11, Y13
+	VFMADD231PD Y12, Y12, Y13 // r2
+	VXORPD      Y14, Y14, Y14
+	VCMPPD      $4, Y14, Y13, Y14 // mask = r2 != 0 (NEQ_UQ)
+	VSQRTPD     Y13, Y7       // r
+	VDIVPD      Y7, Y15, Y7   // inv = 1/r
+	VANDPD      Y14, Y7, Y7   // dead lanes: inv -> +0
+	VMOVUPD     (R14)(CX*1), Y8
+	VMULPD      Y7, Y8, Y8    // qi = q*inv
+	VADDPD      Y8, Y0, Y0    // p += qi
+	VMULPD      Y7, Y7, Y9    // inv*inv
+	VMULPD      Y9, Y8, Y8    // w = qi*(inv*inv)
+	VFMADD231PD Y10, Y8, Y1   // fx += w*dx
+	VFMADD231PD Y11, Y8, Y2
+	VFMADD231PD Y12, Y8, Y3
+	ADDQ        $96, BX
+	ADDQ        $32, CX
+	CMPQ        BX, R15
+	JLT         fusj
+
+	HSUM(Y0, X0, X13)
+	VADDSD (DI), X0, X0
+	VMOVSD X0, (DI)
+	HSUM(Y1, X1, X13)
+	VADDSD (R8), X1, X1
+	VMOVSD X1, (R8)
+	HSUM(Y2, X2, X13)
+	VADDSD 8(R8), X2, X2
+	VMOVSD X2, 8(R8)
+	HSUM(Y3, X3, X13)
+	VADDSD 16(R8), X3, X3
+	VMOVSD X3, 16(R8)
+	ADDQ   $24, SI
+	ADDQ   $8, DI
+	ADDQ   $24, R8
+	DECQ   R10
+	JMP    fusi
+
+fusdone:
+	VZEROUPPER
+	RET

@@ -94,7 +94,7 @@ type Plan struct {
 type Key struct {
 	Shape ShapeKey
 	// Sim selects the enlarged integration domain.
-	Sim bool
+	Sim  bool
 	Plan Plan
 }
 

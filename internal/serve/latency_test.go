@@ -25,8 +25,8 @@ func TestPercentileNearestRank(t *testing.T) {
 		{0, 50, 0},
 		{1, 0, time.Millisecond},
 		{1, 100, time.Millisecond},
-		{4, 50, 2 * time.Millisecond},   // rank = round(4*0.5) = 2
-		{4, 95, 4 * time.Millisecond},   // rank = round(3.8) = 4
+		{4, 50, 2 * time.Millisecond}, // rank = round(4*0.5) = 2
+		{4, 95, 4 * time.Millisecond}, // rank = round(3.8) = 4
 		{100, 50, 50 * time.Millisecond},
 		{100, 95, 95 * time.Millisecond},
 		{100, 99, 99 * time.Millisecond},

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"nbody"
+	"nbody/internal/plan"
 	"nbody/internal/resilience"
 )
 
@@ -128,7 +130,10 @@ func TestZeroBudgetNeverSheds(t *testing.T) {
 // the plain queue-full path carry Retry-After now.
 func TestShedHTTPRetryAfter(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 2})
-	sys := nbody.NewUniformSystem(768, 7)
+	// Sized so the deadline below is out of reach by an order of magnitude
+	// on any host: a solve of a few hundred particles finishes inside a
+	// millisecond, and the estimator would then rightly admit it.
+	sys := nbody.NewUniformSystem(8192, 7)
 
 	// Warm-up: enough successful solves of this exact shape for the
 	// estimator to trust its EWMA.
@@ -143,8 +148,18 @@ func TestShedHTTPRetryAfter(t *testing.T) {
 		t.Fatal("estimator recorded no shapes after warm solves")
 	}
 
-	// A 1ms deadline cannot fit any real solve of this shape.
-	tight := solveBody(t, "light", sys, func(r *SolveRequest) { r.DeadlineMS = 1 })
+	const deadline = time.Millisecond
+	tight := solveBody(t, "light", sys, func(r *SolveRequest) { r.DeadlineMS = deadline.Milliseconds() })
+	// The premise, checked rather than assumed: what admission will read for
+	// this request is a confident estimate at least ten deadlines long.
+	req, dsys, err := decodeSolveRequest(bytes.NewReader(tight), srv.limits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := srv.keyFor(req, dsys.Len(), plan.Fingerprint(dsys.Positions), false)
+	if est, confident := srv.est.Estimate(key, 1); !confident || est < 10*deadline {
+		t.Fatalf("estimate %v (confident=%v) does not rule out a %v deadline; grow the shape", est, confident, deadline)
+	}
 	resp, data := postSolve(t, hs.URL, tight)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("want 429 shed, got %d: %s", resp.StatusCode, data)

@@ -27,9 +27,9 @@ func TestPlanCacheKeying(t *testing.T) {
 	builds := fakeBuild(c)
 
 	kA := tkey(512, 3, "fast", false, false)
-	kB := tkey(512, 4, "fast", false, false)      // depth differs
-	kC := tkey(512, 3, "accurate", false, false)  // accuracy differs
-	kD := tkey(512, 3, "fast", false, true)       // domain differs
+	kB := tkey(512, 4, "fast", false, false)     // depth differs
+	kC := tkey(512, 3, "accurate", false, false) // accuracy differs
+	kD := tkey(512, 3, "fast", false, true)      // domain differs
 
 	plans := map[Key]*Plan{}
 	for _, k := range []Key{kA, kB, kC, kD} {

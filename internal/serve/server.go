@@ -127,9 +127,9 @@ func (c Config) withDefaults() Config {
 // Server is the multi-tenant solver service: an http.Handler owning the
 // dispatcher, the plan cache, and the request accounting.
 type Server struct {
-	cfg   Config
-	disp  *Dispatcher
-	plans *PlanCache
+	cfg     Config
+	disp    *Dispatcher
+	plans   *PlanCache
 	mux     *http.ServeMux
 	start   time.Time
 	lat     *latencyRing

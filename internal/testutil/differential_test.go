@@ -21,12 +21,13 @@ import (
 // jitter does not.
 //
 // Measured on the seed systems (N=2000/1500, uniform and clustered):
-//   anderson D=5  (K=12):  worst ~1.3e-2, rms ~3.6e-3  (paper: ~4 digits rms)
-//   anderson D=13 (K=98):  worst ~2.2e-4, rms ~6.4e-5  (paper: ~7 digits rms;
-//     the worst case sits on particles adjacent to a sphere boundary)
-//   barnes-hut theta=0.6 quadrupole: worst ~1.0e-1, rms ~2.4e-2
-//   dpfmm vs core (same arithmetic, different order): worst ~4e-15
-//   core2 K=16 depth 3 vs 2-D direct sum: worst ~1.7e-4
+//
+//	anderson D=5  (K=12):  worst ~1.3e-2, rms ~3.6e-3  (paper: ~4 digits rms)
+//	anderson D=13 (K=98):  worst ~2.2e-4, rms ~6.4e-5  (paper: ~7 digits rms;
+//	  the worst case sits on particles adjacent to a sphere boundary)
+//	barnes-hut theta=0.6 quadrupole: worst ~1.0e-1, rms ~2.4e-2
+//	dpfmm vs core (same arithmetic, different order): worst ~4e-15
+//	core2 K=16 depth 3 vs 2-D direct sum: worst ~1.7e-4
 const (
 	boundFastWorst  = 5e-2 // D=5 sphere approximation, worst case
 	boundAccWorst   = 1e-3 // degree-13 product rule, worst case

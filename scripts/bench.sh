@@ -26,20 +26,21 @@ gemm_txt="$(mktemp)"
 phases_json="$(mktemp)"
 trap 'rm -f "$solve_txt" "$gemm_txt" "$phases_json"' EXIT
 
-# The solve benchmarks run twice. GOMAXPROCS=1 is the gated series: every
-# earlier record was taken on one core, where go test prints no -N suffix
-# and the solve runs the serial paths (2 allocs/op). The second run, at the
-# host's own GOMAXPROCS, records the pool paths under the suffixed names.
-GOMAXPROCS=1 go test ./internal/core/ -run '^$' -bench 'BenchmarkSolve(K12Depth4|SupernodesK32Depth4)$' \
+# The solve benchmarks — two potential solves and the clustered force solve
+# — run twice. GOMAXPROCS=1 is the gated series: every earlier record was
+# taken on one core, where go test prints no -N suffix and the solve runs
+# inline on prebuilt state (2 allocs/op). The second run, at the host's own
+# GOMAXPROCS, records the pool paths under the suffixed names.
+solves='Benchmark(Solve(K12Depth4|SupernodesK32Depth4)|AccelPlummerDepth3)$'
+GOMAXPROCS=1 go test ./internal/core/ -run '^$' -bench "$solves" \
     -benchmem -benchtime 5x | tee "$solve_txt"
 if [ "$(getconf _NPROCESSORS_ONLN)" -gt 1 ]; then
-    go test ./internal/core/ -run '^$' -bench 'BenchmarkSolve(K12Depth4|SupernodesK32Depth4)$' \
+    go test ./internal/core/ -run '^$' -bench "$solves" \
         -benchmem -benchtime 5x | tee -a "$solve_txt"
 fi
 go test ./internal/blas/ -run '^$' -bench 'BenchmarkDgemm' \
     -benchmem -benchtime 2s | tee "$gemm_txt"
-# cmd/phases takes its backend from -backend, not the environment.
-go run ./cmd/phases -backend "${NBODY_BACKEND:-auto}" -n 32768 -depth 4 -degree 5 -json > "$phases_json"
+go run ./cmd/phases -n 32768 -depth 4 -degree 5 -json > "$phases_json"
 
 # The phases snapshot records which backend actually ran (metrics.Snapshot);
 # lift it to the top of the record so the gate does not parse the nested
