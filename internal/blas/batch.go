@@ -54,11 +54,6 @@ func GemvBatch(a Matrix, xs, ys [][]float64) {
 // to call concurrently for distinct i.
 func Parallel(n int, fn func(i int)) { sched.Run(n, fn) }
 
-// ParallelChunks runs body(lo, hi) over a chunk partition of [0, n) on the
-// worker pool; per-chunk setup (scratch buffers, local accumulators) is
-// amortized over the chunk.
-func ParallelChunks(n int, body func(lo, hi int)) { sched.RunChunks(n, body) }
-
 // ParallelCtx is Parallel with cooperative cancellation: participants check
 // ctx between chunk claims, so a canceled context stops the sweep within one
 // chunk's work and ParallelCtx returns ctx.Err(). A nil ctx is identical to
@@ -67,8 +62,10 @@ func ParallelCtx(ctx context.Context, n int, fn func(i int)) error {
 	return sched.RunCtx(ctx, n, fn)
 }
 
-// ParallelChunksCtx is ParallelChunks with cooperative cancellation, under
-// the same contract as ParallelCtx.
+// ParallelChunksCtx runs body(lo, hi) over a chunk partition of [0, n) on
+// the worker pool, so per-chunk setup (scratch buffers, local accumulators)
+// is amortized over the chunk; cancellation follows the ParallelCtx
+// contract.
 func ParallelChunksCtx(ctx context.Context, n int, body func(lo, hi int)) error {
 	return sched.RunChunksCtx(ctx, n, body)
 }

@@ -3,7 +3,7 @@ package blas
 import "nbody/internal/simd"
 
 // This file is the backend seam of the BLAS layer: every public kernel
-// (Dgemm, DgemmAssign, Dgemv, DgemmRowsT) routes its inner loops through
+// (Dgemm, Dgemv, DgemmRowsT) routes its inner loops through
 // one of the function pointers below, and applyBackend rebinds them when
 // internal/simd switches backends. The scalar bindings are the portable
 // fallback and the only ones on non-amd64 builds; the AVX2 bindings live in
@@ -22,12 +22,11 @@ import "nbody/internal/simd"
 // results differ by rounding only, bounded by the cross-backend matrix in
 // gemm_kernels_test.go and the solver-level differential suite.
 var (
-	gemmK12Impl    func(m, n int, a, b, c []float64)              = gemmK12
-	gemmK72Impl    func(m, n int, a, b, c []float64)              = gemmK72
-	gemmImpl       func(m, k, n int, a, b, c []float64)           = gemm4k
-	gemmAssignImpl func(m, k, n int, a, b, c []float64)           = gemmAssignScalar
-	gemvImpl       func(rows, cols int, a, x, y []float64)        = gemvScalar
-	rowsTImpl      func(k, n, stride int, tt, src, dst []float64) = rowsTScalar
+	gemmK12Impl func(m, n int, a, b, c []float64)                            = gemmK12
+	gemmK72Impl func(m, n int, a, b, c []float64)                            = gemmK72
+	gemmImpl    func(m, k, n int, a, b, c []float64)                         = gemm4k
+	gemvImpl    func(rows, cols int, a, x, y []float64)                      = gemvScalar
+	rowsTImpl   func(k, n, srcStride, dstStride int, tt, src, dst []float64) = rowsTScalar
 )
 
 func init() { simd.Register(applyBackend) }
@@ -48,7 +47,6 @@ func bindScalar() {
 	gemmK12Impl = gemmK12
 	gemmK72Impl = gemmK72
 	gemmImpl = gemm4k
-	gemmAssignImpl = gemmAssignScalar
 	gemvImpl = gemvScalar
 	rowsTImpl = rowsTScalar
 }

@@ -9,9 +9,6 @@ package blas
 func dgemmAVX2(m, k, n int, a, b, c *float64)
 
 //go:noescape
-func dgemmAssignAVX2(m, k, n int, a, b, c *float64)
-
-//go:noescape
 func gemmK12AVX2(m, n int, a, b, c *float64)
 
 //go:noescape
@@ -21,7 +18,7 @@ func gemmK72AVX2(m, n int, a, b, c *float64)
 func dgemvAVX2(rows, cols int, a, x, y *float64)
 
 //go:noescape
-func rowsTAVX2(k, n, stride int, tt, src, dst *float64)
+func rowsTAVX2(k, n, srcStride, dstStride int, tt, src, dst *float64)
 
 // haveAVX2 reports that this build carries the AVX2 kernels; whether the
 // host can run them is internal/simd's call (dispatch.go consults both).
@@ -37,13 +34,10 @@ func bindAVX2() {
 	gemmImpl = func(m, k, n int, a, b, c []float64) {
 		dgemmAVX2(m, k, n, &a[0], &b[0], &c[0])
 	}
-	gemmAssignImpl = func(m, k, n int, a, b, c []float64) {
-		dgemmAssignAVX2(m, k, n, &a[0], &b[0], &c[0])
-	}
 	gemvImpl = func(rows, cols int, a, x, y []float64) {
 		dgemvAVX2(rows, cols, &a[0], &x[0], &y[0])
 	}
-	rowsTImpl = func(k, n, stride int, tt, src, dst []float64) {
-		rowsTAVX2(k, n, stride, &tt[0], &src[0], &dst[0])
+	rowsTImpl = func(k, n, srcStride, dstStride int, tt, src, dst []float64) {
+		rowsTAVX2(k, n, srcStride, dstStride, &tt[0], &src[0], &dst[0])
 	}
 }

@@ -7,18 +7,17 @@
 //
 // identical in every lane, every column-block width, and the masked tail,
 // so results are bitwise reproducible call to call and exactly modeled by
-// the math.FMA transcription in gemm_kernels_test.go. The assign variant
-// starts the chain from 0 instead of c[i,j], which is Dgemm on a zero C.
+// the math.FMA transcription in gemm_kernels_test.go.
 //
 // Structure: one row of C at a time, column blocks of 32/16/4 doubles held
 // in YMM accumulators across the whole k loop (eight independent FMA chains
 // in the 32-wide block hide the 4-cycle FMA latency), B rows streamed as
 // memory operands, and a VMASKMOVPD tail for n % 4 trailing columns. The
 // shared body is gemmbody<>; the exported entries differ only in how they
-// bind k (runtime, 12, or 72) and whether C is loaded or zeroed.
+// bind k (runtime, 12, or 72).
 //
 // gemmbody<> register contract:
-//	R8  m    R9  k    R10 n    R11 n*8    R12 assign flag (1 = C = A*B)
+//	R8  m    R9  k    R10 n    R11 n*8
 //	SI  a row    DX  b base    DI  c row
 // (clobbers AX BX CX R13 R14 R15 and Y0-Y10.)
 
@@ -56,8 +55,6 @@ col32:
 	LEAQ  (DI)(BX*8), R13    // &c[i*n+j]
 	LEAQ  (DX)(BX*8), R14    // &b[j]
 	MOVQ  SI, R15            // &a[i*k]
-	TESTQ R12, R12
-	JNZ   z32
 	VMOVUPD (R13), Y0
 	VMOVUPD 32(R13), Y1
 	VMOVUPD 64(R13), Y2
@@ -66,17 +63,6 @@ col32:
 	VMOVUPD 160(R13), Y5
 	VMOVUPD 192(R13), Y6
 	VMOVUPD 224(R13), Y7
-	JMP   k32start
-z32:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-k32start:
 	MOVQ  R9, CX
 	SHRQ  $1, CX             // k/2 paired iterations
 	JZ    k32odd
@@ -136,18 +122,10 @@ col16:
 	LEAQ  (DX)(BX*8), R14
 	MOVQ  SI, R15
 	MOVQ  R9, CX
-	TESTQ R12, R12
-	JNZ   z16
 	VMOVUPD (R13), Y0
 	VMOVUPD 32(R13), Y1
 	VMOVUPD 64(R13), Y2
 	VMOVUPD 96(R13), Y3
-	JMP   k16
-z16:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
 k16:
 	VBROADCASTSD (R15), Y8
 	VFMADD231PD (R14), Y8, Y0
@@ -173,12 +151,7 @@ col4:
 	LEAQ  (DX)(BX*8), R14
 	MOVQ  SI, R15
 	MOVQ  R9, CX
-	TESTQ R12, R12
-	JNZ   z4
 	VMOVUPD (R13), Y0
-	JMP   k4
-z4:
-	VXORPD Y0, Y0, Y0
 k4:
 	VBROADCASTSD (R15), Y8
 	VFMADD231PD (R14), Y8, Y0
@@ -202,12 +175,7 @@ coltail:
 	LEAQ  (DX)(BX*8), R14
 	MOVQ  SI, R15
 	MOVQ  R9, CX
-	TESTQ R12, R12
-	JNZ   ztail
 	VMASKMOVPD (R13), Y9, Y0
-	JMP   ktail
-ztail:
-	VXORPD Y0, Y0, Y0
 ktail:
 	VBROADCASTSD (R15), Y8
 	VMASKMOVPD (R14), Y9, Y10
@@ -236,22 +204,6 @@ TEXT ·dgemmAVX2(SB), NOSPLIT, $0-48
 	MOVQ c+40(FP), DI
 	MOVQ R10, R11
 	SHLQ $3, R11
-	XORQ R12, R12
-	CALL gemmbody<>(SB)
-	VZEROUPPER
-	RET
-
-// func dgemmAssignAVX2(m, k, n int, a, b, c *float64)
-TEXT ·dgemmAssignAVX2(SB), NOSPLIT, $0-48
-	MOVQ m+0(FP), R8
-	MOVQ k+8(FP), R9
-	MOVQ n+16(FP), R10
-	MOVQ a+24(FP), SI
-	MOVQ b+32(FP), DX
-	MOVQ c+40(FP), DI
-	MOVQ R10, R11
-	SHLQ $3, R11
-	MOVQ $1, R12
 	CALL gemmbody<>(SB)
 	VZEROUPPER
 	RET
@@ -269,7 +221,6 @@ TEXT ·gemmK12AVX2(SB), NOSPLIT, $0-40
 	MOVQ c+32(FP), DI
 	MOVQ R10, R11
 	SHLQ $3, R11
-	XORQ R12, R12
 	CALL gemmbody<>(SB)
 	VZEROUPPER
 	RET
@@ -286,7 +237,6 @@ TEXT ·gemmK72AVX2(SB), NOSPLIT, $0-40
 	MOVQ c+32(FP), DI
 	MOVQ R10, R11
 	SHLQ $3, R11
-	XORQ R12, R12
 	CALL gemmbody<>(SB)
 	VZEROUPPER
 	RET
@@ -355,15 +305,14 @@ gvdone:
 	VZEROUPPER
 	RET
 
-// func rowsTAVX2(k, n, stride int, tt, src, dst *float64)
+// func rowsTAVX2(k, n, srcStride, dstStride int, tt, src, dst *float64)
 //
 // The gather-free row kernel (rows.go): for i < n,
 //
-//	dst[i*stride : +k] += T * src[i*stride : +k],   tt = Tᵀ, row-major.
+//	dst[i*dstStride : +k] += T * src[i*srcStride : +k],   tt = Tᵀ, row-major.
 //
 // Reduction order: every destination element is one FMA chain from zero,
-// ascending j — s = fma(tt[j,c], src[j], s) — then one add into dst. That is
-// dgemmAssignAVX2 followed by a scatter-add, element for element.
+// ascending j — s = fma(tt[j,c], src[j], s) — then one add into dst.
 //
 // Structure: destination columns in blocks of 12 (three YMM), boxes in
 // groups of 4, 2 and 1, so the full group holds 4 x 12 sums in Y0-Y11 —
@@ -375,10 +324,13 @@ gvdone:
 // columns go four at a time through one masked vector (Y14 holds the mask).
 //
 // Registers:
-//	R8  k      R9  3*stride bytes   R10 stride bytes   R11 k*8
-//	SI  tt     DX  src              DI  dst            BX  column
+//	R8  k      R9  3*srcStride bytes   R10 srcStride bytes   R11 k*8
+//	SI  tt     DX  src                 DI  dst               BX  column
 //	CX  boxes left   R12 src box   R13 dst box+column
 //	R14 tt panel row   AX  src element   R15 j countdown
+// The j loops address sources only. The destination stride is needed once
+// per box group, after its j loop, when R14 and R15 are dead: DSTSTRIDES
+// reloads it into them from the frame.
 
 #define ZERO3(a, b, c) \
 	VXORPD a, a, a; \
@@ -412,12 +364,19 @@ gvdone:
 	VADDPD Y13, a, a; \
 	VMASKMOVPD a, Y14, d
 
-TEXT ·rowsTAVX2(SB), NOSPLIT, $0-48
+TEXT ·rowsTAVX2(SB), NOSPLIT, $0-56
+// DSTSTRIDES sets R14 = dstStride bytes, R15 = 3*dstStride bytes. (Defined
+// inside the function so that vet checks the frame reference against it.)
+#define DSTSTRIDES \
+	MOVQ dstStride+24(FP), R14; \
+	SHLQ $3, R14; \
+	LEAQ (R14)(R14*2), R15
+
 	MOVQ k+0(FP), R8
-	MOVQ stride+16(FP), R10
-	MOVQ tt+24(FP), SI
-	MOVQ src+32(FP), DX
-	MOVQ dst+40(FP), DI
+	MOVQ srcStride+16(FP), R10
+	MOVQ tt+32(FP), SI
+	MOVQ src+40(FP), DX
+	MOVQ dst+48(FP), DI
 	SHLQ $3, R10
 	LEAQ (R10)(R10*2), R9
 	MOVQ R8, R11
@@ -454,12 +413,13 @@ rtf4j:
 	ADDQ $8, AX
 	DECQ R15
 	JNZ  rtf4j
+	DSTSTRIDES
 	ADD3((R13), 32(R13), 64(R13), Y0, Y1, Y2)
-	ADD3((R13)(R10*1), 32(R13)(R10*1), 64(R13)(R10*1), Y3, Y4, Y5)
-	ADD3((R13)(R10*2), 32(R13)(R10*2), 64(R13)(R10*2), Y6, Y7, Y8)
-	ADD3((R13)(R9*1), 32(R13)(R9*1), 64(R13)(R9*1), Y9, Y10, Y11)
+	ADD3((R13)(R14*1), 32(R13)(R14*1), 64(R13)(R14*1), Y3, Y4, Y5)
+	ADD3((R13)(R14*2), 32(R13)(R14*2), 64(R13)(R14*2), Y6, Y7, Y8)
+	ADD3((R13)(R15*1), 32(R13)(R15*1), 64(R13)(R15*1), Y9, Y10, Y11)
 	LEAQ (R12)(R10*4), R12
-	LEAQ (R13)(R10*4), R13
+	LEAQ (R13)(R14*4), R13
 	SUBQ $4, CX
 	JMP  rtf4
 
@@ -481,10 +441,11 @@ rtf2j:
 	ADDQ $8, AX
 	DECQ R15
 	JNZ  rtf2j
+	DSTSTRIDES
 	ADD3((R13), 32(R13), 64(R13), Y0, Y1, Y2)
-	ADD3((R13)(R10*1), 32(R13)(R10*1), 64(R13)(R10*1), Y3, Y4, Y5)
+	ADD3((R13)(R14*1), 32(R13)(R14*1), 64(R13)(R14*1), Y3, Y4, Y5)
 	LEAQ (R12)(R10*2), R12
-	LEAQ (R13)(R10*2), R13
+	LEAQ (R13)(R14*2), R13
 	SUBQ $2, CX
 
 rtf1:
@@ -542,12 +503,13 @@ rtt4j:
 	ADDQ $8, AX
 	DECQ R15
 	JNZ  rtt4j
+	DSTSTRIDES
 	ADD1M((R13), Y0)
-	ADD1M((R13)(R10*1), Y1)
-	ADD1M((R13)(R10*2), Y2)
-	ADD1M((R13)(R9*1), Y3)
+	ADD1M((R13)(R14*1), Y1)
+	ADD1M((R13)(R14*2), Y2)
+	ADD1M((R13)(R15*1), Y3)
 	LEAQ (R12)(R10*4), R12
-	LEAQ (R13)(R10*4), R13
+	LEAQ (R13)(R14*4), R13
 	SUBQ $4, CX
 	JMP  rtt4
 
@@ -566,8 +528,9 @@ rtt1j:
 	DECQ R15
 	JNZ  rtt1j
 	ADD1M((R13), Y0)
+	DSTSTRIDES
 	ADDQ R10, R12
-	ADDQ R10, R13
+	ADDQ R14, R13
 	DECQ CX
 	JMP  rtt1
 

@@ -83,72 +83,3 @@ func gemmK72(m, n int, a, b, c []float64) {
 		}
 	}
 }
-
-// DgemmAssign computes C = A*B (assignment, not accumulate): the first
-// k-term(s) write C directly, so callers reusing scratch blocks skip the
-// zeroing pass Dgemm's += contract would force. Backend-dispatched like
-// Dgemm, with the same per-backend reduction order as Dgemm on a zero C.
-// A k = 0 product assigns zero.
-func DgemmAssign(a, b, c Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("blas: DgemmAssign shape mismatch")
-	}
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if m == 0 || n == 0 {
-		return
-	}
-	if k == 0 {
-		clear(c.Data[:m*n])
-		return
-	}
-	if countersOn.Load() {
-		countGemm(m, k, n)
-	}
-	gemmAssignImpl(m, k, n, a.Data, b.Data, c.Data)
-}
-
-// gemmAssignScalar is the scalar-backend DgemmAssign body: the k-unrolled
-// stream of gemm4k with the first k-group assigning instead of
-// accumulating (grouped reduction order preserved).
-func gemmAssignScalar(m, k, n int, ad, bd, cd []float64) {
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		crow := cd[i*n : (i+1)*n]
-		var kk int
-		if k >= 4 {
-			a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
-			b0 := bd[0:n]
-			b1 := bd[n : 2*n]
-			b2 := bd[2*n : 3*n]
-			b3 := bd[3*n : 4*n]
-			for j := range crow {
-				crow[j] = a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-			kk = 4
-		} else {
-			a0 := arow[0]
-			b0 := bd[0:n]
-			for j := range crow {
-				crow[j] = a0 * b0[j]
-			}
-			kk = 1
-		}
-		for ; kk+3 < k; kk += 4 {
-			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-			b0 := bd[kk*n : (kk+1)*n]
-			b1 := bd[(kk+1)*n : (kk+2)*n]
-			b2 := bd[(kk+2)*n : (kk+3)*n]
-			b3 := bd[(kk+3)*n : (kk+4)*n]
-			for j := range crow {
-				crow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; kk < k; kk++ {
-			a0 := arow[kk]
-			b0 := bd[kk*n : (kk+1)*n]
-			for j := range crow {
-				crow[j] += a0 * b0[j]
-			}
-		}
-	}
-}

@@ -9,8 +9,11 @@ package blas
 // and needs no transposing copy on either side — each box's K values are
 // already contiguous, and a lattice of boxes is just a row stride (the
 // copy the paper's Table 3 charges 2/K of the multiply for is gone). The
-// kernels read Tᵀ row by row, so callers keep their matrices transposed
-// and hand them in as tt.
+// two sides stride independently, so the same call serves a translation
+// within one grid (T2: both sides two boxes apart) and one between a parent
+// grid and its same-octant children (T1, T3, supernode T2: one side dense,
+// the other two apart). The kernels read Tᵀ row by row, so callers keep
+// their matrices transposed and hand them in as tt.
 //
 // Reduction orders are the backends' documented ones (dispatch.go), applied
 // per destination element to a sum that starts from zero and is then added
@@ -20,19 +23,23 @@ package blas
 //     groups accumulated ascending k, then dst += sum.
 //   - avx2: s = 0; s = fma(T[i,k], src[k], s) ascending k; dst += s.
 //
-// That is bit for bit what DgemmAssign into a scratch block followed by a
-// scatter-add produced, which is why the solvers' reproducibility contracts
-// did not move when the gather went away (pinned by
-// TestDgemmRowsTOrderExact).
+// Both are pinned bitwise against element transcriptions by
+// TestDgemmRowsTOrderExact; the solvers' reproducibility contracts rest on
+// them.
+
+// Strides places the vectors of one side of a slab: vector (r, i) starts at
+// element r*Row + i*Box of that side's slice.
+type Strides struct{ Box, Row int }
 
 // DgemmRowsT computes, for every r < rows and i < n,
 //
-//	dst[o : o+K] += T * src[o : o+K],   o = r*rowStride + i*stride,
+//	dst[d : d+K] += T * src[s : s+K],   s = r*ss.Row + i*ss.Box,
+//	                                    d = r*ds.Row + i*ds.Box,
 //
 // where tt holds Tᵀ (K x K, row-major: tt[j*K+i] = T[i][j]). src and dst
-// start at the first vector of the slab; vectors must not overlap (stride
-// >= K). The call counts as one K x K x (rows*n) GEMM.
-func DgemmRowsT(tt Matrix, src, dst []float64, n, stride, rows, rowStride int) {
+// start at the first vector of the slab; the vectors of a side must not
+// overlap (Box >= K). The call counts as one K x K x (rows*n) GEMM.
+func DgemmRowsT(tt Matrix, src, dst []float64, n, rows int, ss, ds Strides) {
 	k := tt.Rows
 	if tt.Cols != k {
 		panic("blas: DgemmRowsT needs a square matrix")
@@ -40,18 +47,24 @@ func DgemmRowsT(tt Matrix, src, dst []float64, n, stride, rows, rowStride int) {
 	if n <= 0 || rows <= 0 || k == 0 {
 		return
 	}
-	if stride < k || rowStride < 0 {
-		panic("blas: DgemmRowsT vectors overlap")
-	}
-	if end := (rows-1)*rowStride + (n-1)*stride + k; end > len(src) || end > len(dst) {
-		panic("blas: DgemmRowsT slab exceeds operand")
-	}
+	ss.check("source", k, n, rows, len(src))
+	ds.check("destination", k, n, rows, len(dst))
 	if countersOn.Load() {
 		countGemm(k, k, rows*n)
 	}
 	for r := 0; r < rows; r++ {
-		o := r * rowStride
-		rowsTImpl(k, n, stride, tt.Data, src[o:], dst[o:])
+		rowsTImpl(k, n, ss.Box, ds.Box, tt.Data, src[r*ss.Row:], dst[r*ds.Row:])
+	}
+}
+
+// check panics unless a rows x n slab of K-vectors laid out by st fits in
+// size elements without two vectors of a row overlapping.
+func (st Strides) check(side string, k, n, rows, size int) {
+	if st.Box < k || st.Row < 0 {
+		panic("blas: DgemmRowsT " + side + " vectors overlap")
+	}
+	if end := (rows-1)*st.Row + (n-1)*st.Box + k; end > size {
+		panic("blas: DgemmRowsT slab exceeds " + side)
 	}
 }
 
@@ -70,15 +83,15 @@ func DgemvT(tt Matrix, x, y []float64) {
 	if countersOn.Load() {
 		countGemv(k, k)
 	}
-	rowsTImpl(k, 1, k, tt.Data, x, y)
+	rowsTImpl(k, 1, k, k, tt.Data, x, y)
 }
 
 // rowsTScalar is the portable row kernel, one box at a time.
-func rowsTScalar(k, n, stride int, tt, src, dst []float64) {
+func rowsTScalar(k, n, srcStride, dstStride int, tt, src, dst []float64) {
 	if k == 12 {
 		for i := 0; i < n; i++ {
-			o := i * stride
-			rowTK12(tt, src[o:o+12], dst[o:o+12])
+			so, do := i*srcStride, i*dstStride
+			rowTK12(tt, src[so:so+12], dst[do:do+12])
 		}
 		return
 	}
@@ -90,14 +103,14 @@ func rowsTScalar(k, n, stride int, tt, src, dst []float64) {
 		acc = make([]float64, k)
 	}
 	for i := 0; i < n; i++ {
-		o := i * stride
-		rowT(k, tt, src[o:o+k], dst[o:o+k], acc[:k])
+		so, do := i*srcStride, i*dstStride
+		rowT(k, tt, src[so:so+k], dst[do:do+k], acc[:k])
 	}
 }
 
-// rowT computes y += T*x from tt = Tᵀ in the grouped-fours order: the
-// k-unrolled stream of gemmAssignScalar with Tᵀ in the role of B, so rows
-// of tt are read front to back once per box.
+// rowT computes y += T*x from tt = Tᵀ in the grouped-fours order: gemm4k's
+// k-unrolled stream with Tᵀ in the role of B and the first group assigning,
+// so rows of tt are read front to back once per box.
 func rowT(k int, tt, x, y, acc []float64) {
 	var kk int
 	if k >= 4 {

@@ -8,46 +8,66 @@ import (
 	"nbody/internal/simd"
 )
 
-// rowsCase is one strided slab: rows x n vectors of length k.
-type rowsCase struct{ k, n, stride, rows, rowStride int }
+// rowsCase is one strided slab: rows x n vectors of length k, laid out by
+// ss on the source side and ds on the destination side.
+type rowsCase struct {
+	k, n, rows int
+	ss, ds     Strides
+}
 
 // rowsCases covers the K = 12 fast path, generic K with full 12-column
 // blocks only (72), with a four-column tail (32) and with a masked tail
-// (50), every box-group class (4, 2, 1 and their mixes), dense and
-// lattice strides, and multi-row slabs.
+// (50), every box-group class (4, 2, 1 and their mixes), and every pairing
+// of strides the solvers use: both sides dense, both sides a lattice (2K),
+// dense sources into a lattice (parent -> children) and the reverse
+// (children -> parent), in single rows and in multi-row slabs whose row
+// strides differ per side as a parent grid's and a child grid's do.
 func rowsCases() []rowsCase {
 	var cs []rowsCase
 	for _, k := range []int{12, 32, 50, 72} {
 		for _, n := range []int{1, 3, 4, 5, 8, 64} {
-			for _, stride := range []int{k, 2 * k} {
-				cs = append(cs, rowsCase{k, n, stride, 1, 0})
+			for _, s := range []int{k, 2 * k} {
+				for _, d := range []int{k, 2 * k} {
+					cs = append(cs, rowsCase{k, n, 1, Strides{Box: s}, Strides{Box: d}})
+				}
 			}
 		}
-		cs = append(cs, rowsCase{k, 7, 2 * k, 3, 2 * 16 * k})
+		// Grids of 16 (lattice side) and 8 (dense side) boxes per axis.
+		lattice, dense := Strides{2 * k, 2 * 16 * k}, Strides{k, 8 * k}
+		cs = append(cs,
+			rowsCase{k, 7, 3, lattice, lattice},
+			rowsCase{k, 7, 3, dense, lattice},
+			rowsCase{k, 7, 3, lattice, dense})
 	}
 	// Shapes below every unroll width, and odd K.
 	for _, k := range []int{1, 2, 3, 5, 13, 98} {
-		cs = append(cs, rowsCase{k, 6, k + 1, 2, 9 * (k + 1)})
+		a, b := Strides{k + 1, 9 * (k + 1)}, Strides{2*k + 3, 7 * (2*k + 3)}
+		cs = append(cs, rowsCase{k, 6, 2, a, a}, rowsCase{k, 6, 2, a, b}, rowsCase{k, 6, 2, b, a})
 	}
 	return cs
 }
 
-// each calls f with the ordinal and the element offset of every vector.
-func (c rowsCase) each(f func(v, o int)) {
+// each calls f with the source and destination element offset of every
+// vector.
+func (c rowsCase) each(f func(so, do int)) {
 	for r := 0; r < c.rows; r++ {
 		for i := 0; i < c.n; i++ {
-			f(r*c.n+i, r*c.rowStride+i*c.stride)
+			f(r*c.ss.Row+i*c.ss.Box, r*c.ds.Row+i*c.ds.Box)
 		}
 	}
 }
 
+// size returns the length of the shortest slice holding one side of the
+// slab.
+func (c rowsCase) size(st Strides) int { return (c.rows-1)*st.Row + (c.n-1)*st.Box + c.k }
+
 // slabRef applies dst += T*src over the slab one element at a time, with
 // elem computing one destination element's sum from a row of T.
 func slabRef(c rowsCase, t Matrix, src, dst []float64, elem func(trow, x []float64) float64) {
-	c.each(func(_, o int) {
-		x := src[o : o+c.k]
+	c.each(func(so, do int) {
+		x := src[so : so+c.k]
 		for e := 0; e < c.k; e++ {
-			dst[o+e] += elem(t.Row(e), x)
+			dst[do+e] += elem(t.Row(e), x)
 		}
 	})
 }
@@ -101,19 +121,19 @@ func transpose(t Matrix) Matrix {
 func rowsOperands(rng *rand.Rand, c rowsCase) (t, tt Matrix, src, dst []float64) {
 	t = randMatrix(rng, c.k, c.k)
 	tt = transpose(t)
-	size := (c.rows-1)*c.rowStride + (c.n-1)*c.stride + c.k
-	src = make([]float64, size)
-	dst = make([]float64, size)
+	src = make([]float64, c.size(c.ss))
+	dst = make([]float64, c.size(c.ds))
 	for i := range src {
 		src[i] = rng.NormFloat64()
+	}
+	for i := range dst {
 		dst[i] = rng.NormFloat64()
 	}
 	return t, tt, src, dst
 }
 
 // checkRowsOrderExact pins DgemmRowsT on the active backend, bitwise,
-// against the element transcription and against the path it replaced:
-// gather the vectors as columns, DgemmAssign, scatter-add.
+// against the element transcription of its documented order.
 func checkRowsOrderExact(t *testing.T, elem func(trow, x []float64) float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
@@ -121,34 +141,13 @@ func checkRowsOrderExact(t *testing.T, elem func(trow, x []float64) float64) {
 		tm, tt, src, dst0 := rowsOperands(rng, c)
 
 		got := append([]float64(nil), dst0...)
-		DgemmRowsT(tt, src, got, c.n, c.stride, c.rows, c.rowStride)
+		DgemmRowsT(tt, src, got, c.n, c.rows, c.ss, c.ds)
 
 		want := append([]float64(nil), dst0...)
 		slabRef(c, tm, src, want, elem)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("case %+v: element %d = %g, want bitwise %g", c, i, got[i], want[i])
-			}
-		}
-
-		p := c.rows * c.n
-		b := NewMatrix(c.k, p)
-		prod := NewMatrix(c.k, p)
-		c.each(func(v, o int) {
-			for e := 0; e < c.k; e++ {
-				b.Set(e, v, src[o+e])
-			}
-		})
-		DgemmAssign(tm, b, prod)
-		old := append([]float64(nil), dst0...)
-		c.each(func(v, o int) {
-			for e := 0; e < c.k; e++ {
-				old[o+e] += prod.At(e, v)
-			}
-		})
-		for i := range old {
-			if got[i] != old[i] {
-				t.Fatalf("case %+v: element %d = %g, gather/DgemmAssign/scatter gave %g", c, i, got[i], old[i])
 			}
 		}
 
@@ -185,7 +184,7 @@ func TestDgemmRowsTCrossBackend(t *testing.T) {
 				for _, c := range rowsCases() {
 					tm, tt, src, dst0 := rowsOperands(rng, c)
 					got := append([]float64(nil), dst0...)
-					DgemmRowsT(tt, src, got, c.n, c.stride, c.rows, c.rowStride)
+					DgemmRowsT(tt, src, got, c.n, c.rows, c.ss, c.ds)
 					want := append([]float64(nil), dst0...)
 					slabRef(c, tm, src, want, Ddot)
 					for i := range want {
@@ -207,9 +206,9 @@ func TestDgemmRowsTCountsOneGemmPerSlab(t *testing.T) {
 	defer EnableCounters(false)
 	ResetCounters()
 	defer ResetCounters()
-	c := rowsCase{12, 8, 24, 5, 24 * 16}
+	c := rowsCase{12, 8, 5, Strides{12, 12 * 8}, Strides{24, 24 * 16}}
 	_, tt, src, dst := rowsOperands(rand.New(rand.NewSource(23)), c)
-	DgemmRowsT(tt, src, dst, c.n, c.stride, c.rows, c.rowStride)
+	DgemmRowsT(tt, src, dst, c.n, c.rows, c.ss, c.ds)
 	DgemvT(tt, src[:12], dst[:12])
 	got := ReadCounters()
 	want := Counters{GemmCalls: 1, GemmFlops: DgemmFlops(12, 12, 40), GemvCalls: 1, GemvFlops: DgemvFlops(12, 12)}
@@ -219,18 +218,26 @@ func TestDgemmRowsTCountsOneGemmPerSlab(t *testing.T) {
 }
 
 // TestDgemmRowsTRejectsBadSlabs: shape errors are bugs in the caller and
-// panic before any element is touched; empty slabs are no-ops.
+// panic before any element is touched, whichever side they are on; empty
+// slabs are no-ops.
 func TestDgemmRowsTRejectsBadSlabs(t *testing.T) {
 	tt := NewMatrix(4, 4)
 	buf := make([]float64, 16)
-	DgemmRowsT(tt, buf, buf, 0, 4, 1, 0)
-	DgemmRowsT(tt, buf, buf, 1, 4, 0, 0)
+	dense, wide := Strides{Box: 4}, Strides{Box: 4, Row: 8}
+	DgemmRowsT(tt, buf, buf, 0, 1, dense, dense)
+	DgemmRowsT(tt, buf, buf, 1, 0, dense, dense)
 	for name, f := range map[string]func(){
-		"overlap":   func() { DgemmRowsT(tt, buf, buf, 2, 3, 1, 0) },
-		"short src": func() { DgemmRowsT(tt, buf[:15], buf, 4, 4, 1, 0) },
-		"short dst": func() { DgemmRowsT(tt, buf, buf[:15], 2, 4, 2, 8) },
-		"nonsquare": func() { DgemmRowsT(NewMatrix(4, 3), buf, buf, 1, 4, 1, 0) },
-		"gemv len":  func() { DgemvT(tt, buf[:3], buf[:4]) },
+		"src overlap":   func() { DgemmRowsT(tt, buf, buf, 2, 1, Strides{Box: 3}, dense) },
+		"dst overlap":   func() { DgemmRowsT(tt, buf, buf, 2, 1, dense, Strides{Box: 3}) },
+		"src row < 0":   func() { DgemmRowsT(tt, buf, buf, 1, 2, Strides{4, -4}, wide) },
+		"dst row < 0":   func() { DgemmRowsT(tt, buf, buf, 1, 2, wide, Strides{4, -4}) },
+		"short src":     func() { DgemmRowsT(tt, buf[:15], buf, 4, 1, dense, dense) },
+		"short dst":     func() { DgemmRowsT(tt, buf, buf[:15], 2, 2, wide, wide) },
+		"src too wide":  func() { DgemmRowsT(tt, buf, buf, 3, 1, Strides{Box: 8}, dense) },
+		"dst too wide":  func() { DgemmRowsT(tt, buf, buf, 3, 1, dense, Strides{Box: 8}) },
+		"src rows long": func() { DgemmRowsT(tt, buf, buf, 1, 3, Strides{4, 8}, dense) },
+		"nonsquare":     func() { DgemmRowsT(NewMatrix(4, 3), buf, buf, 1, 1, dense, dense) },
+		"gemv len":      func() { DgemvT(tt, buf[:3], buf[:4]) },
 	} {
 		func() {
 			defer func() {
@@ -248,9 +255,10 @@ func BenchmarkDgemmRowsT(b *testing.B) {
 		name string
 		c    rowsCase
 	}{
-		{"K12x8x8", rowsCase{12, 8, 24, 8, 24 * 16}},
-		{"K12x4x4", rowsCase{12, 4, 24, 4, 24 * 8}},
-		{"K72x8x8", rowsCase{72, 8, 144, 8, 144 * 16}},
+		{"K12x8x8", rowsCase{12, 8, 8, Strides{24, 24 * 16}, Strides{24, 24 * 16}}},
+		{"K12x4x4", rowsCase{12, 4, 4, Strides{24, 24 * 8}, Strides{24, 24 * 8}}},
+		{"K12x8x8up", rowsCase{12, 8, 8, Strides{12, 12 * 8}, Strides{24, 24 * 16}}},
+		{"K72x8x8", rowsCase{72, 8, 8, Strides{144, 144 * 16}, Strides{144, 144 * 16}}},
 	} {
 		for _, be := range simd.Supported() {
 			b.Run(sh.name+"/"+be, func(b *testing.B) {
@@ -259,7 +267,7 @@ func BenchmarkDgemmRowsT(b *testing.B) {
 					_, tt, src, dst := rowsOperands(rand.New(rand.NewSource(24)), c)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						DgemmRowsT(tt, src, dst, c.n, c.stride, c.rows, c.rowStride)
+						DgemmRowsT(tt, src, dst, c.n, c.rows, c.ss, c.ds)
 					}
 					flops := float64(DgemmFlops(c.k, c.k, c.n*c.rows)) * float64(b.N)
 					b.ReportMetric(flops/b.Elapsed().Seconds()/1e6, "Mflops/s")

@@ -49,6 +49,18 @@ func BenchmarkTranslationSetK12(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSolverK12Depth4 measures construction: the translation
+// matrices, the expansion grids and every level's sweeps. Every cold plan and
+// every benchmark workload's setup pays it.
+func BenchmarkNewSolverK12Depth4(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveK12Depth4 measures the steady-state solve: a reused Solver,
 // a reused output buffer, and one warm-up solve outside the timed region —
 // the time-stepping regime of simulate.go, which the reuse contract makes

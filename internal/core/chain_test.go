@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nbody/internal/blas"
 	"nbody/internal/geom"
 	"nbody/internal/sphere"
 	"nbody/internal/tree"
@@ -71,7 +72,7 @@ func TestT1ChainMatchesDirect(t *testing.T) {
 		for i := range gp {
 			gp[i] = 0
 		}
-		mulAdd(ts.T1[oct], gc, gp)
+		blas.DgemvT(ts.T1[oct], gc, gp)
 		// Evaluate the parent outer far away (outside parent sphere).
 		x := geom.Vec3{X: 7, Y: -5, Z: 6}
 		got := EvalOuter(cfg.Rule, cfg.M, geom.Vec3{}, 2*cfg.RadiusRatio, gp, x)
@@ -154,7 +155,7 @@ func TestT3ChainPreservesField(t *testing.T) {
 	}
 	for oct := 0; oct < 8; oct++ {
 		gc := make([]float64, ts.K)
-		mulAdd(ts.T3[oct], gp, gc)
+		blas.DgemvT(ts.T3[oct], gp, gc)
 		child := geom.Box3{Center: geom.Vec3{}, Side: 2}.Child(oct)
 		for trial := 0; trial < 8; trial++ {
 			x := child.Center.Add(geom.Vec3{
@@ -168,16 +169,6 @@ func TestT3ChainPreservesField(t *testing.T) {
 				t.Errorf("oct %d: T3 chain error %.2e", oct, rel)
 			}
 		}
-	}
-}
-
-func mulAdd(m interface{ At(int, int) float64 }, x, y []float64) {
-	for i := range y {
-		var s float64
-		for j := range x {
-			s += m.At(i, j) * x[j]
-		}
-		y[i] += s
 	}
 }
 

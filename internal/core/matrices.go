@@ -11,16 +11,15 @@ import (
 // the two levels involved, so one set serves every level of the hierarchy
 // (the paper: "the same matrices can be used for all levels").
 //
-// Matrix semantics: row i, column j maps source potential value g_j
-// (weighted) to the potential at destination integration point i, so a
-// translation is dst += T * src, a K x K matrix-vector product.
+// Every matrix is stored TRANSPOSED — row j, column i maps (weighted) source
+// potential value g_j to the potential at destination integration point i —
+// because that is the orientation the strided row kernel streams
+// (blas.DgemmRowsT). A translation is dst += T * src, applied to a lattice
+// of boxes by DgemmRowsT or to one box by blas.DgemvT, from the same
+// resident copy and in the same reduction order.
 type TranslationSet struct {
-	Rule   func() int // K, for size reporting without importing sphere here
-	K      int
-	M      int
-	Ratio  float64
-	Sep    int
-	HasSup bool
+	K int
+	M int
 
 	// T1[oct]: child (side 1) outer values -> contribution at parent (side
 	// 2) outer points.
@@ -32,18 +31,16 @@ type TranslationSet struct {
 	// t2Index: same-size (side 1) source outer values -> target inner
 	// points. The full cube is generated "for ease of indexing" exactly as
 	// the paper does (1331 matrices for d = 2, including the 125 never
-	// used). Unlike the other sets these are stored TRANSPOSED — row j,
-	// column i maps source value j to destination point i — because that is
-	// the orientation the gather-free row kernel streams
-	// (blas.DgemmRowsT). It is the only resident copy: the per-box paths
-	// read it through ApplyT2, in the same reduction order.
+	// used, which stay zero-sized).
 	T2T []blas.Matrix
-	// T2Super[oct] maps supernode parent offsets (see
-	// tree.SupernodeDecomposition) to matrices taking a parent-level (side
-	// 2) source outer to the child (side 1) target inner points.
-	T2Super [8]map[geom.Coord3]blas.Matrix
+	// T2Super[oct][i] takes a parent-level (side 2) source outer to the
+	// child (side 1) target inner points of a child of octant oct, for the
+	// i-th parent offset of tree.SupernodeDecomposition(d, oct). Empty
+	// without cfg.Supernodes.
+	T2Super [8][]blas.Matrix
 
-	t2Side int // 2*(2d+1)+1
+	t2Side  int // 2*(2d+1)+1
+	t2Built int // interactive-field matrices computed into T2T
 }
 
 // NewTranslationSet computes all matrices for a normalized configuration.
@@ -57,14 +54,7 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 	}
 	rule := cfg.Rule
 	k := rule.K()
-	ts := &TranslationSet{
-		K:      k,
-		M:      cfg.M,
-		Ratio:  cfg.RadiusRatio,
-		Sep:    cfg.Separation,
-		HasSup: cfg.Supernodes,
-	}
-	ts.Rule = func() int { return k }
+	ts := &TranslationSet{K: k, M: cfg.M}
 
 	// T1 and T3: child centers sit at (+-1/2, +-1/2, +-1/2) from the parent
 	// center in child-side units; child radius = Ratio, parent radius =
@@ -88,8 +78,8 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 				uc = xc.Scale(1 / rc)
 			}
 			for j, sj := range rule.Points {
-				t1.Set(i, j, rule.W[j]*outerKernel(cfg.M, aChild, rp, sj.Dot(up)))
-				t3.Set(i, j, rule.W[j]*innerKernel(cfg.M, aParent, rc, sj.Dot(uc)))
+				t1.Set(j, i, rule.W[j]*outerKernel(cfg.M, aChild, rp, sj.Dot(up)))
+				t3.Set(j, i, rule.W[j]*innerKernel(cfg.M, aParent, rc, sj.Dot(uc)))
 			}
 		}
 		ts.T1[oct] = t1
@@ -112,9 +102,8 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 				// The stored offset o satisfies source = target + o, so the
 				// target center sits at -o relative to the source center.
 				rel := geom.Vec3{X: -float64(dx), Y: -float64(dy), Z: -float64(dz)}
-				t := t2Matrix(cfg, rel, a, a)
-				transposeSquare(t)
-				ts.T2T[ts.t2Index(off)] = t
+				ts.T2T[ts.t2Index(off)] = t2MatrixT(cfg, rel, a, a)
+				ts.t2Built++
 			}
 		}
 	}
@@ -122,16 +111,15 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 	// Supernode matrices: parent-level (side 2, radius 2*Ratio) sources.
 	if cfg.Supernodes {
 		for oct := 0; oct < 8; oct++ {
-			sn := tree.SupernodeDecomposition(cfg.Separation, oct)
-			m := make(map[geom.Coord3]blas.Matrix, len(sn.ParentOffsets))
+			offs := tree.SupernodeDecomposition(cfg.Separation, oct).ParentOffsets
 			delta := octantOffset(oct)
-			for _, t := range sn.ParentOffsets {
+			ts.T2Super[oct] = make([]blas.Matrix, len(offs))
+			for i, t := range offs {
 				// Target child center relative to source parent center, in
 				// child-side units: -(2t - delta).
 				rel := geom.Vec3{X: float64(2 * t.X), Y: float64(2 * t.Y), Z: float64(2 * t.Z)}.Sub(delta)
-				m[t] = t2Matrix(cfg, rel.Scale(-1), aParent, aChild)
+				ts.T2Super[oct][i] = t2MatrixT(cfg, rel.Scale(-1), aParent, aChild)
 			}
-			ts.T2Super[oct] = m
 		}
 	}
 	return ts
@@ -152,13 +140,14 @@ func BuildOneMatrix(cfg Config, variant int) blas.Matrix {
 		{X: -3, Y: 2, Z: 1}, {X: 0, Y: -4, Z: 3}, {X: 5, Y: 0, Z: -2}, {X: -3, Y: -3, Z: -3},
 	}
 	a := cfg.RadiusRatio
-	return t2Matrix(cfg, offs[variant%len(offs)], a, a)
+	return t2MatrixT(cfg, offs[variant%len(offs)], a, a)
 }
 
-// t2Matrix builds the outer -> inner conversion matrix for a target box
-// whose center sits at rel (in units of the finer box side) from the source
-// center, with source outer radius aSrc and target inner radius aDst.
-func t2Matrix(cfg Config, rel geom.Vec3, aSrc, aDst float64) blas.Matrix {
+// t2MatrixT builds the (transposed) outer -> inner conversion matrix for a
+// target box whose center sits at rel (in units of the finer box side) from
+// the source center, with source outer radius aSrc and target inner radius
+// aDst.
+func t2MatrixT(cfg Config, rel geom.Vec3, aSrc, aDst float64) blas.Matrix {
 	rule := cfg.Rule
 	k := rule.K()
 	t := blas.NewMatrix(k, k)
@@ -167,7 +156,7 @@ func t2Matrix(cfg Config, rel geom.Vec3, aSrc, aDst float64) blas.Matrix {
 		r := x.Norm()
 		u := x.Scale(1 / r)
 		for j, sj := range rule.Points {
-			t.Set(i, j, rule.W[j]*outerKernel(cfg.M, aSrc, r, sj.Dot(u)))
+			t.Set(j, i, rule.W[j]*outerKernel(cfg.M, aSrc, r, sj.Dot(u)))
 		}
 	}
 	return t
@@ -186,16 +175,6 @@ func (ts *TranslationSet) t2tFor(o geom.Coord3) blas.Matrix { return ts.T2T[ts.t
 // ApplyT2 converts one box: dst += T2(o) * src, for source = target + o.
 func (ts *TranslationSet) ApplyT2(o geom.Coord3, src, dst []float64) {
 	blas.DgemvT(ts.t2tFor(o), src, dst)
-}
-
-// transposeSquare transposes a square matrix in place.
-func transposeSquare(t blas.Matrix) {
-	n := t.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			t.Data[i*n+j], t.Data[j*n+i] = t.Data[j*n+i], t.Data[i*n+j]
-		}
-	}
 }
 
 // NumT2Matrices returns the size of the full T2 indexing cube: 1331 for

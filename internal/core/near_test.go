@@ -190,6 +190,19 @@ func rerunAt(t *testing.T, procs int) string {
 	return string(out)
 }
 
+// solveHash hashes the bits of a solve's results (acc may be nil).
+func solveHash(phi []float64, acc []geom.Vec3) uint64 {
+	h := fnv.New64a()
+	for i := range phi {
+		fmt.Fprintf(h, "%x\n", math.Float64bits(phi[i]))
+		if acc != nil {
+			fmt.Fprintf(h, "%x %x %x\n",
+				math.Float64bits(acc[i].X), math.Float64bits(acc[i].Y), math.Float64bits(acc[i].Z))
+		}
+	}
+	return h.Sum64()
+}
+
 // TestForceSolveIndependentOfWorkerCount: one-sided per-box sweeps make a
 // force solve's bits a function of the input alone. Resumed simulate
 // streams rely on it — a checkpoint written on a two-core replica and
@@ -206,12 +219,7 @@ func TestForceSolveIndependentOfWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		for i := range phi {
-			fmt.Fprintf(h, "%x %x %x %x\n", math.Float64bits(phi[i]),
-				math.Float64bits(acc[i].X), math.Float64bits(acc[i].Y), math.Float64bits(acc[i].Z))
-		}
-		fmt.Printf("force-hash=%016x\n", h.Sum64())
+		fmt.Printf("force-hash=%016x\n", solveHash(phi, acc))
 		return
 	}
 	hashAt := func(procs int) string {

@@ -67,18 +67,3 @@ func (p *Partition) MaxPerBox() int {
 	}
 	return m
 }
-
-// Gather copies the positions and charges of one box into the provided
-// scratch slices (resliced as needed) and returns them; the per-box
-// contiguous copies play the role of the paper's 4-D particle arrays.
-func (p *Partition) Gather(c geom.Coord3, pos []geom.Vec3, q []float64,
-	posBuf []geom.Vec3, qBuf []float64) ([]geom.Vec3, []float64) {
-	idx := p.Box(c)
-	posBuf = posBuf[:0]
-	qBuf = qBuf[:0]
-	for _, i := range idx {
-		posBuf = append(posBuf, pos[i])
-		qBuf = append(qBuf, q[i])
-	}
-	return posBuf, qBuf
-}

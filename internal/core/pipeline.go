@@ -52,7 +52,7 @@ func (s *Solver) buildPhases() {
 			Run:   func(context.Context) error { s.leafOuter(); return nil }},
 		{Name: PhaseUpward, Site: FaultSiteT1,
 			Slice: func() []float64 { return s.far[2] },
-			Run:   func(context.Context) error { s.upward(); return nil }},
+			Run:   func(context.Context) error { return s.upward() }},
 	}
 	// The downward pass: for each level l = 2..depth, shift the parent's
 	// local field in with T3 and convert the interactive field with T2
@@ -64,21 +64,11 @@ func (s *Solver) buildPhases() {
 		if l > 2 {
 			ps = append(ps, pipeline.Phase{Name: PhaseT3, Site: FaultSiteT3,
 				Slice: func() []float64 { return s.loc[l] },
-				Run: func(context.Context) error {
-					s.applyT3(s.loc[l-1], s.loc[l], l)
-					return nil
-				}})
+				Run:   func(context.Context) error { return s.apply(s.t3[l]) }})
 		}
 		ps = append(ps, pipeline.Phase{Name: PhaseT2, Site: FaultSiteT2,
 			Slice: func() []float64 { return s.loc[l] },
-			Run: func(context.Context) error {
-				if s.cfg.Supernodes && l > 2 {
-					s.applyT2Supernodes(s.far[l-1], s.far[l], s.loc[l], l)
-				} else {
-					s.applyT2(l)
-				}
-				return nil
-			}})
+			Run:   func(context.Context) error { return s.apply(s.t2[l]) }})
 	}
 	s.nHier = len(ps)
 	ps = append(ps,

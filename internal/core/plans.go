@@ -6,183 +6,253 @@ import (
 	"nbody/internal/tree"
 )
 
-// This file builds the solver's steady-state traversal plans: every gather
-// map the upward (T1), downward-shift (T3) and interactive-field (T2)
-// sweeps need. The seed implementation rebuilt these index maps inside
-// every solve — for time-stepping workloads that rebuild dominated the
-// hierarchical phases — so they are now constructed once in NewSolver and
+// This file builds the solver's traversal plans. Every translation of the
+// method — T1 up, T3 down, T2 across, plain or through supernodes — applies
+// one matrix to all the boxes that share a relative geometry (the paper's
+// techniques 4 and 5), and on the regular box arrays those boxes form a
+// lattice: evenly spaced along every axis of the source grid and of the
+// target grid. So a translation is never a stored list of (source, target)
+// pairs, only index arithmetic — O(1) per matrix where index arrays for the
+// interactive field alone would cost O(875 * boxes) per level. One walker
+// (aggregate.go) applies every lattice; the four builders below differ only
+// in which lattices they enumerate. Plans are built once in NewSolver and
 // reused by every solve (the zero-allocation reuse contract).
 
-// gatherPlan pairs source and destination box indices for one
-// parent-child octant sweep: dst[dstIdx[i]] += T * src[srcIdx[i]].
-type gatherPlan struct {
-	srcIdx, dstIdx []int32
+// side places a lattice in one of the two grids it connects: the level's
+// expansion array, its boxes per axis, and the lattice pitch in boxes — 1
+// when the lattice takes every box of a run, 2 when it takes the boxes of
+// one octant.
+type side struct {
+	data       []float64
+	grid, step int
 }
 
-// latticeT2 describes the (source, target) pairs of one interactive-field
-// (octant, offset) sweep without materializing them: targets are the
-// parity-aligned lattice {lox + 2i, loy + 2j, loz + 2k} clipped to the
-// grid, and the source index is always target index + delta (the linear
-// index of the fixed offset). Materialized index arrays for the T2 sweeps
-// would cost O(875 * boxes) memory per level; the lattice form is O(1) per
-// (octant, offset). tt is the offset's conversion matrix, transposed (see
-// TranslationSet.T2T).
-type latticeT2 struct {
-	tt            blas.Matrix
-	delta         int32
-	lox, loy, loz int32
-	nx, ny, nz    int32
-	grid          int32
-	count         int32
+// strides returns the element strides of one lattice step along x and
+// along y for K-vectors.
+func (sd side) strides(k int) blas.Strides {
+	return blas.Strides{Box: sd.step * k, Row: sd.step * sd.grid * k}
 }
 
-// buildUpwardPlans returns, for each parent level l in [2, depth-1] and
-// octant, the child-to-parent gather map of the T1 sweep.
-func buildUpwardPlans(h tree.Hierarchy, depth int) [][8]gatherPlan {
-	plans := make([][8]gatherPlan, depth+1)
-	for l := 2; l <= depth-1; l++ {
-		np := h.GridSize(l)
-		nc := h.GridSize(l + 1)
-		nb := np * np * np
-		for oct := 0; oct < 8; oct++ {
-			src := make([]int32, nb)
-			dst := make([]int32, nb)
-			for pb := 0; pb < nb; pb++ {
-				pc := geom.CoordFromIndex(pb, np)
-				src[pb] = int32(pc.Child(oct).Index(nc))
-				dst[pb] = int32(pb)
-			}
-			plans[l][oct] = gatherPlan{srcIdx: src, dstIdx: dst}
-		}
-	}
-	return plans
+// plane returns the box stride of one lattice step along z.
+func (sd side) plane() int { return sd.step * sd.grid * sd.grid }
+
+// shape is the pair of grids a lattice reads and writes.
+type shape struct{ src, dst side }
+
+// lattice is one matrix applied over a clipped box lattice: nz planes of ny
+// rows of nx targets, the first target box dst fed by the first source box
+// src, every further one a lattice step away on both sides. tt is the
+// matrix, transposed (see TranslationSet). p0 is the first plane of the
+// owning class that holds a target (see sweep).
+type lattice struct {
+	tt         blas.Matrix
+	src, dst   int32
+	p0         int32
+	nx, ny, nz int32
+	shape      int32 // index into sweep.shapes
 }
 
-// buildT3Plans returns, for each child level l in [3, depth] and octant,
-// the parent-to-child gather map of the T3 sweep.
-func buildT3Plans(h tree.Hierarchy, depth int) [][8]gatherPlan {
-	plans := make([][8]gatherPlan, depth+1)
-	for l := 3; l <= depth; l++ {
-		np := h.GridSize(l - 1)
-		nc := h.GridSize(l)
-		nb := np * np * np
-		for oct := 0; oct < 8; oct++ {
-			src := make([]int32, nb)
-			dst := make([]int32, nb)
-			for pb := 0; pb < nb; pb++ {
-				pc := geom.CoordFromIndex(pb, np)
-				src[pb] = int32(pb)
-				dst[pb] = int32(pc.Child(oct).Index(nc))
-			}
-			plans[l][oct] = gatherPlan{srcIdx: src, dstIdx: dst}
-		}
-	}
-	return plans
+// sweep is one translation phase at one level: owner-computes, one parallel
+// region. The targets fall into classes whose members no two lattices of
+// different classes share — the eight octants of the target grid, or all of
+// it — and a class into z-planes, so a job is a (class, plane) and walks its
+// class's lattices, in order, over the targets it owns. No two jobs write
+// the same box, and every target receives its contributions in the order of
+// lats, whatever the schedule. Built once in NewSolver, region body
+// included, so a steady-state sweep allocates no closure.
+type sweep struct {
+	phase  Phase
+	shapes []shape
+	lats   []lattice // class-major; within a class, application order
+	lo     []int32   // class c owns lats[lo[c]:lo[c+1]]
+	planes int       // planes per class
+	count  int64     // translations per sweep (sum of lattice sizes)
+	// inline runs the jobs on the caller instead of opening a region: set
+	// for the parent-child sweeps of a level too small to repay one.
+	inline bool
+	run    func(job int)
 }
 
-// t2Sweep is one level's interactive-field schedule: owner-computes, one
-// parallel region per level. Targets of different octants are disjoint and,
-// within an octant, so are z-planes, so a job is an (octant, z-plane) and
-// walks its octant's lattices over the targets it owns. No two jobs write
-// the same box, and every target receives its offsets in
-// s.interactive[oct] order. Built once in NewSolver, region body included,
-// so a steady-state sweep allocates no closure.
-type t2Sweep struct {
-	lats  []latticeT2 // octant-major; within an octant, s.interactive[oct] order
-	octLo [9]int32    // octant o owns lats[octLo[o]:octLo[o+1]]
-	level int
-	grid  int   // boxes per axis at this level
-	count int64 // conversions per sweep (sum of lattice counts)
-	run   func(job int)
-}
-
-// t2Job names the targets one job owns: the boxes of octant oct in plane z.
-type t2Job struct{ oct, z int }
+// inlineBoxes is the largest parent level (in boxes) whose T1/T3 sweeps run
+// on the caller: eight matrices over at most this many vectors each finish
+// in microseconds, less than a scheduler round trip, and a region would
+// cost its allocations on every solve of a shallow hierarchy.
+const inlineBoxes = 128
 
 // jobs returns the number of jobs in the sweep.
-func (sw *t2Sweep) jobs() int { return 8 * (sw.grid / 2) }
+func (sw *sweep) jobs() int { return (len(sw.lo) - 1) * sw.planes }
 
-// job decodes job index i: octant-major, then plane.
-func (sw *t2Sweep) job(i int) t2Job {
-	half := sw.grid / 2
-	oct := i / half
-	return t2Job{oct: oct, z: 2*(i%half) + oct>>2&1}
-}
-
-// clip returns the part of the lattice that job j owns: the box index of
-// its first target (the plane's ny rows are two apart in y, each with nx
-// targets two apart in x). ok is false when the lattice has no target in
-// the job's plane. The lattice must belong to the job's octant, so parities
-// agree and only the range needs checking.
-func (lat *latticeT2) clip(j t2Job) (first int, ok bool) {
-	if j.z < int(lat.loz) || j.z > int(lat.loz+2*(lat.nz-1)) {
-		return 0, false
+// newSweep starts a sweep of the given phase whose classes have the given
+// number of planes, with room for nlats lattices.
+func (s *Solver) newSweep(phase Phase, planes, nlats int, shapes ...shape) *sweep {
+	sw := &sweep{
+		phase:  phase,
+		shapes: shapes,
+		lats:   make([]lattice, 0, nlats),
+		lo:     make([]int32, 1, 9), // at most eight classes
+		planes: planes,
 	}
-	g := int(lat.grid)
-	return (j.z*g+int(lat.loy))*g + int(lat.lox), true
-}
-
-// buildT2Sweep enumerates the non-empty (octant, offset) lattices of one
-// level's interactive field and prebuilds the region body.
-func (s *Solver) buildT2Sweep(l int) *t2Sweep {
-	n := s.hier.GridSize(l)
-	sw := &t2Sweep{level: l, grid: n}
-	for oct := 0; oct < 8; oct++ {
-		for _, o := range s.interactive[oct] {
-			lat, ok := offsetLattice(n, oct, o)
-			if !ok {
-				continue
-			}
-			lat.tt = s.ts.t2tFor(o)
-			sw.lats = append(sw.lats, lat)
-			sw.count += int64(lat.count)
-		}
-		sw.octLo[oct+1] = int32(len(sw.lats))
-	}
-	sw.run = func(i int) { s.t2Job(sw, i) }
+	sw.run = func(job int) { s.sweepJob(sw, job) }
 	return sw
 }
 
-// offsetLattice computes the clipped, parity-aligned target lattice for
-// targets of a given octant under a fixed interactive offset (source =
-// target + o). ok is false when clipping empties the lattice.
-func offsetLattice(n, oct int, o geom.Coord3) (latticeT2, bool) {
-	lox, hix := clipRange(n, o.X)
-	loy, hiy := clipRange(n, o.Y)
-	loz, hiz := clipRange(n, o.Z)
-	alignUp := func(lo, parity int) int {
-		if lo%2 != parity {
-			lo++
-		}
-		return lo
+// add appends a lattice to the class being filled; empty ones are dropped.
+func (sw *sweep) add(lat lattice, ok bool) {
+	if !ok {
+		return
 	}
-	lox = alignUp(lox, oct&1)
-	loy = alignUp(loy, oct>>1&1)
-	loz = alignUp(loz, oct>>2&1)
-	if lox > hix || loy > hiy || loz > hiz {
-		return latticeT2{}, false
-	}
-	nx := (hix-lox)/2 + 1
-	ny := (hiy-loy)/2 + 1
-	nz := (hiz-loz)/2 + 1
-	lat := latticeT2{
-		delta: int32((o.Z*n+o.Y)*n + o.X),
-		lox:   int32(lox), loy: int32(loy), loz: int32(loz),
-		nx: int32(nx), ny: int32(ny), nz: int32(nz),
-		grid:  int32(n),
-		count: int32(nx * ny * nz),
-	}
-	return lat, true
+	sw.lats = append(sw.lats, lat)
+	sw.count += int64(lat.nx) * int64(lat.ny) * int64(lat.nz)
 }
 
-// clipRange returns the target-coordinate range for which target+offset
-// stays inside [0, n).
-func clipRange(n, off int) (lo, hi int) {
-	lo, hi = 0, n-1
-	if off < 0 {
-		lo = -off
-	} else {
-		hi = n - 1 - off
+// endClass closes the class being filled.
+func (sw *sweep) endClass() { sw.lo = append(sw.lo, int32(len(sw.lats))) }
+
+// buildT2 is the interactive-field conversion of level l without
+// supernodes: far[l] -> loc[l], one same-level lattice per (octant, offset)
+// in tree.InteractiveOffsets order, jobs (octant, z-plane).
+func (s *Solver) buildT2(l int, interactive *[8][]geom.Coord3) *sweep {
+	n := s.hier.GridSize(l)
+	// Count first: at level 2 clipping empties nine lattices in ten, and a
+	// slice sized for all of them would hold half a megabyte per solver.
+	nlats := 0
+	for oct := range interactive {
+		for _, o := range interactive[oct] {
+			if _, _, ok := clipLattice(n, o, oct, 2); ok {
+				nlats++
+			}
+		}
 	}
-	return lo, hi
+	sw := s.newSweep(PhaseT2, n/2, nlats,
+		shape{src: side{s.far[l], n, 2}, dst: side{s.loc[l], n, 2}})
+	for oct := range interactive {
+		for _, o := range interactive[oct] {
+			sw.add(offsetLattice(n, oct, o, s.ts.t2tFor(o), 0))
+		}
+		sw.endClass()
+	}
+	return sw
+}
+
+// buildT2Supernodes is the interactive-field conversion of level l > 2
+// through the supernode decomposition: each target first receives its
+// parent-granularity sources (far[l-1] -> loc[l], dense parent rows into the
+// same-octant children), then the remaining child-granularity ones, both in
+// tree.SupernodeDecomposition order. Jobs are (octant, child z-plane) as in
+// buildT2.
+func (s *Solver) buildT2Supernodes(l int) *sweep {
+	n := s.hier.GridSize(l)
+	np := n / 2
+	var supers [8]tree.Supernodes
+	nlats := 0
+	for oct := range supers {
+		supers[oct] = tree.SupernodeDecomposition(s.cfg.Separation, oct)
+		nlats += len(supers[oct].ParentOffsets) + len(supers[oct].ChildOffsets)
+	}
+	sw := s.newSweep(PhaseT2, np, nlats,
+		shape{src: side{s.far[l-1], np, 1}, dst: side{s.loc[l], n, 2}},
+		shape{src: side{s.far[l], n, 2}, dst: side{s.loc[l], n, 2}})
+	for oct, sn := range supers {
+		for i, t := range sn.ParentOffsets {
+			sw.add(parentLattice(np, oct, t, s.ts.T2Super[oct][i]))
+		}
+		for _, o := range sn.ChildOffsets {
+			sw.add(offsetLattice(n, oct, o, s.ts.t2tFor(o), 1))
+		}
+		sw.endClass()
+	}
+	return sw
+}
+
+// buildT3 is the downward shift into level l: loc[l-1] -> loc[l], for each
+// octant the offset-zero parent lattice. Jobs are (octant, child z-plane).
+func (s *Solver) buildT3(l int) *sweep {
+	n := s.hier.GridSize(l)
+	np := n / 2
+	sw := s.newSweep(PhaseT3, np, 8,
+		shape{src: side{s.loc[l-1], np, 1}, dst: side{s.loc[l], n, 2}})
+	for oct := 0; oct < 8; oct++ {
+		sw.add(parentLattice(np, oct, geom.Coord3{}, s.ts.T3[oct]))
+		sw.endClass()
+	}
+	sw.inline = np*np*np <= inlineBoxes
+	return sw
+}
+
+// buildT1 is the upward combination into level l: far[l+1] -> far[l], the
+// mirror image of buildT3. All eight lattices write the same parents, so
+// there is one class and a job is a parent z-plane, applying the octants in
+// ascending order.
+func (s *Solver) buildT1(l int) *sweep {
+	np := s.hier.GridSize(l)
+	sw := s.newSweep(PhaseUpward, np, 8,
+		shape{src: side{s.far[l+1], 2 * np, 2}, dst: side{s.far[l], np, 1}})
+	for oct := 0; oct < 8; oct++ {
+		lat, ok := parentLattice(np, oct, geom.Coord3{}, s.ts.T1[oct])
+		lat.src, lat.dst = lat.dst, lat.src
+		sw.add(lat, ok)
+	}
+	sw.endClass()
+	sw.inline = np*np*np <= inlineBoxes
+	return sw
+}
+
+// offsetLattice is the lattice of one interactive-field offset o within a
+// grid of n boxes per axis: the targets are the boxes of octant oct whose
+// source, target + o, is inside the grid. ok is false when clipping leaves
+// none. Planes are numbered by z/2, the plane's index within its octant.
+func offsetLattice(n, oct int, o geom.Coord3, tt blas.Matrix, shape int32) (lattice, bool) {
+	lo, cnt, ok := clipLattice(n, o, oct, 2)
+	if !ok {
+		return lattice{}, false
+	}
+	return lattice{
+		tt:  tt,
+		src: int32(lo.Add(o).Index(n)), dst: int32(lo.Index(n)),
+		p0: int32(lo.Z / 2),
+		nx: int32(cnt.X), ny: int32(cnt.Y), nz: int32(cnt.Z),
+		shape: shape,
+	}, true
+}
+
+// parentLattice is the lattice between a parent grid of np boxes per axis
+// and the child grid below it, for parent offset t: the sources are the
+// parents p + t inside the grid — dense runs — and the targets the children
+// of octant oct of the parents p. Planes are numbered by the parent's z.
+func parentLattice(np, oct int, t geom.Coord3, tt blas.Matrix) (lattice, bool) {
+	lo, cnt, ok := clipLattice(np, t, 0, 1)
+	if !ok {
+		return lattice{}, false
+	}
+	return lattice{
+		tt:  tt,
+		src: int32(lo.Add(t).Index(np)), dst: int32(lo.Child(oct).Index(2 * np)),
+		p0: int32(lo.Z),
+		nx: int32(cnt.X), ny: int32(cnt.Y), nz: int32(cnt.Z),
+	}, true
+}
+
+// clipLattice returns the boxes c of an n-per-axis grid, step apart from
+// the first of octant oct's parity (any box when step is 1), for which
+// c + off stays inside the grid: the lowest one and the count per axis.
+func clipLattice(n int, off geom.Coord3, oct, step int) (lo, cnt geom.Coord3, ok bool) {
+	axis := func(off, parity int) (int, int) {
+		lo, hi := 0, n-1
+		if off < 0 {
+			lo = -off
+		} else {
+			hi -= off
+		}
+		if step == 2 && lo%2 != parity {
+			lo++
+		}
+		if lo > hi {
+			return 0, 0
+		}
+		return lo, (hi-lo)/step + 1
+	}
+	lo.X, cnt.X = axis(off.X, oct&1)
+	lo.Y, cnt.Y = axis(off.Y, oct>>1&1)
+	lo.Z, cnt.Z = axis(off.Z, oct>>2&1)
+	return lo, cnt, cnt.X > 0 && cnt.Y > 0 && cnt.Z > 0
 }

@@ -22,15 +22,15 @@ import (
 //
 // Steady-state reuse contract: everything a solve needs besides the output
 // slices — the per-level far/local expansion grids, the partition scratch,
-// the box-sorted particle mirrors, every upward/downward gather map, and
-// each level's interactive-field schedule with its region body — is owned
-// by the Solver and built once in NewSolver (see plans.go). A Solver
-// therefore performs repeated solves (time-stepping, parameter sweeps)
-// without rebuilding anything: use PotentialsInto / AccelerationsInto with
-// caller-owned output buffers. With one executor such a solve allocates
-// nothing; on a worker pool it allocates only what the scheduler needs per
-// parallel region (a few dozen small objects at depth 4, one per region for
-// T2 and for the near field). Consecutive solves on identical inputs are
+// the box-sorted particle mirrors, and each level's translation sweeps (T1,
+// T3, T2) with their region bodies — is owned by the Solver and built once
+// in NewSolver (see plans.go). A Solver therefore performs repeated solves
+// (time-stepping, parameter sweeps) without rebuilding anything: use
+// PotentialsInto / AccelerationsInto with caller-owned output buffers. With
+// one executor such a solve allocates nothing; on a worker pool it allocates
+// only what the scheduler needs per parallel region (about a dozen small
+// objects at depth 4: one per translation sweep and one for the near
+// field). Consecutive solves on identical inputs are
 // bitwise reproducible. A force solve (Accelerations*) is moreover bitwise
 // independent of the number of workers, one included: every sweep writes a
 // box from exactly one job, in an order fixed by the box. A potential solve
@@ -42,13 +42,11 @@ type Solver struct {
 	hier tree.Hierarchy
 	ts   *TranslationSet
 
-	interactive [8][]geom.Coord3
-	supers      [8]tree.Supernodes
-	nearOff     []geom.Coord3
-	nearHalf    []geom.Coord3 // tree.HalfNearOffsets: the serial symmetric potential sweep
+	nearOff  []geom.Coord3
+	nearHalf []geom.Coord3 // tree.HalfNearOffsets: the serial symmetric potential sweep
 
 	// nearRun is the near-field region body (nearBox), built once here like
-	// t2Sweep.run; nearPairs collects the sweep's pair count from its jobs.
+	// sweep.run; nearPairs collects the sweep's pair count from its jobs.
 	nearRun   func(b int)
 	nearPairs atomic.Int64
 
@@ -58,10 +56,11 @@ type Solver struct {
 	rec  metrics.Rec
 	snap Stats
 
-	// Traversal plans, built once in NewSolver (plans.go).
-	upPlan [][8]gatherPlan // parent level l: far[l+1] -> far[l]
-	t3Plan [][8]gatherPlan // child level l: loc[l-1] -> loc[l]
-	t2Plan []*t2Sweep      // level l interactive-field schedule
+	// Translation sweeps, built once in NewSolver (plans.go), each indexed by
+	// the level it writes: t1[l] is far[l+1] -> far[l], t3[l] is loc[l-1] ->
+	// loc[l], t2[l] is the interactive field of level l (far[l], and with
+	// supernodes far[l-1], -> loc[l]).
+	t1, t3, t2 []*sweep
 
 	// Per-level expansion grids, reused (and re-zeroed) every solve.
 	far, loc [][]float64
@@ -84,8 +83,8 @@ type Solver struct {
 
 	// ctx is the cancellation signal of the solve in flight (nil outside
 	// PotentialsCtx/AccelerationsCtx). Phase sweeps read it through par /
-	// parChunks; a Solver runs one solve at a time, so a plain field is
-	// enough.
+	// parChunks / apply; a Solver runs one solve at a time, so a plain field
+	// is enough.
 	ctx context.Context
 
 	// phases is the declared pipeline (see buildPhases), built once here so
@@ -117,14 +116,8 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 	}
 	s := &Solver{cfg: ncfg, hier: h}
 	pipeline.Setup(&s.rec, func() { s.ts = NewTranslationSet(ncfg) })
-	nmat := int64(2*8) + int64(len(tree.UnionInteractiveOffsets(ncfg.Separation)))
+	nmat := int64(2*8 + s.ts.t2Built)
 	s.rec.AddFlops(PhaseSetup, nmat*TranslationMatrixFlops(s.ts.K, ncfg.M))
-	for oct := 0; oct < 8; oct++ {
-		s.interactive[oct] = tree.InteractiveOffsets(ncfg.Separation, oct)
-		if ncfg.Supernodes {
-			s.supers[oct] = tree.SupernodeDecomposition(ncfg.Separation, oct)
-		}
-	}
 	s.nearOff = tree.NearOffsets(ncfg.Separation)
 	s.nearHalf = tree.HalfNearOffsets(ncfg.Separation)
 	s.nearRun = s.nearBox
@@ -137,15 +130,26 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 		s.far[l] = make([]float64, s.hier.NumBoxes(l)*k)
 		s.loc[l] = make([]float64, s.hier.NumBoxes(l)*k)
 	}
-	if !ncfg.DisableAggregation {
-		s.upPlan = buildUpwardPlans(h, depth)
-		s.t3Plan = buildT3Plans(h, depth)
-		s.t2Plan = make([]*t2Sweep, depth+1)
-		for l := 2; l <= depth; l++ {
-			if ncfg.Supernodes && l > 2 {
-				continue // supernode path converts at parent granularity
-			}
-			s.t2Plan[l] = s.buildT2Sweep(l)
+	var interactive [8][]geom.Coord3
+	for oct := range interactive {
+		interactive[oct] = tree.InteractiveOffsets(ncfg.Separation, oct)
+	}
+	s.t1 = make([]*sweep, depth+1)
+	s.t3 = make([]*sweep, depth+1)
+	s.t2 = make([]*sweep, depth+1)
+	for l := 2; l <= depth; l++ {
+		if l < depth {
+			s.t1[l] = s.buildT1(l)
+		}
+		if l > 2 {
+			s.t3[l] = s.buildT3(l)
+		}
+		// Level 2 has no parent far field to convert from (the upward pass
+		// stops there), so it converts child by child either way.
+		if ncfg.Supernodes && l > 2 {
+			s.t2[l] = s.buildT2Supernodes(l)
+		} else {
+			s.t2[l] = s.buildT2(l, &interactive)
 		}
 	}
 	s.buildPhases()
@@ -157,10 +161,6 @@ func (s *Solver) Config() Config { return s.cfg }
 
 // Hierarchy returns the solver's spatial hierarchy.
 func (s *Solver) Hierarchy() tree.Hierarchy { return s.hier }
-
-// Translations exposes the precomputed matrices (used by the data-parallel
-// layer and by benchmarks).
-func (s *Solver) Translations() *TranslationSet { return s.ts }
 
 // Stats returns the accumulated instrumentation of all solves so far. The
 // returned snapshot is owned by the Solver and refreshed on every call;
@@ -397,126 +397,14 @@ func (s *Solver) leafOuter() {
 }
 
 // upward is step 2: combine child outer approximations into parents with T1,
-// from level depth-1 down to level 2, through the precomputed gather plans.
-func (s *Solver) upward() {
-	k := s.ts.K
-	far := s.far
+// from level depth-1 down to level 2.
+func (s *Solver) upward() error {
 	for l := s.cfg.Depth - 1; l >= 2; l-- {
-		np := s.hier.GridSize(l)
-		nc := s.hier.GridSize(l + 1)
-		src, dst := far[l+1], far[l]
-		for oct := 0; oct < 8; oct++ {
-			t := s.ts.T1[oct]
-			if s.cfg.DisableAggregation {
-				s.par(np*np*np, func(pb int) {
-					pc := geom.CoordFromIndex(pb, np)
-					cb := pc.Child(oct).Index(nc)
-					blas.Dgemv(t, src[cb*k:(cb+1)*k], dst[pb*k:(pb+1)*k])
-				})
-			} else {
-				plan := s.upPlan[l][oct]
-				aggregatedApply(s.ctx, t, src, dst, plan.srcIdx, plan.dstIdx, k)
-			}
-			s.rec.AddFlops(PhaseUpward, blas.DgemmFlops(k, k, np*np*np))
+		if err := s.apply(s.t1[l]); err != nil {
+			return err
 		}
 	}
-}
-
-// applyT3 shifts parent inner approximations to children.
-func (s *Solver) applyT3(parentLoc, childLoc []float64, l int) {
-	k := s.ts.K
-	np := s.hier.GridSize(l - 1)
-	nc := s.hier.GridSize(l)
-	for oct := 0; oct < 8; oct++ {
-		t := s.ts.T3[oct]
-		if s.cfg.DisableAggregation {
-			s.par(np*np*np, func(pb int) {
-				pc := geom.CoordFromIndex(pb, np)
-				cb := pc.Child(oct).Index(nc)
-				blas.Dgemv(t, parentLoc[pb*k:(pb+1)*k], childLoc[cb*k:(cb+1)*k])
-			})
-		} else {
-			plan := s.t3Plan[l][oct]
-			aggregatedApply(s.ctx, t, parentLoc, childLoc, plan.srcIdx, plan.dstIdx, k)
-		}
-		s.rec.AddFlops(PhaseT3, blas.DgemmFlops(k, k, np*np*np))
-	}
-}
-
-// applyT2 converts interactive-field outer approximations to local fields
-// at one level, without supernodes.
-func (s *Solver) applyT2(l int) {
-	k := s.ts.K
-	n := s.hier.GridSize(l)
-	if s.cfg.DisableAggregation {
-		far, loc := s.far[l], s.loc[l]
-		var count int64
-		s.par(n*n*n, func(b int) {
-			c := geom.CoordFromIndex(b, n)
-			dst := loc[b*k : (b+1)*k]
-			var local int64
-			for _, o := range s.interactive[c.Octant()] {
-				sc := c.Add(o)
-				if !sc.In(n) {
-					continue
-				}
-				sb := sc.Index(n)
-				s.ts.ApplyT2(o, far[sb*k:(sb+1)*k], dst)
-				local++
-			}
-			atomicAdd64(&count, local)
-		})
-		s.rec.AddT2(count)
-		s.rec.AddFlops(PhaseT2, count*blas.DgemmFlops(k, k, 1))
-		return
-	}
-	// Aggregated: one owner-computes region for the whole level (t2Sweep).
-	// A canceled region applied only part of it, so it is not counted.
-	sw := s.t2Plan[l]
-	if blas.ParallelCtx(s.ctx, sw.jobs(), sw.run) != nil {
-		return
-	}
-	s.rec.AddT2(sw.count)
-	s.rec.AddFlops(PhaseT2, sw.count*blas.DgemmFlops(k, k, 1))
-}
-
-// applyT2Supernodes converts the interactive field using the supernode
-// decomposition: parent-granularity conversions for fully-covered parents,
-// child-granularity for the remainder.
-func (s *Solver) applyT2Supernodes(parentFar, far, loc []float64, l int) {
-	k := s.ts.K
-	n := s.hier.GridSize(l)
-	np := s.hier.GridSize(l - 1)
-	var count int64
-	s.par(n*n*n, func(b int) {
-		c := geom.CoordFromIndex(b, n)
-		oct := c.Octant()
-		sn := s.supers[oct]
-		dst := loc[b*k : (b+1)*k]
-		pc := c.Parent()
-		var local int64
-		for _, t := range sn.ParentOffsets {
-			sp := pc.Add(t)
-			if !sp.In(np) {
-				continue
-			}
-			sb := sp.Index(np)
-			blas.Dgemv(s.ts.T2Super[oct][t], parentFar[sb*k:(sb+1)*k], dst)
-			local++
-		}
-		for _, o := range sn.ChildOffsets {
-			sc := c.Add(o)
-			if !sc.In(n) {
-				continue
-			}
-			sb := sc.Index(n)
-			s.ts.ApplyT2(o, far[sb*k:(sb+1)*k], dst)
-			local++
-		}
-		atomicAdd64(&count, local)
-	})
-	s.rec.AddT2(count)
-	s.rec.AddFlops(PhaseT2, count*blas.DgemmFlops(k, k, 1))
+	return nil
 }
 
 // evalScratch holds the Legendre recurrence buffers of one evaluation

@@ -137,29 +137,41 @@ func solveAndCompareWith(t *testing.T, s *Solver, pos []geom.Vec3, q []float64) 
 }
 
 func TestSolverAggregationMatchesGemv(t *testing.T) {
-	// BLAS-3 aggregation must be bitwise-equivalent in structure (same
-	// arithmetic up to reassociation) to the per-box gemv path.
+	// The per-box ablation walks the same lattices through the same kernel
+	// one vector at a time, so the two paths agree bitwise — with and
+	// without supernodes, potentials and fields.
 	rng := rand.New(rand.NewSource(55))
 	pos, q := uniformParticles(rng, 2000)
-	agg, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gemv, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 3, DisableAggregation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	phiA, err := agg.Potentials(pos, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phiG, err := gemv.Potentials(pos, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range phiA {
-		if math.Abs(phiA[i]-phiG[i]) > 1e-9*(1+math.Abs(phiG[i])) {
-			t.Fatalf("aggregated/gemv mismatch at %d: %g vs %g", i, phiA[i], phiG[i])
+	for _, cfg := range []Config{
+		{Degree: 5, Depth: 3},
+		{Degree: 7, Depth: 4, Supernodes: true},
+	} {
+		agg, err := NewSolver(unitBox(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.DisableAggregation = true
+		gemv, err := NewSolver(unitBox(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phiA, accA, err := agg.Accelerations(pos, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phiG, accG, err := gemv.Accelerations(pos, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range phiA {
+			if phiA[i] != phiG[i] || accA[i] != accG[i] {
+				t.Fatalf("supernodes=%v: aggregated/gemv mismatch at %d: (%g, %v) vs (%g, %v)",
+					cfg.Supernodes, i, phiA[i], accA[i], phiG[i], accG[i])
+			}
+		}
+		if a, g := agg.Stats(), gemv.Stats(); a.T2Count != g.T2Count || a.TraversalFlops() != g.TraversalFlops() {
+			t.Errorf("supernodes=%v: aggregated counts %d conversions / %d flops, gemv %d / %d",
+				cfg.Supernodes, a.T2Count, a.TraversalFlops(), g.T2Count, g.TraversalFlops())
 		}
 	}
 }

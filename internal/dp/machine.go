@@ -126,13 +126,6 @@ func (m *Machine) AccountGhostFetch(calls, off, local int64) {
 	c.addCopyCycles(float64(local) * m.Cost.CopyCyclesPerWord / nvu)
 }
 
-// AccountCopy records caller-implemented local copies.
-func (m *Machine) AccountCopy(words int64) {
-	c := &m.counters
-	atomicAdd64(&c.LocalWords, words)
-	c.addCopyCycles(float64(words) * m.Cost.CopyCyclesPerWord / float64(m.NumVUs()))
-}
-
 // Counters returns a snapshot of the accumulated communication counters.
 func (m *Machine) Counters() Counters { return m.counters.snapshot() }
 

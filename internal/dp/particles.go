@@ -1,10 +1,6 @@
 package dp
 
-import (
-	"sort"
-
-	"nbody/internal/blas"
-)
+import "sort"
 
 // Array1D is a 1-D array block-distributed over the VUs: elements
 // [vu*chunk, (vu+1)*chunk) live on VU vu (the layout of the input particle
@@ -98,7 +94,3 @@ func SegmentedSumScan(m *Machine, a *Array1D, segmentStart []bool) {
 		c.addCommCycles(m.Cost.BcastLatencyCycles * 2)
 	}
 }
-
-// ParallelRange runs fn over [0, n) split across the host cores; the
-// data-parallel elementwise execution helper for 1-D arrays.
-func ParallelRange(n int, fn func(i int)) { blas.Parallel(n, fn) }

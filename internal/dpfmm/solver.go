@@ -185,16 +185,14 @@ func (s *Solver) solvePotentials(ctx context.Context, pos []geom.Vec3, q []float
 func (s *Solver) upwardLevel(child, parent *dp.Grid3) {
 	k := s.TS.K
 	eff := s.M.Cost.GemmEfficiency(k)
+	dense := blas.Strides{Box: k}
 	for oct := 0; oct < 8; oct++ {
 		tmp := s.M.NewGrid3(parent.N, k)
 		dp.OctantGather(dp.RemapAliased, tmp, child, oct)
 		t := s.TS.T1[oct]
 		tmp.ForEachVU(func(vu int, slab []float64) {
 			boxes := len(slab) / k
-			dstSlab := parent.Slab(vu)
-			for b := 0; b < boxes; b++ {
-				blas.Dgemv(t, slab[b*k:(b+1)*k], dstSlab[b*k:(b+1)*k])
-			}
+			blas.DgemmRowsT(t, slab, parent.Slab(vu), boxes, 1, dense, dense)
 			s.M.ChargeCompute(vu, blas.DgemmFlops(k, k, boxes), eff)
 		})
 	}
@@ -205,15 +203,13 @@ func (s *Solver) upwardLevel(child, parent *dp.Grid3) {
 func (s *Solver) t3Level(parent, child *dp.Grid3) {
 	k := s.TS.K
 	eff := s.M.Cost.GemmEfficiency(k)
+	dense := blas.Strides{Box: k}
 	for oct := 0; oct < 8; oct++ {
 		t := s.TS.T3[oct]
 		tmp := s.M.NewGrid3(parent.N, k)
 		parent.ForEachVU(func(vu int, slab []float64) {
 			boxes := len(slab) / k
-			dstSlab := tmp.Slab(vu)
-			for b := 0; b < boxes; b++ {
-				blas.Dgemv(t, slab[b*k:(b+1)*k], dstSlab[b*k:(b+1)*k])
-			}
+			blas.DgemmRowsT(t, slab, tmp.Slab(vu), boxes, 1, dense, dense)
 			s.M.ChargeCompute(vu, blas.DgemmFlops(k, k, boxes), eff)
 		})
 		dp.OctantScatterAdd(dp.RemapAliased, child, tmp, oct)

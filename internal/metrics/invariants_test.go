@@ -83,8 +83,10 @@ func dpSolve(t *testing.T, n, depth, degree int) (*metrics.Snapshot, blas.Counte
 // TestFlopsClosedForm checks the analytic flop accounting of the
 // data-parallel solver against both the independently counted BLAS calls
 // and the closed-form phase shapes, for the paper's K=12 (D=5) and K=72
-// (D=11) configurations. Every translation in dpfmm is a k x k Dgemv, so
-// the traversal flops must equal the gemv counter exactly.
+// (D=11) configurations. Every translation in dpfmm is a k x k product — T2
+// one box at a time (DgemvT), T1 and T3 one slab at a time (DgemmRowsT) — and
+// nothing else in the solve multiplies matrices, so the traversal flops must
+// equal the two BLAS flop counters exactly.
 func TestFlopsClosedForm(t *testing.T) {
 	for _, tc := range []struct {
 		degree, wantK int
@@ -102,8 +104,8 @@ func TestFlopsClosedForm(t *testing.T) {
 			t.Errorf("D=%d: shape (%d, %d), want (%d, %d)", tc.degree, st.Particles, st.Depth, n, depth)
 		}
 
-		if got := st.TraversalFlops(); got != c.GemvFlops {
-			t.Errorf("D=%d: traversal flops %d != counted gemv flops %d", tc.degree, got, c.GemvFlops)
+		if got, counted := st.TraversalFlops(), c.GemvFlops+c.GemmFlops; got != counted {
+			t.Errorf("D=%d: traversal flops %d != counted gemv + gemm flops %d", tc.degree, got, counted)
 		}
 		// T1 and T3 visit the same parent grids (levels 2..depth-1), eight
 		// octants of one k x k product per parent box.

@@ -91,14 +91,6 @@ func (r *Rec) ClearActive() {
 	r.active.Store(0)
 }
 
-// AddNs charges ns nanoseconds of wall time to phase p.
-func (r *Rec) AddNs(p Phase, ns int64) {
-	if r == nil {
-		return
-	}
-	r.ns[p].Add(ns)
-}
-
 // AddFlops charges n floating-point operations to phase p.
 func (r *Rec) AddFlops(p Phase, n int64) {
 	if r == nil {
@@ -114,15 +106,6 @@ func (r *Rec) AddBytes(p Phase, n int64) {
 		return
 	}
 	r.bytes[p].Add(n)
-}
-
-// AddCalls charges n invocations to phase p (for call sites not bracketed
-// by a Span).
-func (r *Rec) AddCalls(p Phase, n int64) {
-	if r == nil {
-		return
-	}
-	r.calls[p].Add(n)
 }
 
 // AddT2 counts n applied interactive-field (T2) translations.

@@ -201,9 +201,6 @@ func New(p Policy, rungs int) (*Supervisor, error) {
 	return s, nil
 }
 
-// Rungs returns the ladder length.
-func (s *Supervisor) Rungs() int { return len(s.breakers) }
-
 // BreakerOpen reports whether rung's circuit breaker currently rejects
 // attempts (for tests and status displays).
 func (s *Supervisor) BreakerOpen(rung int) bool {
