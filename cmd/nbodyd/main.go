@@ -8,17 +8,15 @@
 // With -loadtest it instead runs the load harness against in-process
 // servers — one per (policy, overload-mode) pair — and prints the markdown
 // comparison table the experiments record, exiting nonzero if any request
-// drew a 5xx or the light tenant's p95 regressed against a recorded
-// baseline:
+// of a well-behaved tenant drew a 5xx or a transport error:
 //
 //	nbodyd -loadtest -duration 5s -tenants "alice:4:2048,bob:4:2048,carol:2:8192"
 //	nbodyd -loadtest -arrival open -req-deadline 2s -overload off,on \
-//	       -tenants "light:10:2048,flood:200:8192" -json BENCH_PR8.json
+//	       -tenants "light:10:2048,flood:200:8192"
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -57,7 +55,6 @@ func main() {
 		noBrownout  = flag.Bool("no-brownout", false, "disable adaptive brownout (serve mode)")
 		brownTarget = flag.Duration("brownout-target", 0, "brownout queue-delay setpoint (0 = default 100ms)")
 		planStore   = flag.String("plan-store", "", cli.PlanStoreHelp)
-		noAutotune  = flag.Bool("no-autotune", false, "resolve auto-depth requests from the analytic cost model only (no tuned plans, no online refinement)")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "on SIGTERM, how long to wait for queued and in-flight work (streams emit an interrupted checkpoint frame and end) before forcing shutdown")
 
 		loadtest = flag.Bool("loadtest", false, "run the load harness instead of serving")
@@ -71,9 +68,6 @@ func main() {
 		overload = flag.String("overload", "on", "loadtest: overload-control modes to compare, comma of off|on")
 		reqDL    = flag.Duration("req-deadline", 0, "loadtest: per-request deadline attached to every tenant (0 = server default)")
 		chaos    = flag.Bool("chaos", false, "loadtest: add slow-loris and mid-stream-disconnect chaos tenants")
-		jsonOut  = flag.String("json", "", "loadtest: write the per-run results JSON to this path")
-		baseline = flag.String("baseline", "", "loadtest: gate the light tenant's p95 against this recorded results JSON")
-		light    = flag.String("light", "", "loadtest: name of the light tenant the baseline gate watches (default: first tenant)")
 	)
 	flag.Parse()
 
@@ -96,7 +90,6 @@ func main() {
 		DisableBrownout:   *noBrownout,
 		BrownoutTarget:    *brownTarget,
 		PlanStore:         *planStore,
-		DisableAutotune:   *noAutotune,
 	}
 
 	if *loadtest {
@@ -109,9 +102,6 @@ func main() {
 			overload: *overload,
 			reqDL:    *reqDL,
 			chaos:    *chaos,
-			jsonOut:  *jsonOut,
-			baseline: *baseline,
-			light:    *light,
 			target:   *target,
 		}
 		if err := runLoadtest(cfg, opts); err != nil {
@@ -176,9 +166,6 @@ type loadtestOpts struct {
 	overload string
 	reqDL    time.Duration
 	chaos    bool
-	jsonOut  string
-	baseline string
-	light    string
 	target   string
 }
 
@@ -191,8 +178,7 @@ const (
 // runLoadtest starts one in-process server per (policy, overload-mode)
 // pair on a loopback listener, drives the same tenant mix against each
 // over real HTTP, and prints the comparison table. Any 5xx among the
-// well-behaved tenants fails the run, as does a light-tenant p95
-// regression against a recorded baseline.
+// well-behaved tenants fails the run.
 func runLoadtest(cfg serve.Config, opts loadtestOpts) error {
 	if opts.arrival != "closed" && opts.arrival != "open" {
 		return fmt.Errorf("loadtest: -arrival must be closed or open, got %q", opts.arrival)
@@ -200,9 +186,6 @@ func runLoadtest(cfg serve.Config, opts loadtestOpts) error {
 	ts, err := parseTenants(opts.tenants, opts.think)
 	if err != nil {
 		return err
-	}
-	if opts.light == "" {
-		opts.light = ts[0].Name
 	}
 	for i := range ts {
 		if opts.reqDL > 0 {
@@ -272,8 +255,8 @@ func runLoadtest(cfg serve.Config, opts loadtestOpts) error {
 	return reportLoadtest(cfg, results, opts)
 }
 
-// reportLoadtest prints the comparison table, records/gates the bench JSON,
-// and enforces the zero-5xx gate on well-behaved tenants.
+// reportLoadtest prints the comparison table and enforces the zero-5xx gate
+// on well-behaved tenants.
 func reportLoadtest(cfg serve.Config, results []*loadgen.Result, opts loadtestOpts) error {
 	// Report the resolved fleet size, not the config zero value that means
 	// "use the default".
@@ -295,18 +278,6 @@ func reportLoadtest(cfg serve.Config, results []*loadgen.Result, opts loadtestOp
 				continue
 			}
 			bad += tb.Err5xx + tb.OtherErr
-		}
-	}
-
-	doc := buildBenchDoc(results, opts)
-	if opts.jsonOut != "" {
-		if err := writeBenchDoc(opts.jsonOut, doc); err != nil {
-			return err
-		}
-	}
-	if opts.baseline != "" {
-		if err := gateAgainstBaseline(doc, opts.baseline); err != nil {
-			return err
 		}
 	}
 	if bad > 0 {
@@ -336,128 +307,6 @@ func runOnePolicy(cfg serve.Config, tenants []loadgen.Tenant, duration time.Dura
 		Duration: duration,
 		Tenants:  tenants,
 	})
-}
-
-// benchDoc is the recorded loadtest artifact (BENCH_PR8.json): enough per
-// run and per tenant for the regression gate and the experiment tables.
-type benchDoc struct {
-	Backend  string     `json:"backend"`
-	Arrival  string     `json:"arrival"`
-	Deadline string     `json:"req_deadline,omitempty"`
-	Light    string     `json:"light_tenant"`
-	Runs     []benchRun `json:"runs"`
-}
-
-type benchRun struct {
-	Label      string                 `json:"label"`
-	GoodputRPS float64                `json:"goodput_rps"`
-	Sent       int64                  `json:"sent"`
-	OK         int64                  `json:"ok"`
-	Shed       int64                  `json:"shed"`
-	Rejected   int64                  `json:"rejected"`
-	Deadline   int64                  `json:"deadline_504"`
-	Err5xx     int64                  `json:"err_5xx"`
-	Degraded   int64                  `json:"degraded"`
-	LateOK     int64                  `json:"late_ok"`
-	P95MS      float64                `json:"p95_ms"`
-	Tenants    map[string]benchBucket `json:"tenants"`
-}
-
-type benchBucket struct {
-	Sent     int64   `json:"sent"`
-	OK       int64   `json:"ok"`
-	Shed     int64   `json:"shed"`
-	Rejected int64   `json:"rejected"`
-	Deadline int64   `json:"deadline_504"`
-	Degraded int64   `json:"degraded"`
-	LateOK   int64   `json:"late_ok"`
-	Dropped  int64   `json:"dropped"`
-	P50MS    float64 `json:"p50_ms"`
-	P95MS    float64 `json:"p95_ms"`
-	P99MS    float64 `json:"p99_ms"`
-}
-
-func buildBenchDoc(results []*loadgen.Result, opts loadtestOpts) *benchDoc {
-	doc := &benchDoc{Backend: simd.Active(), Arrival: opts.arrival, Light: opts.light}
-	if opts.reqDL > 0 {
-		doc.Deadline = opts.reqDL.String()
-	}
-	for _, r := range results {
-		_, p95, _, _, _ := r.Total.Percentiles()
-		run := benchRun{
-			Label:      r.Policy,
-			GoodputRPS: r.GoodputRPS(),
-			Sent:       r.Total.Sent,
-			OK:         r.Total.OK,
-			Shed:       r.Total.Shed,
-			Rejected:   r.Total.Rejected,
-			Deadline:   r.Total.Deadline,
-			Err5xx:     r.Total.Err5xx,
-			Degraded:   r.Total.Degraded,
-			LateOK:     r.Total.LateOK,
-			P95MS:      float64(p95) / 1e6,
-			Tenants:    make(map[string]benchBucket, len(r.Tenants)),
-		}
-		for name, tb := range r.Tenants {
-			p50, p95, p99, _, _ := tb.Percentiles()
-			run.Tenants[name] = benchBucket{
-				Sent: tb.Sent, OK: tb.OK, Shed: tb.Shed, Rejected: tb.Rejected,
-				Deadline: tb.Deadline, Degraded: tb.Degraded, LateOK: tb.LateOK, Dropped: tb.Dropped,
-				P50MS: float64(p50) / 1e6, P95MS: float64(p95) / 1e6, P99MS: float64(p99) / 1e6,
-			}
-		}
-		doc.Runs = append(doc.Runs, run)
-	}
-	return doc
-}
-
-func writeBenchDoc(path string, doc *benchDoc) error {
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// gateAgainstBaseline fails the run when the light tenant's p95 in any run
-// label regressed against the recorded baseline by more than 1.5x plus a
-// 100ms absolute floor (loopback load runs are noisy; the gate is for
-// order-of-magnitude regressions, not jitter). Baselines from a different
-// backend are skipped with a warning: the numbers are not comparable.
-func gateAgainstBaseline(doc *benchDoc, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadtest: no baseline at %s (%v), gate skipped\n", path, err)
-		return nil
-	}
-	var base benchDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("loadtest: baseline %s: %w", path, err)
-	}
-	if base.Backend != doc.Backend {
-		fmt.Fprintf(os.Stderr, "loadtest: baseline backend %q != current %q, gate skipped\n", base.Backend, doc.Backend)
-		return nil
-	}
-	baseRuns := make(map[string]benchRun, len(base.Runs))
-	for _, r := range base.Runs {
-		baseRuns[r.Label] = r
-	}
-	for _, cur := range doc.Runs {
-		br, ok := baseRuns[cur.Label]
-		if !ok {
-			continue
-		}
-		bt, ok1 := br.Tenants[base.Light]
-		ct, ok2 := cur.Tenants[doc.Light]
-		if !ok1 || !ok2 || bt.P95MS <= 0 || ct.OK == 0 {
-			continue
-		}
-		if limit := bt.P95MS*1.5 + 100; ct.P95MS > limit {
-			return fmt.Errorf("loadtest: light tenant %q p95 regressed in %s: %.1fms > limit %.1fms (baseline %.1fms)",
-				doc.Light, cur.Label, ct.P95MS, limit, bt.P95MS)
-		}
-	}
-	return nil
 }
 
 // parseTenants parses "name:concurrency:shape[:shape...]" specs. A shape

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"nbody/internal/geom"
@@ -144,20 +145,39 @@ func TestCShiftCounters(t *testing.T) {
 	}
 }
 
+// fillByCoord gives every box values that are a function of its coordinate
+// alone and distinct across the grid: ForEachBox runs its body on one
+// goroutine per VU, so the fill must share no state between boxes.
+func fillByCoord(g *Grid3) {
+	g.ForEachBox(func(c geom.Coord3, v []float64) {
+		for i := range v {
+			v[i] = float64((c.Z<<16|c.Y<<8|c.X)*len(v) + i)
+		}
+	})
+}
+
+// mismatches counts the boxes where a and b differ. The parallel bodies only
+// count, atomically; reporting is the calling test goroutine's job.
+func mismatches(a, b *Grid3) int64 {
+	var bad atomic.Int64
+	a.ForEachBox(func(c geom.Coord3, v []float64) {
+		w := b.At(c)
+		for i := range v {
+			if v[i] != w[i] {
+				bad.Add(1)
+				return
+			}
+		}
+	})
+	return bad.Load()
+}
+
 func TestCShiftRoundTripIdentity(t *testing.T) {
 	m := testMachine(t, 2)
 	g := m.NewGrid3(8, 2)
-	rng := rand.New(rand.NewSource(71))
-	g.ForEachBox(func(c geom.Coord3, v []float64) { v[0], v[1] = rng.Float64(), rng.Float64() })
+	fillByCoord(g)
 	d := g.CShift(AxisY, 3).CShift(AxisY, -3)
-	bad := 0
-	d.ForEachBox(func(c geom.Coord3, v []float64) {
-		w := g.At(c)
-		if v[0] != w[0] || v[1] != w[1] {
-			bad++
-		}
-	})
-	if bad != 0 {
+	if bad := mismatches(d, g); bad != 0 {
 		t.Errorf("%d boxes corrupted by round-trip shifts", bad)
 	}
 }

@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -14,19 +13,12 @@ func TestCShiftComposition(t *testing.T) {
 	// linearized strategies).
 	m := testMachine(t, 2)
 	g := m.NewGrid3(8, 1)
-	rng := rand.New(rand.NewSource(141))
-	g.ForEachBox(func(c geom.Coord3, v []float64) { v[0] = rng.Float64() })
+	fillByCoord(g)
 	f := func(aRaw, bRaw int8) bool {
 		a, b := int(aRaw%8), int(bRaw%8)
 		two := g.CShift(AxisY, a).CShift(AxisY, b)
 		one := g.CShift(AxisY, a+b)
-		ok := true
-		two.ForEachBox(func(c geom.Coord3, v []float64) {
-			if v[0] != one.At(c)[0] {
-				ok = false
-			}
-		})
-		return ok
+		return mismatches(two, one) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -36,16 +28,12 @@ func TestCShiftComposition(t *testing.T) {
 func TestCShiftAxesCommute(t *testing.T) {
 	m := testMachine(t, 2)
 	g := m.NewGrid3(4, 2)
-	rng := rand.New(rand.NewSource(142))
-	g.ForEachBox(func(c geom.Coord3, v []float64) { v[0], v[1] = rng.Float64(), rng.Float64() })
+	fillByCoord(g)
 	xy := g.CShift(AxisX, 1).CShift(AxisY, -2)
 	yx := g.CShift(AxisY, -2).CShift(AxisX, 1)
-	xy.ForEachBox(func(c geom.Coord3, v []float64) {
-		w := yx.At(c)
-		if v[0] != w[0] || v[1] != w[1] {
-			t.Fatalf("axis shifts do not commute at %v", c)
-		}
-	})
+	if bad := mismatches(xy, yx); bad != 0 {
+		t.Errorf("axis shifts do not commute at %d boxes", bad)
+	}
 }
 
 func TestCloneIsDeepAndCharged(t *testing.T) {

@@ -239,7 +239,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// idempotent even for clients that never heard of the header.
 		idemKey = newIdemKey()
 	}
-	n := particleCount(body)
+	n, hedge := g.hedgeApplies(body)
 	ctx := r.Context()
 
 	tried := make(map[*Replica]bool, len(g.pool.replicas))
@@ -258,7 +258,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		tried[rep] = true
 		var out *solveOutcome
 		var cleanup func()
-		if attempt == 0 && g.hedgeApplies(n) {
+		if attempt == 0 && hedge {
 			out, cleanup = g.raceSolve(ctx, rep, body, idemKey, n, tried)
 		} else {
 			out = g.sendSolve(ctx, rep, body, idemKey, n)
@@ -351,8 +351,16 @@ func (g *Gateway) sendSolve(ctx context.Context, rep *Replica, body []byte, idem
 	return &solveOutcome{rep: rep, resp: resp, commit: true}
 }
 
-func (g *Gateway) hedgeApplies(n int) bool {
-	return g.cfg.Hedge && n > 0 && n <= g.cfg.HedgeMaxN && g.pool.Eligible() >= 2
+// hedgeApplies sizes the request and reports whether its first attempt
+// should be hedged. The size has no reader but the hedge gate and the hedge
+// delay's latency classes, so with hedging off the body is never parsed and
+// the size reads 0 (which the latency EWMA ignores).
+func (g *Gateway) hedgeApplies(body []byte) (n int, hedge bool) {
+	if !g.cfg.Hedge {
+		return 0, false
+	}
+	n = particleCount(body)
+	return n, n > 0 && n <= g.cfg.HedgeMaxN && g.pool.Eligible() >= 2
 }
 
 // raceSolve runs the primary leg and, if it has not answered within the
@@ -445,8 +453,8 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// particleCount cheaply extracts len(positions) from a request body for
-// the hedge size gate; 0 when it cannot tell.
+// particleCount extracts len(positions) from a request body for the hedge
+// size gate, at the price of a full parse; 0 when it cannot tell.
 func particleCount(body []byte) int {
 	var probe struct {
 		Positions []json.RawMessage `json:"positions"`

@@ -697,3 +697,36 @@ func TestGatewayChaosKillLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewaySolveDoesNotParseBodyUnlessHedging pins the proxy's cost with
+// hedging off: the particle count feeds only the hedge gate and the hedge
+// delay, so an unhedged solve must be forwarded without parsing its body.
+// Parsing an N = 4096 body costs one allocation per particle and more; the
+// whole proxied round trip against a canned-response replica — client side,
+// gateway, upstream hop and stub included — must stay far below that.
+func TestGatewaySolveDoesNotParseBodyUnlessHedging(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"n":4096,"phi":[],"backend":"stub","rung":0,"cache_hit":true,"queue_ns":0,"solve_ns":0}`+"\n")
+	}))
+	t.Cleanup(stub.Close)
+	// One probe at construction, none during the measurement.
+	g := newGateway(t, Config{Replicas: []string{stub.URL}, ProbeEvery: time.Hour})
+	body := solveBody(t, "ten", 4096, 3)
+
+	if parse := testing.AllocsPerRun(5, func() { particleCount(body) }); parse <= 4096 {
+		t.Fatalf("parsing the body costs %.0f allocations; the premise of this test (> 4096) no longer holds", parse)
+	}
+	roundTrip := testing.AllocsPerRun(20, func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+	if roundTrip >= 1024 {
+		t.Fatalf("an unhedged proxied solve costs %.0f allocations per round trip, want < 1024: the gateway is parsing the body", roundTrip)
+	}
+}

@@ -2,8 +2,9 @@
 // canonical shape of a problem (ShapeKey), the resolved configuration a
 // solver is built from (Plan), the identity of one warm execution engine
 // (Key), the cost-model autotuner that predicts the best Plan per shape and
-// refines its predictions online from measured solves (Planner), and the
-// persistent tuned-plan store that lets warm starts skip search entirely.
+// what it will cost, refining both online from measured solves (Planner),
+// and the persistent tuned-plan store that lets warm starts skip search
+// entirely.
 //
 // Before this package the repo had four disconnected encodings of "what
 // configuration should this solve use": the public Options, the analytic
@@ -115,9 +116,11 @@ func (k Key) String() string {
 }
 
 // CostShape is the cost-relevant projection of a Key: the fields that
-// change how long a solve takes on a given host. It is the key of every
-// measured-cost table (the serve admission estimator's EWMAs and the
-// Planner's online refinement) so the two can never diverge again.
+// change how long a solve takes on a given host, with accuracy already
+// resolved to the integration-point count K the cost model wants. It is the
+// key of the Planner's measured-cost ledger, the one table admission
+// estimates and tuned depths are both read from. Sim is included because
+// simulation requests are observed per step and solve requests per request.
 type CostShape struct {
 	N          int
 	Dist       string
@@ -154,7 +157,7 @@ const (
 // AccuracyK maps the accuracy presets onto their integration-point counts
 // (the paper's K): the 12-point icosahedral rule for fast, the degree-9 and
 // degree-13 product rules above it. "" maps to fast. Kept consistent with
-// the root package's presets by the serve estimator's cross-check test.
+// the root package's presets by the serve package's cross-check test.
 func AccuracyK(accuracy string) int {
 	deg := 5
 	switch accuracy {

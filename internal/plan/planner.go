@@ -22,13 +22,28 @@ const (
 	tuneAlpha        = 0.3
 	tuneSwitchMargin = 0.95
 	// tuneMinObs is the number of measured observations a configuration
-	// needs before online refinement trusts its EWMA enough to promote it.
+	// needs before its EWMA is trusted: by online refinement to promote it,
+	// and by Estimate to call its prediction confident.
 	tuneMinObs = 2
 	// tuneSearchRadius bounds the explicit search to a window around the
 	// analytic argmin: the cost is U-shaped in depth, so candidates far
 	// from the model's minimum only burn time (a depth-8 bench of a small
 	// system builds a 16M-box tree to confirm what the model already knew).
 	tuneSearchRadius = 2
+
+	// scaleAlpha weights each observation in the host calibration — gentler
+	// than tuneAlpha, because the scale aggregates heterogeneous shapes.
+	// scaleSeed assumes a host a few hundred times faster than one 4-VU
+	// CM-5E node, the right order of magnitude for one modern multicore
+	// socket; scaleMinObs is how many observations the calibration needs
+	// before a model-seeded estimate of an unseen shape is confident.
+	scaleAlpha  = 0.1
+	scaleSeed   = 1.0 / 250
+	scaleMinObs = 8
+	// maxEstimate clamps every prediction and every accepted measurement:
+	// no admissible request is slower than this, and an overflowed model
+	// must not poison deadline arithmetic.
+	maxEstimate = 10 * time.Minute
 )
 
 // Request is what a caller knows when asking for a Plan: the knobs it wants
@@ -48,9 +63,6 @@ type Request struct {
 	// MaxDepth caps the depth of automatic resolutions (0 = the planner's
 	// own bound).
 	MaxDepth int
-	// NoTuned restricts automatic resolution to the analytic cost model,
-	// ignoring tuned entries (the serve layer's -no-autotune switch).
-	NoTuned bool
 }
 
 // tuneKey is the tuned-table key: a CostShape minus the depth — the depth
@@ -99,12 +111,20 @@ type obsEwma struct {
 	obs  int64
 }
 
-// Planner predicts the best Plan per shape. Resolution has three sources in
-// priority order: a caller-pinned depth is honored verbatim; a tuned entry
-// (from an explicit Tune search, online Observe refinement, or a loaded
-// store) answers automatic requests for shapes with measured evidence; and
-// the analytic cost model (dp.CostModel argmin over depth) answers
-// everything else. All methods are safe for concurrent use.
+// Planner predicts the best Plan per shape, and what running it will cost.
+// Resolution has three sources in priority order: a caller-pinned depth is
+// honored verbatim; a tuned entry (from an explicit Tune search, online
+// Observe refinement, or a loaded store) answers automatic requests for
+// shapes with measured evidence; and the analytic cost model (dp.CostModel
+// argmin over depth) answers everything else.
+//
+// The planner is also the one ledger of measured solve cost: every Observe
+// lands in one per-shape EWMA that the tuned table is promoted from and that
+// Estimate answers from, and refines one host calibration scale — itself an
+// EWMA over the measured/modeled ratio of every observation — that maps the
+// cycle model's CM-5E seconds onto this machine's wall clock for shapes not
+// seen yet. The paper predicts depth and time from one cost model; so does
+// this. All methods are safe for concurrent use.
 type Planner struct {
 	cost     dp.CostModel
 	maxDepth int
@@ -112,6 +132,8 @@ type Planner struct {
 	mu       sync.Mutex
 	measured map[CostShape]*obsEwma
 	tuned    map[tuneKey]*TunedPlan
+	scale    float64 // modeled seconds -> measured host seconds
+	scaleObs int64
 	counters metrics.PlannerStats
 }
 
@@ -126,6 +148,7 @@ func NewPlanner(maxDepth int) *Planner {
 		maxDepth: maxDepth,
 		measured: make(map[CostShape]*obsEwma),
 		tuned:    make(map[tuneKey]*TunedPlan),
+		scale:    scaleSeed,
 	}
 }
 
@@ -167,10 +190,17 @@ func (p *Planner) AnalyticDepth(n, k int, supernodes bool, maxDepth int) int {
 	return best
 }
 
-// modelNS is the analytic wall-clock prediction in CM-5E nanoseconds (a
-// relative, not host-accurate, figure — used only to compare candidates).
+// modelSeconds is the analytic wall-clock prediction in CM-5E seconds (a
+// relative, not host-accurate, figure until multiplied by the calibration
+// scale). Total on any input; the result may be non-finite or non-positive
+// at extreme shapes, which every consumer guards.
+func (p *Planner) modelSeconds(n, depth, k int, supernodes bool) float64 {
+	return p.cost.Seconds(p.cost.ModelSolveCycles(n, depth, k, supernodes))
+}
+
+// modelNS is modelSeconds in nanoseconds, for comparing search candidates.
 func (p *Planner) modelNS(n, depth, k int, supernodes bool) int64 {
-	sec := p.cost.Seconds(p.cost.ModelSolveCycles(n, depth, k, supernodes))
+	sec := p.modelSeconds(n, depth, k, supernodes)
 	if !(sec > 0) || math.IsInf(sec, 0) || sec > math.MaxInt64/1e9 {
 		return 0
 	}
@@ -182,31 +212,36 @@ func (p *Planner) modelNS(n, depth, k int, supernodes bool) int64 {
 // memory, everything else from the analytic model. The planner's counters
 // record the outcome.
 func (p *Planner) Resolve(shape ShapeKey, req Request) (Plan, Provenance) {
-	cap := p.depthCap(req)
 	if req.Depth > 0 {
 		p.mu.Lock()
 		p.counters.PlansPinned++
 		p.mu.Unlock()
 		return planFor(shape, req, req.Depth), ProvenancePinned
 	}
-	if !req.NoTuned {
-		p.mu.Lock()
-		t := p.tuned[tuneKeyOf(shape, req)]
-		if t != nil && t.Depth <= cap {
-			p.counters.TuneHits++
-			p.counters.PlansTuned++
-			depth := t.Depth
-			p.mu.Unlock()
-			return planFor(shape, req, depth), ProvenanceTuned
-		}
-		p.counters.TuneMisses++
-		p.mu.Unlock()
+	if depth, ok := p.tunedDepth(shape, req); ok {
+		return planFor(shape, req, depth), ProvenanceTuned
 	}
-	depth := p.AnalyticDepth(shape.N, AccuracyK(shape.Accuracy), req.Supernodes, cap)
+	depth := p.AnalyticDepth(shape.N, AccuracyK(shape.Accuracy), req.Supernodes, p.depthCap(req))
 	p.mu.Lock()
 	p.counters.PlansAnalytic++
 	p.mu.Unlock()
 	return planFor(shape, req, depth), ProvenanceAnalytic
+}
+
+// tunedDepth answers an automatic request from the tuned table when the
+// shape has an entry within the request's depth cap, counting the hit (a
+// plan resolved from measurement) or the miss.
+func (p *Planner) tunedDepth(shape ShapeKey, req Request) (int, bool) {
+	cap := p.depthCap(req)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if t := p.tuned[tuneKeyOf(shape, req)]; t != nil && t.Depth <= cap {
+		p.counters.TuneHits++
+		p.counters.PlansTuned++
+		return t.Depth, true
+	}
+	p.counters.TuneMisses++
+	return 0, false
 }
 
 // DepthFor is the counter-free resolution the brownout controller uses to
@@ -224,15 +259,61 @@ func (p *Planner) DepthFor(shape ShapeKey, supernodes, sim bool) int {
 	return p.AnalyticDepth(shape.N, AccuracyK(shape.Accuracy), supernodes, p.maxDepth)
 }
 
-// Observe feeds one measured solve cost (the per-request phase-table total,
-// or the wall solve time when no table was recorded) into the online
-// refinement: the configuration's EWMA is updated, and once a configuration
-// has tuneMinObs observations it can claim (or defend) the shape's tuned
-// entry. Non-positive and non-finite measurements are dropped — a canceled
-// or faulted solve measures the abort, not the work.
-func (p *Planner) Observe(key Key, measured time.Duration) {
-	sec := measured.Seconds()
-	if !(sec > 0) || math.IsInf(sec, 0) {
+// Estimate predicts the cost of units units (1 for a solve, the step count
+// for a simulation) of key's work. A shape the planner has observed is
+// predicted by its measured EWMA — exact, host-specific, and converging
+// within a few observations; an unseen shape by the cycle model times the
+// host calibration (the model predicts relative cost across shapes well: it
+// reproduces the paper's phase economics). confident reports whether enough
+// measurements back the prediction to act on it — tuneMinObs of the shape
+// itself, or scaleMinObs behind the calibration — so a cold planner never
+// has a request shed on the uncalibrated seed. The returned duration is
+// always in [0, maxEstimate].
+func (p *Planner) Estimate(key Key, units int) (d time.Duration, confident bool) {
+	if units < 1 {
+		units = 1
+	}
+	cs := key.CostShape()
+	p.mu.Lock()
+	e, scale, scaleObs := p.measured[cs], p.scale, p.scaleObs
+	var perUnit float64
+	if e != nil {
+		perUnit, confident = e.ewma, e.obs >= tuneMinObs
+	}
+	p.mu.Unlock()
+	if e == nil {
+		perUnit = scale * p.modelSeconds(cs.N, cs.Depth, cs.K, cs.Supernodes)
+		confident = scaleObs >= scaleMinObs
+	}
+	sec := perUnit * float64(units)
+	switch {
+	case !(sec > 0): // negative or NaN
+		return 0, confident
+	case sec >= maxEstimate.Seconds(): // +Inf and overflow included
+		return maxEstimate, confident
+	}
+	return time.Duration(sec * float64(time.Second)), confident
+}
+
+// Calibration reports the ledger's footprint: distinct shapes with a
+// measured EWMA, the modeled-to-measured host scale, and how many
+// observations back it.
+func (p *Planner) Calibration() (shapes int, scale float64, obs int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.measured), p.scale, p.scaleObs
+}
+
+// Observe feeds one measured cost per unit of key's work — a solve's
+// phase-table total (or its wall time when no table was recorded), a
+// simulation's wall time per step — into the ledger: the configuration's
+// EWMA and the host calibration are updated, and once a configuration has
+// tuneMinObs observations it can claim (or defend) the shape's tuned entry.
+// Non-positive and over-long measurements and impossible shapes are dropped
+// — a canceled or faulted solve measures the abort, not the work.
+func (p *Planner) Observe(key Key, perUnit time.Duration) {
+	sec := perUnit.Seconds()
+	if !(sec > 0) || sec > maxEstimate.Seconds() {
 		return
 	}
 	cs := key.CostShape()
@@ -240,6 +321,7 @@ func (p *Planner) Observe(key Key, measured time.Duration) {
 		return
 	}
 	tk := tuneKey{N: cs.N, Dist: cs.Dist, K: cs.K, Dims: key.Shape.Dims, Supernodes: cs.Supernodes, Sim: cs.Sim}
+	model := p.modelSeconds(cs.N, cs.Depth, cs.K, cs.Supernodes)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := p.measured[cs]
@@ -250,6 +332,14 @@ func (p *Planner) Observe(key Key, measured time.Duration) {
 		e.ewma += tuneAlpha * (sec - e.ewma)
 	}
 	e.obs++
+	// The calibration takes this observation's measured/modeled ratio,
+	// clamped so one pathological request (a fault retry storm, a model hole
+	// at an extreme shape) cannot poison the scale for every other shape.
+	if model > 0 && !math.IsInf(model, 0) {
+		ratio := math.Min(math.Max(sec/model, p.scale/100), p.scale*100)
+		p.scale += scaleAlpha * (ratio - p.scale)
+		p.scaleObs++
+	}
 	if e.obs < tuneMinObs {
 		return
 	}
@@ -278,18 +368,8 @@ func (p *Planner) Tune(shape ShapeKey, req Request, bench func(Plan) (time.Durat
 		pl, prov := p.Resolve(shape, req)
 		return pl, nil, prov, nil
 	}
-	if !req.NoTuned {
-		p.mu.Lock()
-		t := p.tuned[tuneKeyOf(shape, req)]
-		if t != nil && t.Depth <= p.depthCap(req) {
-			p.counters.TuneHits++
-			p.counters.PlansTuned++
-			depth := t.Depth
-			p.mu.Unlock()
-			return planFor(shape, req, depth), nil, ProvenanceTuned, nil
-		}
-		p.counters.TuneMisses++
-		p.mu.Unlock()
+	if depth, ok := p.tunedDepth(shape, req); ok {
+		return planFor(shape, req, depth), nil, ProvenanceTuned, nil
 	}
 
 	cap := p.depthCap(req)

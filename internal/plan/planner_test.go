@@ -65,13 +65,9 @@ func TestResolveProvenance(t *testing.T) {
 	if prov != ProvenanceTuned || pl.Depth != 2 {
 		t.Fatalf("tuned resolve: got depth %d provenance %s", pl.Depth, prov)
 	}
-	// NoTuned must ignore the table.
-	if _, prov = p.Resolve(shape, Request{NoTuned: true}); prov != ProvenanceAnalytic {
-		t.Fatalf("NoTuned resolve: provenance %s, want analytic", prov)
-	}
 
 	c := p.Counters()
-	if c.PlansPinned != 1 || c.PlansAnalytic != 2 || c.PlansTuned != 1 || c.TuneHits != 1 || c.TuneMisses != 1 {
+	if c.PlansPinned != 1 || c.PlansAnalytic != 1 || c.PlansTuned != 1 || c.TuneHits != 1 || c.TuneMisses != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
@@ -253,8 +249,7 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// TestAccuracyKPresets pins the preset -> K mapping the planner and the
-// serve estimator both key on.
+// TestAccuracyKPresets pins the preset -> K mapping every cost shape keys on.
 func TestAccuracyKPresets(t *testing.T) {
 	for name, want := range map[string]int{"": 12, "fast": 12, "balanced": 50, "accurate": 98} {
 		if got := AccuracyK(name); got != want {

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"math"
 	"testing"
-	"time"
 )
 
 // FuzzServeRequest fuzzes the JSON decoder/validator pair behind
@@ -88,47 +86,6 @@ func FuzzServeRequest(f *testing.F) {
 			if verr := ssys.Validate(SimDomain()); verr != nil {
 				t.Fatalf("accepted simulate system fails Validate: %v", verr)
 			}
-		}
-	})
-}
-
-// FuzzEstimator fuzzes the admission cost estimator with adversarial shapes
-// and measurements: whatever a request or a broken clock feeds it, every
-// estimate must stay in [0, estMax] (no negative or overflowed prediction
-// can ever reach the shed comparison), the global calibration scale must
-// stay finite and positive, and the admission arithmetic
-// (wait + estimate vs deadline) must not wrap.
-func FuzzEstimator(f *testing.F) {
-	// Seed corpus: zero and huge N, absurd depths and deadlines, garbage
-	// accuracy selectors, overflowing measurements — the shapes the issue
-	// names plus the boundary cases around them.
-	f.Add(0, 0, "", false, false, 1, int64(0), int64(0))
-	f.Add(-1, -7, "nonsense", true, true, -3, int64(-5), int64(-1))
-	f.Add(1<<30, 16, "accurate", true, false, 1, int64(1)<<62, int64(1))
-	f.Add(math.MaxInt32, 99, "fast", false, true, math.MaxInt32, int64(math.MaxInt64), int64(math.MaxInt64))
-	f.Add(768, 3, "balanced", false, false, 1, int64(5*time.Millisecond), int64(time.Second))
-	f.Add(32768, 4, "accurate", true, false, 8, int64(200*time.Millisecond), int64(time.Millisecond))
-	f.Add(1, 2, "fast", false, false, 0, int64(time.Nanosecond), int64(50*time.Millisecond))
-
-	f.Fuzz(func(t *testing.T, n, depth int, accuracy string, supernodes, sim bool, units int, measuredNS, deadlineNS int64) {
-		e := newEstimator()
-		key := tkey(n, depth, accuracy, supernodes, sim)
-		for i := 0; i < 3; i++ {
-			e.Observe(key, units, time.Duration(measuredNS))
-		}
-		est, _ := e.Estimate(key, units)
-		if est < 0 || est > estMax {
-			t.Fatalf("Estimate(%+v, %d) = %v outside [0, %v]", key, units, est, estMax)
-		}
-		if _, scale, _ := e.Stats(); !(scale > 0) || math.IsInf(scale, 0) {
-			t.Fatalf("calibration scale corrupted to %v", scale)
-		}
-		// The admission predicate's arithmetic: predicted completion must not
-		// wrap negative however absurd the inputs, because a wrapped value
-		// would bypass the deadline comparison entirely.
-		wait := 10 * time.Minute // worst realistic backlog the clamp allows
-		if predicted := wait + est; predicted < 0 {
-			t.Fatalf("predicted completion wrapped: wait %v + est %v = %v", wait, est, predicted)
 		}
 	})
 }

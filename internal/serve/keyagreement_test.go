@@ -11,18 +11,13 @@ import (
 )
 
 // TestShapeKeyAgreement is the dedupe guarantee of the plan subsystem: the
-// plan cache, the admission estimator, and the planner all key on the one
+// plan cache, admission's cost estimate, and the planner all key on the one
 // plan.Key a decoded request resolves to — for every decode path (solve and
 // simulate, auto and pinned depth, every accuracy preset). Before the
 // refactor the cache key and the estimator shape were separate structs
 // re-deriving K from the accuracy string independently; this test pins the
 // single-source-of-truth replacement.
 func TestShapeKeyAgreement(t *testing.T) {
-	// The estimator's key type IS the planner's cost shape — not a parallel
-	// definition. A compile-time identity, stated here so a future split
-	// breaks this test instead of silently re-forking the keying.
-	var _ estShape = plan.CostShape{}
-
 	srv, err := New(Config{Workers: 2, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +83,13 @@ func TestShapeKeyAgreement(t *testing.T) {
 			key := srv.keyFor(req, n, plan.DistUniform, tc.sim)
 
 			// One K derivation: the key's K is plan.AccuracyK of the shape's
-			// accuracy — the same function the estimator's cost shape and the
-			// planner's tuned table go through.
+			// accuracy — the same function the planner's cost shapes and its
+			// tuned table go through.
 			if key.Plan.K != plan.AccuracyK(tc.accuracy) {
 				t.Errorf("key K = %d, plan.AccuracyK(%q) = %d", key.Plan.K, tc.accuracy, plan.AccuracyK(tc.accuracy))
 			}
-			// The estimator observes and estimates under exactly the key's
-			// cost shape.
+			// The planner observes and estimates under exactly the key's cost
+			// shape.
 			cs := key.CostShape()
 			if cs.N != n || cs.Depth != key.Plan.Depth || cs.K != key.Plan.K || cs.Sim != tc.sim || cs.Dist != plan.DistUniform {
 				t.Errorf("cost shape %+v does not project key %+v", cs, key)
@@ -127,4 +122,25 @@ func positionsOf(sys *nbody.System) [][3]float64 {
 		out[i] = [3]float64{p.X, p.Y, p.Z}
 	}
 	return out
+}
+
+// TestEstimatorAccuracyK cross-checks the plan subsystem's preset->K
+// mapping (the one every cost estimate keys on) against the root package's
+// own accuracy estimator, so a re-tuned preset cannot silently skew every
+// admission estimate.
+func TestEstimatorAccuracyK(t *testing.T) {
+	for name, acc := range map[string]nbody.Accuracy{
+		"fast": nbody.Fast, "balanced": nbody.Balanced, "accurate": nbody.Accurate,
+	} {
+		est, err := nbody.EstimateAccuracy(nbody.Options{Accuracy: acc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.AccuracyK(name); got != est.K {
+			t.Errorf("plan.AccuracyK(%q) = %d, root package resolves K = %d", name, got, est.K)
+		}
+	}
+	if got := plan.AccuracyK(""); got != plan.AccuracyK("fast") {
+		t.Errorf("empty accuracy maps to K=%d, fast to %d; they must agree", got, plan.AccuracyK("fast"))
+	}
 }

@@ -89,17 +89,6 @@ type Tenant struct {
 	// Chaos, when set, replaces well-formed traffic with the named chaos
 	// mode (ChaosSlowLoris | ChaosDisconnect).
 	Chaos string
-	// Sim switches the tenant from solves to /v1/simulate NDJSON streams
-	// with the given integration profile (closed loop only).
-	Sim *SimProfile
-}
-
-// SimProfile is the integration a stream tenant requests.
-type SimProfile struct {
-	Steps           int
-	DT              float64
-	StreamEvery     int
-	CheckpointEvery int
 }
 
 // Config drives one harness run against a live server.
@@ -113,18 +102,6 @@ type Config struct {
 	// Client overrides the HTTP client (default: pooled transport, no
 	// client-side timeout — deadlines belong to the request).
 	Client *http.Client
-	// Kill, with KillEvery > 0, is the replica-kill chaos driver: the
-	// harness calls it every KillEvery for the whole run (the fleet test
-	// passes a func that SIGKILLs or severs a random replica). The gates
-	// then assert the kills stayed invisible: zero 5xx on well-behaved
-	// traffic, zero lost streams.
-	Kill      func()
-	KillEvery time.Duration
-	// OnFinalFrame, when set, receives every stream tenant's final frame
-	// (the full particle state) — the hook the chaos acceptance uses to
-	// compare killed-and-resumed streams bitwise against an uninterrupted
-	// reference run.
-	OnFinalFrame func(tenant string, sh Shape, frame *serve.Frame)
 }
 
 // Bucket accumulates one scope's (tenant or total) outcome counts and
@@ -142,9 +119,6 @@ type Bucket struct {
 	Degraded  int64 // OK responses served browned-out
 	LateOK    int64 // OK responses whose queue+solve exceeded their deadline
 	Dropped   int64 // open-loop arrivals skipped at MaxOutstanding
-
-	Streams     int64 // simulate streams completed with a final frame
-	StreamsLost int64 // simulate streams that ended without one
 
 	mu        sync.Mutex
 	latencies []time.Duration
@@ -236,38 +210,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 	var wg sync.WaitGroup
-	if cfg.Kill != nil && cfg.KillEvery > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(cfg.KillEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-tick.C:
-					cfg.Kill()
-				}
-			}
-		}()
-	}
 	for _, t := range cfg.Tenants {
 		t := t
 		tb := res.Tenants[t.Name]
 		switch {
-		case t.Sim != nil:
-			conc := t.Concurrency
-			if conc < 1 {
-				conc = 1
-			}
-			for w := 0; w < conc; w++ {
-				wg.Add(1)
-				go func(worker int) {
-					defer wg.Done()
-					simLoop(runCtx, client, cfg, t, worker, bodies, tb, &res.Total)
-				}(w)
-			}
 		case t.Chaos != "":
 			conc := t.Concurrency
 			if conc < 1 {
@@ -384,87 +330,6 @@ func chaosLoop(runCtx context.Context, client *http.Client, cfg Config, t Tenant
 		default: // ChaosSlowLoris
 			body, _ := bodies.get(t, sh)
 			slowLorisRequest(runCtx, client, cfg.BaseURL, body, tb, total)
-		}
-		if t.Think > 0 {
-			select {
-			case <-runCtx.Done():
-			case <-time.After(t.Think):
-			}
-		}
-	}
-}
-
-// simLoop is the closed-loop worker for a stream tenant: one /v1/simulate
-// stream at a time, read to the end. A stream that delivers its final
-// frame counts as Streams (and OK); one that ends early — transport error,
-// interrupted frame with nobody to resume it, truncation — counts as
-// StreamsLost, the number the kill-loop chaos gate pins at zero behind the
-// gateway.
-func simLoop(runCtx context.Context, client *http.Client, cfg Config, t Tenant, worker int, bodies *bodyCache, tb, total *Bucket) {
-	buckets := []*Bucket{tb, total}
-	for i := 0; runCtx.Err() == nil; i++ {
-		sh := t.Shapes[(worker+i)%len(t.Shapes)]
-		body, err := bodies.getSim(t, sh)
-		if err != nil {
-			return
-		}
-		req, err := http.NewRequestWithContext(runCtx, http.MethodPost,
-			strings.TrimRight(cfg.BaseURL, "/")+"/v1/simulate", bytes.NewReader(body))
-		if err != nil {
-			bump(func(b *Bucket) *int64 { return &b.OtherErr }, buckets)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		start := time.Now()
-		bump(func(b *Bucket) *int64 { return &b.Sent }, buckets)
-		resp, err := client.Do(req)
-		if err != nil {
-			if runCtx.Err() == nil {
-				bump(func(b *Bucket) *int64 { return &b.OtherErr }, buckets)
-				bump(func(b *Bucket) *int64 { return &b.StreamsLost }, buckets)
-			}
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusTooManyRequests:
-				bump(func(b *Bucket) *int64 { return &b.Rejected }, buckets)
-			case resp.StatusCode >= 500:
-				bump(func(b *Bucket) *int64 { return &b.Err5xx }, buckets)
-			default:
-				bump(func(b *Bucket) *int64 { return &b.BadReq }, buckets)
-			}
-			continue
-		}
-		var last *serve.Frame
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		torn := false
-		for sc.Scan() {
-			var f serve.Frame
-			if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-				torn = true
-				break
-			}
-			last = &f
-		}
-		scanErr := sc.Err()
-		resp.Body.Close()
-		if torn || scanErr != nil || last == nil || !last.Final {
-			if runCtx.Err() == nil {
-				bump(func(b *Bucket) *int64 { return &b.StreamsLost }, buckets)
-			}
-			continue
-		}
-		bump(func(b *Bucket) *int64 { return &b.OK }, buckets)
-		bump(func(b *Bucket) *int64 { return &b.Streams }, buckets)
-		for _, b := range buckets {
-			b.record(time.Since(start))
-		}
-		if cfg.OnFinalFrame != nil {
-			cfg.OnFinalFrame(t.Name, sh, last)
 		}
 		if t.Think > 0 {
 			select {
@@ -694,22 +559,10 @@ func (c *bodyCache) get(t Tenant, sh Shape) ([]byte, error) {
 	return b, nil
 }
 
-// getSim is get for the streaming endpoint: the same shape wrapped in the
-// tenant's integration profile (or a short default one, what the
-// disconnect chaos mode aborts).
+// getSim is get for the streaming endpoint: the same shape wrapped in a
+// short integration, what the disconnect chaos mode aborts.
 func (c *bodyCache) getSim(t Tenant, sh Shape) ([]byte, error) {
-	prof := SimProfile{Steps: 8, DT: 1e-4, StreamEvery: 1}
-	if t.Sim != nil {
-		prof = *t.Sim
-	}
-	if prof.Steps < 1 {
-		prof.Steps = 8
-	}
-	if !(prof.DT > 0) {
-		prof.DT = 1e-4
-	}
-	key := fmt.Sprintf("sim/%s/%d/%d/%s/%v/%d/%d/%g/%d/%d", t.Name, sh.N, sh.Depth, sh.Accuracy, sh.Supernodes,
-		t.DeadlineMS, prof.Steps, prof.DT, prof.StreamEvery, prof.CheckpointEvery)
+	key := fmt.Sprintf("sim/%s/%d/%d/%s/%v/%d", t.Name, sh.N, sh.Depth, sh.Accuracy, sh.Supernodes, t.DeadlineMS)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b, ok := c.m[key]; ok {
@@ -719,13 +572,7 @@ func (c *bodyCache) getSim(t Tenant, sh Shape) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.Marshal(serve.SimulateRequest{
-		SolveRequest:    solve,
-		Steps:           prof.Steps,
-		DT:              prof.DT,
-		StreamEvery:     prof.StreamEvery,
-		CheckpointEvery: prof.CheckpointEvery,
-	})
+	b, err := json.Marshal(serve.SimulateRequest{SolveRequest: solve, Steps: 8, DT: 1e-4, StreamEvery: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -768,9 +615,6 @@ func (r *Result) Summary() string {
 		fmt.Fprintf(&b, "  tenant %-10s sent=%-5d ok=%-5d shed=%-4d 429=%-4d 504=%-3d 5xx=%-3d degr=%-4d late=%-3d drop=%-4d p50=%.1fms p95=%.1fms p99=%.1fms\n",
 			name, tb.Sent, tb.OK, tb.Shed, tb.Rejected, tb.Deadline, tb.Err5xx, tb.Degraded, tb.LateOK, tb.Dropped,
 			msF(p50), msF(p95), msF(p99))
-		if tb.Streams+tb.StreamsLost > 0 {
-			fmt.Fprintf(&b, "    streams: %d complete, %d lost\n", tb.Streams, tb.StreamsLost)
-		}
 	}
 	pc := r.Server.PlanCache
 	if pc.Hits+pc.Misses > 0 {

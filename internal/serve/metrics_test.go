@@ -111,7 +111,6 @@ func TestMetricsKeySetGolden(t *testing.T) {
 		"overload.estimator_obs", "overload.estimator_scale", "overload.estimator_shapes",
 		"plan_cache.build_ns", "plan_cache.evictions", "plan_cache.hit_ns", "plan_cache.hits",
 		"plan_cache.idle", "plan_cache.misses", "plan_cache.shapes",
-		"planner.autotune_enabled",
 		"planner.counters.plans_analytic", "planner.counters.plans_pinned", "planner.counters.plans_tuned",
 		"planner.counters.search_ns", "planner.counters.searches", "planner.counters.store_loads",
 		"planner.counters.store_saves", "planner.counters.tune_hits", "planner.counters.tune_misses",

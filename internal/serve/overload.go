@@ -59,12 +59,12 @@ func (s *Server) applyBrownout(req *SolveRequest, n int, dist string, sim bool) 
 	return level, degraded
 }
 
-// budgetFor builds the admission budget of one request: the estimator's
+// budgetFor builds the admission budget of one request: the planner's
 // prediction for units units of key's work, plus the propagated deadline.
 // The zero Budget (shedding disabled for this request) is returned when
-// admission is off, the request carries no deadline, or the estimator is
-// not yet confident — a cold server must serve, not shed, until its
-// calibration is backed by real measurements.
+// admission is off, the request carries no deadline, or the planner is not
+// yet confident — a cold server must serve, not shed, until its calibration
+// is backed by real measurements.
 func (s *Server) budgetFor(ctx context.Context, key Key, units int) Budget {
 	if s.cfg.DisableAdmission {
 		return Budget{}
@@ -73,7 +73,7 @@ func (s *Server) budgetFor(ctx context.Context, key Key, units int) Budget {
 	if !ok {
 		return Budget{}
 	}
-	est, confident := s.est.Estimate(key, units)
+	est, confident := s.planner.Estimate(key, units)
 	if !confident || est <= 0 {
 		return Budget{}
 	}
@@ -101,16 +101,17 @@ type OverloadMetrics struct {
 	// Brownout is the controller snapshot: current level, smoothed
 	// pressure, lifetime raises and drops.
 	Brownout resilience.BrownoutStats `json:"brownout"`
-	// EstimatorShapes / EstimatorScale / EstimatorObs describe the admission
-	// estimator: distinct shapes with measured EWMAs, the modeled-to-
-	// measured host calibration, and how many observations back it.
+	// EstimatorShapes / EstimatorScale / EstimatorObs describe the planner's
+	// measured-cost ledger admission estimates from: distinct shapes with
+	// measured EWMAs, the modeled-to-measured host calibration, and how many
+	// observations back it.
 	EstimatorShapes int     `json:"estimator_shapes"`
 	EstimatorScale  float64 `json:"estimator_scale"`
 	EstimatorObs    int64   `json:"estimator_obs"`
 }
 
 func (s *Server) readOverload() OverloadMetrics {
-	shapes, scale, obs := s.est.Stats()
+	shapes, scale, obs := s.planner.Calibration()
 	disp, brown := s.disp.Stats(), s.brown.Stats()
 	return OverloadMetrics{
 		AdmissionEnabled: !s.cfg.DisableAdmission,

@@ -123,8 +123,12 @@ func TestZeroBudgetNeverSheds(t *testing.T) {
 	}
 }
 
+// warmSolves is one solve past the two observations of a shape the planner
+// needs before it calls that shape's estimate confident.
+const warmSolves = 3
+
 // TestShedHTTPRetryAfter drives the whole path over HTTP: warm the
-// estimator past its confidence threshold, then send a request whose
+// planner's estimate past its confidence threshold, then send a request whose
 // deadline cannot fit the (now confident) estimate and require 429 with
 // code shed_deadline and a Retry-After header. Also pins that 429s from
 // the plain queue-full path carry Retry-After now.
@@ -138,7 +142,7 @@ func TestShedHTTPRetryAfter(t *testing.T) {
 	// Warm-up: enough successful solves of this exact shape for the
 	// estimator to trust its EWMA.
 	body := solveBody(t, "light", sys, nil)
-	for i := 0; i < estConfidentShape+1; i++ {
+	for i := 0; i < warmSolves; i++ {
 		resp, data := postSolve(t, hs.URL, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warmup %d: status %d: %s", i, resp.StatusCode, data)
@@ -157,7 +161,7 @@ func TestShedHTTPRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := srv.keyFor(req, dsys.Len(), plan.Fingerprint(dsys.Positions), false)
-	if est, confident := srv.est.Estimate(key, 1); !confident || est < 10*deadline {
+	if est, confident := srv.Planner().Estimate(key, 1); !confident || est < 10*deadline {
 		t.Fatalf("estimate %v (confident=%v) does not rule out a %v deadline; grow the shape", est, confident, deadline)
 	}
 	resp, data := postSolve(t, hs.URL, tight)
@@ -192,7 +196,7 @@ func TestDisableAdmission(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 2, DisableAdmission: true})
 	sys := nbody.NewUniformSystem(768, 7)
 	body := solveBody(t, "light", sys, nil)
-	for i := 0; i < estConfidentShape+1; i++ {
+	for i := 0; i < warmSolves; i++ {
 		resp, data := postSolve(t, hs.URL, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("warmup %d: status %d: %s", i, resp.StatusCode, data)

@@ -8,7 +8,18 @@ import (
 	"testing"
 
 	"nbody"
+	"nbody/internal/plan"
 )
+
+// tkey builds a plan Key the way the server's planner does: accuracy
+// resolved to K, depth and flags in the Plan.
+func tkey(n, depth int, acc string, super, sim bool) Key {
+	return Key{
+		Shape: plan.ShapeKey{N: n, Accuracy: acc},
+		Sim:   sim,
+		Plan:  plan.Plan{Depth: depth, K: plan.AccuracyK(acc), Supernodes: super},
+	}
+}
 
 // fakeBuild swaps the cache's constructor for an instant one, so the cache
 // mechanics (keying, eviction, exclusivity) are tested without paying for

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -71,15 +71,9 @@ type Config struct {
 	// without search from the first request) and Close persists the table
 	// back. "" keeps the planner memory-only.
 	PlanStore string
-	// DisableAutotune restricts automatic depth resolution to the analytic
-	// cost model: tuned entries are ignored and measured solves do not
-	// refine the table. Pinned depths are unaffected.
-	DisableAutotune bool
 	// BrownoutTarget is the brownout controller's queue-delay setpoint
 	// (default 100ms; see resilience.BrownoutConfig).
 	BrownoutTarget time.Duration
-	// BrownoutMax caps the brownout degradation level (default 2).
-	BrownoutMax int
 	// Logger receives one structured line per request (default: stderr).
 	// Set Quiet to drop request logs entirely.
 	Logger *log.Logger
@@ -133,7 +127,6 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 	lat     *latencyRing
-	est     *estimator
 	brown   *resilience.Brownout
 	planner *plan.Planner
 	idem    *idemStore
@@ -189,8 +182,7 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		lat:      newLatencyRing(4096),
-		est:      newEstimator(),
-		brown:    resilience.NewBrownout(resilience.BrownoutConfig{Target: cfg.BrownoutTarget, MaxLevel: cfg.BrownoutMax}),
+		brown:    resilience.NewBrownout(resilience.BrownoutConfig{Target: cfg.BrownoutTarget}),
 		planner:  plan.NewPlanner(cfg.MaxDepth),
 		idem:     newIdemStore(0, 0),
 		statuses: make(map[int]int64),
@@ -341,23 +333,126 @@ func retryAfterFor(err error) time.Duration {
 	return time.Second
 }
 
-// requestCtx applies the deadline policy: the request's own deadline_ms
-// when set, the server default otherwise, on top of the client-disconnect
-// cancellation the http server already provides.
-func (s *Server) requestCtx(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	switch {
-	case deadlineMS > 0:
-		return context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
-	case s.cfg.DefaultDeadline > 0:
-		return context.WithTimeout(ctx, s.cfg.DefaultDeadline)
-	}
-	return ctx, func() {}
+// call is one request's trip through the shared lifecycle (admit → run →
+// finish): what admission resolved, what the worker measured, and what the
+// request log and the counters need afterwards.
+type call struct {
+	endpoint string
+	t0       time.Time
+	tenant   string
+	key      Key
+	// level and degraded are the brownout rewrite admission applied.
+	level    int
+	degraded bool
+
+	queueWait time.Duration
+	runTime   time.Duration // on the worker: plan checkout + work
+	hit       bool          // the plan was warm
+	rung      int
+	units     int // units of key's work completed: 1 solve, or simulation steps
+	delta     RecoveryDelta
+
+	// Set by a simulation's stream: the response headers are out (an error
+	// can no longer be written), and the simulation's own recovery events.
+	streaming            bool
+	checkpoints, resumes int64
 }
 
-// logRequest is the structured request log: one line per request with
-// everything an operator greps for.
-func (s *Server) logRequest(endpoint, tenant string, key Key, status int, hit bool, rung int, queue, solve time.Duration, err error) {
+// decodeBody is the shared request prologue: refuse new work while
+// draining, cap the body, decode and validate it, and name an over-cap body
+// for what it is.
+func decodeBody[R any](s *Server, w http.ResponseWriter, r *http.Request,
+	decode func(io.Reader, Limits) (*R, *nbody.System, error)) (*R, *nbody.System, error) {
+	if s.draining.Load() {
+		return nil, nil, ErrDraining
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	req, sys, err := decode(r.Body, s.limits())
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			err = fmt.Errorf("%w: body over %d bytes", ErrTooLarge, s.cfg.MaxBodyBytes)
+		}
+	}
+	return req, sys, err
+}
+
+// admit resolves what a decoded request will run as: its deadline context
+// (the request's own deadline_ms when set, the server default otherwise, on
+// top of the client-disconnect cancellation the http server provides), the
+// brownout rewrite — skipped for a caller that must keep the plan it names —
+// and the plan key.
+func (s *Server) admit(r *http.Request, c *call, req *SolveRequest, sys *nbody.System, sim, brownout bool) (context.Context, context.CancelFunc) {
+	ctx, cancel := r.Context(), context.CancelFunc(func() {})
+	switch {
+	case req.DeadlineMS > 0:
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+	case s.cfg.DefaultDeadline > 0:
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultDeadline)
+	}
+	dist := plan.Fingerprint(sys.Positions)
+	if brownout {
+		c.level, c.degraded = s.applyBrownout(req, sys.Len(), dist, sim)
+	}
+	c.key = s.keyFor(req, sys.Len(), dist, sim)
+	return ctx, cancel
+}
+
+// run is the shared middle of every request: admission against the
+// planner's estimate for units units of the key's work, then — on a worker,
+// with a plan checked out — the endpoint's own work, and the accounting of
+// what it healed and what it cost. work returns the units it completed (one
+// solve, or the simulation steps integrated) and their measured cost when it
+// has a better figure than the worker's wall clock (zero otherwise).
+func (s *Server) run(ctx context.Context, c *call, units int, work func(context.Context, *Plan) (int, time.Duration, error)) error {
+	enq := time.Now()
+	return s.disp.DoBudget(ctx, c.tenant, s.budgetFor(ctx, c.key, units), func(ctx context.Context) error {
+		c.queueWait = time.Since(enq)
+		s.observePressure(c.queueWait)
+		faults.Fire(SiteWorker)
+		start := time.Now()
+		p, hit, err := s.plans.Acquire(c.key)
+		if err != nil {
+			return err
+		}
+		defer s.plans.Release(p)
+		c.hit = hit
+
+		// The plan is this request's alone until Release, so the ladder's
+		// counter delta is exactly what healing this request took — a failed
+		// request's retries and trips count too.
+		r0, b0, d0 := p.Ladder.Counters()
+		var measured time.Duration
+		c.units, measured, err = work(ctx, p)
+		r1, b1, d1 := p.Ladder.Counters()
+		c.delta = RecoveryDelta{Retries: r1 - r0, BreakerTrips: b1 - b0, Degradations: d1 - d0}
+		s.noteRecovery(c.delta, c.checkpoints, c.resumes)
+		c.rung = p.Ladder.LastRung()
+		c.runTime = time.Since(start)
+
+		if err == nil && c.units > 0 {
+			if measured <= 0 {
+				measured = c.runTime / time.Duration(c.units)
+			}
+			s.planner.Observe(c.key, measured)
+		}
+		return err
+	})
+}
+
+// finish accounts a finished request: the browned-out tally, the status
+// counts, the latency ring, and the structured request log — one line per
+// request with everything an operator greps for.
+func (s *Server) finish(c *call, status int, err error) {
+	if c.degraded && err == nil && c.units > 0 {
+		s.events.Update(func(e *serverEvents) { e.browned++ })
+	}
+	s.mu.Lock()
+	s.statuses[status]++
+	s.mu.Unlock()
+	if status < 400 {
+		s.lat.record(time.Since(c.t0))
+	}
 	if s.cfg.Quiet {
 		return
 	}
@@ -365,22 +460,13 @@ func (s *Server) logRequest(endpoint, tenant string, key Key, status int, hit bo
 	if err != nil {
 		detail = fmt.Sprintf(" err=%q", err.Error())
 	}
-	hitStr := "miss"
-	if hit {
-		hitStr = "hit"
+	hit := "miss"
+	if c.hit {
+		hit = "hit"
 	}
 	s.cfg.Logger.Printf("%s tenant=%q %s status=%d plan=%s rung=%d queue=%s solve=%s%s",
-		endpoint, tenant, key, status, hitStr, rung, queue.Round(time.Microsecond), solve.Round(time.Microsecond), detail)
-}
-
-// record accounts a finished request.
-func (s *Server) record(status int, total time.Duration) {
-	s.mu.Lock()
-	s.statuses[status]++
-	s.mu.Unlock()
-	if status < 400 {
-		s.lat.record(total)
-	}
+		c.endpoint, c.tenant, c.key, status, hit, c.rung,
+		c.queueWait.Round(time.Microsecond), c.runTime.Round(time.Microsecond), detail)
 }
 
 // shapeFor builds the canonical problem shape of a request.
@@ -400,200 +486,136 @@ func (s *Server) keyFor(req *SolveRequest, n int, dist string, sim bool) Key {
 		Sim:        sim,
 		Ladder:     s.cfg.Ladder,
 		MaxDepth:   s.cfg.MaxDepth,
-		NoTuned:    s.cfg.DisableAutotune,
 	})
 	return Key{Shape: shapeFor(req, n, dist), Sim: sim, Plan: pl}
 }
 
 // handleSolve is POST /v1/solve.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	if s.draining.Load() {
-		status := s.writeError(w, ErrDraining)
-		s.record(status, time.Since(t0))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, sys, err := decodeSolveRequest(r.Body, s.limits())
+	c := &call{endpoint: "solve", t0: time.Now()}
+	req, sys, err := decodeBody(s, w, r, decodeSolveRequest)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			err = fmt.Errorf("%w: body over %d bytes", ErrTooLarge, s.cfg.MaxBodyBytes)
-		}
-		status := s.writeError(w, err)
-		s.record(status, time.Since(t0))
-		s.logRequest("solve", req.tenantOrEmpty(), Key{}, status, false, 0, 0, 0, err)
+		s.finish(c, s.writeError(w, err), err)
 		return
 	}
+	c.tenant = req.Tenant
 
 	// Idempotent replay: a failed-over or hedged retry carrying the same
 	// Idempotency-Key as a solve this replica already answered gets the
-	// stored bytes back — no admission, no estimator or planner
-	// observation, no double-counting of work that already happened.
+	// stored bytes back — no admission, no planner observation, no
+	// double-counting of work that already happened.
 	idemKey := r.Header.Get("Idempotency-Key")
 	if idemKey != "" {
 		if body, ok := s.idem.get(req.Tenant, idemKey); ok {
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Idempotent-Replay", "1")
 			_, _ = w.Write(body)
-			s.record(http.StatusOK, time.Since(t0))
-			s.logRequest("solve", req.Tenant, Key{}, http.StatusOK, true, 0, 0, 0, nil)
+			c.hit = true
+			s.finish(c, http.StatusOK, nil)
 			return
 		}
 	}
 
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
+	ctx, cancel := s.admit(r, c, req, sys, false, true)
 	defer cancel()
-
-	dist := plan.Fingerprint(sys.Positions)
-	level, degraded := s.applyBrownout(req, sys.Len(), dist, false)
-	key := s.keyFor(req, sys.Len(), dist, false)
-
 	var resp *SolveResponse
-	var queueWait, solveTime, measured time.Duration
-	enq := time.Now()
-	err = s.disp.DoBudget(ctx, req.Tenant, s.budgetFor(ctx, key, 1), func(ctx context.Context) error {
-		queueWait = time.Since(enq)
-		s.observePressure(queueWait)
-		faults.Fire(SiteWorker)
-		start := time.Now()
-		var serr error
-		resp, measured, serr = s.execute(ctx, req, sys, key)
-		solveTime = time.Since(start)
-		return serr
+	err = s.run(ctx, c, 1, func(ctx context.Context, p *Plan) (_ int, measured time.Duration, err error) {
+		resp, measured, err = execute(ctx, req, sys, p)
+		return 1, measured, err
 	})
-
-	if err == nil {
-		if measured <= 0 {
-			measured = solveTime
-		}
-		s.est.Observe(key, 1, measured)
-		if !s.cfg.DisableAutotune {
-			s.planner.Observe(key, measured)
-		}
-		// The solve can cross the finish line after the request's clock ran
-		// out: cancellation checks are chunk-granular, and on a saturated
-		// machine the context timer itself fires late, so ctx.Err() can
-		// still be nil past the wall deadline — compare against the
-		// deadline directly. A late result is useless to the caller:
-		// report the deadline failure it is, never a late 200; the
-		// measurement above is exactly the calibration that stops the next
-		// one being admitted.
-		if dl, ok := ctx.Deadline(); ok && time.Now().After(dl) {
-			err = fmt.Errorf("result ready after deadline: %w", context.DeadlineExceeded)
-		}
+	// The solve can cross the finish line after the request's clock ran
+	// out: cancellation checks are chunk-granular, and on a saturated
+	// machine the context timer itself fires late, so ctx.Err() can still
+	// be nil past the wall deadline — compare against the deadline
+	// directly. A late result is useless to the caller: report the deadline
+	// failure it is, never a late 200; the measurement run just fed the
+	// planner is exactly the calibration that stops the next one being
+	// admitted.
+	if dl, ok := ctx.Deadline(); err == nil && ok && time.Now().After(dl) {
+		err = fmt.Errorf("result ready after deadline: %w", context.DeadlineExceeded)
+	}
+	if err != nil {
+		s.finish(c, s.writeError(w, err), err)
+		return
 	}
 
+	resp.Rung, resp.CacheHit = c.rung, c.hit
+	resp.QueueNS = int64(c.queueWait)
+	resp.SolveNS = int64(c.runTime)
+	if c.delta != (RecoveryDelta{}) {
+		resp.Recovery = &c.delta
+	}
+	if c.degraded {
+		resp.Degraded = true
+		resp.BrownoutLevel = c.level
+	}
+	// One encode for keyed and unkeyed requests alike, so the exact bytes
+	// the client saw are what a replay returns.
 	status := http.StatusOK
-	hit := false
-	rung := 0
-	if err != nil {
-		status = s.writeError(w, err)
-	} else {
-		resp.QueueNS = int64(queueWait)
-		resp.SolveNS = int64(solveTime)
-		if degraded {
-			resp.Degraded = true
-			resp.BrownoutLevel = level
-			s.events.Update(func(e *serverEvents) { e.browned++ })
+	body, encErr := json.Marshal(resp)
+	if encErr == nil {
+		body = append(body, '\n')
+		if idemKey != "" {
+			s.idem.put(req.Tenant, idemKey, body)
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if idemKey == "" {
-			if encErr := json.NewEncoder(w).Encode(resp); encErr != nil {
-				// The client hung up mid-body; nothing to send, just account.
-				status = 499
-			}
-		} else {
-			// Keyed requests encode through a buffer so the exact bytes the
-			// client saw are what a replay returns.
-			var buf bytes.Buffer
-			if encErr := json.NewEncoder(&buf).Encode(resp); encErr != nil {
-				status = 499
-			} else {
-				s.idem.put(req.Tenant, idemKey, buf.Bytes())
-				if _, werr := w.Write(buf.Bytes()); werr != nil {
-					status = 499
-				}
-			}
-		}
-		hit, rung = resp.CacheHit, resp.Rung
+		_, encErr = w.Write(body)
 	}
-	s.record(status, time.Since(t0))
-	s.logRequest("solve", req.Tenant, key, status, hit, rung, queueWait, solveTime, err)
+	if encErr != nil {
+		// The client hung up mid-body; nothing to send, just account.
+		status = 499
+	}
+	s.finish(c, status, nil)
 }
 
-// tenantOrEmpty survives a nil request (decode failure).
-func (r *SolveRequest) tenantOrEmpty() string {
-	if r == nil {
-		return ""
-	}
-	return r.Tenant
-}
-
-// execute runs one admitted solve on a plan checked out of the cache: the
-// Resilient ladder with the request context, per-request phase-table and
-// recovery scoping, results copied out before the plan is released. The
-// returned duration is the request's measured phase-table total
-// (Snapshot.Diff scoped to this solve), the estimator's preferred
+// execute runs one admitted solve on its checked-out plan: the Resilient
+// ladder with the request context, results copied out before the plan goes
+// back. The returned duration is the request's measured phase-table total
+// (Snapshot.Diff scoped to this solve), the planner's preferred
 // observation; zero when the preferred rung recorded nothing.
-func (s *Server) execute(ctx context.Context, req *SolveRequest, sys *nbody.System, key Key) (*SolveResponse, time.Duration, error) {
-	plan, hit, err := s.plans.Acquire(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer s.plans.Release(plan)
-
+func execute(ctx context.Context, req *SolveRequest, sys *nbody.System, p *Plan) (*SolveResponse, time.Duration, error) {
 	var before metrics.Snapshot
-	if plan.Rung0 != nil {
-		before = *plan.Rung0.Stats()
+	if p.Rung0 != nil {
+		before = *p.Rung0.Stats()
 	}
-	r0, b0, d0 := plan.Ladder.Counters()
-
+	var err error
 	switch req.Compute {
 	case "accelerations":
-		err = plan.Ladder.AccelerationsIntoCtx(ctx, plan.Phi, plan.Acc, sys)
+		err = p.Ladder.AccelerationsIntoCtx(ctx, p.Phi, p.Acc, sys)
 	default:
-		err = plan.Ladder.PotentialsIntoCtx(ctx, plan.Phi, sys)
+		err = p.Ladder.PotentialsIntoCtx(ctx, p.Phi, sys)
 	}
-	r1, b1, d1 := plan.Ladder.Counters()
-	delta := RecoveryDelta{Retries: r1 - r0, BreakerTrips: b1 - b0, Degradations: d1 - d0}
-	s.noteRecovery(delta, 0, 0) // a failed solve's retries and trips count too
 	if err != nil {
 		return nil, 0, err
 	}
 
 	resp := &SolveResponse{
-		Tenant:   req.Tenant,
-		N:        sys.Len(),
-		Phi:      append([]float64(nil), plan.Phi...),
-		Backend:  simd.Active(),
-		Rung:     plan.Ladder.LastRung(),
-		CacheHit: hit,
+		Tenant:  req.Tenant,
+		N:       sys.Len(),
+		Phi:     append([]float64(nil), p.Phi...),
+		Backend: simd.Active(),
 	}
 	if req.Compute == "accelerations" {
-		resp.Acc = make([][3]float64, len(plan.Acc))
-		for i, a := range plan.Acc {
+		resp.Acc = make([][3]float64, len(p.Acc))
+		for i, a := range p.Acc {
 			resp.Acc[i] = [3]float64{a.X, a.Y, a.Z}
 		}
 	}
 	var measured time.Duration
-	if plan.Rung0 != nil {
-		after := *plan.Rung0.Stats()
+	if p.Rung0 != nil {
+		after := *p.Rung0.Stats()
 		diff := after.Diff(&before)
 		measured = diff.TotalTime()
 		if req.Phases {
-			for p := metrics.Phase(0); p < metrics.NumPhases; p++ {
-				if diff.Time[p] == 0 && diff.Flops[p] == 0 && diff.Calls[p] == 0 {
+			for ph := metrics.Phase(0); ph < metrics.NumPhases; ph++ {
+				if diff.Time[ph] == 0 && diff.Flops[ph] == 0 && diff.Calls[ph] == 0 {
 					continue
 				}
 				resp.PhaseTable = append(resp.PhaseTable, PhaseRow{
-					Phase: p.String(), NS: int64(diff.Time[p]), Flops: diff.Flops[p],
+					Phase: ph.String(), NS: int64(diff.Time[ph]), Flops: diff.Flops[ph],
 				})
 			}
 		}
-	}
-	if delta != (RecoveryDelta{}) {
-		resp.Recovery = &delta
 	}
 	return resp, measured, nil
 }
@@ -601,126 +623,79 @@ func (s *Server) execute(ctx context.Context, req *SolveRequest, sys *nbody.Syst
 // handleSimulate is POST /v1/simulate: one admitted job that owns a worker
 // for the whole integration, streaming NDJSON frames as it goes.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	if s.draining.Load() {
-		status := s.writeError(w, ErrDraining)
-		s.record(status, time.Since(t0))
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, sys, err := decodeSimulateRequest(r.Body, s.limits())
+	c := &call{endpoint: "simulate", t0: time.Now()}
+	req, sys, err := decodeBody(s, w, r, decodeSimulateRequest)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			err = fmt.Errorf("%w: body over %d bytes", ErrTooLarge, s.cfg.MaxBodyBytes)
-		}
-		status := s.writeError(w, err)
-		s.record(status, time.Since(t0))
+		s.finish(c, s.writeError(w, err), err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.DeadlineMS)
-	defer cancel()
+	c.tenant = req.Tenant
 
-	dist := plan.Fingerprint(sys.Positions)
-	level, degraded := 0, false
-	if req.resume == nil {
-		// A resumed stream must continue on exactly the plan the original
-		// ran (the caller pins depth and accuracy from the original's
-		// headers) — brownout rewriting it would fork the trajectory.
-		level, degraded = s.applyBrownout(&req.SolveRequest, sys.Len(), dist, true)
-	}
-	key := s.keyFor(&req.SolveRequest, sys.Len(), dist, true)
-	if degraded {
+	// A resumed stream must continue on exactly the plan the original ran
+	// (the caller pins depth and accuracy from the original's headers) —
+	// brownout rewriting it would fork the trajectory.
+	ctx, cancel := s.admit(r, c, &req.SolveRequest, sys, true, req.resume == nil)
+	defer cancel()
+	if c.degraded {
 		// The NDJSON stream has no response envelope; the degradation tag
 		// rides the headers instead.
 		w.Header().Set("X-Degraded", "1")
-		w.Header().Set("X-Brownout-Level", fmt.Sprintf("%d", level))
+		w.Header().Set("X-Brownout-Level", fmt.Sprintf("%d", c.level))
 	}
-
-	stepsBudget := req.Steps
+	steps := req.Steps
 	if req.resume != nil {
-		stepsBudget = req.Steps - req.resume.Step
+		steps -= req.resume.Step
 	}
-	var queueWait time.Duration
-	enq := time.Now()
-	streaming := false
-	err = s.disp.DoBudget(ctx, req.Tenant, s.budgetFor(ctx, key, stepsBudget), func(ctx context.Context) error {
-		queueWait = time.Since(enq)
-		s.observePressure(queueWait)
-		faults.Fire(SiteWorker)
-		start := time.Now()
-		stepsRun, serr := s.stream(ctx, w, req, sys, key, &streaming)
-		if serr == nil && stepsRun > 0 {
-			elapsed := time.Since(start)
-			s.est.Observe(key, stepsRun, elapsed)
-			if !s.cfg.DisableAutotune {
-				// Per-step cost: a simulation is stepsRun solves of this shape.
-				s.planner.Observe(key, elapsed/time.Duration(stepsRun))
-			}
-			if degraded {
-				s.events.Update(func(e *serverEvents) { e.browned++ })
-			}
-		}
-		return serr
+	err = s.run(ctx, c, steps, func(ctx context.Context, p *Plan) (int, time.Duration, error) {
+		done, err := s.stream(ctx, w, req, sys, p, c)
+		return done, 0, err
 	})
 	status := http.StatusOK
-	if err != nil {
-		if streaming {
-			// Headers are gone; the truncated stream (no final frame) is
-			// the error signal the client sees.
-			status, _ = statusFor(err)
-		} else {
-			status = s.writeError(w, err)
-		}
+	switch {
+	case err == nil:
+	case c.streaming:
+		// Headers are gone; the truncated stream (no final frame) is the
+		// error signal the client sees.
+		status, _ = statusFor(err)
+	default:
+		status = s.writeError(w, err)
 	}
-	s.record(status, time.Since(t0))
-	s.logRequest("simulate", req.Tenant, key, status, false, 0, queueWait, time.Since(t0), err)
+	s.finish(c, status, err)
 }
 
-// stream runs the integration, emitting a Frame every StreamEvery steps
-// and a final Frame with the full particle state. Cancellation lands
-// between chunks (the solver's own ctx checks bound each chunk's latency).
-// A resume request continues from its decoded checkpoint instead of step
-// zero; CheckpointEvery attaches resume tokens to periodic frames; and a
-// server drain stops the loop at the next frame boundary with a cleanly
-// terminated interrupted frame carrying a token. Returns the number of
-// steps actually integrated (what the estimator should observe).
-func (s *Server) stream(ctx context.Context, w http.ResponseWriter, req *SimulateRequest, sys *nbody.System, key Key, streaming *bool) (int, error) {
-	plan, hit, err := s.plans.Acquire(key)
-	if err != nil {
-		return 0, err
-	}
-	defer s.plans.Release(plan)
-
+// stream runs the integration on the checked-out plan, emitting a Frame
+// every StreamEvery steps and a final Frame with the full particle state.
+// Cancellation lands between chunks (the solver's own ctx checks bound each
+// chunk's latency). A resume request continues from its decoded checkpoint
+// instead of step zero; CheckpointEvery attaches resume tokens to periodic
+// frames; and a server drain stops the loop at the next frame boundary with
+// a cleanly terminated interrupted frame carrying a token. Returns the
+// number of steps actually integrated (what the planner should observe).
+func (s *Server) stream(ctx context.Context, w http.ResponseWriter, req *SimulateRequest, sys *nbody.System, p *Plan, c *call) (int, error) {
 	var sim *nbody.Simulation
-	r0, b0, d0 := plan.Ladder.Counters()
-	defer func() {
-		r1, b1, d1 := plan.Ladder.Counters()
-		var checkpoints, resumes int64
-		if sim != nil {
-			checkpoints, resumes = sim.Counters()
-		}
-		s.noteRecovery(RecoveryDelta{Retries: r1 - r0, BreakerTrips: b1 - b0, Degradations: d1 - d0}, checkpoints, resumes)
-	}()
+	var err error
 	start := 0
 	if req.resume != nil {
-		sim, err = nbody.ResumeSimulationState(req.resume, ctxAccelerator{plan.Ladder, ctx})
+		sim, err = nbody.ResumeSimulationState(req.resume, ctxAccelerator{p.Ladder, ctx})
 		if sim != nil {
 			start = req.resume.Step
 		}
 	} else {
-		sim, err = nbody.NewSimulation(sys, nil, ctxAccelerator{plan.Ladder, ctx}, req.DT)
+		sim, err = nbody.NewSimulation(sys, nil, ctxAccelerator{p.Ladder, ctx}, req.DT)
+	}
+	if sim != nil {
+		defer func() { c.checkpoints, c.resumes = sim.Counters() }()
 	}
 	if err != nil {
 		return 0, err
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Plan-Cache", map[bool]string{true: "hit", false: "miss"}[hit])
+	w.Header().Set("X-Plan-Cache", map[bool]string{true: "hit", false: "miss"}[c.hit])
 	// The plan the stream runs on, so a gateway resuming it elsewhere can
 	// pin the same depth and accuracy for bitwise continuation.
-	w.Header().Set("X-Plan-Depth", fmt.Sprintf("%d", key.Plan.Depth))
-	w.Header().Set("X-Plan-Accuracy", key.Shape.Accuracy)
-	*streaming = true
+	w.Header().Set("X-Plan-Depth", fmt.Sprintf("%d", p.Key.Plan.Depth))
+	w.Header().Set("X-Plan-Accuracy", p.Key.Shape.Accuracy)
+	c.streaming = true
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
@@ -729,15 +704,8 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, req *Simulat
 		k, u, e := sim.Energy()
 		f := Frame{Step: sim.Steps(), Time: sim.Time(), Kinetic: k, Potential: u, Total: e,
 			Final: final, Interrupted: interrupted}
-		switch {
-		case interrupted:
-			// An interrupted frame without a token would be a dead end.
-			tok, terr := encodeResumeToken(sim)
-			if terr != nil {
-				return terr
-			}
-			f.ResumeToken = tok
-		case !final && req.CheckpointEvery > 0 && frames%req.CheckpointEvery == 0:
+		// An interrupted frame without a token would be a dead end.
+		if interrupted || (!final && req.CheckpointEvery > 0 && frames%req.CheckpointEvery == 0) {
 			tok, terr := encodeResumeToken(sim)
 			if terr != nil {
 				return terr
@@ -836,14 +804,13 @@ type IdemMetrics struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// PlannerMetrics is the plan-subsystem section of /v1/metrics: whether
-// autotuning is on, where the persistent store lives, and this server's
-// planner counters (tune hits/misses, measured searches and their total
-// time, plan provenance tallies, store traffic).
+// PlannerMetrics is the plan-subsystem section of /v1/metrics: where the
+// persistent store lives, and this server's planner counters (tune
+// hits/misses, measured searches and their total time, plan provenance
+// tallies, store traffic).
 type PlannerMetrics struct {
-	AutotuneEnabled bool                 `json:"autotune_enabled"`
-	Store           string               `json:"store,omitempty"`
-	Counters        metrics.PlannerStats `json:"counters"`
+	Store    string               `json:"store,omitempty"`
+	Counters metrics.PlannerStats `json:"counters"`
 }
 
 // ReadMetrics assembles the metrics document (also used in-process by the
@@ -870,9 +837,8 @@ func (s *Server) ReadMetrics() Metrics {
 		Recovery:  s.events.Read().recovery,
 		Overload:  s.readOverload(),
 		Planner: PlannerMetrics{
-			AutotuneEnabled: !s.cfg.DisableAutotune,
-			Store:           s.cfg.PlanStore,
-			Counters:        s.planner.Counters(),
+			Store:    s.cfg.PlanStore,
+			Counters: s.planner.Counters(),
 		},
 		Draining:    s.draining.Load(),
 		Idempotency: idem,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"nbody"
 	"nbody/internal/core"
 	"nbody/internal/faults"
+	"nbody/internal/plan"
 )
 
 // newTestServer starts a Server on an httptest listener and registers the
@@ -54,7 +56,13 @@ func solveBody(t *testing.T, tenant string, sys *nbody.System, mutate func(*Solv
 
 func postSolve(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
+	return postJSON(t, url+"/v1/solve", body)
+}
+
+// postJSON posts body to url and reads the whole response.
+func postJSON(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,5 +555,136 @@ func TestRecoveryScopedToRequest(t *testing.T) {
 	}
 	if clean.Recovery != nil {
 		t.Fatalf("clean request inherited recovery events: %+v", clean.Recovery)
+	}
+}
+
+// TestLifecycleSharedByBothEndpoints drives /v1/solve and /v1/simulate
+// through the same rows, so the shared admit → run → finish path is pinned
+// from both entrances: every rejection class answers with the same status,
+// code and Retry-After whichever endpoint it arrived on, a success costs
+// exactly one planner observation, one status tally and one plan checkout,
+// and a healed solver panic is counted once.
+func TestLifecycleSharedByBothEndpoints(t *testing.T) {
+	sys := nbody.NewUniformSystem(256, 5)
+	endpoints := []struct {
+		name, path string
+		sim        bool
+		body       func(mutate func(*SolveRequest)) []byte
+	}{
+		{"solve", "/v1/solve", false, func(mutate func(*SolveRequest)) []byte {
+			return solveBody(t, "t", sys, mutate)
+		}},
+		{"simulate", "/v1/simulate", true, func(mutate func(*SolveRequest)) []byte {
+			b := solveBody(t, "t", sys, mutate)
+			return []byte(strings.Replace(string(b), `{`, `{"steps":2,"dt":1e-5,`, 1))
+		}},
+	}
+	// wantRejected checks one rejection: status, error code, Retry-After
+	// where the class promises one, and the status tally.
+	wantRejected := func(t *testing.T, srv *Server, resp *http.Response, data []byte, status int, code string) {
+		t.Helper()
+		var er ErrorResponse
+		if err := json.Unmarshal(data, &er); err != nil || resp.StatusCode != status || er.Code != code {
+			t.Fatalf("got %d %s, want %d with code %q", resp.StatusCode, data, status, code)
+		}
+		if ra := resp.Header.Get("Retry-After"); (status == 429 || status == 503) != (ra != "") {
+			t.Errorf("Retry-After = %q on a %d", ra, status)
+		}
+		if got := srv.ReadMetrics().Statuses[fmt.Sprint(status)]; got != 1 {
+			t.Errorf("statuses[%d] = %d, want 1", status, got)
+		}
+	}
+
+	for _, ep := range endpoints {
+		t.Run(ep.name+"/draining", func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{Workers: 2})
+			srv.BeginDrain()
+			resp, data := postJSON(t, hs.URL+ep.path, ep.body(nil))
+			wantRejected(t, srv, resp, data, http.StatusServiceUnavailable, "draining")
+		})
+		t.Run(ep.name+"/body over cap", func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{Workers: 2, MaxBodyBytes: 512})
+			resp, data := postJSON(t, hs.URL+ep.path, ep.body(nil))
+			wantRejected(t, srv, resp, data, http.StatusRequestEntityTooLarge, "too_large")
+		})
+		t.Run(ep.name+"/infeasible deadline", func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{Workers: 2})
+			body := ep.body(func(r *SolveRequest) { r.DeadlineMS = 50 })
+			// Two observations of a minute per unit make the planner
+			// confident that no 50 ms deadline can be met.
+			req, dsys, err := decodeSolveRequest(bytes.NewReader(body), srv.limits())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := srv.keyFor(req, dsys.Len(), plan.Fingerprint(dsys.Positions), ep.sim)
+			srv.Planner().Observe(key, time.Minute)
+			srv.Planner().Observe(key, time.Minute)
+			resp, data := postJSON(t, hs.URL+ep.path, body)
+			wantRejected(t, srv, resp, data, http.StatusTooManyRequests, "shed_deadline")
+			if srv.PlanStats().Misses != 0 {
+				t.Error("a shed request checked out a plan")
+			}
+		})
+		t.Run(ep.name+"/tenant queue full", func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{Workers: 2, QueueDepth: 1})
+			block := make(chan struct{})
+			defer close(block)
+			started := make(chan struct{}, 2)
+			hold := func(context.Context) error { started <- struct{}{}; <-block; return nil }
+			// One worker at a time (two at once could meet in the one queue
+			// slot and bounce), then the job that fills the slot.
+			go srv.disp.Do(context.Background(), "t", hold)
+			<-started
+			go srv.disp.Do(context.Background(), "t", hold)
+			<-started
+			go srv.disp.Do(context.Background(), "t", hold)
+			for deadline := time.Now().Add(2 * time.Second); srv.disp.Stats().Queued < 1; {
+				if time.Now().After(deadline) {
+					t.Fatal("third job never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			resp, data := postJSON(t, hs.URL+ep.path, ep.body(nil))
+			wantRejected(t, srv, resp, data, http.StatusTooManyRequests, "overloaded")
+		})
+		t.Run(ep.name+"/success", func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{Workers: 2})
+			resp, data := postJSON(t, hs.URL+ep.path, ep.body(nil))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+			m := srv.ReadMetrics()
+			if m.Overload.EstimatorObs != 1 || m.Overload.EstimatorShapes != 1 {
+				t.Errorf("planner saw %d observations of %d shapes, want exactly one of one",
+					m.Overload.EstimatorObs, m.Overload.EstimatorShapes)
+			}
+			if m.Statuses["200"] != 1 || len(m.Statuses) != 1 {
+				t.Errorf("statuses = %v, want one 200", m.Statuses)
+			}
+			if got := m.PlanCache.Hits + m.PlanCache.Misses; got != 1 || m.PlanCache.Idle != 1 {
+				t.Errorf("plan cache = %+v, want one checkout, returned", m.PlanCache)
+			}
+			if m.Latency.Count != 1 {
+				t.Errorf("latency ring holds %d samples, want 1", m.Latency.Count)
+			}
+		})
+		t.Run(ep.name+"/healed panic", func(t *testing.T) {
+			srv, hs := newTestServer(t, Config{Workers: 2})
+			defer faults.Reset()
+			if resp, data := postJSON(t, hs.URL+ep.path, ep.body(nil)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("warmup: %d %s", resp.StatusCode, data)
+			}
+			faults.InjectPanicN("core/T2", "injected by TestLifecycleSharedByBothEndpoints", 1)
+			if resp, data := postJSON(t, hs.URL+ep.path, ep.body(nil)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("injected request not healed: %d %s", resp.StatusCode, data)
+			}
+			m := srv.ReadMetrics()
+			if m.Recovery.Retries != 1 {
+				t.Errorf("recovery.retries = %d, want 1", m.Recovery.Retries)
+			}
+			if m.Statuses["200"] != 2 || m.Overload.EstimatorObs != 2 {
+				t.Errorf("statuses = %v, planner observations = %d; want two of each", m.Statuses, m.Overload.EstimatorObs)
+			}
+		})
 	}
 }

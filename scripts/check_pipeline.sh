@@ -45,4 +45,21 @@ if [ -n "$globals$mirror" ]; then
     echo "count the event on the instance that produces it (metrics.Set for counters with no other home)" >&2
     exit 1
 fi
+# Third boundary: measured solve cost has one owner, plan.Planner. The
+# serving layer asks it (Estimate) and tells it (Observe); it may not keep a
+# cost table of its own — no map keyed by plan.CostShape, under that name or
+# an alias declared for it — nor a second cost model to seed one from.
+ledger=$(grep -rnE --include='*.go' \
+        -e 'map\[(plan\.)?CostShape\]' \
+        -e 'type +[A-Za-z_0-9]+ +=? *plan\.CostShape' \
+        -e 'DefaultCostModel' \
+        internal/serve \
+    | grep -v '_test\.go:' \
+    || true)
+if [ -n "$ledger" ]; then
+    echo "check_pipeline: internal/serve keeps its own measured-cost state:" >&2
+    echo "$ledger" >&2
+    echo "read and feed plan.Planner (Estimate / Observe / Calibration) instead" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"

@@ -33,11 +33,6 @@ DRAIN_GRACE="${DRAIN_GRACE:-20s}"
 # load has warmed the estimator, and a fleet client asking for a multi-
 # minute stream should say so.
 DEADLINE_MS="${DEADLINE_MS:-600000}"
-# Gate 1's through-the-gateway loadtest is recorded like scripts/loadtest.sh
-# records the single-server numbers, and gated against the committed
-# baseline (light tenant p95, 1.5x + 100ms; skipped across backends).
-RESULTS="${RESULTS:-BENCH_PR10.json}"
-BASELINE="${BASELINE:-BENCH_PR10.json}"
 
 cd "$(dirname "$0")/.."
 
@@ -101,14 +96,8 @@ echo "fleettest: fleet up (gateway $GW_URL, 3 replicas)"
 echo "fleettest: reference stream recorded ($(wc -c <"$TMP/final_ref.json") bytes)"
 
 # --- Gate 1: rolling restart under solve load -------------------------------
-GATE_ARGS=""
-if [ -f "$BASELINE" ]; then
-    cp "$BASELINE" "$TMP/baseline.prev"
-    GATE_ARGS="-baseline $TMP/baseline.prev"
-fi
 "$TMP/nbodyd" -loadtest -target "$GW_URL" -duration "$DURATION" \
-    -tenants "light:2:512,steady:2:1024" -light light \
-    -json "$RESULTS" $GATE_ARGS >"$TMP/loadtest.log" 2>&1 &
+    -tenants "light:2:512,steady:2:1024" >"$TMP/loadtest.log" 2>&1 &
 LT_PID=$!
 sleep 1
 for i in 1 2 3; do

@@ -4,9 +4,8 @@
 # synthetic tenant mix against it over real HTTP, and prints the markdown
 # comparison table (shed/degraded/late counts, p50/p95/p99 latency,
 # goodput, plan-cache hit rate). Exits nonzero if any well-behaved tenant
-# drew a 5xx or a transport error, or — when a recorded baseline exists
-# for the active backend — if the light tenant's p95 regressed against it
-# by more than 1.5x + 100ms.
+# drew a 5xx or a transport error. Writes nothing: the table on stdout is
+# the result.
 #
 #   scripts/loadtest.sh                         # default mix, 5s per run
 #   DURATION=10s scripts/loadtest.sh            # longer runs
@@ -16,9 +15,7 @@
 #
 # The contended default mix pairs a hungry multi-shape tenant against light
 # ones so the fifo-vs-fair difference (per-tenant tail latency under one
-# tenant's burst) is visible in the per-tenant breakdown on stderr. The
-# results are recorded to $RESULTS (default BENCH_PR8.json) and gated
-# against $BASELINE (default: the committed BENCH_PR8.json) when present.
+# tenant's burst) is visible in the per-tenant breakdown on stderr.
 set -e
 
 DURATION="${DURATION:-5s}"
@@ -29,22 +26,9 @@ POLICIES="${POLICIES:-fifo,fair}"
 OVERLOAD="${OVERLOAD:-on}"
 ARRIVAL="${ARRIVAL:-closed}"
 REQ_DEADLINE="${REQ_DEADLINE:-0s}"
-LIGHT="${LIGHT:-light}"
-RESULTS="${RESULTS:-BENCH_PR8.json}"
-BASELINE="${BASELINE:-BENCH_PR8.json}"
 
 cd "$(dirname "$0")/.."
 
-# Snapshot the committed baseline before the run overwrites $RESULTS, so
-# the p95 gate always compares against the pre-run numbers even when
-# $BASELINE and $RESULTS are the same path.
-GATE_ARGS=""
-if [ -f "$BASELINE" ]; then
-    cp "$BASELINE" "$BASELINE.prev"
-    GATE_ARGS="-baseline $BASELINE.prev"
-fi
-
-status=0
 go run ./cmd/nbodyd -loadtest \
     -duration "$DURATION" \
     -tenants "$TENANTS" \
@@ -54,9 +38,4 @@ go run ./cmd/nbodyd -loadtest \
     -overload "$OVERLOAD" \
     -arrival "$ARRIVAL" \
     -req-deadline "$REQ_DEADLINE" \
-    -light "$LIGHT" \
-    -json "$RESULTS" \
-    $GATE_ARGS \
-    "$@" || status=$?
-rm -f "$BASELINE.prev"
-exit $status
+    "$@"
