@@ -122,6 +122,11 @@ func main() {
 	c := blas.ReadCounters()
 	fmt.Printf("  blas: %d gemm calls (%d flops), %d gemv calls (%d flops)\n",
 		c.GemmCalls, c.GemmFlops, c.GemvCalls, c.GemvFlops)
+	if sec := st.Time[metrics.PhaseNear].Seconds(); sec > 0 {
+		// Pairs evaluated, not interactions delivered: the shared-memory
+		// solver evaluates a pair once and deposits it on both particles.
+		fmt.Printf("  near: %d pairs evaluated, %.0f Mpairs/s\n", st.NearPairs, float64(st.NearPairs)/sec/1e6)
+	}
 	fmt.Printf("  heap: %d allocs, %d B across %d solve(s)\n", st.HeapAllocs, st.HeapBytes, *solves)
 	if len(st.Workers) > 0 {
 		var jobs int64

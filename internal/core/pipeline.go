@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"nbody/internal/geom"
 	"nbody/internal/pipeline"
 )
 
@@ -94,7 +95,7 @@ func (s *Solver) scatter() {
 	}
 	if s.in.acc != nil {
 		for i, j := range s.part.Perm {
-			s.in.acc[j] = s.accS[i]
+			s.in.acc[j] = geom.Vec3{X: s.gx[i], Y: s.gy[i], Z: s.gz[i]}
 		}
 	}
 }

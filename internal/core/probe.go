@@ -74,7 +74,7 @@ func (s *Solver) evalAt(targets []geom.Vec3, phi []float64) {
 		sum := func(bi int) {
 			lo, hi := s.part.Start[bi], s.part.Start[bi+1]
 			for j := lo; j < hi; j++ {
-				v += s.qS[j] / x.Dist(s.posS[j])
+				v += s.qS[j] / x.Dist(s.posAt(j))
 			}
 		}
 		sum(b)

@@ -9,7 +9,6 @@ import (
 	"nbody/internal/blas"
 	"nbody/internal/direct"
 	"nbody/internal/geom"
-	"nbody/internal/kernels"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
 	"nbody/internal/tree"
@@ -28,27 +27,31 @@ import (
 // (time-stepping, parameter sweeps) without rebuilding anything: use
 // PotentialsInto / AccelerationsInto with caller-owned output buffers. With
 // one executor such a solve allocates nothing; on a worker pool it allocates
-// only what the scheduler needs per parallel region (about a dozen small
-// objects at depth 4: one per translation sweep and one for the near
-// field). Consecutive solves on identical inputs are
-// bitwise reproducible. A force solve (Accelerations*) is moreover bitwise
-// independent of the number of workers, one included: every sweep writes a
-// box from exactly one job, in an order fixed by the box. A potential solve
-// is independent of the size of a pool, but with a single executor takes
-// the symmetric near field (nearFieldSym), whose summation order differs.
-// A Solver is not safe for concurrent solves.
+// nothing either once the scheduler's pool of region descriptors is warm.
+// Consecutive solves on identical inputs are bitwise reproducible, and
+// every solve — potentials and forces alike — is bitwise independent of the
+// number of workers, one included: a translation sweep writes a box from
+// exactly one job, in an order fixed by the box, and the near field's rounds
+// (nearField) give every particle its contributions in an order fixed by
+// the round list. Replicas with different core counts therefore answer one
+// request with the same bits, which idempotent replay, plan reuse and
+// resumed streams rely on. A Solver is not safe for concurrent solves.
 type Solver struct {
 	cfg  Config
 	hier tree.Hierarchy
 	ts   *TranslationSet
 
-	nearOff  []geom.Coord3
-	nearHalf []geom.Coord3 // tree.HalfNearOffsets: the serial symmetric potential sweep
+	nearOff []geom.Coord3 // PotentialsAt's per-target source boxes
 
-	// nearRun is the near-field region body (nearBox), built once here like
-	// sweep.run; nearPairs collects the sweep's pair count from its jobs.
-	nearRun   func(b int)
-	nearPairs atomic.Int64
+	// The near-field sweep (near.go): its rounds, the job lists of the round
+	// in flight (reused buffers; nearCur is the one being run), the region
+	// body (nearRow) built once here like sweep.run, and the pair count its
+	// jobs add up.
+	nearRounds          []nearRound
+	nearJobs, nearTiles []nearJob
+	nearCur             []nearJob
+	nearRun             func(job int)
+	nearPairs           atomic.Int64
 
 	// rec is the always-on per-phase recorder; snap is the materialized
 	// view Stats() refreshes (kept on the Solver so Stats() allocates
@@ -71,15 +74,14 @@ type Solver struct {
 	boxOf []int32
 	fill  []int
 
-	// Box-sorted particle mirrors: posS/qS are the positions/charges in
-	// box order, phiS/accS the per-particle results accumulated in that
-	// order and scattered back on completion. Sorting once per solve makes
-	// every leaf and near-field sweep a contiguous walk and removes the
-	// seed implementation's per-box gather copies.
-	posS []geom.Vec3
-	qS   []float64
-	phiS []float64
-	accS []geom.Vec3
+	// Box-sorted particle mirrors, one plane per attribute: xs/ys/zs/qS are
+	// the positions/charges in box order, phiS and gx/gy/gz the per-particle
+	// results accumulated in that order and scattered back on completion.
+	// Sorting once per solve makes every leaf and near-field sweep a
+	// contiguous walk — box indices run x fastest, so a whole x-row of
+	// boxes, and any run of neighbours within it, is one slice of each plane.
+	xs, ys, zs, qS   []float64
+	phiS, gx, gy, gz []float64
 
 	// ctx is the cancellation signal of the solve in flight (nil outside
 	// PotentialsCtx/AccelerationsCtx). Phase sweeps read it through par /
@@ -119,8 +121,8 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 	nmat := int64(2*8 + s.ts.t2Built)
 	s.rec.AddFlops(PhaseSetup, nmat*TranslationMatrixFlops(s.ts.K, ncfg.M))
 	s.nearOff = tree.NearOffsets(ncfg.Separation)
-	s.nearHalf = tree.HalfNearOffsets(ncfg.Separation)
-	s.nearRun = s.nearBox
+	s.nearRounds = buildNearRounds(h.GridSize(ncfg.Depth), ncfg.Separation)
+	s.nearRun = s.nearRow
 
 	depth := ncfg.Depth
 	k := s.ts.K
@@ -305,15 +307,14 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
 	if cap(s.boxOf) < np {
 		s.boxOf = make([]int32, np)
 		s.part.Perm = make([]int, np)
-		s.posS = make([]geom.Vec3, np)
-		s.qS = make([]float64, np)
-		s.phiS = make([]float64, np)
-		s.accS = make([]geom.Vec3, np)
+		for _, plane := range []*[]float64{&s.xs, &s.ys, &s.zs, &s.qS, &s.phiS, &s.gx, &s.gy, &s.gz} {
+			*plane = make([]float64, np)
+		}
 	}
 	s.boxOf = s.boxOf[:np]
 	s.part.Perm = s.part.Perm[:np]
-	s.posS, s.qS = s.posS[:np], s.qS[:np]
-	s.phiS, s.accS = s.phiS[:np], s.accS[:np]
+	s.xs, s.ys, s.zs, s.qS = s.xs[:np], s.ys[:np], s.zs[:np], s.qS[:np]
+	s.phiS, s.gx, s.gy, s.gz = s.phiS[:np], s.gx[:np], s.gy[:np], s.gz[:np]
 	if s.part.Start == nil {
 		s.part.Start = make([]int, nb+1)
 		s.fill = make([]int, nb)
@@ -341,7 +342,7 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
 		s.fill[b]++
 	}
 	for i, j := range s.part.Perm {
-		s.posS[i] = pos[j]
+		s.xs[i], s.ys[i], s.zs[i] = pos[j].X, pos[j].Y, pos[j].Z
 		s.qS[i] = q[j]
 	}
 
@@ -379,13 +380,13 @@ func (s *Solver) leafOuter() {
 		c := geom.CoordFromIndex(b, n)
 		center := s.hier.Box(s.cfg.Depth, c).Center
 		out := g[b*k : (b+1)*k]
-		pb := s.posS[lo:hi]
-		qb := s.qS[lo:hi]
+		xb, yb, zb, qb := s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.qS[lo:hi]
 		for i, si := range rule.Points {
 			p := center.Add(si.Scale(a))
 			var v float64
-			for j := range pb {
-				v += qb[j] / p.Dist(pb[j])
+			for j := range xb {
+				d := geom.Vec3{X: p.X - xb[j], Y: p.Y - yb[j], Z: p.Z - zb[j]}
+				v += qb[j] / d.Norm()
 			}
 			out[i] = v
 		}
@@ -395,6 +396,9 @@ func (s *Solver) leafOuter() {
 	}
 	s.rec.AddFlops(PhaseLeafOuter, pairs*direct.FlopsPerPair)
 }
+
+// posAt is particle i of the box-sorted mirrors as a point.
+func (s *Solver) posAt(i int) geom.Vec3 { return geom.Vec3{X: s.xs[i], Y: s.ys[i], Z: s.zs[i]} }
 
 // upward is step 2: combine child outer approximations into parents with T1,
 // from level depth-1 down to level 2.
@@ -441,136 +445,17 @@ func (s *Solver) evalLocal(wantForce bool) {
 			g := loc[b*k : (b+1)*k]
 			if wantForce {
 				for i := lo; i < hi; i++ {
-					v, gr := EvalInnerGradWork(rule, m, center, a, g, s.posS[i], p, dp)
+					v, gr := EvalInnerGradWork(rule, m, center, a, g, s.posAt(i), p, dp)
 					s.phiS[i] = v
-					s.accS[i] = gr
+					s.gx[i], s.gy[i], s.gz[i] = gr.X, gr.Y, gr.Z
 				}
 			} else {
 				for i := lo; i < hi; i++ {
-					s.phiS[i] = EvalInner(rule, m, center, a, g, s.posS[i])
+					s.phiS[i] = EvalInner(rule, m, center, a, g, s.posAt(i))
 				}
 			}
 		}
 		evalPool.Put(es)
 	})
-	s.rec.AddFlops(PhaseEvalLocal, int64(len(s.posS))*int64(k)*int64(m+1)*FlopsKernel)
-}
-
-// nearField is step 5: direct evaluation against the d-separation near
-// field, one-sided per target box so boxes parallelize without races and
-// the result of a box depends on nothing but the box — hence not on how
-// many workers share the sweep, or in what order.
-//
-// Run addressing: box indices run x fastest, so in the box-sorted mirrors
-// the 2d+1 x-neighbours of any (dy, dz) row are one contiguous slice,
-// posS[Start[row+xlo] : Start[row+xhi+1]] with xlo/xhi clipped to the grid.
-// A target box therefore issues one kernel call per in-grid row — 25 for
-// d = 2 — over sources up to 2d+1 boxes long, not one per source box. Its
-// own box is simply part of its own row's run; the kernels' r == 0 guard
-// drops each particle's pair with itself, so there is no within-box pass.
-//
-// A force solve takes this sweep at every worker count, through the fused
-// potential+field kernel. A potential solve with a single executor keeps
-// the symmetric form (nearFieldSym), which halves the pair count and at one
-// core is the faster of the two.
-func (s *Solver) nearField() {
-	if s.in.acc == nil && blas.Serial() {
-		s.nearFieldSym()
-		return
-	}
-	n := s.part.Grid
-	s.nearPairs.Store(0)
-	// A canceled region evaluated only part of the near field: not counted.
-	if blas.ParallelCtx(s.ctx, n*n*n, s.nearRun) != nil {
-		return
-	}
-	pairs := s.nearPairs.Load()
-	s.rec.AddNearPairs(pairs)
-	s.rec.AddFlops(PhaseNear, pairs*direct.FlopsPerPair)
-}
-
-// nearBox is the body of the near-field region (s.nearRun): all source runs
-// of target box b. It reads the solve in flight from the Solver, so the
-// closure over it is built once in NewSolver and a sweep allocates nothing.
-func (s *Solver) nearBox(b int) {
-	pipeline.Fire(FaultSiteNearBody)
-	start := s.part.Start
-	tLo, tHi := start[b], start[b+1]
-	if tLo == tHi {
-		return
-	}
-	n := s.part.Grid
-	d := s.cfg.Separation
-	c := geom.CoordFromIndex(b, n)
-	xlo, xhi := max(c.X-d, 0), min(c.X+d, n-1)
-	tPos, tPhi := s.posS[tLo:tHi], s.phiS[tLo:tHi]
-	wantForce := s.in.acc != nil
-	var tAcc []geom.Vec3
-	if wantForce {
-		tAcc = s.accS[tLo:tHi]
-	}
-	var sources int
-	for z := max(c.Z-d, 0); z <= min(c.Z+d, n-1); z++ {
-		for y := max(c.Y-d, 0); y <= min(c.Y+d, n-1); y++ {
-			row := (z*n + y) * n
-			sLo, sHi := start[row+xlo], start[row+xhi+1]
-			if sLo == sHi {
-				continue
-			}
-			if wantForce {
-				kernels.AccumulateFused(tPos, tPhi, tAcc, s.posS[sLo:sHi], s.qS[sLo:sHi])
-			} else {
-				kernels.Accumulate(tPos, tPhi, s.posS[sLo:sHi], s.qS[sLo:sHi])
-			}
-			sources += sHi - sLo
-		}
-	}
-	// Every target meets every source of its runs except itself, and a pair
-	// inside the box is one interaction seen from both ends: the count of
-	// the per-box sweep this replaces, t*s per near box plus t(t-1)/2.
-	t := int64(tHi - tLo)
-	s.nearPairs.Add(t*(int64(sources)-t) + t*(t-1)/2)
-}
-
-// nearFieldSym is the single-executor near field of a potential solve: a
-// plain loop over boxes visiting each unordered box pair once through the
-// positive offset half, with the Newton's-third-law pair kernel writing
-// both sides.
-func (s *Solver) nearFieldSym() {
-	n := s.part.Grid
-	var pairs int64
-	for b := 0; b < n*n*n; b++ {
-		// Periodic cancellation check: the serial near field is the longest
-		// uninterruptible stretch on a one-core machine, so poll every 64
-		// boxes to keep the latency bound at chunk scale.
-		if b&63 == 0 && s.ctx != nil && s.ctx.Err() != nil {
-			break
-		}
-		pipeline.Fire(FaultSiteNearBody)
-		tLo, tHi := s.part.Start[b], s.part.Start[b+1]
-		if tLo == tHi {
-			continue
-		}
-		c := geom.CoordFromIndex(b, n)
-		tPos := s.posS[tLo:tHi]
-		tQ := s.qS[tLo:tHi]
-		tPhi := s.phiS[tLo:tHi]
-		for _, o := range s.nearHalf {
-			sc := c.Add(o)
-			if !sc.In(n) {
-				continue
-			}
-			sb := sc.Index(n)
-			sLo, sHi := s.part.Start[sb], s.part.Start[sb+1]
-			if sLo == sHi {
-				continue
-			}
-			kernels.Pairwise(tPos, tQ, tPhi, s.posS[sLo:sHi], s.qS[sLo:sHi], s.phiS[sLo:sHi])
-			pairs += int64(tHi-tLo) * int64(sHi-sLo)
-		}
-		kernels.Within(tPos, tQ, tPhi)
-		pairs += int64(tHi-tLo) * int64(tHi-tLo-1) / 2
-	}
-	s.rec.AddNearPairs(pairs)
-	s.rec.AddFlops(PhaseNear, pairs*direct.FlopsPerPair)
+	s.rec.AddFlops(PhaseEvalLocal, int64(len(s.xs))*int64(k)*int64(m+1)*FlopsKernel)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -362,49 +361,21 @@ func TestT2CancelMidSweepThenReuse(t *testing.T) {
 // TestSupernodeSolveIndependentOfWorkerCount: the supernode sweep is
 // owner-computes like the plain one, so in a child process at each of
 // GOMAXPROCS 1, 2 and 4 a repeated solve reproduces itself bitwise, and the
-// force solve gives the same bits at all three.
+// force and the potential solve each give the same bits at all three.
 func TestSupernodeSolveIndependentOfWorkerCount(t *testing.T) {
-	if inChild() {
-		rng := rand.New(rand.NewSource(84))
-		pos, q := uniformParticles(rng, 4096)
-		s, err := NewSolver(unitBox(), Config{Degree: 7, Depth: 4, Supernodes: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 2; rep++ {
-			phi, acc, err := s.Accelerations(pos, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pot, err := s.Potentials(pos, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Printf("force-hash=%016x\n", solveHash(phi, acc))
-			fmt.Printf("potential-hash=%016x\n", solveHash(pot, nil))
-		}
+	if !inChild() {
+		sameHashesAtEveryWorkerCount(t)
 		return
 	}
-	// hashesAt returns the child's force hash after checking that its two
-	// repetitions agree on both kinds of solve.
-	hashesAt := func(procs int) string {
-		seen := map[string][]string{}
-		for _, line := range strings.Split(rerunAt(t, procs), "\n") {
-			if kind, _, ok := strings.Cut(line, "-hash="); ok {
-				seen[kind] = append(seen[kind], line)
-			}
-		}
-		for _, kind := range []string{"force", "potential"} {
-			if h := seen[kind]; len(h) != 2 || h[0] != h[1] {
-				t.Fatalf("GOMAXPROCS=%d: repeated %s solves gave %v", procs, kind, h)
-			}
-		}
-		return seen["force"][0]
+	rng := rand.New(rand.NewSource(84))
+	pos, q := uniformParticles(rng, 4096)
+	s, err := NewSolver(unitBox(), Config{Degree: 7, Depth: 4, Supernodes: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := hashesAt(1)
-	for _, procs := range []int{2, 4} {
-		if got := hashesAt(procs); got != want {
-			t.Errorf("GOMAXPROCS=%d: %s, GOMAXPROCS=1: %s", procs, got, want)
-		}
-	}
+	printRepeatedHashes(t, "force", func() ([]float64, []geom.Vec3, error) { return s.Accelerations(pos, q) })
+	printRepeatedHashes(t, "potential", func() ([]float64, []geom.Vec3, error) {
+		phi, err := s.Potentials(pos, q)
+		return phi, nil, err
+	})
 }

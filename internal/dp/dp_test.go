@@ -189,11 +189,11 @@ func TestGridAdd(t *testing.T) {
 	a.ForEachBox(func(c geom.Coord3, v []float64) { v[0] = 1 })
 	b.ForEachBox(func(c geom.Coord3, v []float64) { v[0] = float64(c.X) })
 	a.Add(b)
-	a.ForEachBox(func(c geom.Coord3, v []float64) {
-		if v[0] != float64(1+c.X) {
-			t.Fatalf("Add wrong at %v: %g", c, v[0])
-		}
-	})
+	want := m.NewGrid3(4, 1)
+	want.ForEachBox(func(c geom.Coord3, v []float64) { v[0] = float64(1 + c.X) })
+	if bad := mismatches(a, want); bad != 0 {
+		t.Fatalf("Add wrong in %d boxes", bad)
+	}
 }
 
 func TestOctantGatherScatter(t *testing.T) {

@@ -25,23 +25,23 @@ import (
 //     reach an accumulator, so r == 0 sources contribute exactly nothing,
 //     same as the scalar `continue`.
 //
-// AccumulateFused follows the same two orders for each of its four sums
-// (potential and three field components), accumulated from zero and added
-// to the outputs once per target. Its avx2 body adds the potential terms
-// q*inv unfused and fuses only the field updates f += w*d; the mask lands
-// on inv itself, right after the divide, so a dead lane's Inf never meets
-// a multiply (0*Inf is NaN).
+// PairwiseFusedSoA follows the same two orders for each of the target's four
+// sums (potential and three field components), accumulated from zero and
+// added to the outputs once per target; a source's four accumulators take
+// their deposits in place, one per target, ascending i, on both backends.
+// Its avx2 body adds the potential terms q*inv unfused and fuses only the
+// field updates f += w*d; the mask lands on inv itself, right after the
+// divide, so a dead lane's Inf never meets a multiply (0*Inf is NaN).
 //
 // Within one backend repeated calls are bitwise identical; across backends
 // results differ by rounding only, bounded by kernels_simd_test.go and the
 // solver-level differential suite.
 var (
-	accumulateImpl      func(posA []geom.Vec3, phiA []float64, posB []geom.Vec3, qB []float64)       = accumulateScalar
-	accumulateForceImpl func(posA, accA, posB []geom.Vec3, qB []float64)                             = accumulateForceScalar
-	accumulateFusedImpl func(posA []geom.Vec3, phiA []float64, accA, posB []geom.Vec3, qB []float64) = accumulateFusedScalar
-	accumPotSoAImpl     func(xs, ys, zs, phi, sx, sy, sz, sq []float64)                              = accumPotSoAScalar
-	accumForceSoAImpl   func(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq []float64)                  = accumForceSoAScalar
-	pairPotSoAImpl      func(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64)                    = pairPotSoAScalar
+	accumulateForceImpl func(posA, accA, posB []geom.Vec3, qB []float64)                                     = accumulateForceScalar
+	accumPotSoAImpl     func(xs, ys, zs, phi, sx, sy, sz, sq []float64)                                      = accumPotSoAScalar
+	accumForceSoAImpl   func(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq []float64)                          = accumForceSoAScalar
+	pairPotSoAImpl      func(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64)                            = pairPotSoAScalar
+	pairFusedSoAImpl    func(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz []float64) = pairFusedSoAScalar
 )
 
 func init() { simd.Register(applyBackend) }
@@ -57,10 +57,9 @@ func applyBackend(name string) {
 }
 
 func bindScalar() {
-	accumulateImpl = accumulateScalar
 	accumulateForceImpl = accumulateForceScalar
-	accumulateFusedImpl = accumulateFusedScalar
 	accumPotSoAImpl = accumPotSoAScalar
 	accumForceSoAImpl = accumForceSoAScalar
 	pairPotSoAImpl = pairPotSoAScalar
+	pairFusedSoAImpl = pairFusedSoAScalar
 }

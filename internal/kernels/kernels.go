@@ -8,10 +8,10 @@
 //
 // The kernels come in three layouts matching their callers' storage:
 //
-//   - AoS ([]geom.Vec3 positions): used by package direct and the
-//     shared-memory solver's box-pair sweeps.
+//   - AoS ([]geom.Vec3 positions): used by package direct.
 //   - SoA (parallel xs/ys/zs float64 slices): used by the data-parallel
-//     FMM, whose particle grids store coordinates as separate planes.
+//     FMM, whose particle grids store coordinates as separate planes, and
+//     by the shared-memory solver, whose box-sorted mirrors do too.
 //   - 2-D logarithmic (geom.Vec2, -q ln r potential): used by core2.
 //
 // Bitwise reproducibility contract: the differential tests compare solver
@@ -67,30 +67,9 @@ func Within(pos []geom.Vec3, q, phi []float64) {
 	}
 }
 
-// Accumulate adds to phiA the potentials induced at posA by the source set
-// (posB, qB) without touching the sources: the one-sided box-box kernel
-// used when target boxes are processed in parallel and Newton's-third-law
-// write-back would race. Backend-dispatched (dispatch.go).
-func Accumulate(posA []geom.Vec3, phiA []float64, posB []geom.Vec3, qB []float64) {
-	accumulateImpl(posA, phiA, posB, qB)
-}
-
-func accumulateScalar(posA []geom.Vec3, phiA []float64, posB []geom.Vec3, qB []float64) {
-	for i := range posA {
-		pi := posA[i]
-		var s float64
-		for j := range posB {
-			if r := pi.Dist(posB[j]); r > 0 {
-				s += qB[j] / r
-			}
-		}
-		phiA[i] += s
-	}
-}
-
 // AccumulateForce adds to accA the field induced at posA by the source set,
 // with the (y-x)/r^3 convention. Backend-dispatched (dispatch.go). No solver
-// calls it any more (force solves take AccumulateFused); it stays because
+// calls it any more (force solves take PairwiseFusedSoA); it stays because
 // bench/probes.go times it as kernels.accumulate_force_minter_s and bench/
 // is frozen — retiring that probe retires this kernel.
 func AccumulateForce(posA []geom.Vec3, accA []geom.Vec3, posB []geom.Vec3, qB []float64) {
@@ -111,38 +90,5 @@ func accumulateForceScalar(posA, accA, posB []geom.Vec3, qB []float64) {
 			a = a.Add(d.Scale(qB[j] * inv))
 		}
 		accA[i] = a
-	}
-}
-
-// AccumulateFused adds to phiA and accA the potential and the field induced
-// at posA by the source set in one pass: both come from a single
-// inv = 1/sqrt(r2), the field weight as q*inv * (inv*inv), so a pair costs
-// one square root and one divide where Accumulate followed by
-// AccumulateForce costs two of each. Field convention (y-x)/r^3. The
-// sources may alias the targets (a box inside its own source run): the
-// r2 == 0 guard drops each particle's pair with itself, like any other
-// coincident pair. Backend-dispatched (dispatch.go).
-func AccumulateFused(posA []geom.Vec3, phiA []float64, accA []geom.Vec3, posB []geom.Vec3, qB []float64) {
-	accumulateFusedImpl(posA, phiA, accA, posB, qB)
-}
-
-func accumulateFusedScalar(posA []geom.Vec3, phiA []float64, accA []geom.Vec3, posB []geom.Vec3, qB []float64) {
-	for i := range posA {
-		pi := posA[i]
-		var p float64
-		var a geom.Vec3
-		for j := range posB {
-			d := posB[j].Sub(pi)
-			r2 := d.Norm2()
-			if r2 == 0 {
-				continue // coincident particles: self-exclusion, not Inf
-			}
-			inv := 1 / math.Sqrt(r2)
-			qi := qB[j] * inv
-			p += qi
-			a = a.Add(d.Scale(qi * (inv * inv)))
-		}
-		phiA[i] += p
-		accA[i] = accA[i].Add(a)
 	}
 }

@@ -67,8 +67,27 @@ func cloud(rng *rand.Rand, n int) (xs, ys, zs, qs []float64) {
 // sizes covers empty sets, the sub-width counts handled wholly by the
 // scalar tail, exact vector multiples, and every tail remainder class.
 var sizes = [][2]int{
-	{0, 0}, {1, 0}, {0, 5}, {1, 1}, {3, 2}, {5, 4}, {7, 5}, {8, 8},
+	{0, 0}, {1, 0}, {0, 5}, {1, 1}, {3, 2}, {2, 3}, {5, 4}, {7, 5}, {1, 6}, {4, 7}, {8, 8},
 	{13, 9}, {16, 12}, {20, 17}, {33, 30}, {40, 64},
+}
+
+// fusedSide is one side's outputs of the symmetric fused kernel: poisoned
+// potential and field planes with arbitrary starting values.
+type fusedSide struct{ phi, gx, gy, gz []float64 }
+
+func newFusedSide(rng *rand.Rand, n int) fusedSide {
+	phi, gx, gy, gz := cloud(rng, n)
+	return fusedSide{phi, gx, gy, gz}
+}
+
+func (f fusedSide) clone() fusedSide {
+	c := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	return fusedSide{c(f.phi), c(f.gx), c(f.gy), c(f.gz)}
+}
+
+// flat lays the four planes end to end for closeEnough.
+func (f fusedSide) flat() []float64 {
+	return append(append(append(append([]float64(nil), f.phi...), f.gx...), f.gy...), f.gz...)
 }
 
 func closeEnough(t *testing.T, kernel string, cnt, scnt int, got, want []float64) {
@@ -131,12 +150,35 @@ func TestNearFieldSoACrossBackend(t *testing.T) {
 					pairPotSoAScalar(xs, ys, zs, qs, wphi, sx, sy, sz3, sq, wsphi)
 					closeEnough(t, "PairwisePotentialSoA phi", cnt, scnt, phi, wphi)
 					closeEnough(t, "PairwisePotentialSoA sphi", cnt, scnt, sphi, wsphi)
+
+					// PairwiseFusedSoA against its scalar loop, and against the
+					// two one-sided sweeps it stands for (targets <- sources,
+					// sources <- targets: a different formula for the field
+					// weight, so rounding only).
+					a, b := newFusedSide(rng, cnt), newFusedSide(rng, scnt)
+					wa, wb := a.clone(), b.clone()
+					oa, ob := a.clone(), b.clone()
+					PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz3, sq, b.phi, b.gx, b.gy, b.gz)
+					pairFusedSoAScalar(xs, ys, zs, qs, wa.phi, wa.gx, wa.gy, wa.gz, sx, sy, sz3, sq, wb.phi, wb.gx, wb.gy, wb.gz)
+					accumForceSoAScalar(xs, ys, zs, oa.phi, oa.gx, oa.gy, oa.gz, sx, sy, sz3, sq)
+					accumForceSoAScalar(sx, sy, sz3, ob.phi, ob.gx, ob.gy, ob.gz, xs, ys, zs, qs)
+					for _, c := range []struct {
+						name      string
+						got, want fusedSide
+					}{
+						{"PairwiseFusedSoA target", a, wa}, {"PairwiseFusedSoA source", b, wb},
+						{"PairwiseFusedSoA target vs one-sided", a, oa}, {"PairwiseFusedSoA source vs one-sided", b, ob},
+					} {
+						closeEnough(t, c.name, cnt, scnt, c.got.flat(), c.want.flat())
+					}
 				}
 			})
 		})
 	}
 }
 
+// TestNearFieldAoSCrossBackend covers the one AoS kernel left: AccumulateForce,
+// which only the frozen bench probe calls.
 func TestNearFieldAoSCrossBackend(t *testing.T) {
 	for _, be := range simd.Supported() {
 		t.Run(be, func(t *testing.T) {
@@ -147,35 +189,11 @@ func TestNearFieldAoSCrossBackend(t *testing.T) {
 					posA := poisonedVec3(rng, cnt)
 					posB := poisonedVec3(rng, scnt)
 					qB := poisoned(scnt, func(int) float64 { return rng.NormFloat64() })
-					fill := func(int) float64 { return rng.NormFloat64() }
-
-					phi := poisoned(cnt, fill)
-					want := append([]float64(nil), phi...)
-					Accumulate(posA, phi, posB, qB)
-					accumulateScalar(posA, want, posB, qB)
-					closeEnough(t, "Accumulate", cnt, scnt, phi, want)
-
 					acc := poisonedVec3(rng, cnt)
 					wacc := append([]geom.Vec3(nil), acc...)
 					AccumulateForce(posA, acc, posB, qB)
 					accumulateForceScalar(posA, wacc, posB, qB)
 					closeEnough(t, "AccumulateForce", cnt, scnt, flatten(acc), flatten(wacc))
-
-					// The fused kernel against its own scalar loop, and against
-					// the two kernels it replaces (a different formula for the
-					// field weight, so rounding only).
-					facc := append([]geom.Vec3(nil), wacc...)
-					fphi := append([]float64(nil), want...)
-					sacc := append([]geom.Vec3(nil), wacc...)
-					sphi := append([]float64(nil), want...)
-					AccumulateFused(posA, fphi, facc, posB, qB)
-					accumulateFusedScalar(posA, sphi, sacc, posB, qB)
-					closeEnough(t, "AccumulateFused phi", cnt, scnt, fphi, sphi)
-					closeEnough(t, "AccumulateFused acc", cnt, scnt, flatten(facc), flatten(sacc))
-					accumulateScalar(posA, want, posB, qB)
-					accumulateForceScalar(posA, wacc, posB, qB)
-					closeEnough(t, "AccumulateFused phi vs Accumulate", cnt, scnt, fphi, want)
-					closeEnough(t, "AccumulateFused acc vs AccumulateForce", cnt, scnt, flatten(facc), flatten(wacc))
 				}
 			})
 		})
@@ -232,48 +250,25 @@ func TestNearFieldCoincidentExclusion(t *testing.T) {
 					for j := range posB {
 						posB[j] = geom.Vec3{X: sx[j], Y: sy[j], Z: sz[j]}
 					}
-					phi4 := make([]float64, 2)
-					Accumulate(posA, phi4, posB, sq)
 					acc := make([]geom.Vec3, 2)
 					AccumulateForce(posA, acc, posB, sq)
-					phi5 := make([]float64, 2)
-					acc5 := make([]geom.Vec3, 2)
-					AccumulateFused(posA, phi5, acc5, posB, sq)
-					for i := range phi5 {
-						if math.Abs(phi5[i]-wantPhi[i]) > 1e-12*(math.Abs(wantPhi[i])+1) {
-							t.Fatalf("lane %d: fused phi[%d] = %g, want %g", lane, i, phi5[i], wantPhi[i])
-						}
-					}
-					closeEnough(t, "AccumulateFused acc vs AccumulateForce", 2, scnt, flatten(acc5), flatten(acc))
 
-					// Sources aliasing the targets, as when a box sits inside
-					// its own source run: every particle meets itself in lane
-					// `j mod 4` and must drop out; a distinct particle at the
-					// same point (source lane+1 moved onto source lane) drops
-					// out of that pair too, and a zero charge on the dead lane
-					// must not turn its Inf into NaN.
-					posB[(lane+1)%scnt] = posB[lane]
+					// The symmetric fused kernel: the coincident pair drops out
+					// on both sides, and a zero charge on the dead lane must not
+					// turn its Inf into NaN (the mask lands on inv, before any
+					// multiply).
 					qz := append([]float64(nil), sq...)
 					qz[lane] = 0
-					selfPhi := make([]float64, scnt)
-					selfAcc := make([]geom.Vec3, scnt)
-					AccumulateFused(posB, selfPhi, selfAcc, posB, qz)
-					wantSelfPhi := make([]float64, scnt)
-					wantSelfAcc := make([]geom.Vec3, scnt)
-					for i := range posB {
-						for j := range posB {
-							d := posB[j].Sub(posB[i])
-							if r2 := d.Norm2(); r2 > 0 {
-								wantSelfPhi[i] += qz[j] / math.Sqrt(r2)
-								wantSelfAcc[i] = wantSelfAcc[i].Add(d.Scale(qz[j] / (r2 * math.Sqrt(r2))))
-							}
-						}
-					}
-					closeEnough(t, "AccumulateFused aliased phi", scnt, scnt, selfPhi, wantSelfPhi)
-					closeEnough(t, "AccumulateFused aliased acc", scnt, scnt, flatten(selfAcc), flatten(wantSelfAcc))
+					ft := fusedSide{make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]float64, 2)}
+					fs := fusedSide{make([]float64, scnt), make([]float64, scnt), make([]float64, scnt), make([]float64, scnt)}
+					wt, ws := ft.clone(), fs.clone()
+					PairwiseFusedSoA(xs, ys, zs, qs, ft.phi, ft.gx, ft.gy, ft.gz, sx, sy, sz, qz, fs.phi, fs.gx, fs.gy, fs.gz)
+					accumForceSoAScalar(xs, ys, zs, wt.phi, wt.gx, wt.gy, wt.gz, sx, sy, sz, qz)
+					accumForceSoAScalar(sx, sy, sz, ws.phi, ws.gx, ws.gy, ws.gz, xs, ys, zs, qs)
+					closeEnough(t, "PairwiseFusedSoA coincident target", 2, scnt, ft.flat(), wt.flat())
+					closeEnough(t, "PairwiseFusedSoA coincident source", 2, scnt, fs.flat(), ws.flat())
 
-					for _, v := range [][]float64{gx, gy, gz, phi2, phi3, sphi, phi4, flatten(acc),
-						phi5, flatten(acc5), selfPhi, flatten(selfAcc)} {
+					for _, v := range [][]float64{gx, gy, gz, phi2, phi3, sphi, flatten(acc), ft.flat(), fs.flat()} {
 						for i, x := range v {
 							if math.IsInf(x, 0) || math.IsNaN(x) {
 								t.Fatalf("lane %d: coincident source leaked Inf/NaN at %d: %v", lane, i, x)
@@ -286,87 +281,97 @@ func TestNearFieldCoincidentExclusion(t *testing.T) {
 	}
 }
 
-// fusedOrder transcribes AccumulateFused's documented reduction order for
-// one backend (dispatch.go) with explicit math.FMA where the avx2 body
+// pairFusedOrder transcribes PairwiseFusedSoA's documented reduction order
+// for one backend (dispatch.go) with explicit math.FMA where the avx2 body
 // fuses and explicitly rounded products where it does not.
-func fusedOrder(be string, posA []geom.Vec3, phiA []float64, accA, posB []geom.Vec3, qB []float64) {
+func pairFusedOrder(be string, xs, ys, zs, qs []float64, a fusedSide, sx, sy, sz, sq []float64, b fusedSide) {
 	s4 := 0
 	if be == simd.AVX2 {
-		s4 = len(posB) &^ 3
+		s4 = len(sx) &^ 3
 	}
-	for i, a := range posA {
+	for i := range xs {
 		if s4 > 0 {
 			var p, fx, fy, fz [4]float64
 			for g := 0; g < s4; g += 4 {
 				for l := 0; l < 4; l++ {
-					b := posB[g+l]
-					dx, dy, dz := b.X-a.X, b.Y-a.Y, b.Z-a.Z
+					j := g + l
+					dx, dy, dz := sx[j]-xs[i], sy[j]-ys[i], sz[j]-zs[i]
 					r2 := math.FMA(dz, dz, math.FMA(dy, dy, float64(dx*dx)))
 					inv := 0.0
 					if r2 != 0 {
 						inv = 1 / math.Sqrt(r2)
 					}
-					qi := float64(qB[g+l] * inv)
-					p[l] += qi
-					w := float64(qi * float64(inv*inv))
+					inv2 := float64(inv * inv)
+					tj, ti := float64(sq[j]*inv), float64(qs[i]*inv)
+					p[l] += tj
+					w, v := float64(tj*inv2), float64(ti*inv2)
 					fx[l] = math.FMA(w, dx, fx[l])
 					fy[l] = math.FMA(w, dy, fy[l])
 					fz[l] = math.FMA(w, dz, fz[l])
+					b.phi[j] += ti
+					b.gx[j] = math.FMA(-v, dx, b.gx[j])
+					b.gy[j] = math.FMA(-v, dy, b.gy[j])
+					b.gz[j] = math.FMA(-v, dz, b.gz[j])
 				}
 			}
 			hsum := func(v [4]float64) float64 { return (v[0] + v[2]) + (v[1] + v[3]) }
-			phiA[i] += hsum(p)
-			accA[i].X += hsum(fx)
-			accA[i].Y += hsum(fy)
-			accA[i].Z += hsum(fz)
+			a.phi[i] += hsum(p)
+			a.gx[i] += hsum(fx)
+			a.gy[i] += hsum(fy)
+			a.gz[i] += hsum(fz)
 		}
 		var p, fx, fy, fz float64
-		for j := s4; j < len(posB); j++ {
-			b := posB[j]
-			dx, dy, dz := b.X-a.X, b.Y-a.Y, b.Z-a.Z
+		for j := s4; j < len(sx); j++ {
+			dx, dy, dz := sx[j]-xs[i], sy[j]-ys[i], sz[j]-zs[i]
 			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 			if r2 == 0 {
 				continue
 			}
 			inv := 1 / math.Sqrt(r2)
-			qi := float64(qB[j] * inv)
-			p += qi
-			w := float64(qi * float64(inv*inv))
+			inv2 := float64(inv * inv)
+			tj, ti := float64(sq[j]*inv), float64(qs[i]*inv)
+			p += tj
+			w, v := float64(tj*inv2), float64(ti*inv2)
 			fx += float64(w * dx)
 			fy += float64(w * dy)
 			fz += float64(w * dz)
+			b.phi[j] += ti
+			b.gx[j] -= float64(v * dx)
+			b.gy[j] -= float64(v * dy)
+			b.gz[j] -= float64(v * dz)
 		}
-		phiA[i] += p
-		accA[i].X += fx
-		accA[i].Y += fy
-		accA[i].Z += fz
+		if s4 < len(sx) {
+			a.phi[i] += p
+			a.gx[i] += fx
+			a.gy[i] += fy
+			a.gz[i] += fz
+		}
 	}
 }
 
-// TestAccumulateFusedOrderExact pins the fused kernel's reduction order on
-// every backend, bit for bit, across source counts on both sides of the
-// vector width and with a tail of every length.
-func TestAccumulateFusedOrderExact(t *testing.T) {
+// TestPairwiseFusedOrderExact pins the fused pair kernel's reduction order on
+// every backend, bit for bit and on both sides, across source counts on
+// both sides of the vector width and with a tail of every length.
+func TestPairwiseFusedOrderExact(t *testing.T) {
 	for _, be := range simd.Supported() {
 		t.Run(be, func(t *testing.T) {
 			withBackend(t, be, func() {
 				rng := rand.New(rand.NewSource(28))
 				for _, scnt := range []int{1, 3, 4, 5, 64, 67} {
 					const cnt = 9
-					posA := poisonedVec3(rng, cnt)
-					posB := poisonedVec3(rng, scnt)
-					posB[scnt/2] = posA[cnt/2] // one dead lane among live ones
-					qB := poisoned(scnt, func(int) float64 { return rng.NormFloat64() })
-					phi := poisoned(cnt, func(int) float64 { return rng.NormFloat64() })
-					acc := poisonedVec3(rng, cnt)
-					wphi := append([]float64(nil), phi...)
-					wacc := append([]geom.Vec3(nil), acc...)
-					AccumulateFused(posA, phi, acc, posB, qB)
-					fusedOrder(be, posA, wphi, wacc, posB, qB)
-					for i := range wphi {
-						if phi[i] != wphi[i] || acc[i] != wacc[i] {
-							t.Fatalf("scnt=%d target %d: got (%v, %v), the documented order gives (%v, %v)",
-								scnt, i, phi[i], acc[i], wphi[i], wacc[i])
+					xs, ys, zs, qs := cloud(rng, cnt)
+					sx, sy, sz, sq := cloud(rng, scnt)
+					sx[scnt/2], sy[scnt/2], sz[scnt/2] = xs[cnt/2], ys[cnt/2], zs[cnt/2] // one dead lane among live ones
+					a, b := newFusedSide(rng, cnt), newFusedSide(rng, scnt)
+					wa, wb := a.clone(), b.clone()
+					PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz, sq, b.phi, b.gx, b.gy, b.gz)
+					pairFusedOrder(be, xs, ys, zs, qs, wa, sx, sy, sz, sq, wb)
+					for side, c := range [][2][]float64{{a.flat(), wa.flat()}, {b.flat(), wb.flat()}} {
+						for i := range c[1] {
+							if c[0][i] != c[1][i] {
+								t.Fatalf("scnt=%d side %d element %d: got %v, the documented order gives %v",
+									scnt, side, i, c[0][i], c[1][i])
+							}
 						}
 					}
 				}
@@ -396,6 +401,10 @@ func TestNearFieldDeterministicPerBackend(t *testing.T) {
 					phi = append(phi, gx...)
 					phi = append(phi, gy...)
 					phi = append(phi, gz...)
+					sgx, sgy, sgz := make([]float64, scnt), make([]float64, scnt), make([]float64, scnt)
+					PairwiseFusedSoA(xs, ys, zs, qs, phi[:cnt], gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz)
+					phi = append(phi, gx...)
+					sphi = append(append(append(sphi, sgx...), sgy...), sgz...)
 					return phi, sphi
 				}
 				a1, s1 := run()
@@ -457,41 +466,34 @@ func BenchmarkAccumulateForceSoA64(b *testing.B) {
 	}
 }
 
-func benchAoS64(b *testing.B, kernel func(posA []geom.Vec3, phi []float64, acc, posB []geom.Vec3, qB []float64)) {
+// benchPair times a symmetric pair kernel on two cnt-particle sets: 64 is a
+// few sparse boxes' run, 940 one crowded Plummer box against another.
+// Mpairs/s counts each pair once, although it is deposited twice.
+func benchPair(b *testing.B, cnt int, fused bool) {
 	for _, be := range simd.Supported() {
 		b.Run(be, func(b *testing.B) {
 			withBackend(b, be, func() {
 				rng := rand.New(rand.NewSource(27))
-				const cnt = 64
-				posA := poisonedVec3(rng, cnt)
-				posB := poisonedVec3(rng, cnt)
-				qB := poisoned(cnt, func(int) float64 { return rng.NormFloat64() })
-				phi := make([]float64, cnt)
-				acc := make([]geom.Vec3, cnt)
+				xs, ys, zs, qs := cloud(rng, cnt)
+				sx, sy, sz, sq := cloud(rng, cnt)
+				z := func() []float64 { return make([]float64, cnt) }
+				t, s := fusedSide{z(), z(), z(), z()}, fusedSide{z(), z(), z(), z()}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kernel(posA, phi, acc, posB, qB)
+					if fused {
+						PairwiseFusedSoA(xs, ys, zs, qs, t.phi, t.gx, t.gy, t.gz, sx, sy, sz, sq, s.phi, s.gx, s.gy, s.gz)
+					} else {
+						PairwisePotentialSoA(xs, ys, zs, qs, t.phi, sx, sy, sz, sq, s.phi)
+					}
 				}
-				inter := float64(cnt) * float64(cnt) * float64(b.N)
-				b.ReportMetric(inter/b.Elapsed().Seconds()/1e6, "Minter/s")
+				pairs := float64(cnt) * float64(cnt) * float64(b.N)
+				b.ReportMetric(pairs/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 			})
 		})
 	}
 }
 
-func BenchmarkAccumulateAoS64(b *testing.B) {
-	benchAoS64(b, func(posA []geom.Vec3, phi []float64, _, posB []geom.Vec3, qB []float64) {
-		Accumulate(posA, phi, posB, qB)
-	})
-}
-
-// BenchmarkAccumulateTwoPassAoS64 is what a force solve's near field paid
-// per source set before the fused kernel; Minter/s counts each pair once.
-func BenchmarkAccumulateTwoPassAoS64(b *testing.B) {
-	benchAoS64(b, func(posA []geom.Vec3, phi []float64, acc, posB []geom.Vec3, qB []float64) {
-		Accumulate(posA, phi, posB, qB)
-		AccumulateForce(posA, acc, posB, qB)
-	})
-}
-
-func BenchmarkAccumulateFusedAoS64(b *testing.B) { benchAoS64(b, AccumulateFused) }
+func BenchmarkPairwisePotentialSoA64(b *testing.B)  { benchPair(b, 64, false) }
+func BenchmarkPairwisePotentialSoA940(b *testing.B) { benchPair(b, 940, false) }
+func BenchmarkPairwiseFusedSoA64(b *testing.B)      { benchPair(b, 64, true) }
+func BenchmarkPairwiseFusedSoA940(b *testing.B)     { benchPair(b, 940, true) }

@@ -21,36 +21,21 @@ func accumForceSoAAVX2(xs, ys, zs, phi, gx, gy, gz *float64, cnt int, sx, sy, sz
 func pairPotSoAAVX2(xs, ys, zs, qs, phi *float64, cnt int, sx, sy, sz, sq, sphi *float64, scnt int)
 
 //go:noescape
-func accumPotAoSAVX2(pa *geom.Vec3, phi *float64, cnt int, pb *geom.Vec3, q *float64, scnt int)
-
-//go:noescape
 func accumForceAoSAVX2(pa, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
 
 //go:noescape
-func accumFusedAoSAVX2(pa *geom.Vec3, phi *float64, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
+func pairFusedSoAAVX2(xs, ys, zs, qs, phi, gx, gy, gz *float64, cnt int, sx, sy, sz, sq, sphi, sgx, sgy, sgz *float64, scnt int)
 
 // haveAVX2 reports that this build carries the AVX2 kernels; whether the
 // host can run them is internal/simd's call (dispatch.go consults both).
 const haveAVX2 = true
 
 func bindAVX2() {
-	accumulateImpl = accumulateVec
 	accumulateForceImpl = accumulateForceVec
-	accumulateFusedImpl = accumulateFusedVec
 	accumPotSoAImpl = accumPotSoAVec
 	accumForceSoAImpl = accumForceSoAVec
 	pairPotSoAImpl = pairPotSoAVec
-}
-
-func accumulateVec(posA []geom.Vec3, phiA []float64, posB []geom.Vec3, qB []float64) {
-	cnt, scnt := len(posA), len(posB)
-	s4 := scnt &^ 3
-	if cnt > 0 && s4 > 0 {
-		accumPotAoSAVX2(&posA[0], &phiA[0], cnt, &posB[0], &qB[0], s4)
-	}
-	if s4 < scnt {
-		accumulateScalar(posA, phiA, posB[s4:], qB[s4:])
-	}
+	pairFusedSoAImpl = pairFusedSoAVec
 }
 
 func accumulateForceVec(posA, accA, posB []geom.Vec3, qB []float64) {
@@ -61,17 +46,6 @@ func accumulateForceVec(posA, accA, posB []geom.Vec3, qB []float64) {
 	}
 	if s4 < scnt {
 		accumulateForceScalar(posA, accA, posB[s4:], qB[s4:])
-	}
-}
-
-func accumulateFusedVec(posA []geom.Vec3, phiA []float64, accA, posB []geom.Vec3, qB []float64) {
-	cnt, scnt := len(posA), len(posB)
-	s4 := scnt &^ 3
-	if cnt > 0 && s4 > 0 {
-		accumFusedAoSAVX2(&posA[0], &phiA[0], &accA[0], cnt, &posB[0], &qB[0], s4)
-	}
-	if s4 < scnt {
-		accumulateFusedScalar(posA, phiA, accA, posB[s4:], qB[s4:])
 	}
 }
 
@@ -107,5 +81,18 @@ func pairPotSoAVec(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64) {
 	}
 	if s4 < scnt {
 		pairPotSoAScalar(xs, ys, zs, qs, phi, sx[s4:], sy[s4:], sz[s4:], sq[s4:], sphi[s4:])
+	}
+}
+
+func pairFusedSoAVec(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz []float64) {
+	cnt, scnt := len(xs), len(sx)
+	s4 := scnt &^ 3
+	if cnt > 0 && s4 > 0 {
+		pairFusedSoAAVX2(&xs[0], &ys[0], &zs[0], &qs[0], &phi[0], &gx[0], &gy[0], &gz[0], cnt,
+			&sx[0], &sy[0], &sz[0], &sq[0], &sphi[0], &sgx[0], &sgy[0], &sgz[0], s4)
+	}
+	if s4 < scnt {
+		pairFusedSoAScalar(xs, ys, zs, qs, phi, gx, gy, gz,
+			sx[s4:], sy[s4:], sz[s4:], sq[s4:], sphi[s4:], sgx[s4:], sgy[s4:], sgz[s4:])
 	}
 }

@@ -261,65 +261,6 @@ pairdone:
 	VZEROUPPER
 	RET
 
-// func accumPotAoSAVX2(pa *geom.Vec3, phi *float64, cnt int, pb *geom.Vec3, q *float64, scnt int)
-// One-sided AoS potential: phi[i] += sum q[j]/r, guard r > 0. Source
-// positions are 24-byte Vec3 structs, transposed 4 at a time.
-TEXT ·accumPotAoSAVX2(SB), NOSPLIT, $0-48
-	MOVQ   pa+0(FP), SI
-	MOVQ   phi+8(FP), DI
-	MOVQ   cnt+16(FP), R10
-	MOVQ   pb+24(FP), R11
-	MOVQ   q+32(FP), R14
-	MOVQ   scnt+40(FP), R15
-	IMUL3Q $24, R15, R15      // source position bytes
-
-paosi:
-	TESTQ R10, R10
-	JZ    paosdone
-	VBROADCASTSD (SI), Y1     // xi
-	VBROADCASTSD 8(SI), Y2    // yi
-	VBROADCASTSD 16(SI), Y3   // zi
-	VXORPD Y0, Y0, Y0         // acc
-	XORQ   BX, BX             // position byte offset
-	XORQ   CX, CX             // charge byte offset
-
-paosj:
-	VMOVUPD (R11)(BX*1), Y4   // x0 y0 z0 x1
-	VMOVUPD 32(R11)(BX*1), Y5 // y1 z1 x2 y2
-	VMOVUPD 64(R11)(BX*1), Y6 // z2 x3 y3 z3
-	AOSX(Y4, Y5, Y6, Y7, Y10)
-	AOSY(Y4, Y5, Y6, Y8, Y10)
-	AOSZ(Y4, Y5, Y6, Y9, Y10)
-	VSUBPD      Y7, Y1, Y7    // dx = xi - bx
-	VSUBPD      Y8, Y2, Y8
-	VSUBPD      Y9, Y3, Y9
-	VMULPD      Y7, Y7, Y10
-	VFMADD231PD Y8, Y8, Y10
-	VFMADD231PD Y9, Y9, Y10   // r2
-	VXORPD      Y11, Y11, Y11
-	VCMPPD      $30, Y11, Y10, Y11 // mask = r2 > 0 (GT_OQ)
-	VSQRTPD     Y10, Y10      // r
-	VMOVUPD     (R14)(CX*1), Y4
-	VDIVPD      Y10, Y4, Y4   // q / r
-	VANDPD      Y11, Y4, Y4
-	VADDPD      Y4, Y0, Y0
-	ADDQ        $96, BX
-	ADDQ        $32, CX
-	CMPQ        BX, R15
-	JLT         paosj
-
-	HSUM(Y0, X0, X5)
-	VADDSD (DI), X0, X0
-	VMOVSD X0, (DI)
-	ADDQ   $24, SI
-	ADDQ   $8, DI
-	DECQ   R10
-	JMP    paosi
-
-paosdone:
-	VZEROUPPER
-	RET
-
 // func accumForceAoSAVX2(pa, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
 // One-sided AoS field: acc[i] += sum (b-a) * q[j]/(r2*r), guard r2 != 0.
 TEXT ·accumForceAoSAVX2(SB), NOSPLIT, $0-48
@@ -391,84 +332,104 @@ faosdone:
 	VZEROUPPER
 	RET
 
-// func accumFusedAoSAVX2(pa *geom.Vec3, phi *float64, acc *geom.Vec3, cnt int, pb *geom.Vec3, q *float64, scnt int)
-// One-sided AoS potential + field from one inv = 1/sqrt(r2):
-// phi[i] += sum q[j]*inv, acc[i] += sum (b-a) * (q[j]*inv)*(inv*inv),
-// guard r2 != 0. The mask is applied to inv, before any multiply can turn a
-// dead lane's Inf into NaN. pb may alias pa (a box inside its own run).
-TEXT ·accumFusedAoSAVX2(SB), NOSPLIT, $0-56
-	MOVQ    pa+0(FP), SI
-	MOVQ    phi+8(FP), DI
-	MOVQ    acc+16(FP), R8
-	MOVQ    cnt+24(FP), R10
-	MOVQ    pb+32(FP), R11
-	MOVQ    q+40(FP), R14
-	MOVQ    scnt+48(FP), R15
-	IMUL3Q  $24, R15, R15     // source position bytes
+// func pairFusedSoAAVX2(xs, ys, zs, qs, phi, gx, gy, gz *float64, cnt int, sx, sy, sz, sq, sphi, sgx, sgy, sgz *float64, scnt int)
+// Symmetric SoA potential + field from one inv = 1/sqrt(r2), d = source -
+// target: the target sums q[j]*inv and d*(q[j]*inv)*(inv*inv) and takes them
+// once; source j takes qs[i]*inv and -d*(qs[i]*inv)*(inv*inv) in place.
+// Guard r2 != 0, the mask applied to inv before any multiply can turn a dead
+// lane's Inf into NaN.
+TEXT ·pairFusedSoAAVX2(SB), NOSPLIT, $0-144
+	MOVQ    cnt+64(FP), SI
+	MOVQ    sx+72(FP), R8
+	MOVQ    sy+80(FP), R9
+	MOVQ    sz+88(FP), R10
+	MOVQ    sq+96(FP), R11
+	MOVQ    sphi+104(FP), R12
+	MOVQ    sgx+112(FP), R13
+	MOVQ    sgy+120(FP), R14
+	MOVQ    sgz+128(FP), R15
+	MOVQ    scnt+136(FP), CX
+	SHLQ    $3, CX            // source bytes (multiple of 32)
 	VMOVUPD nfones<>(SB), Y15
+	XORQ    AX, AX            // i
 
-fusi:
-	TESTQ R10, R10
-	JZ    fusdone
-	VBROADCASTSD (SI), Y4     // xi
-	VBROADCASTSD 8(SI), Y5    // yi
-	VBROADCASTSD 16(SI), Y6   // zi
+pfi:
+	CMPQ AX, SI
+	JGE  pfdone
+	MOVQ         xs+0(FP), DX
+	VBROADCASTSD (DX)(AX*8), Y4
+	MOVQ         ys+8(FP), DX
+	VBROADCASTSD (DX)(AX*8), Y5
+	MOVQ         zs+16(FP), DX
+	VBROADCASTSD (DX)(AX*8), Y6
+	MOVQ         qs+24(FP), DX
+	VBROADCASTSD (DX)(AX*8), Y7 // qi
 	VXORPD Y0, Y0, Y0         // p
 	VXORPD Y1, Y1, Y1         // fx
 	VXORPD Y2, Y2, Y2         // fy
 	VXORPD Y3, Y3, Y3         // fz
-	XORQ   BX, BX             // position byte offset
-	XORQ   CX, CX             // charge byte offset
+	XORQ   BX, BX             // source byte offset
 
-fusj:
-	VMOVUPD (R11)(BX*1), Y7
-	VMOVUPD 32(R11)(BX*1), Y8
-	VMOVUPD 64(R11)(BX*1), Y9
-	AOSX(Y7, Y8, Y9, Y10, Y13)
-	AOSY(Y7, Y8, Y9, Y11, Y13)
-	AOSZ(Y7, Y8, Y9, Y12, Y13)
-	VSUBPD      Y4, Y10, Y10  // dx = bx - xi
-	VSUBPD      Y5, Y11, Y11  // dy
-	VSUBPD      Y6, Y12, Y12  // dz
-	VMULPD      Y10, Y10, Y13
-	VFMADD231PD Y11, Y11, Y13
-	VFMADD231PD Y12, Y12, Y13 // r2
-	VXORPD      Y14, Y14, Y14
-	VCMPPD      $4, Y14, Y13, Y14 // mask = r2 != 0 (NEQ_UQ)
-	VSQRTPD     Y13, Y7       // r
-	VDIVPD      Y7, Y15, Y7   // inv = 1/r
-	VANDPD      Y14, Y7, Y7   // dead lanes: inv -> +0
-	VMOVUPD     (R14)(CX*1), Y8
-	VMULPD      Y7, Y8, Y8    // qi = q*inv
-	VADDPD      Y8, Y0, Y0    // p += qi
-	VMULPD      Y7, Y7, Y9    // inv*inv
-	VMULPD      Y9, Y8, Y8    // w = qi*(inv*inv)
-	VFMADD231PD Y10, Y8, Y1   // fx += w*dx
-	VFMADD231PD Y11, Y8, Y2
-	VFMADD231PD Y12, Y8, Y3
-	ADDQ        $96, BX
-	ADDQ        $32, CX
-	CMPQ        BX, R15
-	JLT         fusj
+pfj:
+	VMOVUPD      (R8)(BX*1), Y8
+	VSUBPD       Y4, Y8, Y8    // dx = sx - xi
+	VMOVUPD      (R9)(BX*1), Y9
+	VSUBPD       Y5, Y9, Y9    // dy
+	VMOVUPD      (R10)(BX*1), Y10
+	VSUBPD       Y6, Y10, Y10  // dz
+	VMULPD       Y8, Y8, Y11
+	VFMADD231PD  Y9, Y9, Y11
+	VFMADD231PD  Y10, Y10, Y11 // r2
+	VXORPD       Y12, Y12, Y12
+	VCMPPD       $4, Y12, Y11, Y12 // mask = r2 != 0 (NEQ_UQ)
+	VSQRTPD      Y11, Y11      // r
+	VDIVPD       Y11, Y15, Y11 // inv = 1/r
+	VANDPD       Y12, Y11, Y11 // dead lanes: inv -> +0
+	VMULPD       Y11, Y11, Y12 // inv*inv
+	VMOVUPD      (R11)(BX*1), Y13
+	VMULPD       Y11, Y13, Y13 // tj = sq*inv
+	VADDPD       Y13, Y0, Y0   // p += tj
+	VMULPD       Y12, Y13, Y13 // w = tj*(inv*inv)
+	VFMADD231PD  Y8, Y13, Y1   // fx += w*dx
+	VFMADD231PD  Y9, Y13, Y2
+	VFMADD231PD  Y10, Y13, Y3
+	VMULPD       Y7, Y11, Y14  // ti = qi*inv
+	VMOVUPD      (R12)(BX*1), Y13
+	VADDPD       Y14, Y13, Y13 // sphi += ti
+	VMOVUPD      Y13, (R12)(BX*1)
+	VMULPD       Y12, Y14, Y14 // v = ti*(inv*inv)
+	VMOVUPD      (R13)(BX*1), Y13
+	VFNMADD231PD Y8, Y14, Y13  // sgx -= v*dx
+	VMOVUPD      Y13, (R13)(BX*1)
+	VMOVUPD      (R14)(BX*1), Y13
+	VFNMADD231PD Y9, Y14, Y13
+	VMOVUPD      Y13, (R14)(BX*1)
+	VMOVUPD      (R15)(BX*1), Y13
+	VFNMADD231PD Y10, Y14, Y13
+	VMOVUPD      Y13, (R15)(BX*1)
+	ADDQ         $32, BX
+	CMPQ         BX, CX
+	JLT          pfj
 
 	HSUM(Y0, X0, X13)
-	VADDSD (DI), X0, X0
-	VMOVSD X0, (DI)
+	MOVQ   phi+32(FP), DX
+	VADDSD (DX)(AX*8), X0, X0
+	VMOVSD X0, (DX)(AX*8)
 	HSUM(Y1, X1, X13)
-	VADDSD (R8), X1, X1
-	VMOVSD X1, (R8)
+	MOVQ   gx+40(FP), DX
+	VADDSD (DX)(AX*8), X1, X1
+	VMOVSD X1, (DX)(AX*8)
 	HSUM(Y2, X2, X13)
-	VADDSD 8(R8), X2, X2
-	VMOVSD X2, 8(R8)
+	MOVQ   gy+48(FP), DX
+	VADDSD (DX)(AX*8), X2, X2
+	VMOVSD X2, (DX)(AX*8)
 	HSUM(Y3, X3, X13)
-	VADDSD 16(R8), X3, X3
-	VMOVSD X3, 16(R8)
-	ADDQ   $24, SI
-	ADDQ   $8, DI
-	ADDQ   $24, R8
-	DECQ   R10
-	JMP    fusi
+	MOVQ   gz+56(FP), DX
+	VADDSD (DX)(AX*8), X3, X3
+	VMOVSD X3, (DX)(AX*8)
+	INCQ   AX
+	JMP    pfi
 
-fusdone:
+pfdone:
 	VZEROUPPER
 	RET

@@ -2,11 +2,12 @@ package kernels
 
 import "math"
 
-// The SoA kernels operate on the data-parallel FMM's per-box particle
-// planes: parallel xs/ys/zs coordinate slices already trimmed to the box's
+// The SoA kernels operate on per-attribute particle planes — the
+// data-parallel FMM's per-box planes, the shared-memory solver's box-sorted
+// mirrors: parallel xs/ys/zs coordinate slices already trimmed to the set's
 // occupancy (len(xs) is the particle count). Target attributes come first,
-// traveling-source attributes (sx/sy/sz/sq, and sphi for the symmetric
-// walk) second.
+// source attributes (sx/sy/sz/sq, and sphi, sgx... for the symmetric
+// kernels, which write them) second.
 
 // WithinPotentialSoA accumulates the intra-box potentials symmetrically,
 // visiting each unordered pair once.
@@ -72,6 +73,49 @@ func pairPotSoAScalar(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64) {
 			sphi[j] += qi * inv // reciprocal contribution (Newton's third law)
 		}
 		phi[i] += acc
+	}
+}
+
+// PairwiseFusedSoA is the symmetric potential+field kernel: every pair of a
+// target and a source particle is evaluated once, from a single
+// inv = 1/sqrt(r2), and deposited on both sides (Newton's third law) — the
+// target's sums once per target, the sources' phi and field planes in place.
+// Field convention (y-x)/r^3, weights as q*inv * (inv*inv). The two sides
+// must not overlap. Backend-dispatched (dispatch.go).
+func PairwiseFusedSoA(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz []float64) {
+	pairFusedSoAImpl(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz)
+}
+
+func pairFusedSoAScalar(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz []float64) {
+	cnt, scnt := len(xs), len(sx)
+	sy, sz, sq = sy[:scnt], sz[:scnt], sq[:scnt]
+	sphi, sgx, sgy, sgz = sphi[:scnt], sgx[:scnt], sgy[:scnt], sgz[:scnt]
+	for i := 0; i < cnt; i++ {
+		xi, yi, zi, qi := xs[i], ys[i], zs[i], qs[i]
+		var p, fx, fy, fz float64
+		for j := 0; j < scnt; j++ {
+			dx, dy, dz := sx[j]-xi, sy[j]-yi, sz[j]-zi
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 == 0 {
+				continue // coincident particles: self-exclusion, not Inf
+			}
+			inv := 1 / math.Sqrt(r2)
+			inv2 := inv * inv
+			tj, ti := sq[j]*inv, qi*inv
+			p += tj
+			sphi[j] += ti
+			w, v := tj*inv2, ti*inv2
+			fx += w * dx
+			fy += w * dy
+			fz += w * dz
+			sgx[j] -= v * dx // the reciprocal field (Newton's third law)
+			sgy[j] -= v * dy
+			sgz[j] -= v * dz
+		}
+		phi[i] += p
+		gx[i] += fx
+		gy[i] += fy
+		gz[i] += fz
 	}
 }
 

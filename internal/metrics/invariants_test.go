@@ -20,8 +20,10 @@ import (
 	"nbody/internal/direct"
 	"nbody/internal/dp"
 	"nbody/internal/dpfmm"
+	"nbody/internal/geom"
 	"nbody/internal/metrics"
 	"nbody/internal/testutil"
+	"nbody/internal/tree"
 )
 
 // TestPhaseTimesTileSolve checks that the per-phase spans of the
@@ -132,9 +134,57 @@ func TestFlopsClosedForm(t *testing.T) {
 		if want := int64(n) * int64(k) * int64(cfg.M+1) * 6; st.Flops[metrics.PhaseEvalLocal] != want {
 			t.Errorf("D=%d: eval-local flops %d, want %d", tc.degree, st.Flops[metrics.PhaseEvalLocal], want)
 		}
+		// The data-parallel walk charges the one-deposit convention; the
+		// shared-memory solver's is TestNearPairsAreUnorderedPairs.
 		if want := st.NearPairs * direct.FlopsPerPair; st.Flops[metrics.PhaseNear] != want {
 			t.Errorf("D=%d: near flops %d, want %d (%d pairs)",
 				tc.degree, st.Flops[metrics.PhaseNear], want, st.NearPairs)
+		}
+	}
+}
+
+// TestNearPairsAreUnorderedPairs checks the shared-memory solver's near-field
+// accounting against a count that shares nothing with its sweep: NearPairs is
+// the number of unordered particle pairs in near boxes — each evaluated once
+// and deposited on both particles — and the phase's flops are that many times
+// core.NearFlopsPerPair, for a potential and a force solve alike.
+func TestNearPairsAreUnorderedPairs(t *testing.T) {
+	const n, depth = 4096, 3
+	pos, q := testutil.RandomSystem(n, 8)
+	s, err := core.NewSolver(testutil.UnitBox(), core.Config{Degree: 5, Depth: depth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := core.NewPartition(s.Hierarchy(), pos)
+	g := part.Grid
+	var ordered int64
+	for b := 0; b < g*g*g; b++ {
+		c := geom.CoordFromIndex(b, g)
+		nb := int64(part.Count(c))
+		ordered += nb * (nb - 1)
+		for _, o := range tree.NearOffsets(s.Config().Separation) {
+			if sc := c.Add(o); sc.In(g) {
+				ordered += nb * int64(part.Count(sc))
+			}
+		}
+	}
+	var before metrics.Snapshot
+	for _, force := range []bool{false, true} {
+		if force {
+			_, _, err = s.Accelerations(pos, q)
+		} else {
+			_, err = s.Potentials(pos, q)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := s.Stats().Diff(&before)
+		before = *s.Stats()
+		if d.NearPairs != ordered/2 {
+			t.Errorf("force=%v: NearPairs = %d, the near boxes hold %d unordered pairs", force, d.NearPairs, ordered/2)
+		}
+		if want := d.NearPairs * core.NearFlopsPerPair; d.Flops[metrics.PhaseNear] != want {
+			t.Errorf("force=%v: near flops %d, want %d", force, d.Flops[metrics.PhaseNear], want)
 		}
 	}
 }

@@ -38,7 +38,9 @@ type Snapshot struct {
 	// applied (after boundary clipping and supernode reduction); the
 	// headline count the supernode optimization reduces.
 	T2Count int64
-	// NearPairs is the number of particle-particle interactions evaluated.
+	// NearPairs is the number of particle pairs the near field evaluated.
+	// The shared-memory solver evaluates an unordered pair once and deposits
+	// it on both particles, so there this is half the interactions delivered.
 	NearPairs int64
 
 	// Workers, when captured, holds per-worker scheduler utilization.

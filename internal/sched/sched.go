@@ -23,6 +23,10 @@
 //     another job. In particular, nested Run calls cannot deadlock: the
 //     nested caller simply executes its job itself.
 //
+//   - A region allocates nothing: its descriptor is reference-counted
+//     (submitter, participants, wake-ups still queued) and recycled by the
+//     last holder. A solver issues dozens of regions per solve.
+//
 // Failure containment:
 //
 //   - A panic raised by the body on any participant (pool worker or the
@@ -96,22 +100,42 @@ type job struct {
 	panicVal atomic.Pointer[panicBox]
 
 	// fin holds the submitter until the job is over: submit adds one, and
-	// finish releases it exactly once. Embedded rather than a channel made
-	// per submit, so a region costs one allocation (the job itself) — a
-	// solver issuing a few regions per phase would otherwise pay for it on
-	// every time step.
-	finOnce sync.Once
-	fin     sync.WaitGroup
+	// finish releases it exactly once (the finished flag).
+	finished atomic.Bool
+	fin      sync.WaitGroup
+
+	// refs counts who may still touch the job: the submitter plus every
+	// wake-up sent into jobs, whether a worker is running it, has yet to
+	// receive it, or will find it stale. The last release resets the struct
+	// and returns it to jobPool, so a region allocates nothing — a solver
+	// issuing dozens of regions per solve would otherwise pay one job each,
+	// every time step — and a queued wake-up can never see the job reused
+	// for another region.
+	refs atomic.Int64
 }
 
 // finish signals job completion exactly once, whether by normal range
 // exhaustion or by a drained abort.
-func (j *job) finish() { j.finOnce.Do(j.fin.Done) }
+func (j *job) finish() {
+	if j.finished.CompareAndSwap(false, true) {
+		j.fin.Done()
+	}
+}
+
+// release drops one reference; the last one recycles the job.
+func (j *job) release() {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	*j = job{}
+	jobPool.Put(j)
+}
 
 var (
 	initOnce sync.Once
 	poolSize int
 	jobs     chan *job
+	jobPool  = sync.Pool{New: func() any { return new(job) }}
 )
 
 // initPool sizes and starts the worker pool. Workers run forever; each
@@ -138,6 +162,7 @@ func initPool() {
 			pprof.Do(context.Background(), labels, func(context.Context) {
 				for j := range jobs {
 					j.participate(slot)
+					j.release()
 				}
 			})
 		}(w)
@@ -173,7 +198,7 @@ func Run(n int, fn func(i int)) {
 		}
 		return
 	}
-	submit(&job{fnIdx: fn, n: int64(n)})
+	_ = submit(nil, n, 0, fn, nil)
 }
 
 // RunChunks executes body(lo, hi) over a partition of [0, n) into
@@ -192,7 +217,7 @@ func RunChunks(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	submit(&job{fnChunk: body, n: int64(n)})
+	_ = submit(nil, n, 0, nil, body)
 }
 
 // RunCtx is Run with cooperative cancellation: every participant checks
@@ -209,9 +234,24 @@ func RunCtx(ctx context.Context, n int, fn func(i int)) error {
 		return nil
 	}
 	if Workers() == 1 || n == 1 {
-		return runSerialCtx(ctx, n, fn, nil)
+		return runSerialCtx(ctx, n, 0, fn, nil)
 	}
-	return submit(&job{fnIdx: fn, n: int64(n), ctx: ctx})
+	return submit(ctx, n, 0, fn, nil)
+}
+
+// RunEachCtx is RunCtx for regions whose indices are few and coarse (a row
+// of boxes each, not a box): participants claim one index at a time, so two
+// heavy indices never share a chunk, and ctx (which may be nil) is checked
+// before every index. inline keeps the region on the caller alone: one too
+// small to be worth a wake-up and a barrier.
+func RunEachCtx(ctx context.Context, n int, inline bool, fn func(i int)) error {
+	if n <= 0 {
+		return nil
+	}
+	if Workers() == 1 || n == 1 || inline {
+		return runSerialCtx(ctx, n, 1, fn, nil)
+	}
+	return submit(ctx, n, 1, fn, nil)
 }
 
 // RunChunksCtx is RunChunks with cooperative cancellation, under the same
@@ -226,24 +266,26 @@ func RunChunksCtx(ctx context.Context, n int, body func(lo, hi int)) error {
 		return nil
 	}
 	if Workers() == 1 {
-		return runSerialCtx(ctx, n, nil, body)
+		return runSerialCtx(ctx, n, 0, nil, body)
 	}
-	return submit(&job{fnChunk: body, n: int64(n), ctx: ctx})
+	return submit(ctx, n, 0, nil, body)
 }
 
 // runSerialCtx executes a cancellable region on the caller alone, checking
-// ctx between chunks of the same adaptive size a one-worker pool would use.
-func runSerialCtx(ctx context.Context, n int, fnIdx func(i int), fnChunk func(lo, hi int)) error {
+// ctx (when there is one) between chunks — of the given size, or with
+// chunk == 0 of the adaptive size a one-worker pool would use.
+func runSerialCtx(ctx context.Context, n, chunk int, fnIdx func(i int), fnChunk func(lo, hi int)) error {
 	if statsOn.Load() {
 		defer chargeSerial(now())
 	}
-	chunk := (n + chunksPerWorker - 1) / chunksPerWorker
-	if chunk < 1 {
-		chunk = 1
+	if chunk == 0 {
+		chunk = (n + chunksPerWorker - 1) / chunksPerWorker
 	}
 	for lo := 0; lo < n; lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return err
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		hi := lo + chunk
 		if hi > n {
@@ -260,45 +302,54 @@ func runSerialCtx(ctx context.Context, n int, fnIdx func(i int), fnChunk func(lo
 	return nil
 }
 
-// submit sizes the job's chunks, wakes enough workers, participates, and
-// waits until the job has completed or has aborted with every participant
-// drained. A contained panic is re-raised here on the submitting
-// goroutine; a cancellation returns ctx.Err().
-func submit(j *job) error {
-	nchunks := int64(poolSize * chunksPerWorker)
-	j.chunk = (j.n + nchunks - 1) / nchunks
-	if j.chunk < 1 {
-		j.chunk = 1
+// submit takes a job from the pool, sizes its chunks (chunk == 0: adaptive),
+// wakes enough workers, participates, and waits until the job has completed
+// or has aborted with every participant drained. A contained panic is
+// re-raised here on the submitting goroutine; a cancellation returns
+// ctx.Err().
+func submit(ctx context.Context, n, chunk int, fnIdx func(i int), fnChunk func(lo, hi int)) error {
+	j := jobPool.Get().(*job)
+	j.fnIdx, j.fnChunk, j.ctx, j.n = fnIdx, fnChunk, ctx, int64(n)
+	if chunk == 0 {
+		nchunks := poolSize * chunksPerWorker
+		chunk = (n + nchunks - 1) / nchunks
 	}
+	j.chunk = int64(chunk)
 	j.fin.Add(1)
+	j.refs.Store(1)
 	// Wake at most as many workers as there are chunks beyond the one the
 	// caller will take itself.
-	wake := int((j.n + j.chunk - 1) / j.chunk)
+	wake := (n + chunk - 1) / chunk
 	if wake > poolSize-1 {
 		wake = poolSize - 1
 	}
 wakeLoop:
 	for w := 0; w < wake; w++ {
+		j.refs.Add(1)
 		select {
 		case jobs <- j:
 		default:
 			// Queue full: workers are saturated; the caller still
 			// completes the job on its own.
+			j.refs.Add(-1)
 			break wakeLoop
 		}
 	}
 	j.participate(0)
 	j.fin.Wait()
-	if pb := j.panicVal.Load(); pb != nil {
+	pb := j.panicVal.Load()
+	var err error
+	if j.aborted.Load() && ctx != nil {
+		err = ctx.Err()
+	}
+	j.release()
+	if pb != nil {
 		// Re-raise the first panic of the region on the submitting
 		// goroutine (the participant's stack was captured in pb.stack for
 		// debuggers; the value itself is what callers recover).
 		panic(pb.val)
 	}
-	if j.aborted.Load() && j.ctx != nil {
-		return j.ctx.Err()
-	}
-	return nil
+	return err
 }
 
 // participate runs the job on behalf of one participant, containing any

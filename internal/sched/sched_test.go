@@ -105,6 +105,7 @@ func TestFullQueueCompletesOnCaller(t *testing.T) {
 	for i := range blockers {
 		b := &job{n: 1, chunk: 1}
 		b.fin.Add(1)
+		b.refs.Store(2) // the wake-up's and this test's, never released: not recycled
 		b.fnIdx = func(int) {
 			blocked.Add(1)
 			<-gate
@@ -121,7 +122,7 @@ func TestFullQueueCompletesOnCaller(t *testing.T) {
 fill:
 	for {
 		select {
-		case jobs <- &job{}:
+		case jobs <- staleJob():
 			stale++
 		default:
 			break fill
@@ -157,6 +158,14 @@ fill:
 	for len(jobs) > 0 {
 		runtime.Gosched()
 	}
+}
+
+// staleJob is a wake-up for a region that is already over: nothing to claim.
+// The extra reference keeps it out of the pool.
+func staleJob() *job {
+	j := new(job)
+	j.refs.Store(2)
+	return j
 }
 
 // TestPanicReRaisedOnCaller: a body panic on any participant must surface
@@ -340,10 +349,10 @@ func BenchmarkRunChunksEmpty4096(b *testing.B) {
 }
 
 // TestRunAllocs pins the allocation cost of a parallel region on the pool
-// path: the job itself and nothing else (no completion channel, and no
-// closure when the caller passes a prebuilt body). Solvers issue a few
-// regions per phase on every time step, so each allocation here is paid
-// per region per step.
+// path at zero: the job comes from a pool and goes back when its last
+// reference (submitter, participants, queued wake-ups) is dropped, there is
+// no completion channel, and no closure when the caller passes a prebuilt
+// body. Solvers issue dozens of regions per solve on every time step.
 func TestRunAllocs(t *testing.T) {
 	if Workers() == 1 {
 		t.Skip("pool path needs more than one worker")
@@ -355,12 +364,122 @@ func TestRunAllocs(t *testing.T) {
 	defer cancel()
 	for name, region := range map[string]func(){
 		"Run":          func() { Run(256, fnIdx) },
+		"Run16":        func() { Run(16, fnIdx) },
 		"RunChunks":    func() { RunChunks(256, fnChunk) },
 		"RunCtx":       func() { _ = RunCtx(ctx, 256, fnIdx) },
+		"RunEachCtx":   func() { _ = RunEachCtx(ctx, 16, false, fnIdx) },
 		"RunChunksCtx": func() { _ = RunChunksCtx(ctx, 256, fnChunk) },
 	} {
-		if got := testing.AllocsPerRun(200, region); got > 1 {
-			t.Errorf("%s: %.1f allocs per region, want at most 1 (the job)", name, got)
+		if got := testing.AllocsPerRun(200, region); got != 0 {
+			t.Errorf("%s: %.1f allocs per region, want 0", name, got)
 		}
 	}
+}
+
+// TestRunEachClaimsOneAtATime: every index runs once, and no participant is
+// handed two indices in one claim — while a participant sits in index 0,
+// the others must be able to take all the rest.
+func TestRunEachClaimsOneAtATime(t *testing.T) {
+	if Workers() == 1 {
+		t.Skip("needs a worker pool")
+	}
+	// Stale wake-ups of earlier tests must not crowd this region's out of
+	// the queue: index 0 needs company.
+	for len(jobs) > 0 {
+		runtime.Gosched()
+	}
+	const n = 64
+	var rest atomic.Int32
+	hits := make([]int32, n)
+	err := RunEachCtx(nil, n, false, func(i int) {
+		atomic.AddInt32(&hits[i], 1)
+		if i != 0 {
+			rest.Add(1)
+			return
+		}
+		for deadline := time.Now().Add(10 * time.Second); rest.Load() != n-1; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("index 0 shared its claim with indices nobody else could take")
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d executed %d times", i, h)
+		}
+	}
+}
+
+// TestRunEachInlineStaysOnCaller: an inline region wakes nobody — every
+// index runs in order on the calling goroutine, which a plain append with no
+// lock proves under -race — and still stops at a canceled context.
+func TestRunEachInlineStaysOnCaller(t *testing.T) {
+	var order []int
+	if err := RunEachCtx(nil, 64, true, func(i int) { order = append(order, i) }); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("position %d ran index %d", i, v)
+		}
+	}
+	if len(order) != 64 {
+		t.Fatalf("%d of 64 indices ran", len(order))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := 0
+	err := RunEachCtx(ctx, 64, true, func(i int) {
+		if ran++; i == 9 {
+			cancel()
+		}
+	})
+	if err != context.Canceled || ran != 10 {
+		t.Fatalf("err = %v after %d indices, want context.Canceled after 10", err, ran)
+	}
+}
+
+// TestRecycleStress issues many short regions from several goroutines at
+// once, so the wake-up queue stays saturated and most wake-ups are stale by
+// the time a worker receives them. A job recycled while a wake-up for it was
+// still queued would hand that worker another region's indices: a sum comes
+// out wrong, or the race detector sees the reset.
+func TestRecycleStress(t *testing.T) {
+	if Workers() == 1 {
+		t.Skip("needs a worker pool")
+	}
+	const goroutines, regions, n = 8, 400, 7
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := context.Background()
+			for r := 0; r < regions; r++ {
+				var sum atomic.Int64
+				body := func(i int) { sum.Add(int64(i + 1)) }
+				var err error
+				switch (g + r) % 3 {
+				case 0:
+					Run(n, body)
+				case 1:
+					err = RunEachCtx(ctx, n, false, body)
+				default:
+					err = RunChunksCtx(ctx, n, func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							body(i)
+						}
+					})
+				}
+				if err != nil || sum.Load() != n*(n+1)/2 {
+					t.Errorf("goroutine %d region %d: sum %d, err %v", g, r, sum.Load(), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -549,20 +549,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.Degraded = true
 		resp.BrownoutLevel = c.level
 	}
-	// One encode for keyed and unkeyed requests alike, so the exact bytes
-	// the client saw are what a replay returns.
-	status := http.StatusOK
-	body, encErr := json.Marshal(resp)
-	if encErr == nil {
-		body = append(body, '\n')
-		if idemKey != "" {
-			s.idem.put(req.Tenant, idemKey, body)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, encErr = w.Write(body)
+	s.reply(w, c, idemKey, resp)
+}
+
+// reply encodes a solve's response once, for keyed and unkeyed requests
+// alike, so the exact bytes the client saw are what a replay returns. A
+// response that cannot be encoded (a non-finite value got past the ladder's
+// checks) is the server's failure and nothing is on the wire yet: a 500 with
+// a body. A failed write means the client hung up mid-body: nothing to send,
+// just account the 499.
+func (s *Server) reply(w http.ResponseWriter, c *call, idemKey string, resp *SolveResponse) {
+	body, err := json.Marshal(resp)
+	if err != nil {
+		err = fmt.Errorf("encode response: %w", err)
+		s.finish(c, s.writeError(w, err), err)
+		return
 	}
-	if encErr != nil {
-		// The client hung up mid-body; nothing to send, just account.
+	body = append(body, '\n')
+	if idemKey != "" {
+		s.idem.put(c.tenant, idemKey, body)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
+	if _, err = w.Write(body); err != nil {
 		status = 499
 	}
 	s.finish(c, status, nil)

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -686,5 +688,41 @@ func TestLifecycleSharedByBothEndpoints(t *testing.T) {
 				t.Errorf("statuses = %v, planner observations = %d; want two of each", m.Statuses, m.Overload.EstimatorObs)
 			}
 		})
+	}
+}
+
+// brokenWriter is a client that hung up: headers go nowhere and every write
+// fails.
+type brokenWriter struct{ http.ResponseWriter }
+
+func (brokenWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestReplyEncodeFailureIs500WriteFailureIs499 pins the two ways a finished
+// solve can fail to reach its client. A response json cannot encode is the
+// server's fault and nothing is on the wire yet: 500 `internal` with a body,
+// nothing stored for replay. A write that fails is the client's hang-up: 499,
+// accounted only.
+func TestReplyEncodeFailureIs500WriteFailureIs499(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+
+	rec := httptest.NewRecorder()
+	bad := &SolveResponse{N: 1, Phi: []float64{math.NaN()}}
+	srv.reply(rec, &call{endpoint: "solve", t0: time.Now(), tenant: "t"}, "key-1", bad)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("unencodable response: status %d, want 500", rec.Code)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Code != "internal" || er.Error == "" {
+		t.Fatalf("unencodable response: body %q (%v), want an `internal` error body", rec.Body.String(), err)
+	}
+	if _, ok := srv.idem.get("t", "key-1"); ok {
+		t.Error("an unencodable response was stored for idempotent replay")
+	}
+
+	good := &SolveResponse{N: 1, Phi: []float64{1}}
+	srv.reply(brokenWriter{httptest.NewRecorder()}, &call{endpoint: "solve", t0: time.Now(), tenant: "t"}, "", good)
+	m := srv.ReadMetrics()
+	if m.Statuses["500"] != 1 || m.Statuses["499"] != 1 || len(m.Statuses) != 2 {
+		t.Errorf("statuses = %v, want one 500 and one 499", m.Statuses)
 	}
 }

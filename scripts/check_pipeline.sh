@@ -62,4 +62,19 @@ if [ -n "$ledger" ]; then
     echo "read and feed plan.Planner (Estimate / Observe / Calibration) instead" >&2
     exit 1
 fi
+# Fourth boundary: the shared-memory solver has one near-field path. Non-test
+# internal/core calls the near-field kernels from exactly one place each —
+# the symmetric pair kernels of Solver.nearPair — and no other kernel of
+# package kernels, so a second sweep (one-sided, serial-only, per-box) cannot
+# come back beside the row rounds unnoticed.
+calls=$(grep -n 'kernels\.[A-Za-z]' internal/core/*.go | grep -v '_test\.go:' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+want='kernels.PairwiseFusedSoA
+kernels.PairwisePotentialSoA'
+if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ]; then
+    echo "check_pipeline: internal/core must call kernels.PairwisePotentialSoA and" >&2
+    echo "kernels.PairwiseFusedSoA once each and no other near-field kernel; found:" >&2
+    echo "$calls" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"
