@@ -104,9 +104,9 @@ type Solver struct {
 }
 
 // NewSolver builds a solver for the domain root with the given
-// configuration. Translation-matrix precomputation and traversal-plan
-// construction happen here (the paper's setup phase) and are charged to
-// PhaseSetup.
+// configuration. The translation matrices come from the process-wide memo
+// (sharedTranslationSet): the first solver that needs a set computes it and
+// is charged PhaseSetup for it, later ones share it and are charged nothing.
 func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 	ncfg, err := cfg.normalize()
 	if err != nil {
@@ -117,9 +117,7 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	s := &Solver{cfg: ncfg, hier: h}
-	pipeline.Setup(&s.rec, func() { s.ts = NewTranslationSet(ncfg) })
-	nmat := int64(2*8 + s.ts.t2Built)
-	s.rec.AddFlops(PhaseSetup, nmat*TranslationMatrixFlops(s.ts.K, ncfg.M))
+	s.ts = sharedTranslationSet(ncfg, &s.rec)
 	s.nearOff = tree.NearOffsets(ncfg.Separation)
 	s.nearRounds = buildNearRounds(h.GridSize(ncfg.Depth), ncfg.Separation)
 	s.nearRun = s.nearRow

@@ -205,13 +205,14 @@ func TestOctantGatherScatter(t *testing.T) {
 	for oct := 0; oct < 8; oct++ {
 		parent := m.NewGrid3(4, 1)
 		OctantGather(RemapAliased, parent, child, oct)
-		parent.ForEachBox(func(p geom.Coord3, v []float64) {
+		want := m.NewGrid3(4, 1)
+		want.ForEachBox(func(p geom.Coord3, v []float64) {
 			cc := p.Child(oct)
-			want := float64(cc.X + 10*cc.Y + 100*cc.Z)
-			if v[0] != want {
-				t.Fatalf("oct %d gather at %v = %g, want %g", oct, p, v[0], want)
-			}
+			v[0] = float64(cc.X + 10*cc.Y + 100*cc.Z)
 		})
+		if bad := mismatches(parent, want); bad != 0 {
+			t.Fatalf("oct %d: gather wrong at %d parent boxes", oct, bad)
+		}
 	}
 	// Scatter-add: child[child(p,oct)] += parent[p].
 	parent := m.NewGrid3(4, 1)

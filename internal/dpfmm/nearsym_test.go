@@ -56,12 +56,16 @@ func TestHalfSnakeCellsCoverHalfCube(t *testing.T) {
 
 func TestHalfSnakeMatchesTreeHalfOffsets(t *testing.T) {
 	cells := halfSnakeCells(2)
-	ref := tree.HalfNearOffsets(2)
-	// Same SET up to the choice of representative per pair.
+	// One representative per symmetric pair, whichever the snake picked: with
+	// their negations the cells are exactly the tree's near field.
 	covered := map[geom.Coord3]bool{}
 	for _, c := range cells {
 		covered[c] = true
 		covered[geom.Coord3{X: -c.X, Y: -c.Y, Z: -c.Z}] = true
+	}
+	ref := tree.NearOffsets(2)
+	if len(covered) != len(ref) {
+		t.Fatalf("half snake and its negations cover %d offsets, want %d", len(covered), len(ref))
 	}
 	for _, o := range ref {
 		if !covered[o] {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nbody/internal/metrics"
+	"nbody/internal/serve"
 )
 
 // Config configures the gateway. Zero values select the documented
@@ -228,7 +229,7 @@ func failoverClass(status int) bool {
 }
 
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		writeGWError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds gateway cap")
 		return

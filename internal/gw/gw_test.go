@@ -726,7 +726,14 @@ func TestGatewaySolveDoesNotParseBodyUnlessHedging(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
-	if roundTrip >= 1024 {
-		t.Fatalf("an unhedged proxied solve costs %.0f allocations per round trip, want < 1024: the gateway is parsing the body", roundTrip)
+	// Reads 123 with the body read into one buffer sized from Content-Length;
+	// io.ReadAll's growth steps made it 150. The ceiling is that reading
+	// + 10 %; the race detector allocates too (132 to 136) and gets 10 % more.
+	ceiling := 135.0
+	if raceEnabled {
+		ceiling = 150
+	}
+	if roundTrip > ceiling {
+		t.Fatalf("an unhedged proxied solve costs %.0f allocations per round trip, want <= %.0f: the gateway is parsing the body or growing its buffer", roundTrip, ceiling)
 	}
 }

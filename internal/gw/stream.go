@@ -30,7 +30,7 @@ import (
 const maxStreamBackoff = time.Second
 
 func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		writeGWError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds gateway cap")
 		return

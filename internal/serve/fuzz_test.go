@@ -2,7 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
+
+	"nbody"
 )
 
 // FuzzServeRequest fuzzes the JSON decoder/validator pair behind
@@ -87,5 +91,50 @@ func FuzzServeRequest(f *testing.F) {
 				t.Fatalf("accepted simulate system fails Validate: %v", verr)
 			}
 		}
+	})
+}
+
+// FuzzDecodeDifferential holds the scanner to its contract: whatever bytes
+// arrive, on either endpoint, decodeRequest and the encoding/json reference
+// (decodeSolveRequest / decodeSimulateRequest, which is also its fallback)
+// agree on success or failure, on the error and the HTTP status it maps to,
+// and on success on every selector and every bit of every position and
+// charge. The scanner is then an optimisation and nothing else.
+func FuzzDecodeDifferential(f *testing.F) {
+	for _, seed := range wireSeeds {
+		f.Add([]byte(seed.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeAgrees(t, data, false)
+		checkDecodeAgrees(t, data, true)
+	})
+}
+
+// FuzzEncodeFloats holds the append encoder to encoding/json's bytes, for
+// any bit pattern: a lone float, the array forms, and the refusal of the
+// values JSON cannot carry.
+func FuzzEncodeFloats(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, -1e-6, math.Nextafter(1e-6, 0),
+		1e21, -1e21, math.Nextafter(1e21, 0), 1e-7, 1.5e-9, 1e-10, 1e100, 123456789.125, 5e-324, -5e-324,
+		2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		f.Add(math.Float64bits(x), math.Float64bits(-x/3), math.Float64bits(x*7))
+	}
+	f.Fuzz(func(t *testing.T, a, b, c uint64) {
+		x, y, z := math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)
+		check := func(what string, got []byte, gerr error, v any) {
+			want, werr := json.Marshal(v)
+			if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Fatalf("%s %v: err %v, json.Marshal err %v", what, v, gerr, werr)
+			}
+			if gerr == nil && !bytes.Equal(got, want) {
+				t.Fatalf("%s %v: %s, json.Marshal %s", what, v, got, want)
+			}
+		}
+		got, err := appendFloat(nil, x)
+		check("appendFloat", got, err, x)
+		got, err = appendFloats(nil, []float64{x, y, z})
+		check("appendFloats", got, err, []float64{x, y, z})
+		got, err = appendVec3s(nil, []nbody.Vec3{{X: x, Y: y, Z: z}, {X: z, Y: x, Z: y}})
+		check("appendVec3s", got, err, [][3]float64{{x, y, z}, {z, x, y}})
 	})
 }

@@ -136,8 +136,10 @@ func TestShedHTTPRetryAfter(t *testing.T) {
 	srv, hs := newTestServer(t, Config{Workers: 2})
 	// Sized so the deadline below is out of reach by an order of magnitude
 	// on any host: a solve of a few hundred particles finishes inside a
-	// millisecond, and the estimator would then rightly admit it.
-	sys := nbody.NewUniformSystem(8192, 7)
+	// millisecond, and the estimator would then rightly admit it (8192 read
+	// 9.6 ms on two avx2 cores once the near field went symmetric — under the
+	// ten-deadline premise below six runs in ten).
+	sys := nbody.NewUniformSystem(32768, 7)
 
 	// Warm-up: enough successful solves of this exact shape for the
 	// estimator to trust its EWMA.
@@ -303,18 +305,18 @@ func TestOverloadedRetryAfterHeader(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	started := make(chan struct{}, 4)
-	// Occupy both workers first; only then enqueue the queue-filling job,
-	// otherwise it can race the workers' claims into a still-full queue and
-	// bounce before the blockade is even up.
+	// Occupy both workers first, one at a time — the queue holds one job, so
+	// two blockers enqueued together race each other into it and the loser
+	// bounces (the test then waited for its start for ever, one run in
+	// twenty) — and only then enqueue the queue-filling job.
 	for i := 0; i < 2; i++ {
 		go srv.disp.Do(context.Background(), "t", func(context.Context) error {
 			started <- struct{}{}
 			<-block
 			return nil
 		})
+		<-started
 	}
-	<-started
-	<-started
 	go srv.disp.Do(context.Background(), "t", func(context.Context) error {
 		<-block
 		return nil

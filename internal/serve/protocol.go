@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,6 +121,10 @@ type SolveRequest struct {
 	// Phases requests the per-request phase table (time and flops per
 	// pipeline phase of this solve alone) in the response.
 	Phases bool `json:"phases,omitempty"`
+
+	// pos holds the positions instead of Positions when the scanner decoded
+	// the body: already in the solver's layout, never converted.
+	pos []nbody.Vec3
 }
 
 // SimulateRequest is the body of POST /v1/simulate: the SolveRequest fields
@@ -185,6 +190,10 @@ type SolveResponse struct {
 	// subsides — the response is still a correct solve, just a cheaper one.
 	Degraded      bool `json:"degraded,omitempty"`
 	BrownoutLevel int  `json:"brownout_level,omitempty"`
+
+	// acc is the field of an accelerations solve as the solver wrote it; the
+	// server encodes it as "acc" without building Acc.
+	acc []nbody.Vec3
 }
 
 // PhaseRow is one per-request phase-table line.
@@ -250,16 +259,62 @@ func SimDomain() nbody.Box {
 	return b
 }
 
-// decodeSolveRequest parses and validates one solve body. On success the
-// returned system has passed System.Validate against the canonical domain
-// and the request's selectors have been resolved (depth chosen, accuracy
-// known); every failure is typed (ErrBadRequest, ErrTooLarge, or a
-// validation error wrapping nbody.ErrInvalidSystem / ErrOutOfDomain).
+// decodeRequest is both endpoints' way from the wire to a validated system.
+// It reads the (already capped) body once, into a buffer sized from the
+// declared length, and lets the scanner parse it straight into the solver's
+// arrays. A body the scanner does not recognise — or one whose reading failed
+// part-way — is replayed through encoding/json exactly as it arrived
+// (decodeSolveRequest / decodeSimulateRequest), so what is accepted, and
+// every error, is that path's decision alone. Validation is shared: the same
+// resolve methods check a request whichever way its arrays were decoded.
+func decodeRequest(body io.Reader, declared int64, lim Limits, sim bool) (*SimulateRequest, *nbody.System, error) {
+	buf, rerr := ReadBody(body, declared)
+	if req := new(SimulateRequest); rerr == nil && scanRequest(buf, req, sim, lim.MaxN) {
+		var sys *nbody.System
+		var err error
+		if sim {
+			sys, err = req.resolveSim(lim)
+		} else {
+			sys, err = req.resolve(lim, Domain())
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return req, sys, nil
+	}
+	replay := io.Reader(bytes.NewReader(buf))
+	if rerr != nil {
+		replay = io.MultiReader(replay, errReader{rerr})
+	}
+	if sim {
+		return decodeSimulateRequest(replay, lim)
+	}
+	req, sys, err := decodeSolveRequest(replay, lim)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &SimulateRequest{SolveRequest: *req}, sys, nil
+}
+
+// decodeJSON is the one encoding/json decode of a request body: the
+// definition of the language both endpoints accept.
+func decodeJSON(body io.Reader, req any) error {
+	if err := json.NewDecoder(body).Decode(req); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	return nil
+}
+
+// decodeSolveRequest parses and validates one solve body with encoding/json:
+// the reference decodeRequest falls back on. On success the returned system
+// has passed System.Validate against the canonical domain and the request's
+// selectors have been resolved (depth chosen, accuracy known); every failure
+// is typed (ErrBadRequest, ErrTooLarge, or a validation error wrapping
+// nbody.ErrInvalidSystem / ErrOutOfDomain).
 func decodeSolveRequest(body io.Reader, lim Limits) (*SolveRequest, *nbody.System, error) {
 	var req SolveRequest
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, nil, err
 	}
 	sys, err := req.resolve(lim, Domain())
 	if err != nil {
@@ -268,52 +323,49 @@ func decodeSolveRequest(body io.Reader, lim Limits) (*SolveRequest, *nbody.Syste
 	return &req, sys, nil
 }
 
-// decodeSimulateRequest is decodeSolveRequest for the streaming endpoint,
-// with the integration parameters validated on top and the system checked
-// against the enlarged simulation domain.
+// decodeSimulateRequest is decodeSolveRequest for the streaming endpoint.
 func decodeSimulateRequest(body io.Reader, lim Limits) (*SimulateRequest, *nbody.System, error) {
 	var req SimulateRequest
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+	if err := decodeJSON(body, &req); err != nil {
+		return nil, nil, err
 	}
-	if req.Steps < 1 {
-		return nil, nil, fmt.Errorf("%w: steps must be >= 1, got %d", ErrBadRequest, req.Steps)
-	}
-	if req.StreamEvery < 0 {
-		return nil, nil, fmt.Errorf("%w: stream_every must be >= 0, got %d", ErrBadRequest, req.StreamEvery)
-	}
-	if req.CheckpointEvery < 0 {
-		return nil, nil, fmt.Errorf("%w: checkpoint_every must be >= 0, got %d", ErrBadRequest, req.CheckpointEvery)
-	}
-	if req.ResumeToken != "" {
-		sys, err := req.resolveResume(lim, SimDomain())
-		if err != nil {
-			return nil, nil, err
-		}
-		if req.StreamEvery == 0 {
-			req.StreamEvery = req.Steps
-		}
-		return &req, sys, nil
-	}
-	if !(req.DT > 0) || req.DT > 1e6 {
-		return nil, nil, fmt.Errorf("%w: dt must be in (0, 1e6], got %g", ErrBadRequest, req.DT)
-	}
-	if req.StreamEvery == 0 {
-		req.StreamEvery = req.Steps
-	}
-	sys, err := req.SolveRequest.resolve(lim, SimDomain())
+	sys, err := req.resolveSim(lim)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &req, sys, nil
 }
 
+// resolveSim validates a decoded simulate request: the integration
+// parameters, then the system — fresh or resumed — against the enlarged
+// simulation domain.
+func (req *SimulateRequest) resolveSim(lim Limits) (*nbody.System, error) {
+	if req.Steps < 1 {
+		return nil, fmt.Errorf("%w: steps must be >= 1, got %d", ErrBadRequest, req.Steps)
+	}
+	if req.StreamEvery < 0 {
+		return nil, fmt.Errorf("%w: stream_every must be >= 0, got %d", ErrBadRequest, req.StreamEvery)
+	}
+	if req.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("%w: checkpoint_every must be >= 0, got %d", ErrBadRequest, req.CheckpointEvery)
+	}
+	if req.ResumeToken == "" && (!(req.DT > 0) || req.DT > 1e6) {
+		return nil, fmt.Errorf("%w: dt must be in (0, 1e6], got %g", ErrBadRequest, req.DT)
+	}
+	if req.StreamEvery == 0 {
+		req.StreamEvery = req.Steps
+	}
+	if req.ResumeToken != "" {
+		return req.resolveResume(lim, SimDomain())
+	}
+	return req.SolveRequest.resolve(lim, SimDomain())
+}
+
 // resolve validates the shared request fields against the limits and the
 // given domain, fills the defaulted selectors in place (Compute, Accuracy,
 // Depth), and returns the validated system.
 func (r *SolveRequest) resolve(lim Limits, box nbody.Box) (*nbody.System, error) {
-	n := len(r.Positions)
+	n := len(r.Positions) + len(r.pos) // one of the two is empty
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty system", ErrBadRequest)
 	}
@@ -330,9 +382,12 @@ func (r *SolveRequest) resolve(lim Limits, box nbody.Box) (*nbody.System, error)
 	// deterministically in the problem shape, so equal auto-depth requests
 	// still share one plan-cache entry — from the tuned table when the shape
 	// has measured evidence and the analytic cost model otherwise.
-	sys := &nbody.System{Positions: make([]nbody.Vec3, n), Charges: r.Charges}
-	for i, p := range r.Positions {
-		sys.Positions[i] = nbody.Vec3{X: p[0], Y: p[1], Z: p[2]}
+	sys := &nbody.System{Positions: r.pos, Charges: r.Charges}
+	if r.pos == nil {
+		sys.Positions = make([]nbody.Vec3, n)
+		for i, p := range r.Positions {
+			sys.Positions[i] = nbody.Vec3{X: p[0], Y: p[1], Z: p[2]}
+		}
 	}
 	if err := sys.Validate(box); err != nil {
 		return nil, err

@@ -71,7 +71,7 @@ func decodeResumeToken(tok string, lim Limits) (*nbody.CheckpointState, error) {
 // particle state against the simulation domain, and returns the system.
 // The decoded state lands in req.resume for the stream loop.
 func (r *SimulateRequest) resolveResume(lim Limits, box nbody.Box) (*nbody.System, error) {
-	if len(r.Positions) != 0 || len(r.Charges) != 0 {
+	if len(r.Positions) != 0 || len(r.pos) != 0 || len(r.Charges) != 0 {
 		return nil, fmt.Errorf("%w: resume_token and positions/charges are mutually exclusive", ErrBadRequest)
 	}
 	st, err := decodeResumeToken(r.ResumeToken, lim)

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -361,13 +362,12 @@ type call struct {
 // decodeBody is the shared request prologue: refuse new work while
 // draining, cap the body, decode and validate it, and name an over-cap body
 // for what it is.
-func decodeBody[R any](s *Server, w http.ResponseWriter, r *http.Request,
-	decode func(io.Reader, Limits) (*R, *nbody.System, error)) (*R, *nbody.System, error) {
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, sim bool) (*SimulateRequest, *nbody.System, error) {
 	if s.draining.Load() {
 		return nil, nil, ErrDraining
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, sys, err := decode(r.Body, s.limits())
+	req, sys, err := decodeRequest(r.Body, r.ContentLength, s.limits(), sim)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -493,11 +493,12 @@ func (s *Server) keyFor(req *SolveRequest, n int, dist string, sim bool) Key {
 // handleSolve is POST /v1/solve.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	c := &call{endpoint: "solve", t0: time.Now()}
-	req, sys, err := decodeBody(s, w, r, decodeSolveRequest)
+	dec, sys, err := s.decodeBody(w, r, false)
 	if err != nil {
 		s.finish(c, s.writeError(w, err), err)
 		return
 	}
+	req := &dec.SolveRequest
 	c.tenant = req.Tenant
 
 	// Idempotent replay: a failed-over or hedged retry carrying the same
@@ -559,15 +560,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // a body. A failed write means the client hung up mid-body: nothing to send,
 // just account the 499.
 func (s *Server) reply(w http.ResponseWriter, c *call, idemKey string, resp *SolveResponse) {
-	body, err := json.Marshal(resp)
+	body, err := encodeSolveResponse(resp)
 	if err != nil {
 		err = fmt.Errorf("encode response: %w", err)
 		s.finish(c, s.writeError(w, err), err)
 		return
 	}
-	body = append(body, '\n')
 	if idemKey != "" {
-		s.idem.put(c.tenant, idemKey, body)
+		// The store keeps an exactly sized copy of its own; body's sizing
+		// slack goes with the request.
+		s.idem.put(c.tenant, idemKey, bytes.Clone(body))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	status := http.StatusOK
@@ -575,6 +577,31 @@ func (s *Server) reply(w http.ResponseWriter, c *call, idemKey string, resp *Sol
 		status = 499
 	}
 	s.finish(c, status, nil)
+}
+
+// encodeSolveResponse is json.Marshal(resp) plus the closing newline, with
+// the numeric arrays — phi, and acc of an accelerations solve — written by
+// the append encoder into one buffer sized up front. The envelope around them
+// still goes through encoding/json, so its escaping and omitempty rules
+// cannot drift; phi sits where Marshal leaves `"phi":null` for the nil slice
+// (a sequence no JSON string can contain: its quotes would be escaped).
+func encodeSolveResponse(resp *SolveResponse) ([]byte, error) {
+	env := *resp
+	env.Phi = nil
+	head, err := json.Marshal(&env)
+	if err != nil {
+		return nil, err
+	}
+	at := bytes.Index(head, []byte(`"phi":null`)) + len(`"phi":`)
+	out := make([]byte, 0, len(head)+16+floatBytes*(len(resp.Phi)+3*len(resp.acc))+4*len(resp.acc))
+	out = append(out, head[:at]...)
+	if out, err = appendFloats(out, resp.Phi); err == nil && len(resp.acc) > 0 {
+		out, err = appendVec3s(append(out, `,"acc":`...), resp.acc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(append(out, head[at+len("null"):]...), '\n'), nil
 }
 
 // execute runs one admitted solve on its checked-out plan: the Resilient
@@ -605,10 +632,7 @@ func execute(ctx context.Context, req *SolveRequest, sys *nbody.System, p *Plan)
 		Backend: simd.Active(),
 	}
 	if req.Compute == "accelerations" {
-		resp.Acc = make([][3]float64, len(p.Acc))
-		for i, a := range p.Acc {
-			resp.Acc[i] = [3]float64{a.X, a.Y, a.Z}
-		}
+		resp.acc = append([]nbody.Vec3(nil), p.Acc...)
 	}
 	var measured time.Duration
 	if p.Rung0 != nil {
@@ -633,7 +657,7 @@ func execute(ctx context.Context, req *SolveRequest, sys *nbody.System, p *Plan)
 // for the whole integration, streaming NDJSON frames as it goes.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	c := &call{endpoint: "simulate", t0: time.Now()}
-	req, sys, err := decodeBody(s, w, r, decodeSimulateRequest)
+	req, sys, err := s.decodeBody(w, r, true)
 	if err != nil {
 		s.finish(c, s.writeError(w, err), err)
 		return
@@ -705,7 +729,6 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, req *Simulat
 	w.Header().Set("X-Plan-Depth", fmt.Sprintf("%d", p.Key.Plan.Depth))
 	w.Header().Set("X-Plan-Accuracy", p.Key.Shape.Accuracy)
 	c.streaming = true
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
 	frames := 0
@@ -721,18 +744,22 @@ func (s *Server) stream(ctx context.Context, w http.ResponseWriter, req *Simulat
 			}
 			f.ResumeToken = tok
 		}
-		if final {
-			f.Positions = make([][3]float64, sys.Len())
-			f.Velocity = make([][3]float64, sys.Len())
-			for i, p := range sim.System.Positions {
-				f.Positions[i] = [3]float64{p.X, p.Y, p.Z}
-			}
-			for i, v := range sim.Velocities {
-				f.Velocity[i] = [3]float64{v.X, v.Y, v.Z}
-			}
-		}
 		frames++
-		if err := enc.Encode(f); err != nil {
+		// The scalars and the token through encoding/json; the final frame's
+		// particle state — the object's last two fields — appended to it.
+		line, err := json.Marshal(f)
+		if err == nil && final {
+			line = slices.Grow(line[:len(line)-1], 32+6*sys.Len()*(floatBytes+2))
+			line, err = appendVec3s(append(line, `,"positions":`...), sim.System.Positions)
+			if err == nil {
+				line, err = appendVec3s(append(line, `,"velocities":`...), sim.Velocities)
+			}
+			line = append(line, '}')
+		}
+		if err == nil {
+			_, err = w.Write(append(line, '\n'))
+		}
+		if err != nil {
 			return fmt.Errorf("%w: %v", context.Canceled, err)
 		}
 		if flusher != nil {

@@ -40,7 +40,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // solveBody marshals a request for sys.
-func solveBody(t *testing.T, tenant string, sys *nbody.System, mutate func(*SolveRequest)) []byte {
+func solveBody(t testing.TB, tenant string, sys *nbody.System, mutate func(*SolveRequest)) []byte {
 	t.Helper()
 	req := SolveRequest{Tenant: tenant, Positions: make([][3]float64, sys.Len()), Charges: sys.Charges}
 	for i, p := range sys.Positions {

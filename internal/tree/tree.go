@@ -72,22 +72,6 @@ func NearOffsets(d int) []geom.Coord3 {
 	return offs
 }
 
-// HalfNearOffsets returns one offset per symmetric pair of NearOffsets(d):
-// the (2d+1)^3/2 offsets that are lexicographically positive. Traversing
-// only these and applying Newton's third law halves the near-field box-box
-// interactions (124 -> 62 for d=2), the symmetry optimization of Section
-// 3.4 / Figure 10.
-func HalfNearOffsets(d int) []geom.Coord3 {
-	all := NearOffsets(d)
-	half := make([]geom.Coord3, 0, len(all)/2)
-	for _, o := range all {
-		if o.Z > 0 || (o.Z == 0 && (o.Y > 0 || (o.Y == 0 && o.X > 0))) {
-			half = append(half, o)
-		}
-	}
-	return half
-}
-
 // InteractiveOffsets returns, for a child box of the given octant (see
 // geom.Coord3.Octant), the relative offsets at the child's level of its
 // interactive field under d-separation: children of the parent's near-field

@@ -52,32 +52,6 @@ func TestNearOffsetsContent(t *testing.T) {
 	}
 }
 
-func TestHalfNearOffsets(t *testing.T) {
-	// 62 for d=2 (the paper's Newton's-third-law count), and together with
-	// their negations they reconstruct the full set.
-	half := HalfNearOffsets(2)
-	if len(half) != 62 {
-		t.Fatalf("half near offsets = %d, want 62", len(half))
-	}
-	seen := make(map[geom.Coord3]bool)
-	for _, o := range half {
-		neg := geom.Coord3{X: -o.X, Y: -o.Y, Z: -o.Z}
-		if seen[neg] {
-			t.Fatalf("offset %v and its negation both in half set", o)
-		}
-		seen[o] = true
-	}
-	full := NearOffsets(2)
-	reconstructed := make(map[geom.Coord3]bool)
-	for _, o := range half {
-		reconstructed[o] = true
-		reconstructed[geom.Coord3{X: -o.X, Y: -o.Y, Z: -o.Z}] = true
-	}
-	if len(reconstructed) != len(full) {
-		t.Fatalf("half set + negations cover %d offsets, want %d", len(reconstructed), len(full))
-	}
-}
-
 func TestInteractiveOffsetsCount(t *testing.T) {
 	// The paper: 7(2d+1)^3 interactive-field boxes; 875 for d=2, 189 for d=1.
 	for _, d := range []int{1, 2, 3} {

@@ -77,4 +77,23 @@ if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ]; then
     echo "$calls" >&2
     exit 1
 fi
+# Fifth boundary: the particle arrays cross the wire without reflection or
+# re-layout. The non-test server code (internal/serve/*.go; the load
+# generator below it is a client) decodes a request body with encoding/json in
+# exactly one place — the fallback that defines the accepted language — turns
+# [][3]float64 into Vec3 in exactly one place, that fallback's resolve, and
+# never the other way round; and the request path keeps no pool.
+decodes=$(grep -nE 'json\.(NewDecoder|Unmarshal)' internal/serve/*.go | grep -v '_test\.go:' || true)
+relayouts=$(grep -nE '\[3\]float64\{|make\(\[\]\[3\]float64|[XYZ]: *[a-z]+\[[012]\]' internal/serve/*.go \
+    | grep -v '_test\.go:' || true)
+pools=$(grep -n 'sync\.Pool' internal/serve/*.go | grep -v '_test\.go:' || true)
+if [ "$(echo "$decodes" | grep -c .)" != 1 ] || [ "$(echo "$relayouts" | grep -c .)" != 1 ] || [ -n "$pools" ]; then
+    echo "check_pipeline: internal/serve must have one encoding/json request decode (the" >&2
+    echo "fallback), one [][3]float64 -> Vec3 conversion (its resolve) and no sync.Pool; found:" >&2
+    echo "$decodes" >&2
+    echo "$relayouts" >&2
+    echo "$pools" >&2
+    echo "parse into and encode from the solver's arrays (wire.go) instead" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"
