@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"nbody/internal/blas"
 	"nbody/internal/geom"
+	"nbody/internal/sched"
 )
 
 // node is one octree cell. Children are indices into the tree's node slice
@@ -241,7 +241,7 @@ func (t *Tree) Potentials(cfg Config) ([]float64, Stats) {
 	cfg = cfg.normalize()
 	phi := make([]float64, len(t.pos))
 	var st Stats
-	blas.Parallel(len(t.pos), func(i int) {
+	sched.Run(len(t.pos), func(i int) {
 		var cells, parts int64
 		phi[i] = t.potentialAt(t.pos[i], int32(i), cfg, &cells, &parts)
 		atomicAdd(&st.CellInteractions, cells)

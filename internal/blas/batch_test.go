@@ -2,7 +2,6 @@ package blas
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
 
@@ -64,52 +63,6 @@ func TestParallelMultiGemmMismatchPanics(t *testing.T) {
 		}
 	}()
 	ParallelMultiGemm(NewMatrix(2, 2), make([]Matrix, 1), make([]Matrix, 2))
-}
-
-func TestGemvBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randMatrix(rng, 6, 6)
-	xs := make([][]float64, 4)
-	ys := make([][]float64, 4)
-	want := make([][]float64, 4)
-	for i := range xs {
-		xs[i] = make([]float64, 6)
-		for j := range xs[i] {
-			xs[i][j] = rng.NormFloat64()
-		}
-		ys[i] = make([]float64, 6)
-		want[i] = make([]float64, 6)
-		Dgemv(a, xs[i], want[i])
-	}
-	GemvBatch(a, xs, ys)
-	for i := range ys {
-		for j := range ys[i] {
-			if ys[i][j] != want[i][j] {
-				t.Fatalf("batch instance %d mismatch", i)
-			}
-		}
-	}
-}
-
-func TestGemvBatchMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	GemvBatch(NewMatrix(2, 2), make([][]float64, 1), make([][]float64, 2))
-}
-
-func TestParallelCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1001} {
-		hits := make([]int32, n)
-		Parallel(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
-			}
-		}
-	}
 }
 
 func BenchmarkDgemm12(b *testing.B) { benchGemm(b, 12, 12, 512) }

@@ -1,6 +1,9 @@
 package core
 
-import "nbody/internal/blas"
+import (
+	"nbody/internal/blas"
+	"nbody/internal/sched"
+)
 
 // This file applies the translations of many boxes as level-3 BLAS (Section
 // 3.3.3, technique 4) — in the gather-free form. The paper gathers the
@@ -26,7 +29,7 @@ func (s *Solver) apply(sw *sweep) error {
 			}
 			sw.run(job)
 		}
-	} else if err := blas.ParallelCtx(s.ctx, sw.jobs(), sw.run); err != nil {
+	} else if err := sched.RunCtx(s.ctx, sw.jobs(), sw.run); err != nil {
 		return err
 	}
 	if sw.phase == PhaseT2 {

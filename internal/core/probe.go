@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"nbody/internal/blas"
 	"nbody/internal/geom"
 	"nbody/internal/pipeline"
+	"nbody/internal/sched"
 )
 
 // PotentialsAt evaluates the potential field of the sources (pos, q) at an
@@ -63,7 +63,7 @@ func (s *Solver) evalAt(targets []geom.Vec3, phi []float64) {
 	m := s.cfg.M
 	a := s.cfg.RadiusRatio * s.hier.BoxSide(depth)
 	n := s.part.Grid
-	blas.Parallel(len(targets), func(i int) {
+	sched.Run(len(targets), func(i int) {
 		x := targets[i]
 		c := s.hier.LeafOf(x)
 		b := c.Index(n)

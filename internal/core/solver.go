@@ -6,11 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nbody/internal/blas"
 	"nbody/internal/direct"
 	"nbody/internal/geom"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
+	"nbody/internal/sched"
 	"nbody/internal/tree"
 )
 
@@ -256,13 +256,13 @@ func (s *Solver) solve(pos []geom.Vec3, q []float64, phi []float64, acc []geom.V
 	return s.solveCtx(nil, pos, q, phi, acc)
 }
 
-// par and parChunks are the solver's parallel sweeps: blas.Parallel* bound
-// to the in-flight solve's cancellation signal. A canceled sweep returns
+// par and parChunks are the solver's parallel sweeps: sched.Run* bound to
+// the in-flight solve's cancellation signal. A canceled sweep returns
 // early with partial output; solveCtx notices at the next phase boundary.
-func (s *Solver) par(n int, fn func(i int)) { _ = blas.ParallelCtx(s.ctx, n, fn) }
+func (s *Solver) par(n int, fn func(i int)) { _ = sched.RunCtx(s.ctx, n, fn) }
 
 func (s *Solver) parChunks(n int, body func(lo, hi int)) {
-	_ = blas.ParallelChunksCtx(s.ctx, n, body)
+	_ = sched.RunChunksCtx(s.ctx, n, body)
 }
 
 func (s *Solver) solveCtx(ctx context.Context, pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error {

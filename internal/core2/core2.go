@@ -32,6 +32,7 @@ import (
 	"nbody/internal/kernels"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
+	"nbody/internal/sched"
 	"nbody/internal/sphere"
 	"nbody/internal/tree"
 )
@@ -386,7 +387,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 		{Name: metrics.PhaseLeafOuter, Site: FaultSiteLeafOuter,
 			Slice: func() []float64 { return far[depth] },
 			Run: func(ctx context.Context) error {
-				err := blas.ParallelCtx(ctx, nb, func(b int) {
+				err := sched.RunCtx(ctx, nb, func(b int) {
 					idx := boxParticles(b)
 					if len(idx) == 0 {
 						return
@@ -424,7 +425,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 				for l := depth - 1; l >= 2; l-- {
 					np := s.hier.GridSize(l)
 					nc := s.hier.GridSize(l + 1)
-					if err := blas.ParallelCtx(ctx, np*np, func(pb int) {
+					if err := sched.RunCtx(ctx, np*np, func(pb int) {
 						pc := geom.Coord2FromIndex(pb, np)
 						dst := far[l][pb*k : (pb+1)*k]
 						for qd := 0; qd < 4; qd++ {
@@ -450,7 +451,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 				Name: metrics.PhaseT3, Site: FaultSiteT3,
 				Slice: func() []float64 { return loc[l] },
 				Run: func(ctx context.Context) error {
-					err := blas.ParallelCtx(ctx, gl*gl, func(cb int) {
+					err := sched.RunCtx(ctx, gl*gl, func(cb int) {
 						cc := geom.Coord2FromIndex(cb, gl)
 						pb := cc.Parent().Index(gp)
 						blas.Dgemv(s.t3[cc.Quadrant()], loc[l-1][pb*k:(pb+1)*k], loc[l][cb*k:(cb+1)*k])
@@ -469,7 +470,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 			Slice: func() []float64 { return loc[l] },
 			Run: func(ctx context.Context) error {
 				var t2Count atomic.Int64
-				err := blas.ParallelCtx(ctx, gl*gl, func(cb int) {
+				err := sched.RunCtx(ctx, gl*gl, func(cb int) {
 					cc := geom.Coord2FromIndex(cb, gl)
 					qd := cc.Quadrant()
 					dst := loc[l][cb*k : (cb+1)*k]
@@ -528,7 +529,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 		pipeline.Phase{Name: metrics.PhaseEvalLocal, Site: FaultSiteEval,
 			Slice: func() []float64 { return phi },
 			Run: func(ctx context.Context) error {
-				err := blas.ParallelCtx(ctx, nb, func(b int) {
+				err := sched.RunCtx(ctx, nb, func(b int) {
 					idx := boxParticles(b)
 					if len(idx) == 0 {
 						return
@@ -564,7 +565,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 			Slice: func() []float64 { return phi },
 			Run: func(ctx context.Context) error {
 				var nearPairs atomic.Int64
-				err := blas.ParallelCtx(ctx, nb, func(b int) {
+				err := sched.RunCtx(ctx, nb, func(b int) {
 					idx := boxParticles(b)
 					if len(idx) == 0 {
 						return
@@ -600,7 +601,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 // DirectPotentials2 is the 2-D direct reference: phi_i = -sum q_j ln r_ij.
 func DirectPotentials2(pos []geom.Vec2, q []float64) []float64 {
 	phi := make([]float64, len(pos))
-	blas.Parallel(len(pos), func(i int) {
+	sched.Run(len(pos), func(i int) {
 		var v float64
 		for j := range pos {
 			if i == j {

@@ -14,9 +14,9 @@ package direct
 import (
 	"math"
 
-	"nbody/internal/blas"
 	"nbody/internal/geom"
 	"nbody/internal/kernels"
+	"nbody/internal/sched"
 )
 
 // Potentials returns phi[i] = sum_{j != i} q[j] / |pos[i]-pos[j]|, computed
@@ -78,7 +78,7 @@ func PotentialsSymmetric(pos []geom.Vec3, q []float64) []float64 {
 // synchronization is needed.
 func PotentialsParallel(pos []geom.Vec3, q []float64) []float64 {
 	phi := make([]float64, len(pos))
-	blas.Parallel(len(pos), func(i int) {
+	sched.Run(len(pos), func(i int) {
 		var s float64
 		pi := pos[i]
 		for j := range pos {
@@ -105,7 +105,7 @@ func Accelerations(pos []geom.Vec3, q []float64) []geom.Vec3 {
 	// synchronization); each block sweeps the sources one j-tile at a time
 	// so the tile stays cache resident across the block's rows. The
 	// self-exclusion branch only runs inside the diagonal tile.
-	blas.Parallel(nb, func(bi int) {
+	sched.Run(nb, func(bi int) {
 		ib := bi * pairTile
 		ie := ib + pairTile
 		if ie > n {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"nbody/internal/blas"
 	"nbody/internal/geom"
+	"nbody/internal/sched"
 )
 
 func bitsFromFloat(f float64) uint64 { return math.Float64bits(f) }
@@ -95,7 +95,7 @@ func (g *Grid3) Clone() *Grid3 {
 // ForEachVU runs fn for every VU slab in parallel (the data-parallel
 // "elementwise" execution mode). fn must only touch its own slab.
 func (g *Grid3) ForEachVU(fn func(vu int, slab []float64)) {
-	blas.Parallel(len(g.slabs), func(vu int) { fn(vu, g.slabs[vu]) })
+	sched.Run(len(g.slabs), func(vu int) { fn(vu, g.slabs[vu]) })
 }
 
 // ForEachBox runs fn for every box in parallel over VUs, passing the box

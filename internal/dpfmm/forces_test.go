@@ -1,6 +1,7 @@
 package dpfmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,6 +50,10 @@ func TestDataParallelAccelerations(t *testing.T) {
 	}
 }
 
+// TestDataParallelAccelerationsMatchSharedMemory holds the force solve to
+// the shared-memory solver's fields in every ghost strategy, with and
+// without multigrid storage: one pipeline, so every configuration of the
+// potential solve is one of the force solve too.
 func TestDataParallelAccelerationsMatchSharedMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
 	pos, q := uniformParticles(rng, 600)
@@ -63,18 +68,24 @@ func TestDataParallelAccelerationsMatchSharedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newTestMachine(t, 2)
-	s, err := NewSolver(m, unitBox(), cfg, LinearizedAliased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, acc, err := s.Accelerations(pos, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range acc {
-		if acc[i].Sub(wantAcc[i]).Norm() > 1e-9*(1+wantAcc[i].Norm()) {
-			t.Fatalf("acceleration mismatch at %d: %v vs %v", i, acc[i], wantAcc[i])
+	for _, strat := range []GhostStrategy{DirectUnaliased, LinearizedUnaliased, DirectAliased, LinearizedAliased} {
+		for _, mg := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/multigrid=%v", strat, mg), func(t *testing.T) {
+				s, err := NewSolver(newTestMachine(t, 2), unitBox(), cfg, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.MultigridStorage = mg
+				_, acc, err := s.Accelerations(pos, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range acc {
+					if acc[i].Sub(wantAcc[i]).Norm() > 1e-9*(1+wantAcc[i].Norm()) {
+						t.Fatalf("acceleration mismatch at %d: %v vs %v", i, acc[i], wantAcc[i])
+					}
+				}
+			})
 		}
 	}
 }

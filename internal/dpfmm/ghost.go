@@ -111,22 +111,9 @@ func (s *Solver) t2SnakeUnitShifts(far, loc *dp.Grid3) {
 	visit := func(target geom.Coord3) {
 		if cur != target {
 			pipeline.Step(&s.rec, metrics.PhaseGhost, FaultSiteGhost, func() {
-				for cur != target {
-					var axis dp.Axis
-					var step int
-					switch {
-					case cur.X != target.X:
-						axis, step = dp.AxisX, sign(target.X-cur.X)
-						cur.X += step
-					case cur.Y != target.Y:
-						axis, step = dp.AxisY, sign(target.Y-cur.Y)
-						cur.Y += step
-					default:
-						axis, step = dp.AxisZ, sign(target.Z-cur.Z)
-						cur.Z += step
-					}
+				cur = walk(cur, target, func(axis dp.Axis, step int) {
 					traveling = traveling.CShift(axis, step)
-				}
+				})
 			})
 		}
 		if cur.ChebDist(geom.Coord3{}) > s.Cfg.Separation {
@@ -165,13 +152,6 @@ func snakeCells(b int) []geom.Coord3 {
 		}
 	}
 	return cells
-}
-
-func sign(v int) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
 }
 
 // ghostDepth returns the ghost-region depth for a grid: 2d boxes on every

@@ -16,20 +16,13 @@ import (
 // the maximum box population, aligned with the potential grids so that
 // particle-box interactions are VU-local.
 type particleGrid struct {
-	cap   int
-	count *dp.Grid3 // particles per box (Vlen 1)
-	px    *dp.Grid3 // x coordinates (Vlen cap)
-	py    *dp.Grid3
-	pz    *dp.Grid3
-	pq    *dp.Grid3 // charges
-	phi   *dp.Grid3 // per-particle accumulated potential
+	boxArrays
+	cap int
 
-	// index maps sorted position -> original particle index; phiOut is the
-	// result in sorted order, gathered from phi at the end.
-	index  []int
-	phiOut []float64
-	boxOf  []geom.Coord3 // leaf box of each sorted particle
-	slot   []int         // slot of each sorted particle within its box
+	// index maps sorted position -> original particle index.
+	index []int
+	boxOf []geom.Coord3 // leaf box of each sorted particle
+	slot  []int         // slot of each sorted particle within its box
 }
 
 // ReshapeStats reports the communication behaviour of the coordinate sort +
@@ -41,15 +34,13 @@ type ReshapeStats struct {
 	Local      int64
 }
 
-var lastReshape ReshapeStats
-
-// LastReshapeStats returns the reshape statistics of the most recent
-// partitionParticles call (test/bench instrumentation).
-func LastReshapeStats() ReshapeStats { return lastReshape }
+// ReshapeStats returns the reshape statistics of this solver's most recent
+// solve.
+func (s *Solver) ReshapeStats() ReshapeStats { return s.reshape }
 
 // partitionParticles performs the coordinate sort of Section 3.2 and builds
-// the particle grids.
-func (s *Solver) partitionParticles(pos []geom.Vec3, q []float64) (*particleGrid, error) {
+// the particle grids, with field planes when force is set.
+func (s *Solver) partitionParticles(pos []geom.Vec3, q []float64, force bool) (*particleGrid, error) {
 	n := s.Hier.GridSize(s.Cfg.Depth)
 	root := s.Hier.Root
 	h := root.Side / 2
@@ -84,10 +75,9 @@ func (s *Solver) partitionParticles(pos []geom.Vec3, q []float64) (*particleGrid
 	perm := dp.SortByKeys(s.M, keys, ax, ay, az, aq)
 
 	pg := &particleGrid{
-		index:  perm,
-		phiOut: make([]float64, len(pos)),
-		boxOf:  make([]geom.Coord3, len(pos)),
-		slot:   make([]int, len(pos)),
+		index: perm,
+		boxOf: make([]geom.Coord3, len(pos)),
+		slot:  make([]int, len(pos)),
 	}
 	// Box of each sorted particle, box populations, capacity.
 	counts := make(map[geom.Coord3]int)
@@ -104,11 +94,16 @@ func (s *Solver) partitionParticles(pos []geom.Vec3, q []float64) (*particleGrid
 		pg.cap = 1
 	}
 	pg.count = s.M.NewGrid3(n, 1)
-	pg.px = s.M.NewGrid3(n, pg.cap)
-	pg.py = s.M.NewGrid3(n, pg.cap)
-	pg.pz = s.M.NewGrid3(n, pg.cap)
-	pg.pq = s.M.NewGrid3(n, pg.cap)
+	pg.x = s.M.NewGrid3(n, pg.cap)
+	pg.y = s.M.NewGrid3(n, pg.cap)
+	pg.z = s.M.NewGrid3(n, pg.cap)
+	pg.q = s.M.NewGrid3(n, pg.cap)
 	pg.phi = s.M.NewGrid3(n, pg.cap)
+	if force {
+		pg.gx = s.M.NewGrid3(n, pg.cap)
+		pg.gy = s.M.NewGrid3(n, pg.cap)
+		pg.gz = s.M.NewGrid3(n, pg.cap)
+	}
 
 	// Reshape 1-D sorted -> 4-D box arrays, counting the VU alignment the
 	// coordinate sort is designed to deliver.
@@ -116,10 +111,10 @@ func (s *Solver) partitionParticles(pos []geom.Vec3, q []float64) (*particleGrid
 	for i := range perm {
 		c := pg.boxOf[i]
 		sl := pg.slot[i]
-		pg.px.At(c)[sl] = ax.Data[i]
-		pg.py.At(c)[sl] = ay.Data[i]
-		pg.pz.At(c)[sl] = az.Data[i]
-		pg.pq.At(c)[sl] = aq.Data[i]
+		pg.x.At(c)[sl] = ax.Data[i]
+		pg.y.At(c)[sl] = ay.Data[i]
+		pg.z.At(c)[sl] = az.Data[i]
+		pg.q.At(c)[sl] = aq.Data[i]
 		pg.count.At(c)[0]++
 		if ax.VUOf(i) == layout.VUOf(c) {
 			local += 4
@@ -128,7 +123,7 @@ func (s *Solver) partitionParticles(pos []geom.Vec3, q []float64) (*particleGrid
 		}
 	}
 	s.M.AccountSend(off, local)
-	lastReshape = ReshapeStats{MovedOffVU: off / 4, Local: local / 4}
+	s.reshape = ReshapeStats{MovedOffVU: off / 4, Local: local / 4}
 	return pg, nil
 }
 
@@ -146,10 +141,10 @@ func (s *Solver) leafOuter(pg *particleGrid, far *dp.Grid3) {
 			return
 		}
 		center := s.Hier.Box(s.Cfg.Depth, c).Center
-		xs := pg.px.At(c)
-		ys := pg.py.At(c)
-		zs := pg.pz.At(c)
-		qs := pg.pq.At(c)
+		xs := pg.x.At(c)
+		ys := pg.y.At(c)
+		zs := pg.z.At(c)
+		qs := pg.q.At(c)
 		for i, si := range rule.Points {
 			p := center.Add(si.Scale(a))
 			var v float64
@@ -163,36 +158,51 @@ func (s *Solver) leafOuter(pg *particleGrid, far *dp.Grid3) {
 	s.rec.AddFlops(metrics.PhaseLeafOuter, int64(len(pg.index))*int64(k)*direct.FlopsPerPair)
 }
 
-// evalLocal evaluates leaf inner approximations at the particles (step 4).
+// evalLocal evaluates the leaf inner approximations at the particles (step
+// 4), and in a force solve their gradients into the field planes.
 func (s *Solver) evalLocal(pg *particleGrid, loc *dp.Grid3) {
 	rule := s.Cfg.Rule
 	m := s.Cfg.M
 	a := s.Cfg.RadiusRatio * s.Hier.BoxSide(s.Cfg.Depth)
 	layout := loc.Layout
 	eff := s.M.Cost.KernelEfficiency
+	force := pg.gx != nil
+	perParticle := int64(rule.K()) * int64(m+1) * 6
+	if force {
+		perParticle *= 2
+	}
 	loc.ForEachBox(func(c geom.Coord3, g []float64) {
 		cnt := int(pg.count.At(c)[0])
 		if cnt == 0 {
 			return
 		}
 		center := s.Hier.Box(s.Cfg.Depth, c).Center
-		xs := pg.px.At(c)
-		ys := pg.py.At(c)
-		zs := pg.pz.At(c)
-		phi := pg.phi.At(c)
+		p := pg.at(c, cnt)
 		for j := 0; j < cnt; j++ {
-			x := geom.Vec3{X: xs[j], Y: ys[j], Z: zs[j]}
-			phi[j] += core.EvalInner(rule, m, center, a, g, x)
+			x := geom.Vec3{X: p.x[j], Y: p.y[j], Z: p.z[j]}
+			if !force {
+				p.phi[j] += core.EvalInner(rule, m, center, a, g, x)
+				continue
+			}
+			v, grad := core.EvalInnerGrad(rule, m, center, a, g, x)
+			p.phi[j] += v
+			p.gx[j] += grad.X
+			p.gy[j] += grad.Y
+			p.gz[j] += grad.Z
 		}
-		s.M.ChargeCompute(layout.VUOf(c), int64(cnt)*int64(rule.K())*int64(m+1)*6, eff)
+		s.M.ChargeCompute(layout.VUOf(c), int64(cnt)*perParticle, eff)
 	})
-	s.rec.AddFlops(metrics.PhaseEvalLocal, int64(len(pg.index))*int64(rule.K())*int64(m+1)*6)
+	s.rec.AddFlops(metrics.PhaseEvalLocal, int64(len(pg.index))*perParticle)
 }
 
-// gatherPhi copies the per-box accumulated potentials back into sorted
-// order; called once after all phases have deposited into the phi grid.
-func (pg *particleGrid) gatherPhi() {
-	for i := range pg.phiOut {
-		pg.phiOut[i] = pg.phi.At(pg.boxOf[i])[pg.slot[i]]
+// scatter writes the per-box potentials, and the fields when acc is not
+// nil, back to the particles' original order: the un-reshape.
+func (pg *particleGrid) scatter(phi []float64, acc []geom.Vec3) {
+	for i, orig := range pg.index {
+		c, sl := pg.boxOf[i], pg.slot[i]
+		phi[orig] = pg.phi.At(c)[sl]
+		if acc != nil {
+			acc[orig] = geom.Vec3{X: pg.gx.At(c)[sl], Y: pg.gy.At(c)[sl], Z: pg.gz.At(c)[sl]}
+		}
 	}
 }

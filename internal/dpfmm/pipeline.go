@@ -48,10 +48,10 @@ var FaultSitesAll = append(append([]string{}, FaultSites...),
 // sortPhase partitions the particles onto the machine (coordinate sort +
 // communication-free reshape), publishing the grid through *pg for the later
 // phases. The fault site fires only when partitioning succeeds.
-func (s *Solver) sortPhase(pg **particleGrid, pos []geom.Vec3, q []float64) pipeline.Phase {
+func (s *Solver) sortPhase(pg **particleGrid, pos []geom.Vec3, q []float64, force bool) pipeline.Phase {
 	return pipeline.Phase{Name: metrics.PhaseSort, Site: FaultSiteSort,
 		Run: func(context.Context) error {
-			g, err := s.partitionParticles(pos, q)
+			g, err := s.partitionParticles(pos, q, force)
 			if err != nil {
 				return err
 			}

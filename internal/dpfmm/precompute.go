@@ -6,6 +6,7 @@ import (
 	"nbody/internal/blas"
 	"nbody/internal/core"
 	"nbody/internal/dp"
+	"nbody/internal/sched"
 	"nbody/internal/tree"
 )
 
@@ -134,5 +135,5 @@ func buildMatrices(cfg core.Config, n int) {
 		return
 	}
 	sink := make([]blas.Matrix, n)
-	blas.Parallel(n, func(i int) { sink[i] = core.BuildOneMatrix(cfg, i) })
+	sched.Run(n, func(i int) { sink[i] = core.BuildOneMatrix(cfg, i) })
 }

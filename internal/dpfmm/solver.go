@@ -69,11 +69,6 @@ type Solver struct {
 	TS       *core.TranslationSet
 	Strategy GhostStrategy
 
-	// OneSidedNear selects the one-sided near-field walk instead of the
-	// default Newton's-third-law scheme of Figure 10 (an ablation knob:
-	// twice the near-field arithmetic, one fewer traveling array).
-	OneSidedNear bool
-
 	// MultigridStorage stores the far- and local-field hierarchies in the
 	// paper's two-layer embedded arrays (Section 3.1, Figure 3), moving
 	// level data through Multigrid-embed/extract around every traversal
@@ -83,8 +78,9 @@ type Solver struct {
 
 	interactive [8][]geom.Coord3
 
-	rec  metrics.Rec
-	snap metrics.Snapshot
+	rec     metrics.Rec
+	snap    metrics.Snapshot
+	reshape ReshapeStats
 }
 
 // Stats returns the host-side per-phase instrumentation (wall time of the
@@ -124,7 +120,8 @@ func NewSolver(m *dp.Machine, root geom.Box3, cfg core.Config, strategy GhostStr
 // Potentials computes the potential at every particle on the simulated
 // machine.
 func (s *Solver) Potentials(pos []geom.Vec3, q []float64) ([]float64, error) {
-	return s.solvePotentials(nil, pos, q)
+	phi, _, err := s.solve(nil, pos, q, false)
+	return phi, err
 }
 
 // PotentialsCtx is Potentials with cooperative cancellation. The
@@ -132,12 +129,27 @@ func (s *Solver) Potentials(pos []geom.Vec3, q []float64) ([]float64, error) {
 // collective sweeps are not individually interruptible), so the latency
 // bound is one phase rather than one chunk.
 func (s *Solver) PotentialsCtx(ctx context.Context, pos []geom.Vec3, q []float64) ([]float64, error) {
-	return s.solvePotentials(ctx, pos, q)
+	phi, _, err := s.solve(ctx, pos, q, false)
+	return phi, err
 }
 
-func (s *Solver) solvePotentials(ctx context.Context, pos []geom.Vec3, q []float64) ([]float64, error) {
+// Accelerations computes potentials and the field +grad phi at every
+// particle on the simulated machine (the (y-x)/r^3 convention of package
+// direct). The far field differentiates the leaf inner approximations; the
+// near field deposits pairwise fields along the same traveling walk as the
+// potentials.
+func (s *Solver) Accelerations(pos []geom.Vec3, q []float64) ([]float64, []geom.Vec3, error) {
+	return s.solve(nil, pos, q, true)
+}
+
+// solve is the one pipeline of every solve: the coordinate sort and
+// communication-free reshape, steps 1-3 (leaf outer, upward, downward) under
+// the selected storage scheme, evaluation, the near field, and the
+// un-reshape. A force solve carries field planes beside phi through the
+// last three and returns the fields too.
+func (s *Solver) solve(ctx context.Context, pos []geom.Vec3, q []float64, force bool) ([]float64, []geom.Vec3, error) {
 	if len(pos) != len(q) {
-		return nil, fmt.Errorf("dpfmm: %d positions but %d charges", len(pos), len(q))
+		return nil, nil, fmt.Errorf("dpfmm: %d positions but %d charges", len(pos), len(q))
 	}
 	k := s.TS.K
 	depth := s.Cfg.Depth
@@ -148,11 +160,12 @@ func (s *Solver) solvePotentials(ctx context.Context, pos []geom.Vec3, q []float
 	var pg *particleGrid
 	var locLeaf *dp.Grid3
 	phi := make([]float64, len(pos))
+	var acc []geom.Vec3
+	if force {
+		acc = make([]geom.Vec3, len(pos))
+	}
 
-	// Particle handling: coordinate sort + communication-free reshape,
-	// then steps 1-3 (leaf outer, upward, downward) under the selected
-	// storage scheme, then evaluation, near field, and the un-reshape.
-	phases := []pipeline.Phase{s.sortPhase(&pg, pos, q)}
+	phases := []pipeline.Phase{s.sortPhase(&pg, pos, q, force)}
 	phases = append(phases, s.hierarchyPhases(&pg, &locLeaf, k, depth)...)
 	phases = append(phases,
 		pipeline.Phase{Name: metrics.PhaseEvalLocal, Site: FaultSiteEval,
@@ -165,20 +178,16 @@ func (s *Solver) solvePotentials(ctx context.Context, pos []geom.Vec3, q []float
 				s.nearField(pg)
 				return nil
 			}},
-		// Un-reshape: scatter per-box potentials back to particle order.
 		pipeline.Phase{Name: metrics.PhaseSort, Site: FaultSiteScatter,
 			Run: func(context.Context) error {
-				pg.gatherPhi()
-				for i := range pg.index {
-					phi[pg.index[i]] = pg.phiOut[i]
-				}
+				pg.scatter(phi, acc)
 				return nil
 			}},
 	)
 	if err := pipeline.Run(ctx, &s.rec, "dpfmm", phases); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return phi, nil
+	return phi, acc, nil
 }
 
 // upwardLevel applies T1 from the child grid into the parent grid.

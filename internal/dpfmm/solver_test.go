@@ -118,7 +118,7 @@ func TestCoordinateSortEliminatesReshapeCommunication(t *testing.T) {
 	if _, err := s.Potentials(pos, q); err != nil {
 		t.Fatal(err)
 	}
-	rs := LastReshapeStats()
+	rs := s.ReshapeStats()
 	total := rs.MovedOffVU + rs.Local
 	if total == 0 {
 		t.Fatal("no reshape recorded")
@@ -130,6 +130,46 @@ func TestCoordinateSortEliminatesReshapeCommunication(t *testing.T) {
 	// 1/16 local.
 	if float64(rs.MovedOffVU) > 0.15*float64(total) {
 		t.Errorf("reshape moved %d of %d particles off-VU", rs.MovedOffVU, total)
+	}
+}
+
+// TestReshapeStatsBelongToTheSolver checks that reshape statistics are
+// read from the solver that sorted: a solve on a second solver must not
+// overwrite the first one's locality.
+func TestReshapeStatsBelongToTheSolver(t *testing.T) {
+	cfg := core.Config{Degree: 5, Depth: 3}
+	solve := func(pos []geom.Vec3, q []float64) *Solver {
+		s, err := NewSolver(newTestMachine(t, 4), unitBox(), cfg, DirectAliased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Potentials(pos, q); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	uniform := solve(uniformParticles(rand.New(rand.NewSource(83)), 4000))
+	want := uniform.ReshapeStats()
+	// Every particle in one corner box: most of the sorted array sits on
+	// VUs far from that box's.
+	pos, q := make([]geom.Vec3, 4000), make([]float64, 4000)
+	rng := rand.New(rand.NewSource(84))
+	for i := range pos {
+		pos[i] = geom.Vec3{X: 0.1 * rng.Float64(), Y: 0.1 * rng.Float64(), Z: 0.1 * rng.Float64()}
+		q[i] = 1
+	}
+	clustered := solve(pos, q).ReshapeStats()
+	if clustered == want {
+		t.Fatalf("clustered reshape %+v equals the uniform one", clustered)
+	}
+	if got := uniform.ReshapeStats(); got != want {
+		t.Errorf("uniform solver's reshape stats changed from %+v to %+v by another solver's solve", want, got)
+	}
+	if float64(want.MovedOffVU) > 0.15*float64(want.MovedOffVU+want.Local) {
+		t.Errorf("uniform reshape moved %d of %d particles off-VU", want.MovedOffVU, want.MovedOffVU+want.Local)
+	}
+	if clustered.Local > clustered.MovedOffVU {
+		t.Errorf("single-box reshape kept %d of %d particles local", clustered.Local, clustered.MovedOffVU+clustered.Local)
 	}
 }
 

@@ -98,7 +98,7 @@ func ClaimReshape(n int) (*ReshapeClaim, error) {
 		if _, err := s.Potentials(pos, q); err != nil {
 			return nil, err
 		}
-		rs := dpfmm.LastReshapeStats()
+		rs := s.ReshapeStats()
 		total := rs.MovedOffVU + rs.Local
 		res.Rows = append(res.Rows, ReshapeRow{
 			Distribution: dist,

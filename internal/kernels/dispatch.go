@@ -5,13 +5,20 @@ import (
 	"nbody/internal/simd"
 )
 
-// This file is the backend seam of the near-field layer. The six hottest
-// kernels — the one-sided and traveling double loops, where the near field
-// spends almost all of its time — route through the function pointers
-// below, and applyBackend rebinds them when internal/simd switches
-// backends. The symmetric within-box kernels stay scalar: their triangular
-// iteration and two-sided write-back vectorize poorly and they touch at
-// most one box occupancy (~tens of particles) per call.
+// This file is the backend seam of the near-field layer. Four kernels route
+// through the function pointers below, and applyBackend rebinds them when
+// internal/simd switches backends:
+//
+//   - PairwisePotentialSoA and PairwiseFusedSoA, the symmetric pair kernels:
+//     every near field of the repository — the shared-memory solver's row
+//     rounds and the data-parallel solver's traveling walk, intra-box pairs
+//     included — evaluates each pair once through one of these two.
+//   - AccumulatePotentialSoA and the AoS AccumulateForce, one-sided kernels
+//     that no solver calls; the frozen benchmark probes time them.
+//
+// The symmetric within-box kernel WithinPotentialSoA stays scalar (only the
+// benchmark probes call it): the solvers take a box's own pairs through the
+// pair kernels, particle j against j+1..cnt.
 //
 // Reduction orders (the per-backend reproducibility contract):
 //
@@ -39,7 +46,6 @@ import (
 var (
 	accumulateForceImpl func(posA, accA, posB []geom.Vec3, qB []float64)                                     = accumulateForceScalar
 	accumPotSoAImpl     func(xs, ys, zs, phi, sx, sy, sz, sq []float64)                                      = accumPotSoAScalar
-	accumForceSoAImpl   func(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq []float64)                          = accumForceSoAScalar
 	pairPotSoAImpl      func(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64)                            = pairPotSoAScalar
 	pairFusedSoAImpl    func(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz []float64) = pairFusedSoAScalar
 )
@@ -59,7 +65,6 @@ func applyBackend(name string) {
 func bindScalar() {
 	accumulateForceImpl = accumulateForceScalar
 	accumPotSoAImpl = accumPotSoAScalar
-	accumForceSoAImpl = accumForceSoAScalar
 	pairPotSoAImpl = pairPotSoAScalar
 	pairFusedSoAImpl = pairFusedSoAScalar
 }

@@ -1,7 +1,7 @@
 // Package kernels holds the particle-particle inner kernels of the near
 // field, shared by every solver in the repository: the O(N^2) reference
 // (package direct), the shared-memory O(N) solver's near sweep, the
-// data-parallel FMM's traveling near-field walks, and the 2-D logarithmic
+// data-parallel FMM's traveling near-field walk, and the 2-D logarithmic
 // solver. Each kernel is the innermost double loop over a pair of particle
 // sets with the common `r == 0` coincidence guard (self-exclusion semantics:
 // coincident particles contribute nothing instead of Inf/NaN).

@@ -127,50 +127,24 @@ func TestNearFieldSoACrossBackend(t *testing.T) {
 					accumPotSoAScalar(xs, ys, zs, want, sx, sy, sz3, sq)
 					closeEnough(t, "AccumulatePotentialSoA", cnt, scnt, phi, want)
 
-					// AccumulateForceSoA.
-					phi = poisoned(cnt, fill)
-					gx, gy, gz, _ := cloud(rng, cnt)
-					wphi := append([]float64(nil), phi...)
-					wgx := append([]float64(nil), gx...)
-					wgy := append([]float64(nil), gy...)
-					wgz := append([]float64(nil), gz...)
-					AccumulateForceSoA(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz3, sq)
-					accumForceSoAScalar(xs, ys, zs, wphi, wgx, wgy, wgz, sx, sy, sz3, sq)
-					closeEnough(t, "AccumulateForceSoA phi", cnt, scnt, phi, wphi)
-					closeEnough(t, "AccumulateForceSoA gx", cnt, scnt, gx, wgx)
-					closeEnough(t, "AccumulateForceSoA gy", cnt, scnt, gy, wgy)
-					closeEnough(t, "AccumulateForceSoA gz", cnt, scnt, gz, wgz)
-
 					// PairwisePotentialSoA, both deposit sides.
 					phi = poisoned(cnt, fill)
 					sphi := poisoned(scnt, fill)
-					wphi = append([]float64(nil), phi...)
+					wphi := append([]float64(nil), phi...)
 					wsphi := append([]float64(nil), sphi...)
 					PairwisePotentialSoA(xs, ys, zs, qs, phi, sx, sy, sz3, sq, sphi)
 					pairPotSoAScalar(xs, ys, zs, qs, wphi, sx, sy, sz3, sq, wsphi)
 					closeEnough(t, "PairwisePotentialSoA phi", cnt, scnt, phi, wphi)
 					closeEnough(t, "PairwisePotentialSoA sphi", cnt, scnt, sphi, wsphi)
 
-					// PairwiseFusedSoA against its scalar loop, and against the
-					// two one-sided sweeps it stands for (targets <- sources,
-					// sources <- targets: a different formula for the field
-					// weight, so rounding only).
+					// PairwiseFusedSoA against its scalar loop (the independent
+					// reference is internal/direct's, oracle_test.go).
 					a, b := newFusedSide(rng, cnt), newFusedSide(rng, scnt)
 					wa, wb := a.clone(), b.clone()
-					oa, ob := a.clone(), b.clone()
 					PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz3, sq, b.phi, b.gx, b.gy, b.gz)
 					pairFusedSoAScalar(xs, ys, zs, qs, wa.phi, wa.gx, wa.gy, wa.gz, sx, sy, sz3, sq, wb.phi, wb.gx, wb.gy, wb.gz)
-					accumForceSoAScalar(xs, ys, zs, oa.phi, oa.gx, oa.gy, oa.gz, sx, sy, sz3, sq)
-					accumForceSoAScalar(sx, sy, sz3, ob.phi, ob.gx, ob.gy, ob.gz, xs, ys, zs, qs)
-					for _, c := range []struct {
-						name      string
-						got, want fusedSide
-					}{
-						{"PairwiseFusedSoA target", a, wa}, {"PairwiseFusedSoA source", b, wb},
-						{"PairwiseFusedSoA target vs one-sided", a, oa}, {"PairwiseFusedSoA source vs one-sided", b, ob},
-					} {
-						closeEnough(t, c.name, cnt, scnt, c.got.flat(), c.want.flat())
-					}
+					closeEnough(t, "PairwiseFusedSoA target", cnt, scnt, a.flat(), wa.flat())
+					closeEnough(t, "PairwiseFusedSoA source", cnt, scnt, b.flat(), wb.flat())
 				}
 			})
 		})
@@ -239,9 +213,6 @@ func TestNearFieldCoincidentExclusion(t *testing.T) {
 						}
 					}
 
-					gx, gy, gz := make([]float64, 2), make([]float64, 2), make([]float64, 2)
-					phi2 := make([]float64, 2)
-					AccumulateForceSoA(xs, ys, zs, phi2, gx, gy, gz, sx, sy, sz, sq)
 					sphi := make([]float64, scnt)
 					phi3 := make([]float64, 2)
 					PairwisePotentialSoA(xs, ys, zs, qs, phi3, sx, sy, sz, sq, sphi)
@@ -253,22 +224,18 @@ func TestNearFieldCoincidentExclusion(t *testing.T) {
 					acc := make([]geom.Vec3, 2)
 					AccumulateForce(posA, acc, posB, sq)
 
-					// The symmetric fused kernel: the coincident pair drops out
-					// on both sides, and a zero charge on the dead lane must not
-					// turn its Inf into NaN (the mask lands on inv, before any
-					// multiply).
+					// The symmetric fused kernel: a zero charge on the dead lane
+					// must not turn its Inf into NaN (the mask lands on inv,
+					// before any multiply). That the coincident pair drops out
+					// of both sides exactly is checked against internal/direct
+					// in oracle_test.go.
 					qz := append([]float64(nil), sq...)
 					qz[lane] = 0
 					ft := fusedSide{make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]float64, 2)}
 					fs := fusedSide{make([]float64, scnt), make([]float64, scnt), make([]float64, scnt), make([]float64, scnt)}
-					wt, ws := ft.clone(), fs.clone()
 					PairwiseFusedSoA(xs, ys, zs, qs, ft.phi, ft.gx, ft.gy, ft.gz, sx, sy, sz, qz, fs.phi, fs.gx, fs.gy, fs.gz)
-					accumForceSoAScalar(xs, ys, zs, wt.phi, wt.gx, wt.gy, wt.gz, sx, sy, sz, qz)
-					accumForceSoAScalar(sx, sy, sz, ws.phi, ws.gx, ws.gy, ws.gz, xs, ys, zs, qs)
-					closeEnough(t, "PairwiseFusedSoA coincident target", 2, scnt, ft.flat(), wt.flat())
-					closeEnough(t, "PairwiseFusedSoA coincident source", 2, scnt, fs.flat(), ws.flat())
 
-					for _, v := range [][]float64{gx, gy, gz, phi2, phi3, sphi, flatten(acc), ft.flat(), fs.flat()} {
+					for _, v := range [][]float64{phi3, sphi, flatten(acc), ft.flat(), fs.flat()} {
 						for i, x := range v {
 							if math.IsInf(x, 0) || math.IsNaN(x) {
 								t.Fatalf("lane %d: coincident source leaked Inf/NaN at %d: %v", lane, i, x)
@@ -397,13 +364,9 @@ func TestNearFieldDeterministicPerBackend(t *testing.T) {
 					AccumulatePotentialSoA(xs, ys, zs, phi, sx, sy, sz, sq)
 					PairwisePotentialSoA(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi)
 					gx, gy, gz := make([]float64, cnt), make([]float64, cnt), make([]float64, cnt)
-					AccumulateForceSoA(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq)
-					phi = append(phi, gx...)
-					phi = append(phi, gy...)
-					phi = append(phi, gz...)
 					sgx, sgy, sgz := make([]float64, scnt), make([]float64, scnt), make([]float64, scnt)
-					PairwiseFusedSoA(xs, ys, zs, qs, phi[:cnt], gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz)
-					phi = append(phi, gx...)
+					PairwiseFusedSoA(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, sgx, sgy, sgz)
+					phi = append(append(append(phi, gx...), gy...), gz...)
 					sphi = append(append(append(sphi, sgx...), sgy...), sgz...)
 					return phi, sphi
 				}
@@ -444,27 +407,6 @@ func benchSoA(b *testing.B, cnt int) {
 }
 
 func BenchmarkAccumulatePotentialSoA64(b *testing.B) { benchSoA(b, 64) }
-
-func BenchmarkAccumulateForceSoA64(b *testing.B) {
-	for _, be := range simd.Supported() {
-		b.Run(be, func(b *testing.B) {
-			withBackend(b, be, func() {
-				rng := rand.New(rand.NewSource(26))
-				const cnt = 64
-				xs, ys, zs, _ := cloud(rng, cnt)
-				sx, sy, sz, sq := cloud(rng, cnt)
-				phi := make([]float64, cnt)
-				gx, gy, gz := make([]float64, cnt), make([]float64, cnt), make([]float64, cnt)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					AccumulateForceSoA(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq)
-				}
-				inter := float64(cnt) * float64(cnt) * float64(b.N)
-				b.ReportMetric(inter/b.Elapsed().Seconds()/1e6, "Minter/s")
-			})
-		})
-	}
-}
 
 // benchPair times a symmetric pair kernel on two cnt-particle sets: 64 is a
 // few sparse boxes' run, 940 one crowded Plummer box against another.

@@ -15,9 +15,6 @@ import "nbody/internal/geom"
 func accumPotSoAAVX2(xs, ys, zs, phi *float64, cnt int, sx, sy, sz, sq *float64, scnt int)
 
 //go:noescape
-func accumForceSoAAVX2(xs, ys, zs, phi, gx, gy, gz *float64, cnt int, sx, sy, sz, sq *float64, scnt int)
-
-//go:noescape
 func pairPotSoAAVX2(xs, ys, zs, qs, phi *float64, cnt int, sx, sy, sz, sq, sphi *float64, scnt int)
 
 //go:noescape
@@ -33,7 +30,6 @@ const haveAVX2 = true
 func bindAVX2() {
 	accumulateForceImpl = accumulateForceVec
 	accumPotSoAImpl = accumPotSoAVec
-	accumForceSoAImpl = accumForceSoAVec
 	pairPotSoAImpl = pairPotSoAVec
 	pairFusedSoAImpl = pairFusedSoAVec
 }
@@ -57,18 +53,6 @@ func accumPotSoAVec(xs, ys, zs, phi, sx, sy, sz, sq []float64) {
 	}
 	if s4 < scnt {
 		accumPotSoAScalar(xs, ys, zs, phi, sx[s4:], sy[s4:], sz[s4:], sq[s4:])
-	}
-}
-
-func accumForceSoAVec(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq []float64) {
-	cnt, scnt := len(xs), len(sx)
-	s4 := scnt &^ 3
-	if cnt > 0 && s4 > 0 {
-		accumForceSoAAVX2(&xs[0], &ys[0], &zs[0], &phi[0], &gx[0], &gy[0], &gz[0], cnt,
-			&sx[0], &sy[0], &sz[0], &sq[0], s4)
-	}
-	if s4 < scnt {
-		accumForceSoAScalar(xs, ys, zs, phi, gx, gy, gz, sx[s4:], sy[s4:], sz[s4:], sq[s4:])
 	}
 }
 

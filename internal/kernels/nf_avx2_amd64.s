@@ -117,86 +117,6 @@ psoadone:
 	VZEROUPPER
 	RET
 
-// func accumForceSoAAVX2(xs, ys, zs, phi, gx, gy, gz *float64, cnt int, sx, sy, sz, sq *float64, scnt int)
-// One-sided SoA potential+field: d = source - target, inv = 1/r,
-// inv3 = inv/r2, guard r2 != 0.
-TEXT ·accumForceSoAAVX2(SB), NOSPLIT, $0-104
-	MOVQ xs+0(FP), SI
-	MOVQ ys+8(FP), DI
-	MOVQ zs+16(FP), R8
-	MOVQ cnt+56(FP), R10
-	MOVQ sx+64(FP), R11
-	MOVQ sy+72(FP), R12
-	MOVQ sz+80(FP), R13
-	MOVQ sq+88(FP), R14
-	MOVQ scnt+96(FP), R15
-	SHLQ $3, R15
-	XORQ AX, AX
-
-fsoai:
-	CMPQ AX, R10
-	JGE  fsoadone
-	VBROADCASTSD (SI)(AX*8), Y4
-	VBROADCASTSD (DI)(AX*8), Y5
-	VBROADCASTSD (R8)(AX*8), Y6
-	VXORPD Y0, Y0, Y0         // p
-	VXORPD Y1, Y1, Y1         // fx
-	VXORPD Y2, Y2, Y2         // fy
-	VXORPD Y3, Y3, Y3         // fz
-	XORQ   BX, BX
-
-fsoaj:
-	VMOVUPD     (R11)(BX*1), Y7
-	VSUBPD      Y4, Y7, Y7    // dx = sx - xi
-	VMOVUPD     (R12)(BX*1), Y8
-	VSUBPD      Y5, Y8, Y8    // dy
-	VMOVUPD     (R13)(BX*1), Y9
-	VSUBPD      Y6, Y9, Y9    // dz
-	VMULPD      Y7, Y7, Y10
-	VFMADD231PD Y8, Y8, Y10
-	VFMADD231PD Y9, Y9, Y10   // r2
-	VXORPD      Y11, Y11, Y11
-	VCMPPD      $4, Y11, Y10, Y11 // mask = r2 != 0 (NEQ_UQ)
-	VSQRTPD     Y10, Y12      // r
-	VMOVUPD     nfones<>(SB), Y13
-	VDIVPD      Y12, Y13, Y12 // inv = 1/r
-	VDIVPD      Y10, Y12, Y13 // inv3 = inv/r2
-	VMOVUPD     (R14)(BX*1), Y14 // sq
-	VMULPD      Y12, Y14, Y12 // sq*inv
-	VANDPD      Y11, Y12, Y12
-	VADDPD      Y12, Y0, Y0   // p += sq*inv
-	VMULPD      Y13, Y14, Y13 // w = sq*inv3
-	VANDPD      Y11, Y13, Y13
-	VFMADD231PD Y7, Y13, Y1   // fx += w*dx
-	VFMADD231PD Y8, Y13, Y2
-	VFMADD231PD Y9, Y13, Y3
-	ADDQ        $32, BX
-	CMPQ        BX, R15
-	JLT         fsoaj
-
-	HSUM(Y0, X0, X13)
-	MOVQ   phi+24(FP), CX
-	VADDSD (CX)(AX*8), X0, X0
-	VMOVSD X0, (CX)(AX*8)
-	HSUM(Y1, X1, X13)
-	MOVQ   gx+32(FP), CX
-	VADDSD (CX)(AX*8), X1, X1
-	VMOVSD X1, (CX)(AX*8)
-	HSUM(Y2, X2, X13)
-	MOVQ   gy+40(FP), CX
-	VADDSD (CX)(AX*8), X2, X2
-	VMOVSD X2, (CX)(AX*8)
-	HSUM(Y3, X3, X13)
-	MOVQ   gz+48(FP), CX
-	VADDSD (CX)(AX*8), X3, X3
-	VMOVSD X3, (CX)(AX*8)
-	INCQ   AX
-	JMP    fsoai
-
-fsoadone:
-	VZEROUPPER
-	RET
-
 // func pairPotSoAAVX2(xs, ys, zs, qs, phi *float64, cnt int, sx, sy, sz, sq, sphi *float64, scnt int)
 // Symmetric traveling SoA potential: phi[i] += sum sq[j]*inv and
 // sphi[j] += qs[i]*inv, guard r2 != 0.

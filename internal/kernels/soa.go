@@ -10,7 +10,9 @@ import "math"
 // kernels, which write them) second.
 
 // WithinPotentialSoA accumulates the intra-box potentials symmetrically,
-// visiting each unordered pair once.
+// visiting each unordered pair once. No solver calls it (they take a box's
+// own pairs through the pair kernels); bench/probes.go times it as
+// kernels.within_soa_minter_s and bench/ is frozen.
 func WithinPotentialSoA(xs, ys, zs, qs, phi []float64) {
 	cnt := len(xs)
 	for i := 0; i < cnt; i++ {
@@ -28,8 +30,9 @@ func WithinPotentialSoA(xs, ys, zs, qs, phi []float64) {
 }
 
 // AccumulatePotentialSoA adds to phi the potentials induced at the target
-// box by a traveling source box, one-sided (sources untouched, so parallel
-// target boxes never race). Backend-dispatched (dispatch.go).
+// set by a source set, one-sided (sources untouched). Backend-dispatched
+// (dispatch.go). Like WithinPotentialSoA it is kept for the frozen bench
+// probe kernels.accumulate_soa_minter_s only.
 func AccumulatePotentialSoA(xs, ys, zs, phi, sx, sy, sz, sq []float64) {
 	accumPotSoAImpl(xs, ys, zs, phi, sx, sy, sz, sq)
 }
@@ -111,61 +114,6 @@ func pairFusedSoAScalar(xs, ys, zs, qs, phi, gx, gy, gz, sx, sy, sz, sq, sphi, s
 			sgx[j] -= v * dx // the reciprocal field (Newton's third law)
 			sgy[j] -= v * dy
 			sgz[j] -= v * dz
-		}
-		phi[i] += p
-		gx[i] += fx
-		gy[i] += fy
-		gz[i] += fz
-	}
-}
-
-// WithinForceSoA accumulates intra-box potentials and fields symmetrically,
-// with the (y-x)/r^3 convention of the force kernels.
-func WithinForceSoA(xs, ys, zs, qs, phi, gx, gy, gz []float64) {
-	cnt := len(xs)
-	for i := 0; i < cnt; i++ {
-		for j := i + 1; j < cnt; j++ {
-			dx, dy, dz := xs[j]-xs[i], ys[j]-ys[i], zs[j]-zs[i]
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 == 0 {
-				continue // coincident particles: self-exclusion, not Inf
-			}
-			inv := 1 / math.Sqrt(r2)
-			inv3 := inv / r2
-			phi[i] += qs[j] * inv
-			phi[j] += qs[i] * inv
-			gx[i] += qs[j] * dx * inv3
-			gy[i] += qs[j] * dy * inv3
-			gz[i] += qs[j] * dz * inv3
-			gx[j] -= qs[i] * dx * inv3
-			gy[j] -= qs[i] * dy * inv3
-			gz[j] -= qs[i] * dz * inv3
-		}
-	}
-}
-
-// AccumulateForceSoA adds to phi and the field planes the one-sided
-// contribution of a traveling source box. Backend-dispatched (dispatch.go).
-func AccumulateForceSoA(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq []float64) {
-	accumForceSoAImpl(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq)
-}
-
-func accumForceSoAScalar(xs, ys, zs, phi, gx, gy, gz, sx, sy, sz, sq []float64) {
-	cnt, scnt := len(xs), len(sx)
-	for i := 0; i < cnt; i++ {
-		var p, fx, fy, fz float64
-		for j := 0; j < scnt; j++ {
-			dx, dy, dz := sx[j]-xs[i], sy[j]-ys[i], sz[j]-zs[i]
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 == 0 {
-				continue // coincident particles: self-exclusion, not Inf
-			}
-			inv := 1 / math.Sqrt(r2)
-			inv3 := inv / r2
-			p += sq[j] * inv
-			fx += sq[j] * dx * inv3
-			fy += sq[j] * dy * inv3
-			fz += sq[j] * dz * inv3
 		}
 		phi[i] += p
 		gx[i] += fx

@@ -99,6 +99,8 @@ func solverCases(t *testing.T) []solverCase {
 			func(*testing.T) error { _, err := newDP(true).Potentials(pos, q); return err }},
 		{"dpfmm-forces", "dpfmm/", dpfmm.FaultSitesAll,
 			func(*testing.T) error { _, _, err := newDP(false).Accelerations(pos, q); return err }},
+		{"dpfmm-forces-multigrid", "dpfmm/", dpfmm.FaultSitesAll,
+			func(*testing.T) error { _, _, err := newDP(true).Accelerations(pos, q); return err }},
 	}
 }
 

@@ -77,13 +77,6 @@ type Plan struct {
 	K int
 	// Supernodes enables the 875 -> 189 interactive-field reduction.
 	Supernodes bool
-	// Strategy is the data-parallel ghost strategy ("" for the
-	// shared-memory solver).
-	Strategy string
-	// Storage is the translation-storage class ("" = dense, the only class
-	// implemented today; the field exists so a future compressed store is a
-	// different plan, not a silent behavior change).
-	Storage string
 	// Ladder is the comma-separated fallback chain below the Anderson rung
 	// ("" = no fallbacks).
 	Ladder string

@@ -57,9 +57,8 @@ type Request struct {
 	// the result bits, which is the caller's decision, not the planner's.
 	Supernodes bool
 	Sim        bool
-	// Strategy and Ladder pass through into the Plan.
-	Strategy string
-	Ladder   string
+	// Ladder passes through into the Plan.
+	Ladder string
 	// MaxDepth caps the depth of automatic resolutions (0 = the planner's
 	// own bound).
 	MaxDepth int
@@ -158,7 +157,6 @@ func planFor(shape ShapeKey, req Request, depth int) Plan {
 		Depth:      depth,
 		K:          AccuracyK(shape.Accuracy),
 		Supernodes: req.Supernodes,
-		Strategy:   req.Strategy,
 		Ladder:     req.Ladder,
 	}
 }

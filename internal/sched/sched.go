@@ -1,9 +1,9 @@
 // Package sched provides the repository's shared compute scheduler: a
 // persistent pool of worker goroutines with atomic work-stealing chunk
-// claiming. It replaces the earlier per-call goroutine spawning in
-// blas.Parallel, which paid a goroutine create/destroy plus a mutex-guarded
-// work index on every box sweep — measurable overhead on the traversal hot
-// path the paper's Section 3.3.3 efficiency numbers depend on.
+// claiming, so a box sweep pays neither a goroutine create/destroy nor a
+// mutex-guarded work index — measurable overhead on the traversal hot path
+// the paper's Section 3.3.3 efficiency numbers depend on. Every parallel
+// region of the solvers calls it directly.
 //
 // Design:
 //
@@ -181,10 +181,9 @@ func Workers() int {
 func MaxParticipants() int { return Workers() + 1 }
 
 // Run executes fn(i) for every i in [0, n), distributing index chunks over
-// the worker pool. fn must be safe to call concurrently for distinct i.
-// Equivalent to the old blas.Parallel contract. If fn panics on any
-// participant, the job is aborted and drained and the first panic value is
-// re-raised on the caller.
+// the worker pool. fn must be safe to call concurrently for distinct i. If
+// fn panics on any participant, the job is aborted and drained and the first
+// panic value is re-raised on the caller.
 func Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return

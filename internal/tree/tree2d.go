@@ -60,18 +60,6 @@ func NearOffsets2(d int) []geom.Coord2 {
 	return offs
 }
 
-// HalfNearOffsets2 returns one offset per symmetric pair of NearOffsets2(d).
-func HalfNearOffsets2(d int) []geom.Coord2 {
-	all := NearOffsets2(d)
-	half := make([]geom.Coord2, 0, len(all)/2)
-	for _, o := range all {
-		if o.Y > 0 || (o.Y == 0 && o.X > 0) {
-			half = append(half, o)
-		}
-	}
-	return half
-}
-
 // Supernodes2 is the 2-D supernode decomposition: for d = 2, the 75
 // interactive-field translations per box reduce to 16 parent-granularity
 // plus 11 child-granularity, an effective count of 27 (the same reduction

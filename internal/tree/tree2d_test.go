@@ -40,21 +40,6 @@ func TestNearOffsets2Counts(t *testing.T) {
 	}
 }
 
-func TestHalfNearOffsets2(t *testing.T) {
-	half := HalfNearOffsets2(2)
-	if len(half) != 12 {
-		t.Fatalf("half = %d, want 12", len(half))
-	}
-	recon := make(map[geom.Coord2]bool)
-	for _, o := range half {
-		recon[o] = true
-		recon[geom.Coord2{X: -o.X, Y: -o.Y}] = true
-	}
-	if len(recon) != 24 {
-		t.Errorf("half + negations = %d, want 24", len(recon))
-	}
-}
-
 func TestInteractiveOffsets2Count(t *testing.T) {
 	// (4d+2)^2 - (2d+1)^2 = 3(2d+1)^2: 27 for d=1, 75 for d=2.
 	for _, d := range []int{1, 2} {

@@ -62,21 +62,25 @@ if [ -n "$ledger" ]; then
     echo "read and feed plan.Planner (Estimate / Observe / Calibration) instead" >&2
     exit 1
 fi
-# Fourth boundary: the shared-memory solver has one near-field path. Non-test
+# Fourth boundary: each solver has one near-field path. Non-test
 # internal/core calls the near-field kernels from exactly one place each —
-# the symmetric pair kernels of Solver.nearPair — and no other kernel of
-# package kernels, so a second sweep (one-sided, serial-only, per-box) cannot
-# come back beside the row rounds unnoticed.
-calls=$(grep -n 'kernels\.[A-Za-z]' internal/core/*.go | grep -v '_test\.go:' \
-    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+# the symmetric pair kernels of Solver.nearPair — and so does non-test
+# internal/dpfmm — the symmetric pair kernels of its one traveling walk
+# (interact) — and neither calls any other kernel of package kernels, so a
+# second sweep (one-sided, serial-only, per-box, within-box) cannot come
+# back beside the row rounds or the Figure 10 walk unnoticed.
 want='kernels.PairwiseFusedSoA
 kernels.PairwisePotentialSoA'
-if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ]; then
-    echo "check_pipeline: internal/core must call kernels.PairwisePotentialSoA and" >&2
-    echo "kernels.PairwiseFusedSoA once each and no other near-field kernel; found:" >&2
-    echo "$calls" >&2
-    exit 1
-fi
+for pkg in internal/core internal/dpfmm; do
+    calls=$(grep -n 'kernels\.[A-Za-z]' "$pkg"/*.go | grep -v '_test\.go:' \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+    if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ]; then
+        echo "check_pipeline: $pkg must call kernels.PairwisePotentialSoA and" >&2
+        echo "kernels.PairwiseFusedSoA once each and no other near-field kernel; found:" >&2
+        echo "$calls" >&2
+        exit 1
+    fi
+done
 # Fifth boundary: the particle arrays cross the wire without reflection or
 # re-layout. The non-test server code (internal/serve/*.go; the load
 # generator below it is a client) decodes a request body with encoding/json in
