@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
 
-	"nbody/internal/metrics"
 	"nbody/internal/resilience"
 )
 
@@ -95,25 +93,6 @@ func classifyError(err error) resilience.Class {
 	default:
 		return resilience.Permanent
 	}
-}
-
-// recoverInternal converts a panic escaping a solve into an *InternalError
-// assigned to *errp, attributing it to the phase recorded as active in rec
-// (nil rec, or no open span, yields "unknown"). It must be installed with
-// defer at the public entry point.
-func recoverInternal(rec *metrics.Rec, errp *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	phase := "unknown"
-	if rec != nil {
-		if p, ok := rec.ActivePhase(); ok {
-			phase = p.String()
-		}
-		rec.ClearActive()
-	}
-	*errp = &InternalError{Phase: phase, Value: r, Stack: debug.Stack()}
 }
 
 // finite reports whether v is neither NaN nor Inf. The self-comparison plus

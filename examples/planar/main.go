@@ -68,8 +68,8 @@ func main() {
 			log.Fatal(err)
 		}
 		start = time.Now()
-		phi, err := s.Potentials(pos, q)
-		if err != nil {
+		phi := make([]float64, len(pos))
+		if err := s.Solve(nil, pos, q, phi); err != nil {
 			log.Fatal(err)
 		}
 		var rms float64

@@ -73,13 +73,13 @@ func BenchmarkSolveK12Depth4(b *testing.B) {
 		b.Fatal(err)
 	}
 	phi := make([]float64, len(pos))
-	if err := s.PotentialsInto(phi, pos, q); err != nil {
+	if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.PotentialsInto(phi, pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,13 +99,13 @@ func BenchmarkAccelPlummerDepth3(b *testing.B) {
 	}
 	phi := make([]float64, len(pos))
 	acc := make([]geom.Vec3, len(pos))
-	if err := s.AccelerationsInto(phi, acc, pos, q); err != nil {
+	if err := s.Solve(nil, pos, q, phi, acc); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.AccelerationsInto(phi, acc, pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, phi, acc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,13 +120,13 @@ func BenchmarkSolveSupernodesK32Depth4(b *testing.B) {
 		b.Fatal(err)
 	}
 	phi := make([]float64, len(pos))
-	if err := s.PotentialsInto(phi, pos, q); err != nil {
+	if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.PotentialsInto(phi, pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -286,14 +286,14 @@ func TestNearFlopsFollowPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Accelerations(pos, q); err != nil {
+	if _, _, err := accelerations(s, pos, q); err != nil {
 		t.Fatal(err)
 	}
 	st := *s.Stats()
 	if st.NearPairs == 0 || st.Flops[PhaseNear] != st.NearPairs*NearFlopsPerPair {
 		t.Errorf("near flops %d for %d pairs", st.Flops[PhaseNear], st.NearPairs)
 	}
-	if _, err := s.Potentials(pos, q); err != nil {
+	if _, err := potentials(s, pos, q); err != nil {
 		t.Fatal(err)
 	}
 	if d := s.Stats().Diff(&st); d.NearPairs != st.NearPairs || d.Flops[PhaseNear] != st.Flops[PhaseNear] {
@@ -399,7 +399,7 @@ func TestForceSolveIndependentOfWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	printRepeatedHashes(t, "force", func() ([]float64, []geom.Vec3, error) { return s.Accelerations(pos, q) })
+	printRepeatedHashes(t, "force", func() ([]float64, []geom.Vec3, error) { return accelerations(s, pos, q) })
 }
 
 // TestPotentialSolveIndependentOfWorkerCount is the potential twin, on the
@@ -427,7 +427,7 @@ func TestPotentialSolveIndependentOfWorkerCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		printRepeatedHashes(t, fx.name+"-potential", func() ([]float64, []geom.Vec3, error) {
-			phi, err := s.Potentials(pos, q)
+			phi, err := potentials(s, pos, q)
 			return phi, nil, err
 		})
 	}
@@ -447,7 +447,7 @@ func TestNearCancelMidSweepThenReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPhi, wantAcc, err := fresh.Accelerations(pos, q)
+	wantPhi, wantAcc, err := accelerations(fresh, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,9 +473,9 @@ func TestNearCancelMidSweepThenReuse(t *testing.T) {
 			run(job)
 		}
 		if i%2 == 0 {
-			_, _, err = s.AccelerationsCtx(ctx, pos, q)
+			err = s.Solve(ctx, pos, q, make([]float64, len(pos)), make([]geom.Vec3, len(pos)))
 		} else {
-			_, err = s.PotentialsCtx(ctx, pos, q)
+			err = s.Solve(ctx, pos, q, make([]float64, len(pos)), nil)
 		}
 		s.nearRun = run
 		if !errors.Is(err, context.Canceled) {
@@ -488,7 +488,7 @@ func TestNearCancelMidSweepThenReuse(t *testing.T) {
 			t.Errorf("cancel at job %d: canceled near field counted %d pairs", cancelAt, got)
 		}
 
-		gotPhi, gotAcc, err := s.Accelerations(pos, q)
+		gotPhi, gotAcc, err := accelerations(s, pos, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func TestSharedSetSolveBitwiseAndImmutable(t *testing.T) {
 		if before != setHash(NewTranslationSet(private.cfg)) {
 			t.Fatal("the memo's set differs from NewTranslationSet's")
 		}
-		phi, acc, err := private.Accelerations(pos, q)
+		phi, acc, err := accelerations(private, pos, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSharedSetSolveBitwiseAndImmutable(t *testing.T) {
 			t.Fatal("second solver did not share the set")
 		}
 		for rep := 0; rep < 2; rep++ {
-			phi, acc, err = shared.Accelerations(pos, q)
+			phi, acc, err = accelerations(shared, pos, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestSharedSetConcurrentConstructAndSolve(t *testing.T) {
 				return
 			}
 			sets[g], built[g] = s.ts, s.Stats().Flops[PhaseSetup] > 0
-			phi, err := s.Potentials(pos, q)
+			phi, err := potentials(s, pos, q)
 			hashes[g], errs[g] = solveHash(phi, nil), err
 		}()
 	}

@@ -24,10 +24,10 @@ import (
 // the box-sorted particle mirrors, and each level's translation sweeps (T1,
 // T3, T2) with their region bodies — is owned by the Solver and built once
 // in NewSolver (see plans.go). A Solver therefore performs repeated solves
-// (time-stepping, parameter sweeps) without rebuilding anything: use
-// PotentialsInto / AccelerationsInto with caller-owned output buffers. With
-// one executor such a solve allocates nothing; on a worker pool it allocates
-// nothing either once the scheduler's pool of region descriptors is warm.
+// (time-stepping, parameter sweeps) without rebuilding anything: call Solve
+// with caller-owned output buffers. With one executor such a solve
+// allocates nothing; on a worker pool it allocates nothing either once the
+// scheduler's pool of region descriptors is warm.
 // Consecutive solves on identical inputs are bitwise reproducible, and
 // every solve — potentials and forces alike — is bitwise independent of the
 // number of workers, one included: a translation sweep writes a box from
@@ -83,8 +83,8 @@ type Solver struct {
 	xs, ys, zs, qS   []float64
 	phiS, gx, gy, gz []float64
 
-	// ctx is the cancellation signal of the solve in flight (nil outside
-	// PotentialsCtx/AccelerationsCtx). Phase sweeps read it through par /
+	// ctx is the cancellation signal of the solve in flight (nil outside a
+	// Solve, or when it was given none). Phase sweeps read it through par /
 	// parChunks / apply; a Solver runs one solve at a time, so a plain field
 	// is enough.
 	ctx context.Context
@@ -174,98 +174,27 @@ func (s *Solver) Stats() *Stats {
 // solvers into one report).
 func (s *Solver) Rec() *metrics.Rec { return &s.rec }
 
-// Potentials computes the potential phi_i = sum_{j != i} q_j / |x_i - x_j|
-// at every particle. The returned slice is freshly allocated; use
-// PotentialsInto for the allocation-free steady-state path.
-func (s *Solver) Potentials(pos []geom.Vec3, q []float64) ([]float64, error) {
-	phi := make([]float64, len(pos))
-	if err := s.solve(pos, q, phi, nil); err != nil {
-		return nil, err
-	}
-	return phi, nil
-}
-
-// PotentialsInto computes potentials into the caller-provided phi slice
-// (len(phi) must equal len(pos)). With a reused Solver and a reused output
-// buffer, repeated solves are allocation-free.
-func (s *Solver) PotentialsInto(phi []float64, pos []geom.Vec3, q []float64) error {
-	return s.solve(pos, q, phi, nil)
-}
-
-// Accelerations computes both potentials and the field a_i = +grad phi
-// (the (y-x)/r^3 convention of package direct). The returned slices are
-// freshly allocated; use AccelerationsInto for the steady-state path.
-func (s *Solver) Accelerations(pos []geom.Vec3, q []float64) ([]float64, []geom.Vec3, error) {
-	phi := make([]float64, len(pos))
-	acc := make([]geom.Vec3, len(pos))
-	if err := s.solve(pos, q, phi, acc); err != nil {
-		return nil, nil, err
-	}
-	return phi, acc, nil
-}
-
-// AccelerationsInto computes potentials and fields into caller-provided
-// slices (both len(pos)); the allocation-free variant of Accelerations.
-func (s *Solver) AccelerationsInto(phi []float64, acc []geom.Vec3, pos []geom.Vec3, q []float64) error {
-	if acc == nil {
-		return fmt.Errorf("core: AccelerationsInto needs a non-nil acc")
-	}
-	return s.solve(pos, q, phi, acc)
-}
-
-// PotentialsCtx is Potentials with cooperative cancellation: ctx is checked
-// between phases and inside every parallel sweep's chunk-claim loop, so a
-// canceled context returns ctx.Err() within about one chunk's work. The
-// output of a canceled solve is garbage; the Solver itself is left
-// safe-to-retry (the next solve rebuilds all per-solve state).
-func (s *Solver) PotentialsCtx(ctx context.Context, pos []geom.Vec3, q []float64) ([]float64, error) {
-	phi := make([]float64, len(pos))
-	if err := s.solveCtx(ctx, pos, q, phi, nil); err != nil {
-		return nil, err
-	}
-	return phi, nil
-}
-
-// PotentialsIntoCtx is PotentialsInto with cooperative cancellation, under
-// the PotentialsCtx contract.
-func (s *Solver) PotentialsIntoCtx(ctx context.Context, phi []float64, pos []geom.Vec3, q []float64) error {
-	return s.solveCtx(ctx, pos, q, phi, nil)
-}
-
-// AccelerationsCtx is Accelerations with cooperative cancellation, under
-// the PotentialsCtx contract.
-func (s *Solver) AccelerationsCtx(ctx context.Context, pos []geom.Vec3, q []float64) ([]float64, []geom.Vec3, error) {
-	phi := make([]float64, len(pos))
-	acc := make([]geom.Vec3, len(pos))
-	if err := s.solveCtx(ctx, pos, q, phi, acc); err != nil {
-		return nil, nil, err
-	}
-	return phi, acc, nil
-}
-
-// AccelerationsIntoCtx is AccelerationsInto with cooperative cancellation,
-// under the PotentialsCtx contract.
-func (s *Solver) AccelerationsIntoCtx(ctx context.Context, phi []float64, acc []geom.Vec3, pos []geom.Vec3, q []float64) error {
-	if acc == nil {
-		return fmt.Errorf("core: AccelerationsIntoCtx needs a non-nil acc")
-	}
-	return s.solveCtx(ctx, pos, q, phi, acc)
-}
-
-func (s *Solver) solve(pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error {
-	return s.solveCtx(nil, pos, q, phi, acc)
-}
-
 // par and parChunks are the solver's parallel sweeps: sched.Run* bound to
 // the in-flight solve's cancellation signal. A canceled sweep returns
-// early with partial output; solveCtx notices at the next phase boundary.
+// early with partial output; Solve notices at the next phase boundary.
 func (s *Solver) par(n int, fn func(i int)) { _ = sched.RunCtx(s.ctx, n, fn) }
 
 func (s *Solver) parChunks(n int, body func(lo, hi int)) {
 	_ = sched.RunChunksCtx(s.ctx, n, body)
 }
 
-func (s *Solver) solveCtx(ctx context.Context, pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error {
+// Solve computes the potential phi_i = sum_{j != i} q_j / |x_i - x_j| at
+// every particle into phi (len(pos) entries) and, when acc is non-nil, the
+// field a_i = +grad phi into acc (len(pos) entries; the (y-x)/r^3 convention
+// of package direct). With a reused Solver and reused output slices,
+// repeated solves are allocation-free.
+//
+// A nil ctx means no cancellation. Otherwise ctx is checked between phases
+// and inside every parallel sweep's chunk-claim loop, so a canceled context
+// returns ctx.Err() within about one chunk's work. The output of a canceled
+// solve is garbage; the Solver itself is left safe-to-retry (the next solve
+// rebuilds all per-solve state).
+func (s *Solver) Solve(ctx context.Context, pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error {
 	if len(pos) != len(q) {
 		return fmt.Errorf("core: %d positions but %d charges", len(pos), len(q))
 	}

@@ -23,6 +23,23 @@ func uniformParticles(rng *rand.Rand, n int) ([]geom.Vec3, []float64) {
 	return pos, q
 }
 
+// potentials and accelerations are Solve into fresh output slices.
+func potentials(s *Solver, pos []geom.Vec3, q []float64) ([]float64, error) {
+	phi := make([]float64, len(pos))
+	if err := s.Solve(nil, pos, q, phi, nil); err != nil {
+		return nil, err
+	}
+	return phi, nil
+}
+
+func accelerations(s *Solver, pos []geom.Vec3, q []float64) ([]float64, []geom.Vec3, error) {
+	phi, acc := make([]float64, len(pos)), make([]geom.Vec3, len(pos))
+	if err := s.Solve(nil, pos, q, phi, acc); err != nil {
+		return nil, nil, err
+	}
+	return phi, acc, nil
+}
+
 // relErr returns RMS(|got-want|) / mean(|want|): the paper's
 // error-relative-to-mean metric.
 func relErr(got, want []float64) float64 {
@@ -45,7 +62,7 @@ func solveAndCompare(t *testing.T, cfg Config, n int, seed int64) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, err := s.Potentials(pos, q)
+	phi, err := potentials(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +99,7 @@ func TestSolverDepthIndependence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		phi, err := s.Potentials(pos, q)
+		phi, err := potentials(s, pos, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +121,11 @@ func TestSolverSupernodesMatchPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phiB, err := base.Potentials(pos, q)
+	phiB, err := potentials(base, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	phiS, err := sup.Potentials(pos, q)
+	phiS, err := potentials(sup, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,7 @@ func TestSolverSupernodesMatchPlain(t *testing.T) {
 
 func solveAndCompareWith(t *testing.T, s *Solver, pos []geom.Vec3, q []float64) float64 {
 	t.Helper()
-	phi, err := s.Potentials(pos, q)
+	phi, err := potentials(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +172,11 @@ func TestSolverAggregationMatchesGemv(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		phiA, accA, err := agg.Accelerations(pos, q)
+		phiA, accA, err := accelerations(agg, pos, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		phiG, accG, err := gemv.Accelerations(pos, q)
+		phiG, accG, err := accelerations(gemv, pos, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +213,7 @@ func TestSolverAccelerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, acc, err := s.Accelerations(pos, q)
+	phi, acc, err := accelerations(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +253,7 @@ func TestSolverEmptyAndTinyBoxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, err := s.Potentials(pos, q)
+	phi, err := potentials(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +267,7 @@ func TestSolverRejectsOutOfDomainParticle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Potentials([]geom.Vec3{{X: 2, Y: 0.5, Z: 0.5}}, []float64{1})
+	_, err = potentials(s, []geom.Vec3{{X: 2, Y: 0.5, Z: 0.5}}, []float64{1})
 	if err == nil {
 		t.Error("out-of-domain particle accepted")
 	}
@@ -261,7 +278,7 @@ func TestSolverRejectsMismatchedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = s.Potentials(make([]geom.Vec3, 3), make([]float64, 2))
+	_, err = potentials(s, make([]geom.Vec3, 3), make([]float64, 2))
 	if err == nil {
 		t.Error("mismatched lengths accepted")
 	}
@@ -281,7 +298,7 @@ func TestSolverBoundaryParticles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, err := s.Potentials(pos, q)
+	phi, err := potentials(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +374,7 @@ func TestStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials(pos, q); err != nil {
+	if _, err := potentials(s, pos, q); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -382,7 +399,7 @@ func TestSolverRejectsNaNPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials([]geom.Vec3{{X: math.NaN(), Y: 0.5, Z: 0.5}}, []float64{1}); err == nil {
+	if _, err := potentials(s, []geom.Vec3{{X: math.NaN(), Y: 0.5, Z: 0.5}}, []float64{1}); err == nil {
 		t.Error("NaN position accepted")
 	}
 }

@@ -176,7 +176,7 @@ func TestT2SweepPartition(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(71))
 			pos, q := uniformParticles(rng, 2000)
-			if _, err := s.Potentials(pos, q); err != nil {
+			if _, err := potentials(s, pos, q); err != nil {
 				t.Fatal(err)
 			}
 			st := s.Stats()
@@ -313,7 +313,7 @@ func TestT2CancelMidSweepThenReuse(t *testing.T) {
 				}
 				run(i)
 			}
-			_, err = s.PotentialsCtx(ctx, pos, q)
+			err = s.Solve(ctx, pos, q, make([]float64, len(pos)), nil)
 			sw.run = run
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled solve returned %v, want context.Canceled", err)
@@ -337,7 +337,7 @@ func TestT2CancelMidSweepThenReuse(t *testing.T) {
 				t.Errorf("canceled solve counted %d conversions, the completed sweeps hold %d", st.T2Count, count[PhaseT2])
 			}
 
-			got, err := s.Potentials(pos, q)
+			got, err := potentials(s, pos, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +345,7 @@ func TestT2CancelMidSweepThenReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Potentials(pos, q)
+			want, err := potentials(fresh, pos, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,9 +373,9 @@ func TestSupernodeSolveIndependentOfWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	printRepeatedHashes(t, "force", func() ([]float64, []geom.Vec3, error) { return s.Accelerations(pos, q) })
+	printRepeatedHashes(t, "force", func() ([]float64, []geom.Vec3, error) { return accelerations(s, pos, q) })
 	printRepeatedHashes(t, "potential", func() ([]float64, []geom.Vec3, error) {
-		phi, err := s.Potentials(pos, q)
+		phi, err := potentials(s, pos, q)
 		return phi, nil, err
 	})
 }

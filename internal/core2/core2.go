@@ -311,21 +311,16 @@ func (s *Solver) t2Index(o geom.Coord2) int {
 	return (o.Y+b)*s.t2Side + (o.X + b)
 }
 
-// Potentials computes phi_i = -sum_{j != i} q_j ln|x_i - x_j|.
-func (s *Solver) Potentials(pos []geom.Vec2, q []float64) ([]float64, error) {
-	return s.solve(nil, pos, q)
-}
-
-// PotentialsCtx is Potentials with cooperative cancellation: ctx is checked
-// between phases and in every parallel sweep's chunk-claim loop, so a
+// Solve computes phi_i = -sum_{j != i} q_j ln|x_i - x_j| into phi
+// (len(pos) entries). A nil ctx means no cancellation; otherwise ctx is
+// checked between phases and in every parallel sweep's chunk-claim loop, so a
 // canceled context returns ctx.Err() within about one chunk's work.
-func (s *Solver) PotentialsCtx(ctx context.Context, pos []geom.Vec2, q []float64) ([]float64, error) {
-	return s.solve(ctx, pos, q)
-}
-
-func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]float64, error) {
+func (s *Solver) Solve(ctx context.Context, pos []geom.Vec2, q []float64, phi []float64) error {
 	if len(pos) != len(q) {
-		return nil, fmt.Errorf("core2: %d positions but %d charges", len(pos), len(q))
+		return fmt.Errorf("core2: %d positions but %d charges", len(pos), len(q))
+	}
+	if len(phi) != len(pos) {
+		return fmt.Errorf("core2: %d potentials for %d positions", len(phi), len(pos))
 	}
 	root := s.hier.Root
 	hs := root.Side / 2
@@ -334,7 +329,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 		// false) are rejected along with out-of-domain points.
 		ok := math.Abs(p.X-root.Center.X) <= hs && math.Abs(p.Y-root.Center.Y) <= hs
 		if !ok {
-			return nil, fmt.Errorf("core2: particle %v outside domain", p)
+			return fmt.Errorf("core2: particle %v outside domain", p)
 		}
 	}
 	depth := s.cfg.Depth
@@ -342,9 +337,9 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 	n := s.hier.GridSize(depth)
 	s.rec.SetShape(len(pos), depth, k)
 
-	// Per-solve state the phases close over: the counting-sort permutation,
-	// the per-level far/monopole/local storage, and the output. Allocation
-	// is untimed, as before the phase-runner refactor.
+	// Per-solve state the phases close over: the counting-sort permutation
+	// and the per-level far/monopole/local storage. Allocation is untimed, as
+	// before the phase-runner refactor.
 	nb := n * n
 	start := make([]int, nb+1)
 	boxOf := make([]int, len(pos))
@@ -361,7 +356,6 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 		mono[l] = make([]float64, gl*gl)
 		loc[l] = make([]float64, gl*gl*k)
 	}
-	phi := make([]float64, len(pos))
 	a := s.cfg.RadiusRatio * s.hier.BoxSide(depth)
 
 	phases := []pipeline.Phase{
@@ -592,10 +586,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec2, q []float64) ([]flo
 			}},
 	)
 
-	if err := pipeline.Run(ctx, &s.rec, "core2", phases); err != nil {
-		return nil, err
-	}
-	return phi, nil
+	return pipeline.Run(ctx, &s.rec, "core2", phases)
 }
 
 // DirectPotentials2 is the 2-D direct reference: phi_i = -sum q_j ln r_ij.

@@ -19,7 +19,7 @@ func TestDataParallelAccelerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, acc, err := s.Accelerations(pos, q)
+	phi, acc, err := accelerations(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDataParallelAccelerationsMatchSharedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantAcc, err := ref.Accelerations(pos, q)
+	_, wantAcc, err := accelerations(ref, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDataParallelAccelerationsMatchSharedMemory(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.MultigridStorage = mg
-				_, acc, err := s.Accelerations(pos, q)
+				_, acc, err := accelerations(s, pos, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,7 +96,7 @@ func TestAccelerationsRejectBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Accelerations(make([]geom.Vec3, 2), make([]float64, 1)); err == nil {
+	if _, _, err := accelerations(s, make([]geom.Vec3, 2), make([]float64, 1)); err == nil {
 		t.Error("mismatched input accepted")
 	}
 }

@@ -48,7 +48,7 @@ func TestPotentialMachineChargesGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.MultigridStorage = mg
-				if _, err := s.Potentials(pos, q); err != nil {
+				if _, err := potentials(s, pos, q); err != nil {
 					t.Fatal(err)
 				}
 				c := m.Counters()

@@ -114,7 +114,7 @@ func TestNearPairsAgreeAcrossSolvers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := ref.Accelerations(tc.pos, tc.q); err != nil {
+			if _, _, err := accelerations(ref, tc.pos, tc.q); err != nil {
 				t.Fatal(err)
 			}
 			want := ref.Stats().NearPairs
@@ -124,9 +124,9 @@ func TestNearPairsAgreeAcrossSolvers(t *testing.T) {
 					t.Fatal(err)
 				}
 				if force {
-					_, _, err = s.Accelerations(tc.pos, tc.q)
+					_, _, err = accelerations(s, tc.pos, tc.q)
 				} else {
-					_, err = s.Potentials(tc.pos, tc.q)
+					_, err = potentials(s, tc.pos, tc.q)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -117,55 +117,38 @@ func NewSolver(m *dp.Machine, root geom.Box3, cfg core.Config, strategy GhostStr
 	return s, nil
 }
 
-// Potentials computes the potential at every particle on the simulated
-// machine.
-func (s *Solver) Potentials(pos []geom.Vec3, q []float64) ([]float64, error) {
-	phi, _, err := s.solve(nil, pos, q, false)
-	return phi, err
-}
-
-// PotentialsCtx is Potentials with cooperative cancellation. The
-// data-parallel pipeline checks ctx between phases (the simulated machine's
-// collective sweeps are not individually interruptible), so the latency
-// bound is one phase rather than one chunk.
-func (s *Solver) PotentialsCtx(ctx context.Context, pos []geom.Vec3, q []float64) ([]float64, error) {
-	phi, _, err := s.solve(ctx, pos, q, false)
-	return phi, err
-}
-
-// Accelerations computes potentials and the field +grad phi at every
-// particle on the simulated machine (the (y-x)/r^3 convention of package
-// direct). The far field differentiates the leaf inner approximations; the
-// near field deposits pairwise fields along the same traveling walk as the
-// potentials.
-func (s *Solver) Accelerations(pos []geom.Vec3, q []float64) ([]float64, []geom.Vec3, error) {
-	return s.solve(nil, pos, q, true)
-}
-
-// solve is the one pipeline of every solve: the coordinate sort and
+// Solve computes the potential at every particle on the simulated machine
+// into phi (len(pos) entries) and, when acc is non-nil, the field +grad phi
+// into acc (len(pos) entries; the (y-x)/r^3 convention of package direct).
+// It is the one pipeline of every solve: the coordinate sort and
 // communication-free reshape, steps 1-3 (leaf outer, upward, downward) under
 // the selected storage scheme, evaluation, the near field, and the
-// un-reshape. A force solve carries field planes beside phi through the
-// last three and returns the fields too.
-func (s *Solver) solve(ctx context.Context, pos []geom.Vec3, q []float64, force bool) ([]float64, []geom.Vec3, error) {
-	if len(pos) != len(q) {
-		return nil, nil, fmt.Errorf("dpfmm: %d positions but %d charges", len(pos), len(q))
+// un-reshape. A force solve differentiates the leaf inner approximations and
+// carries field planes beside phi through the last three; its near field
+// deposits pairwise fields along the same traveling walk as the potentials.
+//
+// A nil ctx means no cancellation. Otherwise ctx is checked between phases
+// (the simulated machine's collective sweeps are not individually
+// interruptible), so the latency bound is one phase rather than one chunk.
+func (s *Solver) Solve(ctx context.Context, pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error {
+	switch {
+	case len(pos) != len(q):
+		return fmt.Errorf("dpfmm: %d positions but %d charges", len(pos), len(q))
+	case len(phi) != len(pos):
+		return fmt.Errorf("dpfmm: %d potentials for %d positions", len(phi), len(pos))
+	case acc != nil && len(acc) != len(pos):
+		return fmt.Errorf("dpfmm: %d accelerations for %d positions", len(acc), len(pos))
 	}
 	k := s.TS.K
 	depth := s.Cfg.Depth
 	s.rec.SetShape(len(pos), depth, k)
 
 	// Per-solve state the phases publish and consume: the partitioned
-	// particle grid, the leaf-level local field, and the output.
+	// particle grid and the leaf-level local field.
 	var pg *particleGrid
 	var locLeaf *dp.Grid3
-	phi := make([]float64, len(pos))
-	var acc []geom.Vec3
-	if force {
-		acc = make([]geom.Vec3, len(pos))
-	}
 
-	phases := []pipeline.Phase{s.sortPhase(&pg, pos, q, force)}
+	phases := []pipeline.Phase{s.sortPhase(&pg, pos, q, acc != nil)}
 	phases = append(phases, s.hierarchyPhases(&pg, &locLeaf, k, depth)...)
 	phases = append(phases,
 		pipeline.Phase{Name: metrics.PhaseEvalLocal, Site: FaultSiteEval,
@@ -184,10 +167,7 @@ func (s *Solver) solve(ctx context.Context, pos []geom.Vec3, q []float64, force 
 				return nil
 			}},
 	)
-	if err := pipeline.Run(ctx, &s.rec, "dpfmm", phases); err != nil {
-		return nil, nil, err
-	}
-	return phi, acc, nil
+	return pipeline.Run(ctx, &s.rec, "dpfmm", phases)
 }
 
 // upwardLevel applies T1 from the child grid into the parent grid.

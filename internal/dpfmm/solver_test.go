@@ -1,6 +1,7 @@
 package dpfmm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,6 +35,28 @@ func newTestMachine(t *testing.T, nodes int) *dp.Machine {
 	return m
 }
 
+// solver is the Solve signature this package shares with core's reference.
+type solver interface {
+	Solve(ctx context.Context, pos []geom.Vec3, q []float64, phi []float64, acc []geom.Vec3) error
+}
+
+// potentials and accelerations are Solve into fresh output slices.
+func potentials(s solver, pos []geom.Vec3, q []float64) ([]float64, error) {
+	phi := make([]float64, len(pos))
+	if err := s.Solve(nil, pos, q, phi, nil); err != nil {
+		return nil, err
+	}
+	return phi, nil
+}
+
+func accelerations(s solver, pos []geom.Vec3, q []float64) ([]float64, []geom.Vec3, error) {
+	phi, acc := make([]float64, len(pos)), make([]geom.Vec3, len(pos))
+	if err := s.Solve(nil, pos, q, phi, acc); err != nil {
+		return nil, nil, err
+	}
+	return phi, acc, nil
+}
+
 func maxRelDiff(a, b []float64) float64 {
 	worst := 0.0
 	for i := range a {
@@ -57,7 +80,7 @@ func TestAllStrategiesMatchSharedMemorySolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Potentials(pos, q)
+	want, err := potentials(ref, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +91,7 @@ func TestAllStrategiesMatchSharedMemorySolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Potentials(pos, q)
+		got, err := potentials(s, pos, q)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -86,7 +109,7 @@ func TestDataParallelAccuracyVsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Potentials(pos, q)
+	got, err := potentials(s, pos, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +138,7 @@ func TestCoordinateSortEliminatesReshapeCommunication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials(pos, q); err != nil {
+	if _, err := potentials(s, pos, q); err != nil {
 		t.Fatal(err)
 	}
 	rs := s.ReshapeStats()
@@ -143,7 +166,7 @@ func TestReshapeStatsBelongToTheSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Potentials(pos, q); err != nil {
+		if _, err := potentials(s, pos, q); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -192,7 +215,7 @@ func TestGhostStrategyDataMotionOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := m.Counters()
-		if _, err := s.Potentials(pos, q); err != nil {
+		if _, err := potentials(s, pos, q); err != nil {
 			t.Fatal(err)
 		}
 		res[strat] = result{c: m.Counters().Sub(before)}
@@ -237,10 +260,10 @@ func TestSolverRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials(make([]geom.Vec3, 2), make([]float64, 3)); err == nil {
+	if _, err := potentials(s, make([]geom.Vec3, 2), make([]float64, 3)); err == nil {
 		t.Error("mismatched input accepted")
 	}
-	if _, err := s.Potentials([]geom.Vec3{{X: 9}}, []float64{1}); err == nil {
+	if _, err := potentials(s, []geom.Vec3{{X: 9}}, []float64{1}); err == nil {
 		t.Error("out-of-domain particle accepted")
 	}
 }
@@ -267,7 +290,7 @@ func TestComputeCyclesCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials(pos, q); err != nil {
+	if _, err := potentials(s, pos, q); err != nil {
 		t.Fatal(err)
 	}
 	maxC, meanC := m.MaxComputeCycles()
@@ -291,7 +314,7 @@ func TestMultigridStorageMatchesPerLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.MultigridStorage = mg
-		phi, err := s.Potentials(pos, q)
+		phi, err := potentials(s, pos, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +335,7 @@ func TestRejectsNaNPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Potentials([]geom.Vec3{{X: math.NaN(), Y: 0.5, Z: 0.5}}, []float64{1}); err == nil {
+	if _, err := potentials(s, []geom.Vec3{{X: math.NaN(), Y: 0.5, Z: 0.5}}, []float64{1}); err == nil {
 		t.Error("NaN position accepted")
 	}
 }

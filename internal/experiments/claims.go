@@ -70,8 +70,8 @@ func ClaimAccuracy(n int) (*AccuracyClaim, error) {
 			return nil, err
 		}
 		start := time.Now()
-		phi, err := s.Potentials(pos, q)
-		if err != nil {
+		phi := make([]float64, len(pos))
+		if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 			return nil, err
 		}
 		*c.wall = time.Since(start)
@@ -126,7 +126,7 @@ func ClaimScalingN(nodes int) (*ScalingResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, ScalingPoint{
@@ -158,7 +158,7 @@ func ClaimScalingP(n, depth int) (*ScalingResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, ScalingPoint{
@@ -213,7 +213,7 @@ func ClaimOptimalDepth(n int) (*DepthResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		st := s.Stats()
@@ -268,8 +268,8 @@ func ClaimSupernodes(n int) (*AblationResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		phi, err := s.Potentials(pos, q)
-		if err != nil {
+		phi := make([]float64, len(pos))
+		if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 			return nil, err
 		}
 		wall := time.Since(start)
@@ -297,7 +297,7 @@ func ClaimAggregation(n int) (*AblationResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		wall := time.Since(start)

@@ -95,7 +95,7 @@ func ClaimReshape(n int) (*ReshapeClaim, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		rs := s.ReshapeStats()

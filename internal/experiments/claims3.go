@@ -57,7 +57,7 @@ func ClaimLoadBalance(n int) (*LoadBalanceClaim, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		maxC, meanC := m.MaxComputeCycles()

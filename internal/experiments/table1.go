@@ -84,7 +84,7 @@ func Table1(cfg Table1Config) (*Table1Result, error) {
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := s.Potentials(pos, q); err != nil {
+		if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 			return nil, err
 		}
 		wall := time.Since(start)

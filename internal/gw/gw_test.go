@@ -700,10 +700,21 @@ func TestGatewayChaosKillLoop(t *testing.T) {
 
 // TestGatewaySolveDoesNotParseBodyUnlessHedging pins the proxy's cost with
 // hedging off: the particle count feeds only the hedge gate and the hedge
-// delay, so an unhedged solve must be forwarded without parsing its body.
-// Parsing an N = 4096 body costs one allocation per particle and more; the
-// whole proxied round trip against a canned-response replica — client side,
-// gateway, upstream hop and stub included — must stay far below that.
+// delay, so an unhedged solve must be forwarded without touching its body.
+// The count itself allocates nothing; the whole proxied round trip against a
+// canned-response replica — client side, gateway, upstream hop and stub
+// included — must stay at the cost of reading the body once, far below the
+// one allocation per particle a parse of an N = 4096 body would add.
+// TestParticleCountIsPositionsLength pins the hedge gate's bracket count to
+// len(positions) on the solve bodies clients send.
+func TestParticleCountIsPositionsLength(t *testing.T) {
+	for _, n := range []int{0, 1, 512, 4096} {
+		if got := particleCount(solveBody(t, "ten", n, 5)); got != n {
+			t.Errorf("particleCount of an N = %d body = %d", n, got)
+		}
+	}
+}
+
 func TestGatewaySolveDoesNotParseBodyUnlessHedging(t *testing.T) {
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -715,8 +726,8 @@ func TestGatewaySolveDoesNotParseBodyUnlessHedging(t *testing.T) {
 	g := newGateway(t, Config{Replicas: []string{stub.URL}, ProbeEvery: time.Hour})
 	body := solveBody(t, "ten", 4096, 3)
 
-	if parse := testing.AllocsPerRun(5, func() { particleCount(body) }); parse <= 4096 {
-		t.Fatalf("parsing the body costs %.0f allocations; the premise of this test (> 4096) no longer holds", parse)
+	if count := testing.AllocsPerRun(5, func() { particleCount(body) }); count != 0 {
+		t.Fatalf("counting the body's particles costs %.0f allocations, want 0", count)
 	}
 	roundTrip := testing.AllocsPerRun(20, func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))

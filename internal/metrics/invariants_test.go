@@ -38,7 +38,7 @@ func TestPhaseTimesTileSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := s.Potentials(pos, q); err != nil {
+	if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)
@@ -72,7 +72,7 @@ func dpSolve(t *testing.T, n, depth, degree int) (*metrics.Snapshot, blas.Counte
 	blas.EnableCounters(true)
 	defer blas.EnableCounters(false)
 	blas.ResetCounters()
-	if _, err := s.Potentials(pos, q); err != nil {
+	if err := s.Solve(nil, pos, q, make([]float64, len(pos)), nil); err != nil {
 		t.Fatal(err)
 	}
 	ncfg, err := cfg.Normalized()
@@ -171,9 +171,9 @@ func TestNearPairsAreUnorderedPairs(t *testing.T) {
 	var before metrics.Snapshot
 	for _, force := range []bool{false, true} {
 		if force {
-			_, _, err = s.Accelerations(pos, q)
+			err = s.Solve(nil, pos, q, make([]float64, len(pos)), make([]geom.Vec3, len(pos)))
 		} else {
-			_, err = s.Potentials(pos, q)
+			err = s.Solve(nil, pos, q, make([]float64, len(pos)), nil)
 		}
 		if err != nil {
 			t.Fatal(err)

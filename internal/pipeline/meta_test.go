@@ -88,19 +88,20 @@ func solverCases(t *testing.T) []solverCase {
 		return s
 	}
 
+	phi, acc, phi2 := make([]float64, len(pos)), make([]geom.Vec3, len(pos)), make([]float64, len(pos2))
 	return []solverCase{
 		{"core", "core/", core.FaultSitesAll,
-			func(*testing.T) error { _, err := coreSolver.Potentials(pos, q); return err }},
+			func(*testing.T) error { return coreSolver.Solve(nil, pos, q, phi, nil) }},
 		{"core2", "core2/", core2.FaultSites,
-			func(*testing.T) error { _, err := core2Solver.Potentials(pos2, q2); return err }},
+			func(*testing.T) error { return core2Solver.Solve(nil, pos2, q2, phi2) }},
 		{"dpfmm", "dpfmm/", dpfmm.FaultSitesAll,
-			func(*testing.T) error { _, err := newDP(false).Potentials(pos, q); return err }},
+			func(*testing.T) error { return newDP(false).Solve(nil, pos, q, phi, nil) }},
 		{"dpfmm-multigrid", "dpfmm/", dpfmm.FaultSitesAll,
-			func(*testing.T) error { _, err := newDP(true).Potentials(pos, q); return err }},
+			func(*testing.T) error { return newDP(true).Solve(nil, pos, q, phi, nil) }},
 		{"dpfmm-forces", "dpfmm/", dpfmm.FaultSitesAll,
-			func(*testing.T) error { _, _, err := newDP(false).Accelerations(pos, q); return err }},
+			func(*testing.T) error { return newDP(false).Solve(nil, pos, q, phi, acc) }},
 		{"dpfmm-forces-multigrid", "dpfmm/", dpfmm.FaultSitesAll,
-			func(*testing.T) error { _, _, err := newDP(true).Accelerations(pos, q); return err }},
+			func(*testing.T) error { return newDP(true).Solve(nil, pos, q, phi, acc) }},
 	}
 }
 
@@ -199,9 +200,9 @@ func TestPreCanceledRunsNoPhase(t *testing.T) {
 		name  string
 		solve func() error
 	}{
-		{"core", func() error { _, err := coreSolver.PotentialsCtx(ctx, pos, q); return err }},
-		{"core2", func() error { _, err := core2Solver.PotentialsCtx(ctx, pos2, q2); return err }},
-		{"dpfmm", func() error { _, err := dpSolver.PotentialsCtx(ctx, pos, q); return err }},
+		{"core", func() error { return coreSolver.Solve(ctx, pos, q, make([]float64, len(pos)), nil) }},
+		{"core2", func() error { return core2Solver.Solve(ctx, pos2, q2, make([]float64, len(pos2))) }},
+		{"dpfmm", func() error { return dpSolver.Solve(ctx, pos, q, make([]float64, len(pos)), nil) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

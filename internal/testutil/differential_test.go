@@ -42,8 +42,8 @@ func anderson(t *testing.T, degree, depth int, pos []geom.Vec3, q []float64) []f
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, err := s.Potentials(pos, q)
-	if err != nil {
+	phi := make([]float64, len(pos))
+	if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 		t.Fatal(err)
 	}
 	return phi
@@ -94,8 +94,8 @@ func TestDifferentialDataParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.MultigridStorage = mg
-			phi, err := s.Potentials(pos, q)
-			if err != nil {
+			phi := make([]float64, len(pos))
+			if err := s.Solve(nil, pos, q, phi, nil); err != nil {
 				t.Fatal(err)
 			}
 			name := "dpfmm-" + strat.String()
@@ -122,8 +122,8 @@ func TestDifferential2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi, err := s.Potentials(pos, q)
-	if err != nil {
+	phi := make([]float64, len(pos))
+	if err := s.Solve(nil, pos, q, phi); err != nil {
 		t.Fatal(err)
 	}
 	CheckClose(t, "anderson2d vs direct2d", phi, core2.DirectPotentials2(pos, q), boundCore2Worst)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbody/internal/metrics"
 	"nbody/internal/resilience"
 )
 
@@ -58,39 +57,6 @@ func (p RetryPolicy) policy() resilience.Policy {
 // supervisor skips such rungs without burning retry attempts.
 var errRungUnsupported = errors.New("nbody: rung does not support this operation")
 
-// resilientOp selects which entry point an attempt executes; the in-flight
-// arguments live on the Resilient so the prebuilt attempt closure carries
-// no per-call state (the zero-allocation happy path).
-type resilientOp int
-
-const (
-	opPotentials resilientOp = iota
-	opPotentialsInto
-	opAccelerations
-	opAccelerationsInto
-)
-
-// Capability interfaces of the concrete solvers, asserted per rung so each
-// attempt uses the richest entry point the rung offers (context-aware and
-// allocation-free variants first).
-type (
-	potentialsCtxSolver interface {
-		PotentialsCtx(context.Context, *System) ([]float64, error)
-	}
-	potentialsIntoSolver interface {
-		PotentialsInto([]float64, *System) error
-	}
-	potentialsIntoCtxSolver interface {
-		PotentialsIntoCtx(context.Context, []float64, *System) error
-	}
-	accelerationsCtxSolver interface {
-		AccelerationsCtx(context.Context, *System) ([]float64, []Vec3, error)
-	}
-	accelerationsIntoCtxSolver interface {
-		AccelerationsIntoCtx(context.Context, []float64, []Vec3, *System) error
-	}
-)
-
 // Resilient wraps a degradation ladder of solvers behind the retry
 // supervisor, turning the *InternalError safe-to-retry contract into
 // self-healing solves: a failed attempt is retried with backoff, a rung
@@ -98,30 +64,29 @@ type (
 // the next rung, and only a ladder-wide failure reaches the caller.
 //
 // Rung 0 is the preferred backend; later rungs are fallbacks in order,
-// e.g. DataParallel → Anderson → BarnesHut → Direct. Rungs may have
-// different capabilities: every rung can serve Potentials, but a rung
-// without acceleration support (BarnesHut) is skipped by the acceleration
-// entry points. Validation errors (ErrInvalidSystem, ErrOutOfDomain) abort
-// the whole ladder — no fallback can repair a malformed input.
+// e.g. DataParallel → Anderson → BarnesHut → Direct. Every rung serves
+// potentials. Every rung of this package but BarnesHut serves forces too,
+// Direct included, and so does a Solver from outside it that is also an
+// Accelerator; the acceleration entry points skip the others without
+// burning attempts. Validation errors (ErrInvalidSystem, ErrOutOfDomain)
+// abort the whole ladder — no fallback can repair a malformed input.
 //
 // Like the solvers it wraps, a Resilient runs one solve at a time. The
 // happy path — first rung, first attempt succeeds — adds no retries, no
-// metrics traffic, and (on the Into entry points over an Into-capable
-// rung) no allocations.
+// metrics traffic, and (on the Into entry points over an Anderson rung) no
+// allocations.
 type Resilient struct {
-	rungs []Solver
+	rungs []intoSolver
 	sup   *resilience.Supervisor
 	name  string
 
 	lastRung atomic.Int32
 
-	// In-flight operation state; see resilientOp.
-	op     resilientOp
-	sys    *System
-	phi    []float64
-	acc    []Vec3
-	outPhi []float64
-	outAcc []Vec3
+	// The solve in flight. The prebuilt attempt closure reads it, so it
+	// carries no per-call state (the zero-allocation happy path).
+	sys *System
+	phi []float64
+	acc []Vec3
 
 	attemptFn func(ctx context.Context, rung int) error
 }
@@ -134,18 +99,24 @@ func NewResilient(p RetryPolicy, rungs ...Solver) (*Resilient, error) {
 		return nil, fmt.Errorf("%w: resilient ladder needs at least one rung", ErrInvalidOptions)
 	}
 	names := make([]string, len(rungs))
+	ladder := make([]intoSolver, len(rungs))
 	for i, s := range rungs {
 		if s == nil {
 			return nil, fmt.Errorf("%w: resilient rung %d is nil", ErrInvalidOptions, i)
 		}
 		names[i] = s.Name()
+		rung, ok := s.(intoSolver)
+		if !ok {
+			rung = newForeignSolver(s)
+		}
+		ladder[i] = rung
 	}
 	sup, err := resilience.New(p.policy(), len(rungs))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
 	}
 	r := &Resilient{
-		rungs: append([]Solver{}, rungs...),
+		rungs: ladder,
 		sup:   sup,
 		name:  "resilient(" + strings.Join(names, "->") + ")",
 	}
@@ -179,107 +150,16 @@ func (r *Resilient) RungNames() []string {
 	return names
 }
 
-// recFor exposes rung's phase recorder for panic attribution when the rung
-// has one (nil otherwise).
-func (r *Resilient) recFor(rung int) *metrics.Rec {
-	if pr, ok := r.rungs[rung].(phaseRecorder); ok {
-		return pr.activeRec()
-	}
-	return nil
+// attempt is one solve of the in-flight operation on one rung.
+func (r *Resilient) attempt(ctx context.Context, rung int) error {
+	return r.rungs[rung].solveInto(ctx, r.sys, r.phi, r.acc)
 }
 
-// attempt executes the in-flight operation on one rung, preferring the
-// rung's context-aware and allocation-free entry points. A panic escaping
-// a rung without its own containment (BarnesHut, Direct) is recovered here
-// into an *InternalError, so every rung failure enters the classifier as a
-// typed error.
-func (r *Resilient) attempt(ctx context.Context, rung int) (err error) {
-	defer recoverInternal(r.recFor(rung), &err)
-	s := r.rungs[rung]
-	switch r.op {
-	case opPotentials:
-		if sv, ok := s.(potentialsCtxSolver); ok {
-			r.outPhi, err = sv.PotentialsCtx(ctx, r.sys)
-			return err
-		}
-		if err = ctx.Err(); err != nil {
-			return err
-		}
-		r.outPhi, err = s.Potentials(r.sys)
-		return err
-
-	case opPotentialsInto:
-		if sv, ok := s.(potentialsIntoCtxSolver); ok {
-			return sv.PotentialsIntoCtx(ctx, r.phi, r.sys)
-		}
-		if sv, ok := s.(potentialsIntoSolver); ok {
-			if err = ctx.Err(); err != nil {
-				return err
-			}
-			return sv.PotentialsInto(r.phi, r.sys)
-		}
-		// Allocating fallback: a degraded rung trades the zero-alloc
-		// contract for availability.
-		var tmp []float64
-		if sv, ok := s.(potentialsCtxSolver); ok {
-			tmp, err = sv.PotentialsCtx(ctx, r.sys)
-		} else {
-			if err = ctx.Err(); err != nil {
-				return err
-			}
-			tmp, err = s.Potentials(r.sys)
-		}
-		if err == nil {
-			copy(r.phi, tmp)
-		}
-		return err
-
-	case opAccelerations:
-		if sv, ok := s.(accelerationsCtxSolver); ok {
-			r.outPhi, r.outAcc, err = sv.AccelerationsCtx(ctx, r.sys)
-			return err
-		}
-		if sv, ok := s.(Accelerator); ok {
-			if err = ctx.Err(); err != nil {
-				return err
-			}
-			r.outPhi, r.outAcc, err = sv.Accelerations(r.sys)
-			return err
-		}
-		return fmt.Errorf("%w: %s cannot compute accelerations", errRungUnsupported, s.Name())
-
-	case opAccelerationsInto:
-		if sv, ok := s.(accelerationsIntoCtxSolver); ok {
-			return sv.AccelerationsIntoCtx(ctx, r.phi, r.acc, r.sys)
-		}
-		if sv, ok := s.(AcceleratorInto); ok {
-			if err = ctx.Err(); err != nil {
-				return err
-			}
-			return sv.AccelerationsInto(r.phi, r.acc, r.sys)
-		}
-		if sv, ok := s.(Accelerator); ok {
-			if err = ctx.Err(); err != nil {
-				return err
-			}
-			var tphi []float64
-			var tacc []Vec3
-			tphi, tacc, err = sv.Accelerations(r.sys)
-			if err == nil {
-				copy(r.phi, tphi)
-				copy(r.acc, tacc)
-			}
-			return err
-		}
-		return fmt.Errorf("%w: %s cannot compute accelerations", errRungUnsupported, s.Name())
-	}
-	return fmt.Errorf("nbody: unknown resilient op %d", r.op)
-}
-
-// do drives the supervisor for the prepared operation and clears the
-// in-flight references afterwards so the Resilient never retains caller
-// slices between solves.
-func (r *Resilient) do(ctx context.Context) error {
+// solveInto drives the supervisor over the ladder and clears the in-flight
+// references afterwards so the Resilient never retains caller slices
+// between solves.
+func (r *Resilient) solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error {
+	r.sys, r.phi, r.acc = s, phi, acc
 	rung, err := r.sup.Do(ctx, r.attemptFn)
 	if err == nil {
 		r.lastRung.Store(int32(rung))
@@ -291,27 +171,20 @@ func (r *Resilient) do(ctx context.Context) error {
 // Potentials computes the potential at every particle, healing transient
 // failures through the ladder.
 func (r *Resilient) Potentials(s *System) ([]float64, error) {
-	return r.PotentialsCtx(context.Background(), s)
+	return potentials(nil, r, s)
 }
 
 // PotentialsCtx is Potentials with cancellation: the context bounds every
 // attempt and every backoff sleep of the supervisor.
 func (r *Resilient) PotentialsCtx(ctx context.Context, s *System) ([]float64, error) {
-	r.op, r.sys = opPotentials, s
-	err := r.do(ctx)
-	out := r.outPhi
-	r.outPhi, r.outAcc = nil, nil
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return potentials(ctx, r, s)
 }
 
 // PotentialsInto computes the potentials into the caller-owned slice phi
-// (length s.Len()). On a rung supporting in-place solves (Anderson) the
-// happy path allocates nothing; degraded rungs may allocate.
+// (length s.Len()). On an Anderson rung the happy path allocates nothing;
+// degraded rungs may allocate.
 func (r *Resilient) PotentialsInto(phi []float64, s *System) error {
-	return r.PotentialsIntoCtx(context.Background(), phi, s)
+	return r.PotentialsIntoCtx(nil, phi, s)
 }
 
 // PotentialsIntoCtx is PotentialsInto with cancellation.
@@ -319,46 +192,36 @@ func (r *Resilient) PotentialsIntoCtx(ctx context.Context, phi []float64, s *Sys
 	if len(phi) != s.Len() {
 		return fmt.Errorf("%w: %d-length output slice for %d particles", ErrInvalidSystem, len(phi), s.Len())
 	}
-	r.op, r.sys, r.phi = opPotentialsInto, s, phi
-	return r.do(ctx)
+	return r.solveInto(ctx, s, phi, nil)
 }
 
 // Accelerations computes potentials and fields, skipping ladder rungs that
 // cannot produce accelerations (e.g. BarnesHut).
 func (r *Resilient) Accelerations(s *System) ([]float64, []Vec3, error) {
-	return r.AccelerationsCtx(context.Background(), s)
+	return accelerations(nil, r, s)
 }
 
 // AccelerationsCtx is Accelerations with cancellation.
 func (r *Resilient) AccelerationsCtx(ctx context.Context, s *System) ([]float64, []Vec3, error) {
-	r.op, r.sys = opAccelerations, s
-	err := r.do(ctx)
-	phi, acc := r.outPhi, r.outAcc
-	r.outPhi, r.outAcc = nil, nil
-	if err != nil {
-		return nil, nil, err
-	}
-	return phi, acc, nil
+	return accelerations(ctx, r, s)
 }
 
 // AccelerationsInto computes potentials and fields into caller-owned
 // slices (each length s.Len()); this is the time-stepping path, so a
 // Simulation running on a Resilient inherits the whole self-healing layer.
 func (r *Resilient) AccelerationsInto(phi []float64, acc []Vec3, s *System) error {
-	return r.AccelerationsIntoCtx(context.Background(), phi, acc, s)
+	return r.AccelerationsIntoCtx(nil, phi, acc, s)
 }
 
 // AccelerationsIntoCtx is AccelerationsInto with cancellation.
 func (r *Resilient) AccelerationsIntoCtx(ctx context.Context, phi []float64, acc []Vec3, s *System) error {
-	if len(phi) != s.Len() || len(acc) != s.Len() {
+	if acc == nil || len(phi) != s.Len() || len(acc) != s.Len() {
 		return fmt.Errorf("%w: output slices (%d, %d) for %d particles", ErrInvalidSystem, len(phi), len(acc), s.Len())
 	}
-	r.op, r.sys, r.phi, r.acc = opAccelerationsInto, s, phi, acc
-	return r.do(ctx)
+	return r.solveInto(ctx, s, phi, acc)
 }
 
 var (
-	_ Solver          = (*Resilient)(nil)
 	_ Accelerator     = (*Resilient)(nil)
 	_ AcceleratorInto = (*Resilient)(nil)
 )

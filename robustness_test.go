@@ -16,6 +16,7 @@ import (
 	"nbody/internal/dpfmm"
 	"nbody/internal/faults"
 	"nbody/internal/metrics"
+	"nbody/internal/pipeline"
 	"nbody/internal/resilience"
 	"nbody/internal/testutil"
 )
@@ -734,21 +735,34 @@ func TestResilientHappyPathNoNewAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	phi := make([]float64, sys.Len())
-	if err := r.PotentialsInto(phi, sys); err != nil { // warm the solver buffers
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(10, func() {
-		if err := a.PotentialsInto(phi, sys); err != nil {
+	acc := make([]nbody.Vec3, sys.Len())
+	for _, op := range []struct {
+		name       string
+		bare, supd func() error
+	}{
+		{"PotentialsInto",
+			func() error { return a.PotentialsInto(phi, sys) },
+			func() error { return r.PotentialsInto(phi, sys) }},
+		{"AccelerationsInto",
+			func() error { return a.AccelerationsInto(phi, acc, sys) },
+			func() error { return r.AccelerationsInto(phi, acc, sys) }},
+	} {
+		if err := op.supd(); err != nil { // warm the solver buffers
 			t.Fatal(err)
 		}
-	})
-	supervised := testing.AllocsPerRun(10, func() {
-		if err := r.PotentialsInto(phi, sys); err != nil {
-			t.Fatal(err)
+		base := testing.AllocsPerRun(10, func() {
+			if err := op.bare(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		supervised := testing.AllocsPerRun(10, func() {
+			if err := op.supd(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if supervised > base {
+			t.Errorf("%s: supervised solve allocates %.0f/op, bare solver %.0f/op: the happy path must add nothing", op.name, supervised, base)
 		}
-	})
-	if supervised > base {
-		t.Errorf("supervised solve allocates %.0f/op, bare solver %.0f/op: the happy path must add nothing", supervised, base)
 	}
 	if rec := recoveryOf(r); !rec.Zero() {
 		t.Errorf("happy path recorded recovery events: %+v", rec)
@@ -854,5 +868,77 @@ func TestResilientSkipsIncapableRung(t *testing.T) {
 	}
 	if got := r.LastRung(); got != 0 {
 		t.Errorf("Potentials LastRung = %d, want 0", got)
+	}
+}
+
+// TestResilientDirectRungServesForces heals a force solve on a direct rung:
+// with every T2 phase of the Anderson rung panicking and one attempt per
+// rung, the field comes from the direct fallback, bit for bit what direct
+// summation gives.
+func TestResilientDirectRungServesForces(t *testing.T) {
+	defer faults.Reset()
+	sys := nbody.NewUniformSystem(512, 30)
+	a, err := nbody.NewAnderson(sys.BoundingBox(), nbody.Options{Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := nbody.NewResilient(nbody.RetryPolicy{MaxAttempts: 1}, a, nbody.NewDirect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.InjectPanicEvery(core.FaultSiteT2, "injected: every T2")
+	phi, acc := make([]float64, sys.Len()), make([]nbody.Vec3, sys.Len())
+	if err := r.AccelerationsInto(phi, acc, sys); err != nil {
+		t.Fatalf("force solve over [anderson, direct]: %v", err)
+	}
+	if got := r.LastRung(); got != 1 {
+		t.Errorf("LastRung = %d, want 1 (direct)", got)
+	}
+	wantPhi := direct.PotentialsParallel(sys.Positions, sys.Charges)
+	wantAcc := direct.Accelerations(sys.Positions, sys.Charges)
+	for i := range phi {
+		if phi[i] != wantPhi[i] || acc[i] != wantAcc[i] {
+			t.Fatalf("particle %d: (%v, %v), direct summation gives (%v, %v)", i, phi[i], acc[i], wantPhi[i], wantAcc[i])
+		}
+	}
+}
+
+// TestResilientDataParallelCancel cancels a data-parallel solve through the
+// ladder once its first phase has run: potential and force solves alike
+// must stop there with context.Canceled.
+func TestResilientDataParallelCancel(t *testing.T) {
+	sys := nbody.NewUniformSystem(512, 31)
+	d, err := nbody.NewDataParallel(8, sys.BoundingBox(), nbody.Options{Depth: 3}, dpfmm.LinearizedAliased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := nbody.NewResilient(supervisorPolicy(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		solve func(ctx context.Context) error
+	}{
+		{"potentials", func(ctx context.Context) error { _, err := r.PotentialsCtx(ctx, sys); return err }},
+		{"accelerations", func(ctx context.Context) error { _, _, err := r.AccelerationsCtx(ctx, sys); return err }},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var phases int
+		pipeline.SetObserver(func(ev pipeline.Event) {
+			if !ev.Nested {
+				phases++
+			}
+			cancel()
+		})
+		err := tc.solve(ctx)
+		pipeline.SetObserver(nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v after %d phases, want context.Canceled", tc.name, err, phases)
+		}
+		if phases != 1 {
+			t.Errorf("%s: %d phases ran, want 1", tc.name, phases)
+		}
 	}
 }

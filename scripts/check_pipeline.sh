@@ -100,4 +100,27 @@ if [ "$(echo "$decodes" | grep -c .)" != 1 ] || [ "$(echo "$relayouts" | grep -c
     echo "parse into and encode from the solver's arrays (wire.go) instead" >&2
     exit 1
 fi
+# Sixth boundary: one solve contract. Each solver package's Solver exports
+# one solve method, Solve (into caller slices, nil ctx for no cancellation),
+# and no Potentials…/Accelerations… variants beside it (core's PotentialsAt,
+# which evaluates at other points, excepted). In the root package the
+# Resilient ladder drives every rung through that one contract, intoSolver:
+# resilient.go asserts a rung to nothing else.
+for pkg in internal/core internal/dpfmm internal/core2; do
+    solves=$(grep -hoE '^func \([a-z]+ \*Solver\) (Solve|Potentials|Accelerations)[A-Za-z]*\(' \
+            $(ls "$pkg"/*.go | grep -v '_test\.go$') \
+        | sed -E 's/.*\) ([A-Za-z]+)\(/\1/' | grep -vx PotentialsAt || true)
+    if [ "$solves" != Solve ]; then
+        echo "check_pipeline: $pkg's Solver must export exactly one solve method, Solve; found:" >&2
+        echo "$solves" >&2
+        exit 1
+    fi
+done
+asserts=$(grep -noE '\.\([^)]*\)' resilient.go | grep -v ':\.(intoSolver)$' || true)
+if [ -n "$asserts" ]; then
+    echo "check_pipeline: resilient.go asserts a rung to something besides intoSolver:" >&2
+    echo "$asserts" >&2
+    echo "give the solver a solveInto method instead of a capability interface" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"

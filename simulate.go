@@ -26,11 +26,7 @@ type DirectAccelerator struct{ Direct }
 
 // Accelerations computes exact potentials and fields.
 func (d DirectAccelerator) Accelerations(s *System) ([]float64, []Vec3, error) {
-	phi, err := d.Potentials(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return phi, d.Direct.Accelerations(s), nil
+	return accelerations(nil, d.Direct, s)
 }
 
 // Simulation integrates a self-interacting system with the kick-drift-kick
@@ -105,16 +101,12 @@ func NewSimulation(sys *System, vel []Vec3, solver Accelerator, dt float64) (*Si
 	return s, nil
 }
 
-// phaseRecorder is satisfied by the solvers whose panics can be attributed
-// to a pipeline phase (Anderson and DataParallel).
-type phaseRecorder interface{ activeRec() *metrics.Rec }
-
 // solve refreshes phi and acc from the solver, containing any panic the
 // solver lets escape: the panic becomes an *InternalError and the
 // simulation's own state (positions, velocities, step counter) is untouched,
 // so the caller may retry the step or abandon the run cleanly.
 func (s *Simulation) solve() error {
-	return runErr(func() error { return nil }, s.activeRec, func() error {
+	return guard(nil, nil, func() error {
 		if s.into != nil {
 			return s.into.AccelerationsInto(s.phi, s.acc, s.System)
 		}
@@ -125,15 +117,6 @@ func (s *Simulation) solve() error {
 		s.phi, s.acc = phi, acc
 		return nil
 	})
-}
-
-// activeRec exposes the underlying solver's phase recorder when it has one
-// (nil otherwise), for panic attribution in solve.
-func (s *Simulation) activeRec() *metrics.Rec {
-	if pr, ok := s.Solver.(phaseRecorder); ok {
-		return pr.activeRec()
-	}
-	return nil
 }
 
 // Step advances the system by n leapfrog steps.

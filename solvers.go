@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"nbody/internal/bh"
@@ -169,44 +170,38 @@ func (a *Anderson) activeRec() *metrics.Rec {
 	return a.solver.Rec()
 }
 
+func (a *Anderson) solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error {
+	return guard(a.activeRec, func() error { return a.prepare(s) }, func() error {
+		return a.solver.Solve(ctx, s.Positions, s.Charges, phi, acc)
+	})
+}
+
 // Potentials computes the potential at every particle of the system. Invalid
 // systems are rejected with ErrInvalidSystem or ErrOutOfDomain; an internal
 // panic is recovered and returned as an *InternalError naming the active
 // phase, after which the solver remains usable (see InternalError's
 // safe-to-retry contract).
 func (a *Anderson) Potentials(s *System) ([]float64, error) {
-	return run(func() error { return a.prepare(s) }, a.activeRec, func() ([]float64, error) {
-		return a.solver.Potentials(s.Positions, s.Charges)
-	})
+	return potentials(nil, a, s)
 }
 
 // PotentialsCtx is Potentials with cancellation: a canceled or expired
 // context aborts the solve between phases and within the parallel sweeps of
 // each phase (within at most one work chunk), returning ctx.Err().
 func (a *Anderson) PotentialsCtx(ctx context.Context, s *System) ([]float64, error) {
-	return run(func() error { return a.prepare(s) }, a.activeRec, func() ([]float64, error) {
-		return a.solver.PotentialsCtx(ctx, s.Positions, s.Charges)
-	})
+	return potentials(ctx, a, s)
 }
 
 // Accelerations computes potentials and the field +grad phi, under the same
 // validation and panic-containment contract as Potentials.
 func (a *Anderson) Accelerations(s *System) ([]float64, []Vec3, error) {
-	r, err := run(func() error { return a.prepare(s) }, a.activeRec, func() (phiAcc, error) {
-		phi, acc, err := a.solver.Accelerations(s.Positions, s.Charges)
-		return phiAcc{phi, acc}, err
-	})
-	return r.phi, r.acc, err
+	return accelerations(nil, a, s)
 }
 
 // AccelerationsCtx is Accelerations with cancellation, under the same
 // latency bound as PotentialsCtx.
 func (a *Anderson) AccelerationsCtx(ctx context.Context, s *System) ([]float64, []Vec3, error) {
-	r, err := run(func() error { return a.prepare(s) }, a.activeRec, func() (phiAcc, error) {
-		phi, acc, err := a.solver.AccelerationsCtx(ctx, s.Positions, s.Charges)
-		return phiAcc{phi, acc}, err
-	})
-	return r.phi, r.acc, err
+	return accelerations(ctx, a, s)
 }
 
 // PotentialsInto computes the potentials into the caller-owned slice phi
@@ -216,40 +211,38 @@ func (a *Anderson) AccelerationsCtx(ctx context.Context, s *System) ([]float64, 
 // partial results but no goroutine retains a reference to it; reuse or
 // retry is safe.
 func (a *Anderson) PotentialsInto(phi []float64, s *System) error {
-	return runErr(func() error { return a.prepare(s) }, a.activeRec, func() error {
-		return a.solver.PotentialsInto(phi, s.Positions, s.Charges)
-	})
+	return a.solveInto(nil, s, phi, nil)
 }
 
 // PotentialsIntoCtx is PotentialsInto with cancellation.
 func (a *Anderson) PotentialsIntoCtx(ctx context.Context, phi []float64, s *System) error {
-	return runErr(func() error { return a.prepare(s) }, a.activeRec, func() error {
-		return a.solver.PotentialsIntoCtx(ctx, phi, s.Positions, s.Charges)
-	})
+	return a.solveInto(ctx, s, phi, nil)
 }
 
 // AccelerationsInto computes potentials and fields into caller-owned slices
 // (each length s.Len()), under the same reuse contract as PotentialsInto.
 // This is the time-stepping path: Simulation uses it automatically.
 func (a *Anderson) AccelerationsInto(phi []float64, acc []Vec3, s *System) error {
-	return runErr(func() error { return a.prepare(s) }, a.activeRec, func() error {
-		return a.solver.AccelerationsInto(phi, acc, s.Positions, s.Charges)
-	})
+	return a.AccelerationsIntoCtx(nil, phi, acc, s)
 }
 
 // AccelerationsIntoCtx is AccelerationsInto with cancellation.
 func (a *Anderson) AccelerationsIntoCtx(ctx context.Context, phi []float64, acc []Vec3, s *System) error {
-	return runErr(func() error { return a.prepare(s) }, a.activeRec, func() error {
-		return a.solver.AccelerationsIntoCtx(ctx, phi, acc, s.Positions, s.Charges)
-	})
+	if acc == nil {
+		return errNilAcc
+	}
+	return a.solveInto(ctx, s, phi, acc)
 }
 
 // PotentialsAt evaluates the field of the system's charges at arbitrary
 // probe points inside the domain (no self-exclusion).
 func (a *Anderson) PotentialsAt(s *System, targets []Vec3) ([]float64, error) {
-	return run(func() error { return a.prepare(s) }, a.activeRec, func() ([]float64, error) {
-		return a.solver.PotentialsAt(s.Positions, s.Charges, targets)
+	var phi []float64
+	err := guard(a.activeRec, func() error { return a.prepare(s) }, func() (err error) {
+		phi, err = a.solver.PotentialsAt(s.Positions, s.Charges, targets)
+		return err
 	})
+	return phi, err
 }
 
 // Stats exposes the per-phase instrumentation of all solves so far.
@@ -286,15 +279,25 @@ func NewBarnesHut(box Box, theta float64) *BarnesHut {
 // Name identifies the solver in comparison tables.
 func (b *BarnesHut) Name() string { return "barnes-hut" }
 
+func (b *BarnesHut) solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error {
+	if acc != nil {
+		return errNoField(b)
+	}
+	return guard(nil, func() error { return ctxErr(ctx) }, func() error {
+		tr, err := bh.Build(b.box, s.Positions, s.Charges, b.cfg)
+		if err != nil {
+			return err
+		}
+		var p []float64
+		p, b.LastStats = tr.Potentials(b.cfg)
+		copy(phi, p)
+		return nil
+	})
+}
+
 // Potentials computes the potential at every particle.
 func (b *BarnesHut) Potentials(s *System) ([]float64, error) {
-	tr, err := bh.Build(b.box, s.Positions, s.Charges, b.cfg)
-	if err != nil {
-		return nil, err
-	}
-	phi, st := tr.Potentials(b.cfg)
-	b.LastStats = st
-	return phi, nil
+	return potentials(nil, b, s)
 }
 
 // Direct is the O(N^2) baseline solver.
@@ -306,9 +309,19 @@ func NewDirect() *Direct { return &Direct{} }
 // Name identifies the solver in comparison tables.
 func (Direct) Name() string { return "direct" }
 
+func (Direct) solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error {
+	return guard(nil, func() error { return ctxErr(ctx) }, func() error {
+		copy(phi, direct.PotentialsParallel(s.Positions, s.Charges))
+		if acc != nil {
+			copy(acc, direct.Accelerations(s.Positions, s.Charges))
+		}
+		return nil
+	})
+}
+
 // Potentials computes the exact potentials by direct summation.
 func (Direct) Potentials(s *System) ([]float64, error) {
-	return direct.PotentialsParallel(s.Positions, s.Charges), nil
+	return potentials(nil, Direct{}, s)
 }
 
 // Accelerations computes the exact accelerations by direct summation.
@@ -322,11 +335,85 @@ type Solver interface {
 	Potentials(*System) ([]float64, error)
 }
 
+// intoSolver is the one solve contract every 3-D solver of this package
+// implements, and the one a Resilient ladder drives. solveInto computes the
+// potentials of s into phi and, when acc is non-nil, the field +grad phi
+// into acc (each s.Len() long); a nil ctx means no cancellation. It validates
+// s, returns a panic as an *InternalError, and answers a field it cannot
+// compute with errRungUnsupported. Every public solve method is a call into
+// it; a Solver from outside the package reaches it through foreignSolver.
+type intoSolver interface {
+	Solver
+	solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error
+}
+
 var (
-	_ Solver = (*Anderson)(nil)
-	_ Solver = (*BarnesHut)(nil)
-	_ Solver = Direct{}
+	_ intoSolver = (*Anderson)(nil)
+	_ intoSolver = (*DataParallel)(nil)
+	_ intoSolver = (*BarnesHut)(nil)
+	_ intoSolver = Direct{}
+	_ intoSolver = (*Resilient)(nil)
 )
+
+// potentials and accelerations are the allocating forms of the contract:
+// fresh output slices, nil ones on error.
+func potentials(ctx context.Context, sv intoSolver, s *System) ([]float64, error) {
+	phi := make([]float64, s.Len())
+	if err := sv.solveInto(ctx, s, phi, nil); err != nil {
+		return nil, err
+	}
+	return phi, nil
+}
+
+func accelerations(ctx context.Context, sv intoSolver, s *System) ([]float64, []Vec3, error) {
+	phi, acc := make([]float64, s.Len()), make([]Vec3, s.Len())
+	if err := sv.solveInto(ctx, s, phi, acc); err != nil {
+		return nil, nil, err
+	}
+	return phi, acc, nil
+}
+
+// errNilAcc rejects a nil acc handed to an AccelerationsInto form, which the
+// contract would read as a potentials-only solve.
+var errNilAcc = errors.New("nbody: AccelerationsInto needs a non-nil acc")
+
+// errNoField is a solver's answer to a field it cannot compute; a Resilient
+// ladder skips such a rung without burning attempts.
+func errNoField(s Solver) error {
+	return fmt.Errorf("%w: %s cannot compute accelerations", errRungUnsupported, s.Name())
+}
+
+// foreignSolver adapts a Solver from outside this package to the contract
+// through its public methods: Potentials, and Accelerations when it is an
+// Accelerator (asserted once, at wrapping). Neither takes a context, so ctx
+// is checked once before the call; a panic the solver lets escape is
+// contained here.
+type foreignSolver struct {
+	Solver
+	accel Accelerator // nil: potentials only
+}
+
+func newForeignSolver(s Solver) foreignSolver {
+	a, _ := s.(Accelerator)
+	return foreignSolver{Solver: s, accel: a}
+}
+
+func (f foreignSolver) solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error {
+	if acc != nil && f.accel == nil {
+		return errNoField(f)
+	}
+	return guard(nil, func() error { return ctxErr(ctx) }, func() error {
+		if acc == nil {
+			p, err := f.Potentials(s)
+			copy(phi, p)
+			return err
+		}
+		p, g, err := f.accel.Accelerations(s)
+		copy(phi, p)
+		copy(acc, g)
+		return err
+	})
+}
 
 // DataParallel runs Anderson's method on the simulated CM-5-class machine
 // and reports the paper's efficiency metrics.
@@ -360,15 +447,16 @@ func NewDataParallel(nodes int, box Box, opts Options, strategy dpfmm.GhostStrat
 // Name identifies the solver in comparison tables.
 func (d *DataParallel) Name() string { return "anderson-dp" }
 
-// activeRec exposes the phase recorder for panic attribution.
-func (d *DataParallel) activeRec() *metrics.Rec { return d.Machine.Rec() }
+func (d *DataParallel) solveInto(ctx context.Context, s *System, phi []float64, acc []Vec3) error {
+	return guard(d.Machine.Rec, func() error { return s.Validate(d.box) }, func() error {
+		return d.Machine.Solve(ctx, s.Positions, s.Charges, phi, acc)
+	})
+}
 
 // Potentials solves on the simulated machine, under the same validation and
 // panic-containment contract as Anderson.Potentials.
 func (d *DataParallel) Potentials(s *System) ([]float64, error) {
-	return run(func() error { return s.Validate(d.box) }, d.activeRec, func() ([]float64, error) {
-		return d.Machine.Potentials(s.Positions, s.Charges)
-	})
+	return potentials(nil, d, s)
 }
 
 // PotentialsCtx is Potentials with cancellation. The simulated machine's
@@ -376,18 +464,12 @@ func (d *DataParallel) Potentials(s *System) ([]float64, error) {
 // observed between pipeline phases: the latency bound is one phase, not one
 // chunk.
 func (d *DataParallel) PotentialsCtx(ctx context.Context, s *System) ([]float64, error) {
-	return run(func() error { return s.Validate(d.box) }, d.activeRec, func() ([]float64, error) {
-		return d.Machine.PotentialsCtx(ctx, s.Positions, s.Charges)
-	})
+	return potentials(ctx, d, s)
 }
 
 // Accelerations computes potentials and fields on the simulated machine.
 func (d *DataParallel) Accelerations(s *System) ([]float64, []Vec3, error) {
-	r, err := run(func() error { return s.Validate(d.box) }, d.activeRec, func() (phiAcc, error) {
-		phi, acc, err := d.Machine.Accelerations(s.Positions, s.Charges)
-		return phiAcc{phi, acc}, err
-	})
-	return r.phi, r.acc, err
+	return accelerations(nil, d, s)
 }
 
 // Report assembles the Table 1 metrics of everything run so far.
@@ -450,23 +532,23 @@ func NewAnderson2D(box Box2D, opts Options2D) (*Anderson2D, error) {
 	return &Anderson2D{solver: s, box: box}, nil
 }
 
-// activeRec exposes the phase recorder for panic attribution.
-func (a *Anderson2D) activeRec() *metrics.Rec { return a.solver.Rec() }
-
 // Potentials computes phi_i = -sum q_j ln r_ij at every particle, under the
 // same validation and panic-containment contract as the 3-D solver.
 func (a *Anderson2D) Potentials(pos []Vec2, q []float64) ([]float64, error) {
-	return run(func() error { return validate2D(pos, q, a.box) }, a.activeRec, func() ([]float64, error) {
-		return a.solver.Potentials(pos, q)
-	})
+	return a.PotentialsCtx(nil, pos, q)
 }
 
 // PotentialsCtx is Potentials with cancellation: a canceled context aborts
 // between phases and within parallel sweeps, returning ctx.Err().
 func (a *Anderson2D) PotentialsCtx(ctx context.Context, pos []Vec2, q []float64) ([]float64, error) {
-	return run(func() error { return validate2D(pos, q, a.box) }, a.activeRec, func() ([]float64, error) {
-		return a.solver.PotentialsCtx(ctx, pos, q)
+	phi := make([]float64, len(pos))
+	err := guard(a.solver.Rec, func() error { return validate2D(pos, q, a.box) }, func() error {
+		return a.solver.Solve(ctx, pos, q, phi)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return phi, nil
 }
 
 // Stats exposes the 2-D solver's per-phase instrumentation.
