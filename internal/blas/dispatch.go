@@ -7,7 +7,8 @@ import "nbody/internal/simd"
 // one of the function pointers below, and applyBackend rebinds them when
 // internal/simd switches backends. The scalar bindings are the portable
 // fallback and the only ones on non-amd64 builds; the AVX2 bindings live in
-// gemm_avx2_amd64.go.
+// gemm_avx2_amd64.go and serve the avx512 backend too, which vectorizes only
+// the near-field pair kernels (internal/kernels).
 //
 // Reduction orders (the per-backend bitwise-reproducibility contract):
 //
@@ -36,7 +37,7 @@ func init() { simd.Register(applyBackend) }
 // a future backend this package predates, and the portable stream is the
 // correct degradation.
 func applyBackend(name string) {
-	if name == simd.AVX2 && haveAVX2 {
+	if (name == simd.AVX2 || name == simd.AVX512) && haveAVX2 {
 		bindAVX2()
 		return
 	}

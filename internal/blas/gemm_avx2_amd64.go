@@ -25,19 +25,18 @@ func rowsTAVX2(k, n, srcStride, dstStride int, tt, src, dst *float64)
 const haveAVX2 = true
 
 func bindAVX2() {
-	gemmK12Impl = func(m, n int, a, b, c []float64) {
-		gemmK12AVX2(m, n, &a[0], &b[0], &c[0])
-	}
-	gemmK72Impl = func(m, n int, a, b, c []float64) {
-		gemmK72AVX2(m, n, &a[0], &b[0], &c[0])
-	}
-	gemmImpl = func(m, k, n int, a, b, c []float64) {
-		dgemmAVX2(m, k, n, &a[0], &b[0], &c[0])
-	}
-	gemvImpl = func(rows, cols int, a, x, y []float64) {
-		dgemvAVX2(rows, cols, &a[0], &x[0], &y[0])
-	}
-	rowsTImpl = func(k, n, srcStride, dstStride int, tt, src, dst []float64) {
-		rowsTAVX2(k, n, srcStride, dstStride, &tt[0], &src[0], &dst[0])
-	}
+	gemmK12Impl = gemmK12Vec
+	gemmK72Impl = gemmK72Vec
+	gemmImpl = gemmVec
+	gemvImpl = gemvVec
+	rowsTImpl = rowsTVec
+}
+
+func gemmK12Vec(m, n int, a, b, c []float64)    { gemmK12AVX2(m, n, &a[0], &b[0], &c[0]) }
+func gemmK72Vec(m, n int, a, b, c []float64)    { gemmK72AVX2(m, n, &a[0], &b[0], &c[0]) }
+func gemmVec(m, k, n int, a, b, c []float64)    { dgemmAVX2(m, k, n, &a[0], &b[0], &c[0]) }
+func gemvVec(rows, cols int, a, x, y []float64) { dgemvAVX2(rows, cols, &a[0], &x[0], &y[0]) }
+
+func rowsTVec(k, n, srcStride, dstStride int, tt, src, dst []float64) {
+	rowsTAVX2(k, n, srcStride, dstStride, &tt[0], &src[0], &dst[0])
 }

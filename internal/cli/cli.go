@@ -22,7 +22,7 @@ const (
 	DistHelp     = "distribution: uniform|plummer|neutral"
 	AccuracyHelp = "anderson preset: fast|balanced|accurate"
 	StrategyHelp = "dp ghost strategy: direct-unaliased|linearized-unaliased|direct-aliased|linearized-aliased"
-	BackendHelp  = "compute backend: auto|scalar|avx2 (auto picks the fastest the CPU supports; default: NBODY_BACKEND, else auto)"
+	BackendHelp  = "compute backend: auto|scalar|avx2|avx512 (auto picks the fastest the CPU supports; default: NBODY_BACKEND, else auto)"
 )
 
 // backendNames is the flag-to-backend table for SetBackend. "auto" is the
@@ -31,6 +31,7 @@ var backendNames = map[string]string{
 	"auto":      simd.Auto,
 	simd.Scalar: simd.Scalar,
 	simd.AVX2:   simd.AVX2,
+	simd.AVX512: simd.AVX512,
 }
 
 // SetBackend applies the -backend flag: it validates the name against the

@@ -50,11 +50,18 @@ func TestSetBackend(t *testing.T) {
 		}
 	}
 
-	// Selecting avx2 explicitly must succeed exactly when the host supports
-	// it and fail loudly otherwise — never silently fall back.
-	err := SetBackend(simd.AVX2)
-	if supported := slices.Contains(simd.Supported(), simd.AVX2); supported != (err == nil) {
-		t.Errorf("SetBackend(avx2): err=%v with host support=%v", err, supported)
+	// Selecting a vector backend explicitly must activate it exactly when the
+	// host supports it and fail loudly otherwise — never silently fall back.
+	for _, be := range []string{simd.AVX2, simd.AVX512} {
+		before := simd.Active()
+		err := SetBackend(be)
+		supported := slices.Contains(simd.Supported(), be)
+		switch {
+		case supported && (err != nil || simd.Active() != be):
+			t.Errorf("SetBackend(%s): err=%v, active %q on a host that supports it", be, err, simd.Active())
+		case !supported && (err == nil || simd.Active() != before):
+			t.Errorf("SetBackend(%s): err=%v, active %q on a host without it", be, err, simd.Active())
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 // same matrices read one copy (sharedTranslationSet).
 type TranslationSet struct {
 	K int
-	M int
 
 	// T1[oct]: child (side 1) outer values -> contribution at parent (side
 	// 2) outer points.
@@ -64,7 +63,7 @@ func NewTranslationSet(cfg Config) *TranslationSet {
 	}
 	rule := cfg.Rule
 	k := rule.K()
-	ts := &TranslationSet{K: k, M: cfg.M}
+	ts := &TranslationSet{K: k}
 
 	// T1 and T3: child centers sit at (+-1/2, +-1/2, +-1/2) from the parent
 	// center in child-side units; child radius = Ratio, parent radius =

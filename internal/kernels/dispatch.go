@@ -31,18 +31,28 @@ import (
 //     guard is a compare mask that forces dead lanes to +0 before they
 //     reach an accumulator, so r == 0 sources contribute exactly nothing,
 //     same as the scalar `continue`.
+//   - avx512 (the two pair kernels only; the one-sided kernels keep their
+//     avx2 bodies): groups of eight, lane l holding j ≡ l (mod 8) from the
+//     call's first source, the last 1-7 sources one more group under a lane
+//     mask (no scalar tail), lanes combined as
+//     ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), fused as in avx2. inv is a
+//     VRSQRT14PD seed and two Newton steps (nf_avx512_amd64.s), zeroed on
+//     lanes whose r2 is ±0 or +Inf.
 //
-// PairwiseFusedSoA follows the same two orders for each of the target's four
+// PairwiseFusedSoA follows the same orders for each of the target's four
 // sums (potential and three field components), accumulated from zero and
 // added to the outputs once per target; a source's four accumulators take
-// their deposits in place, one per target, ascending i, on both backends.
-// Its avx2 body adds the potential terms q*inv unfused and fuses only the
+// their deposits in place, one per target, ascending i, on every backend.
+// Its vector bodies add the potential terms q*inv unfused and fuse only the
 // field updates f += w*d; the mask lands on inv itself, right after the
-// divide, so a dead lane's Inf never meets a multiply (0*Inf is NaN).
+// divide (or the Newton steps), so a dead lane's Inf never meets a multiply
+// (0*Inf is NaN).
 //
 // Within one backend repeated calls are bitwise identical; across backends
 // results differ by rounding only, bounded by kernels_simd_test.go and the
-// solver-level differential suite.
+// solver-level differential suite. The avx512 seed is the CPU's own
+// approximation, so avx512 bits are pinned per CPU, and across CPUs they
+// agree to that same bound.
 var (
 	accumulateForceImpl func(posA, accA, posB []geom.Vec3, qB []float64)                                     = accumulateForceScalar
 	accumPotSoAImpl     func(xs, ys, zs, phi, sx, sy, sz, sq []float64)                                      = accumPotSoAScalar
@@ -55,11 +65,15 @@ func init() { simd.Register(applyBackend) }
 // applyBackend rebinds the kernel seams for the named backend; unknown
 // names degrade to the portable scalar loops (see the blas twin for why).
 func applyBackend(name string) {
-	if name == simd.AVX2 && haveAVX2 {
+	switch {
+	case name == simd.AVX2 && haveAVX2:
 		bindAVX2()
-		return
+	case name == simd.AVX512 && haveAVX2:
+		bindAVX2()
+		bindAVX512()
+	default:
+		bindScalar()
 	}
-	bindScalar()
 }
 
 func bindScalar() {

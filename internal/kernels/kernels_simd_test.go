@@ -248,47 +248,134 @@ func TestNearFieldCoincidentExclusion(t *testing.T) {
 	}
 }
 
-// pairFusedOrder transcribes PairwiseFusedSoA's documented reduction order
-// for one backend (dispatch.go) with explicit math.FMA where the avx2 body
-// fuses and explicitly rounded products where it does not.
-func pairFusedOrder(be string, xs, ys, zs, qs []float64, a fusedSide, sx, sy, sz, sq []float64, b fusedSide) {
-	s4 := 0
-	if be == simd.AVX2 {
-		s4 = len(sx) &^ 3
+// vectorOrder is a vector backend's pair-kernel layout as the order pins
+// transcribe it (dispatch.go): sources in groups of width, lane l holding
+// j ≡ l (mod width) from the call's first source, the target's lanes
+// collapsed by hsum. The last partial group runs in the lanes under a mask
+// (masked) or through the scalar body. inv is the backend's per-pair
+// 1/sqrt(r2), +0 on a dead lane. The zero value is the scalar backend.
+type vectorOrder struct {
+	width  int
+	masked bool
+	inv    func(r2 float64) float64
+	hsum   func(l []float64) float64
+}
+
+func orderOf(be string) vectorOrder {
+	switch be {
+	case simd.AVX2:
+		return vectorOrder{4, false, invDivide, func(l []float64) float64 { return (l[0] + l[2]) + (l[1] + l[3]) }}
+	case simd.AVX512:
+		return vectorOrder{8, true, invNewton, func(l []float64) float64 {
+			return ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+		}}
 	}
+	return vectorOrder{}
+}
+
+// lanes is how many leading sources of scnt run in the vector lanes.
+func (o vectorOrder) lanes(scnt int) int {
+	switch {
+	case o.width == 0:
+		return 0
+	case o.masked:
+		return scnt
+	}
+	return scnt &^ (o.width - 1)
+}
+
+// invDivide is the avx2 inverse: square root, then divide, r2 == 0 masked.
+func invDivide(r2 float64) float64 {
+	if r2 == 0 {
+		return 0
+	}
+	return 1 / math.Sqrt(r2)
+}
+
+// invNewton is the avx512 inverse step for step: the host's own VRSQRT14PD
+// seed, then twice y += y*(1/2 - (h*y)*y) with h = r2/2, ±0 and +Inf
+// masked. The seed is the one input that is not IEEE arithmetic, so the
+// avx512 pins hold bitwise on the CPU that runs them; across CPUs avx512
+// results agree to the cross-backend bound, as backends do with each other.
+func invNewton(r2 float64) float64 {
+	if r2 == 0 || math.IsInf(r2, 1) {
+		return 0
+	}
+	y, h := rsqrt14(r2), float64(0.5*r2)
+	for range 2 {
+		y = math.FMA(y, math.FMA(-float64(h*y), y, 0.5), y)
+	}
+	return y
+}
+
+// pairPotOrder transcribes PairwisePotentialSoA's documented reduction order
+// for one backend: in the lanes both deposits fuse (acc += sq*inv,
+// sphi += qi*inv); the scalar body, or tail, rounds every operation and adds
+// its own sum to the target after the lanes'.
+func pairPotOrder(be string, xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64) {
+	o := orderOf(be)
+	vec := o.lanes(len(sx))
 	for i := range xs {
-		if s4 > 0 {
-			var p, fx, fy, fz [4]float64
-			for g := 0; g < s4; g += 4 {
-				for l := 0; l < 4; l++ {
-					j := g + l
-					dx, dy, dz := sx[j]-xs[i], sy[j]-ys[i], sz[j]-zs[i]
-					r2 := math.FMA(dz, dz, math.FMA(dy, dy, float64(dx*dx)))
-					inv := 0.0
-					if r2 != 0 {
-						inv = 1 / math.Sqrt(r2)
-					}
-					inv2 := float64(inv * inv)
-					tj, ti := float64(sq[j]*inv), float64(qs[i]*inv)
-					p[l] += tj
-					w, v := float64(tj*inv2), float64(ti*inv2)
-					fx[l] = math.FMA(w, dx, fx[l])
-					fy[l] = math.FMA(w, dy, fy[l])
-					fz[l] = math.FMA(w, dz, fz[l])
-					b.phi[j] += ti
-					b.gx[j] = math.FMA(-v, dx, b.gx[j])
-					b.gy[j] = math.FMA(-v, dy, b.gy[j])
-					b.gz[j] = math.FMA(-v, dz, b.gz[j])
-				}
+		if vec > 0 {
+			acc := make([]float64, o.width)
+			for j := 0; j < vec; j++ {
+				dx, dy, dz := xs[i]-sx[j], ys[i]-sy[j], zs[i]-sz[j]
+				inv := o.inv(math.FMA(dz, dz, math.FMA(dy, dy, float64(dx*dx))))
+				acc[j%o.width] = math.FMA(sq[j], inv, acc[j%o.width])
+				sphi[j] = math.FMA(qs[i], inv, sphi[j])
 			}
-			hsum := func(v [4]float64) float64 { return (v[0] + v[2]) + (v[1] + v[3]) }
-			a.phi[i] += hsum(p)
-			a.gx[i] += hsum(fx)
-			a.gy[i] += hsum(fy)
-			a.gz[i] += hsum(fz)
+			phi[i] += o.hsum(acc)
+		}
+		var acc float64
+		for j := vec; j < len(sx); j++ {
+			dx, dy, dz := xs[i]-sx[j], ys[i]-sy[j], zs[i]-sz[j]
+			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+			if r2 == 0 {
+				continue
+			}
+			inv := 1 / math.Sqrt(r2)
+			acc += float64(sq[j] * inv)
+			sphi[j] += float64(qs[i] * inv)
+		}
+		if vec < len(sx) {
+			phi[i] += acc
+		}
+	}
+}
+
+// pairFusedOrder transcribes PairwiseFusedSoA's documented reduction order
+// for one backend: in the lanes r2 and the six field updates fuse and the
+// two potential terms are added unfused; the scalar body, or tail, rounds
+// every operation and adds its own sums to the target after the lanes'.
+func pairFusedOrder(be string, xs, ys, zs, qs []float64, a fusedSide, sx, sy, sz, sq []float64, b fusedSide) {
+	o := orderOf(be)
+	vec := o.lanes(len(sx))
+	for i := range xs {
+		if vec > 0 {
+			p, fx, fy, fz := make([]float64, o.width), make([]float64, o.width), make([]float64, o.width), make([]float64, o.width)
+			for j := 0; j < vec; j++ {
+				l := j % o.width
+				dx, dy, dz := sx[j]-xs[i], sy[j]-ys[i], sz[j]-zs[i]
+				inv := o.inv(math.FMA(dz, dz, math.FMA(dy, dy, float64(dx*dx))))
+				inv2 := float64(inv * inv)
+				tj, ti := float64(sq[j]*inv), float64(qs[i]*inv)
+				p[l] += tj
+				w, v := float64(tj*inv2), float64(ti*inv2)
+				fx[l] = math.FMA(w, dx, fx[l])
+				fy[l] = math.FMA(w, dy, fy[l])
+				fz[l] = math.FMA(w, dz, fz[l])
+				b.phi[j] += ti
+				b.gx[j] = math.FMA(-v, dx, b.gx[j])
+				b.gy[j] = math.FMA(-v, dy, b.gy[j])
+				b.gz[j] = math.FMA(-v, dz, b.gz[j])
+			}
+			a.phi[i] += o.hsum(p)
+			a.gx[i] += o.hsum(fx)
+			a.gy[i] += o.hsum(fy)
+			a.gz[i] += o.hsum(fz)
 		}
 		var p, fx, fy, fz float64
-		for j := s4; j < len(sx); j++ {
+		for j := vec; j < len(sx); j++ {
 			dx, dy, dz := sx[j]-xs[i], sy[j]-ys[i], sz[j]-zs[i]
 			r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 			if r2 == 0 {
@@ -307,7 +394,7 @@ func pairFusedOrder(be string, xs, ys, zs, qs []float64, a fusedSide, sx, sy, sz
 			b.gy[j] -= float64(v * dy)
 			b.gz[j] -= float64(v * dz)
 		}
-		if s4 < len(sx) {
+		if vec < len(sx) {
 			a.phi[i] += p
 			a.gx[i] += fx
 			a.gy[i] += fy
@@ -316,33 +403,132 @@ func pairFusedOrder(be string, xs, ys, zs, qs []float64, a fusedSide, sx, sy, sz
 	}
 }
 
+// orderCounts are the order pins' source counts: below, at and above both
+// vector widths, with every tail length of the avx2 scalar tail and of the
+// avx512 masked group.
+var orderCounts = []int{1, 3, 4, 5, 7, 8, 9, 64, 67}
+
+// orderCase draws a pin's two particle sets, nine targets against scnt
+// sources, with one dead lane among live ones: a source coincident with a
+// target.
+func orderCase(rng *rand.Rand, scnt int) (xs, ys, zs, qs, sx, sy, sz, sq []float64) {
+	const cnt = 9
+	xs, ys, zs, qs = cloud(rng, cnt)
+	sx, sy, sz, sq = cloud(rng, scnt)
+	sx[scnt/2], sy[scnt/2], sz[scnt/2] = xs[cnt/2], ys[cnt/2], zs[cnt/2]
+	return
+}
+
+func requireSameBits(t *testing.T, scnt int, side string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("scnt=%d %s element %d: got %v, the documented order gives %v", scnt, side, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPairwisePotentialOrderExact pins the potential pair kernel's reduction
+// order on every backend, bit for bit and on both sides.
+func TestPairwisePotentialOrderExact(t *testing.T) {
+	for _, be := range simd.Supported() {
+		t.Run(be, func(t *testing.T) {
+			withBackend(t, be, func() {
+				rng := rand.New(rand.NewSource(30))
+				fill := func(int) float64 { return rng.NormFloat64() }
+				for _, scnt := range orderCounts {
+					xs, ys, zs, qs, sx, sy, sz, sq := orderCase(rng, scnt)
+					phi, sphi := poisoned(len(xs), fill), poisoned(scnt, fill)
+					wphi, wsphi := append([]float64(nil), phi...), append([]float64(nil), sphi...)
+					PairwisePotentialSoA(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi)
+					pairPotOrder(be, xs, ys, zs, qs, wphi, sx, sy, sz, sq, wsphi)
+					requireSameBits(t, scnt, "target", phi, wphi)
+					requireSameBits(t, scnt, "source", sphi, wsphi)
+				}
+			})
+		})
+	}
+}
+
 // TestPairwiseFusedOrderExact pins the fused pair kernel's reduction order on
-// every backend, bit for bit and on both sides, across source counts on
-// both sides of the vector width and with a tail of every length.
+// every backend, bit for bit and on both sides.
 func TestPairwiseFusedOrderExact(t *testing.T) {
 	for _, be := range simd.Supported() {
 		t.Run(be, func(t *testing.T) {
 			withBackend(t, be, func() {
 				rng := rand.New(rand.NewSource(28))
-				for _, scnt := range []int{1, 3, 4, 5, 64, 67} {
-					const cnt = 9
-					xs, ys, zs, qs := cloud(rng, cnt)
-					sx, sy, sz, sq := cloud(rng, scnt)
-					sx[scnt/2], sy[scnt/2], sz[scnt/2] = xs[cnt/2], ys[cnt/2], zs[cnt/2] // one dead lane among live ones
-					a, b := newFusedSide(rng, cnt), newFusedSide(rng, scnt)
+				for _, scnt := range orderCounts {
+					xs, ys, zs, qs, sx, sy, sz, sq := orderCase(rng, scnt)
+					a, b := newFusedSide(rng, len(xs)), newFusedSide(rng, scnt)
 					wa, wb := a.clone(), b.clone()
 					PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz, sq, b.phi, b.gx, b.gy, b.gz)
 					pairFusedOrder(be, xs, ys, zs, qs, wa, sx, sy, sz, sq, wb)
-					for side, c := range [][2][]float64{{a.flat(), wa.flat()}, {b.flat(), wb.flat()}} {
-						for i := range c[1] {
-							if c[0][i] != c[1][i] {
-								t.Fatalf("scnt=%d side %d element %d: got %v, the documented order gives %v",
-									scnt, side, i, c[0][i], c[1][i])
+					requireSameBits(t, scnt, "target", a.flat(), wa.flat())
+					requireSameBits(t, scnt, "source", b.flat(), wb.flat())
+				}
+			})
+		})
+	}
+}
+
+// pairOutputs runs both pair kernels under backend be on zeroed outputs and
+// returns what the target and the sources received, both kernels' end to end.
+func pairOutputs(t *testing.T, be string, xs, ys, zs, qs, sx, sy, sz, sq []float64) (out [2][]float64) {
+	zero := func(n int) fusedSide {
+		return fusedSide{make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
+	}
+	withBackend(t, be, func() {
+		phi, sphi := make([]float64, len(xs)), make([]float64, len(sx))
+		PairwisePotentialSoA(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi)
+		a, b := zero(len(xs)), zero(len(sx))
+		PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz, sq, b.phi, b.gx, b.gy, b.gz)
+		out = [2][]float64{append(phi, a.flat()...), append(sphi, b.flat()...)}
+	})
+	return out
+}
+
+// TestPairKernelsExtremeSeparations holds both pair kernels on every backend
+// to the scalar body at separations across the double range, each pair alone
+// (the masked group on avx512) and eight at once at the same distance (a
+// whole group): tiny r2 (subnormal below d ~ 1.5e-154, where a Newton step
+// ordered y*y would overflow), huge r2, r2 = +Inf (d = 1e155: the scalar's
+// exact zero on both sides) and a NaN coordinate (NaN on both sides).
+func TestPairKernelsExtremeSeparations(t *testing.T) {
+	dirs := [8][3]float64{{1, 0, 0}, {0, -1, 0}, {0, 0, 1}, {-1, 0, 0}, {0, 1, 0}, {0, 0, -1}, {0.6, 0.8, 0}, {0, -0.6, 0.8}}
+	agree := func(got, want float64) bool {
+		switch {
+		case math.IsNaN(want) || math.IsInf(want, 0):
+			return math.IsNaN(got) == math.IsNaN(want) && (math.IsNaN(got) || got == want)
+		default:
+			return math.Abs(got-want) <= 1e-12*math.Abs(want)
+		}
+	}
+	for _, be := range simd.Supported() {
+		t.Run(be, func(t *testing.T) {
+			for _, d := range []float64{1e-160, 1e-155, 1e-100, 1, 1e100, 1e154, 1e155, math.NaN()} {
+				for _, scnt := range []int{1, 8} {
+					xs, ys, zs, qs := []float64{0.5 * d}, []float64{0}, []float64{0}, []float64{1.25}
+					sx, sy, sz, sq := make([]float64, scnt), make([]float64, scnt), make([]float64, scnt), make([]float64, scnt)
+					for j := range sx {
+						sx[j], sy[j], sz[j], sq[j] = xs[0]+d*dirs[j][0], d*dirs[j][1], d*dirs[j][2], 0.75-0.125*float64(j)
+					}
+					got, want := pairOutputs(t, be, xs, ys, zs, qs, sx, sy, sz, sq), pairOutputs(t, simd.Scalar, xs, ys, zs, qs, sx, sy, sz, sq)
+					for side := range got {
+						for i, w := range want[side] {
+							g := got[side][i]
+							if d == 1e155 && (g != 0 || w != 0) {
+								t.Fatalf("d=%g scnt=%d side %d element %d: %v (scalar %v), want an exact zero", d, scnt, side, i, g, w)
+							}
+							if math.IsNaN(d) && !(math.IsNaN(g) && math.IsNaN(w)) {
+								t.Fatalf("d=NaN scnt=%d side %d element %d: %v (scalar %v), want NaN", scnt, side, i, g, w)
+							}
+							if !agree(g, w) {
+								t.Fatalf("d=%g scnt=%d side %d element %d: %v, scalar %v", d, scnt, side, i, g, w)
 							}
 						}
 					}
 				}
-			})
+			}
 		})
 	}
 }

@@ -73,7 +73,7 @@ type Plan struct {
 	// Depth is the hierarchy depth (>= 2).
 	Depth int
 	// K is the per-box integration-point count the accuracy preset resolves
-	// to (the paper's K: 12 for fast, 26 for balanced, 98 for accurate).
+	// to (AccuracyK: 12 for fast, 50 for balanced, 98 for accurate).
 	K int
 	// Supernodes enables the 875 -> 189 interactive-field reduction.
 	Supernodes bool

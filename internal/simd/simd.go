@@ -28,6 +28,7 @@ import (
 const (
 	Scalar = "scalar"
 	AVX2   = "avx2"
+	AVX512 = "avx512"
 	Auto   = "auto"
 )
 
@@ -41,6 +42,7 @@ var backends = []struct {
 }{
 	{Scalar, func() bool { return true }},
 	{AVX2, func() bool { return hasAVX2FMA }},
+	{AVX512, func() bool { return hasAVX512 }},
 }
 
 var (
