@@ -44,10 +44,27 @@ type nearJob struct {
 // row and the row one offset up, whose parity is the other one: no two jobs
 // of a round touch a common row. Rounds left without a job by a small grid
 // are dropped.
+//
+// A round lists its rows y-major, odd y and then even y, each ascending,
+// with z ascending within each y. The pool claims jobs in list order, so
+// neighbours in the list run together: listed z-major they would be rows y
+// and y+1, whose mirror ranges share a cache line that the fused kernel
+// rewrites once per target, and whose sweeps run into each other
+// (nearSplit). Listed this way neighbours are a z-plane apart, or two y
+// apart in different z-planes. Of the y orders tried, it slowed no round
+// of the Plummer shape and sped up the most (EXPERIMENTS.md).
 func buildNearRounds(n, d int) []nearRound {
+	var ys []int
+	for parity := 1; parity >= 0; parity-- {
+		for y := parity; y < n; y += 2 {
+			ys = append(ys, y)
+		}
+	}
 	own := nearRound{}
-	for r := 0; r < n*n; r++ {
-		own.rows = append(own.rows, int32(r))
+	for _, y := range ys {
+		for z := 0; z < n; z++ {
+			own.rows = append(own.rows, int32(z*n+y))
+		}
 	}
 	rounds := []nearRound{own}
 	for dz := 0; dz <= d; dz++ {
@@ -57,8 +74,11 @@ func buildNearRounds(n, d int) []nearRound {
 			}
 			for parity := 0; parity < 2; parity++ {
 				r := nearRound{off: dz*n + dy}
-				for z := 0; z+dz < n; z++ {
-					for y := max(0, -dy); y < min(n, n-dy); y++ {
+				for _, y := range ys {
+					if y < -dy || y >= n-dy {
+						continue
+					}
+					for z := 0; z+dz < n; z++ {
 						if (dz > 0 && z/dz%2 == parity) || (dz == 0 && y/dy%2 == parity) {
 							r.rows = append(r.rows, int32(z*n+y))
 						}

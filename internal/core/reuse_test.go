@@ -4,7 +4,53 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestMirrorPlanesStaggered pins the layout of the eight box-sorted mirror
+// planes (DESIGN.md §5 has why): one allocation carved at a stride of N
+// rounded up to 512 doubles plus 64, so that their starts are pairwise at
+// least 256 B apart mod 4 KiB, and a second solve at the same N runs on the
+// same planes.
+func TestMirrorPlanesStaggered(t *testing.T) {
+	for _, np := range []int{1, 100, 512, 4096} {
+		pos, q := uniformParticles(rand.New(rand.NewSource(88)), np)
+		s, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts := func() (a [8]uintptr) {
+			for k, p := range [][]float64{s.xs, s.ys, s.zs, s.qS, s.phiS, s.gx, s.gy, s.gz} {
+				if len(p) != np {
+					t.Fatalf("N=%d: plane %d holds %d elements", np, k, len(p))
+				}
+				a[k] = uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+			}
+			return a
+		}
+		if _, _, err := accelerations(s, pos, q); err != nil {
+			t.Fatal(err)
+		}
+		first := starts()
+		stride := uintptr(8 * ((np+511)&^511 + 64))
+		for k, a := range first {
+			if a != first[0]+uintptr(k)*stride {
+				t.Errorf("N=%d: plane %d starts %d B after plane 0, want %d: not carved from one allocation", np, k, a-first[0], uintptr(k)*stride)
+			}
+			for j := range k {
+				if d := (a - first[j]) % 4096; min(d, 4096-d) < 256 {
+					t.Errorf("N=%d: planes %d and %d start %d B apart mod 4 KiB", np, j, k, min(d, 4096-d))
+				}
+			}
+		}
+		if _, _, err := accelerations(s, pos, q); err != nil {
+			t.Fatal(err)
+		}
+		if starts() != first {
+			t.Errorf("N=%d: a second solve moved the mirror planes", np)
+		}
+	}
+}
 
 // TestRepeatedSolvesBitwiseIdentical guards the Solver reuse contract:
 // with all traversal plans, expansion grids, and scratch hoisted into the

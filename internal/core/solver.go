@@ -234,8 +234,18 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
 	if cap(s.boxOf) < np {
 		s.boxOf = make([]int32, np)
 		s.part.Perm = make([]int, np)
-		for _, plane := range []*[]float64{&s.xs, &s.ys, &s.zs, &s.qS, &s.phiS, &s.gx, &s.gy, &s.gz} {
-			*plane = make([]float64, np)
+		// One allocation for the eight mirror planes, at a stride of np
+		// rounded up to 4 KiB plus 512 B: plane k starts k*512 B mod 4 KiB.
+		// Separate page-aligned planes of a 4 KiB multiple all end on a page
+		// boundary, where the grid's last box sits, and the avx512 kernels'
+		// masked last group of sources then stores across the page — about
+		// ten times slower per call (DESIGN.md §5). Staggered, only xs, which
+		// no kernel stores to, can end there, and no load from one plane
+		// 4K-aliases a pending store to another at the same index.
+		stride := (np+511)&^511 + 64
+		buf := make([]float64, 8*stride)
+		for k, plane := range []*[]float64{&s.xs, &s.ys, &s.zs, &s.qS, &s.phiS, &s.gx, &s.gy, &s.gz} {
+			*plane = buf[k*stride : k*stride+np : k*stride+np]
 		}
 	}
 	s.boxOf = s.boxOf[:np]

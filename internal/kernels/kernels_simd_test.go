@@ -408,22 +408,26 @@ func pairFusedOrder(be string, xs, ys, zs, qs []float64, a fusedSide, sx, sy, sz
 // avx512 masked group.
 var orderCounts = []int{1, 3, 4, 5, 7, 8, 9, 64, 67}
 
-// orderCase draws a pin's two particle sets, nine targets against scnt
+// orderTargets are the order pins' target counts: a lone target, and pairs
+// of targets with and without an odd last one (the avx512 fused body takes
+// targets two at a time).
+var orderTargets = []int{1, 2, 3, 9}
+
+// orderCase draws a pin's two particle sets, cnt targets against scnt
 // sources, with one dead lane among live ones: a source coincident with a
 // target.
-func orderCase(rng *rand.Rand, scnt int) (xs, ys, zs, qs, sx, sy, sz, sq []float64) {
-	const cnt = 9
+func orderCase(rng *rand.Rand, cnt, scnt int) (xs, ys, zs, qs, sx, sy, sz, sq []float64) {
 	xs, ys, zs, qs = cloud(rng, cnt)
 	sx, sy, sz, sq = cloud(rng, scnt)
 	sx[scnt/2], sy[scnt/2], sz[scnt/2] = xs[cnt/2], ys[cnt/2], zs[cnt/2]
 	return
 }
 
-func requireSameBits(t *testing.T, scnt int, side string, got, want []float64) {
+func requireSameBits(t *testing.T, cnt, scnt int, side string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("scnt=%d %s element %d: got %v, the documented order gives %v", scnt, side, i, got[i], want[i])
+			t.Fatalf("cnt=%d scnt=%d %s element %d: got %v, the documented order gives %v", cnt, scnt, side, i, got[i], want[i])
 		}
 	}
 }
@@ -436,14 +440,16 @@ func TestPairwisePotentialOrderExact(t *testing.T) {
 			withBackend(t, be, func() {
 				rng := rand.New(rand.NewSource(30))
 				fill := func(int) float64 { return rng.NormFloat64() }
-				for _, scnt := range orderCounts {
-					xs, ys, zs, qs, sx, sy, sz, sq := orderCase(rng, scnt)
-					phi, sphi := poisoned(len(xs), fill), poisoned(scnt, fill)
-					wphi, wsphi := append([]float64(nil), phi...), append([]float64(nil), sphi...)
-					PairwisePotentialSoA(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi)
-					pairPotOrder(be, xs, ys, zs, qs, wphi, sx, sy, sz, sq, wsphi)
-					requireSameBits(t, scnt, "target", phi, wphi)
-					requireSameBits(t, scnt, "source", sphi, wsphi)
+				for _, cnt := range orderTargets {
+					for _, scnt := range orderCounts {
+						xs, ys, zs, qs, sx, sy, sz, sq := orderCase(rng, cnt, scnt)
+						phi, sphi := poisoned(cnt, fill), poisoned(scnt, fill)
+						wphi, wsphi := append([]float64(nil), phi...), append([]float64(nil), sphi...)
+						PairwisePotentialSoA(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi)
+						pairPotOrder(be, xs, ys, zs, qs, wphi, sx, sy, sz, sq, wsphi)
+						requireSameBits(t, cnt, scnt, "target", phi, wphi)
+						requireSameBits(t, cnt, scnt, "source", sphi, wsphi)
+					}
 				}
 			})
 		})
@@ -457,14 +463,16 @@ func TestPairwiseFusedOrderExact(t *testing.T) {
 		t.Run(be, func(t *testing.T) {
 			withBackend(t, be, func() {
 				rng := rand.New(rand.NewSource(28))
-				for _, scnt := range orderCounts {
-					xs, ys, zs, qs, sx, sy, sz, sq := orderCase(rng, scnt)
-					a, b := newFusedSide(rng, len(xs)), newFusedSide(rng, scnt)
-					wa, wb := a.clone(), b.clone()
-					PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz, sq, b.phi, b.gx, b.gy, b.gz)
-					pairFusedOrder(be, xs, ys, zs, qs, wa, sx, sy, sz, sq, wb)
-					requireSameBits(t, scnt, "target", a.flat(), wa.flat())
-					requireSameBits(t, scnt, "source", b.flat(), wb.flat())
+				for _, cnt := range orderTargets {
+					for _, scnt := range orderCounts {
+						xs, ys, zs, qs, sx, sy, sz, sq := orderCase(rng, cnt, scnt)
+						a, b := newFusedSide(rng, cnt), newFusedSide(rng, scnt)
+						wa, wb := a.clone(), b.clone()
+						PairwiseFusedSoA(xs, ys, zs, qs, a.phi, a.gx, a.gy, a.gz, sx, sy, sz, sq, b.phi, b.gx, b.gy, b.gz)
+						pairFusedOrder(be, xs, ys, zs, qs, wa, sx, sy, sz, sq, wb)
+						requireSameBits(t, cnt, scnt, "target", a.flat(), wa.flat())
+						requireSameBits(t, cnt, scnt, "source", b.flat(), wb.flat())
+					}
 				}
 			})
 		})
@@ -594,34 +602,58 @@ func benchSoA(b *testing.B, cnt int) {
 
 func BenchmarkAccumulatePotentialSoA64(b *testing.B) { benchSoA(b, 64) }
 
-// benchPair times a symmetric pair kernel on two cnt-particle sets: 64 is a
-// few sparse boxes' run, 940 one crowded Plummer box against another.
-// Mpairs/s counts each pair once, although it is deposited twice.
-func benchPair(b *testing.B, cnt int, fused bool) {
+// benchPair times a symmetric pair kernel on cnt targets against scnt
+// sources carved the way core.Solver.prepare carves its mirrors: eight
+// planes of one allocation, each cnt+scnt rounded up to 512 long (4 KiB),
+// the targets at the start and the sources at the end, where the solver
+// keeps the grid's last box. "congruent" puts the planes 4 KiB multiples
+// apart, as separate page-aligned allocations are: every plane ends on a
+// page boundary, so a masked last group of sources runs its dead lanes onto
+// the next page. "staggered" adds the solver's 512 B per plane. The shapes
+// are the Plummer solve's: 64 a few sparse boxes' run, 940 a crowded box,
+// 1880 a crowded box's window of its neighbour row, 2 and 40 the thin
+// calls of its light rounds. Mpairs/s counts each pair once, although it is
+// deposited twice.
+func benchPair(b *testing.B, cnt, scnt int, fused bool) {
 	for _, be := range simd.Supported() {
-		b.Run(be, func(b *testing.B) {
-			withBackend(b, be, func() {
-				rng := rand.New(rand.NewSource(27))
-				xs, ys, zs, qs := cloud(rng, cnt)
-				sx, sy, sz, sq := cloud(rng, cnt)
-				z := func() []float64 { return make([]float64, cnt) }
-				t, s := fusedSide{z(), z(), z(), z()}, fusedSide{z(), z(), z(), z()}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if fused {
-						PairwiseFusedSoA(xs, ys, zs, qs, t.phi, t.gx, t.gy, t.gz, sx, sy, sz, sq, s.phi, s.gx, s.gy, s.gz)
-					} else {
-						PairwisePotentialSoA(xs, ys, zs, qs, t.phi, sx, sy, sz, sq, s.phi)
+		for _, layout := range []string{"congruent", "staggered"} {
+			b.Run(be+"/"+layout, func(b *testing.B) {
+				withBackend(b, be, func() {
+					np := (cnt + scnt + 511) &^ 511
+					stride := np
+					if layout == "staggered" {
+						stride += 64
 					}
-				}
-				pairs := float64(cnt) * float64(cnt) * float64(b.N)
-				b.ReportMetric(pairs/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+					buf := make([]float64, 8*stride)
+					rng := rand.New(rand.NewSource(27))
+					for i := range buf[:4*stride] {
+						buf[i] = rng.NormFloat64()
+					}
+					var t, s [8][]float64
+					for k := range t {
+						p := buf[k*stride : k*stride+np]
+						t[k], s[k] = p[:cnt], p[np-scnt:]
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if fused {
+							PairwiseFusedSoA(t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+						} else {
+							PairwisePotentialSoA(t[0], t[1], t[2], t[3], t[4], s[0], s[1], s[2], s[3], s[4])
+						}
+					}
+					pairs := float64(cnt) * float64(scnt) * float64(b.N)
+					b.ReportMetric(pairs/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+				})
 			})
-		})
+		}
 	}
 }
 
-func BenchmarkPairwisePotentialSoA64(b *testing.B)  { benchPair(b, 64, false) }
-func BenchmarkPairwisePotentialSoA940(b *testing.B) { benchPair(b, 940, false) }
-func BenchmarkPairwiseFusedSoA64(b *testing.B)      { benchPair(b, 64, true) }
-func BenchmarkPairwiseFusedSoA940(b *testing.B)     { benchPair(b, 940, true) }
+func BenchmarkPairwisePotentialSoA64(b *testing.B)   { benchPair(b, 64, 64, false) }
+func BenchmarkPairwisePotentialSoA940(b *testing.B)  { benchPair(b, 940, 940, false) }
+func BenchmarkPairwiseFusedSoA64(b *testing.B)       { benchPair(b, 64, 64, true) }
+func BenchmarkPairwiseFusedSoA940(b *testing.B)      { benchPair(b, 940, 940, true) }
+func BenchmarkPairwiseFusedSoA940x1880(b *testing.B) { benchPair(b, 940, 1880, true) }
+func BenchmarkPairwiseFusedSoA940x2(b *testing.B)    { benchPair(b, 940, 2, true) }
+func BenchmarkPairwiseFusedSoA8x40(b *testing.B)     { benchPair(b, 8, 40, true) }

@@ -149,48 +149,77 @@ ppdone:
 	VZEROUPPER
 	RET
 
-// FUSEDGROUP is one group of PairwiseFusedSoA, at BX and under K as in
-// POTGROUP, d = source - target: the target sums p += tj and
-// f += (tj*inv2)*d, source j takes sphi += ti and sg -= (ti*inv2)*d, with
-// tj = sq*inv, ti = qi*inv, inv2 = inv*inv — the potential terms unfused,
-// the field updates fused, as in the avx2 body.
-#define FUSEDGROUP(LOAD, STORE, K) \
-	LOAD((R8)(BX*1), K, Z8)    \
-	VSUBPD       Z4, Z8, Z8    \
-	LOAD((R9)(BX*1), K, Z9)    \
-	VSUBPD       Z5, Z9, Z9    \
-	LOAD((R10)(BX*1), K, Z10)  \
-	VSUBPD       Z6, Z10, Z10  \
+// SRCLOAD loads the group of sources at BX for PairwiseFusedSoA, K masking
+// the lanes as in POTGROUP: positions and charges into Z24-Z27, their
+// accumulators sphi, sgx, sgy, sgz into Z28-Z31. SRCSTORE writes the
+// accumulators back.
+#define SRCLOAD(LOAD, K)          \
+	LOAD((R8)(BX*1), K, Z24)  \
+	LOAD((R9)(BX*1), K, Z25)  \
+	LOAD((R10)(BX*1), K, Z26) \
+	LOAD((R11)(BX*1), K, Z27) \
+	LOAD((R12)(BX*1), K, Z28) \
+	LOAD((R13)(BX*1), K, Z29) \
+	LOAD((R14)(BX*1), K, Z30) \
+	LOAD((R15)(BX*1), K, Z31)
+
+#define SRCSTORE(STORE, K)         \
+	STORE(Z28, K, (R12)(BX*1)) \
+	STORE(Z29, K, (R13)(BX*1)) \
+	STORE(Z30, K, (R14)(BX*1)) \
+	STORE(Z31, K, (R15)(BX*1))
+
+// FUSEDT is one target's deposit on the loaded group, K masking the lanes:
+// with the target broadcast in X, Y, Z, Q and d = source - target, the
+// target sums P += tj and F += (tj*inv2)*d, the sources take sphi += ti and
+// sg -= (ti*inv2)*d, with tj = sq*inv, ti = Q*inv, inv2 = inv*inv — the
+// potential terms unfused, the field updates fused, as in the avx2 body.
+#define FUSEDT(X, Y, Z, Q, P, FX, FY, FZ, K) \
+	VSUBPD       X, Z24, Z8    \
+	VSUBPD       Y, Z25, Z9    \
+	VSUBPD       Z, Z26, Z10   \
 	VMULPD       Z8, Z8, Z11   \
 	VFMADD231PD  Z9, Z9, Z11   \
 	VFMADD231PD  Z10, Z10, Z11 \
 	LIVE(Z11, K, K2)           \
 	RSQRT2(Z11, Z12, Z13, K2)  \
 	VMULPD       Z12, Z12, Z11 \
-	LOAD((R11)(BX*1), K, Z13)  \
-	VMULPD       Z12, Z13, Z13 \
-	VADDPD       Z13, Z0, Z0   \
+	VMULPD       Z12, Z27, Z13 \
+	VADDPD       Z13, P, P     \
 	VMULPD       Z11, Z13, Z13 \
-	VFMADD231PD  Z8, Z13, Z1   \
-	VFMADD231PD  Z9, Z13, Z2   \
-	VFMADD231PD  Z10, Z13, Z3  \
-	VMULPD       Z7, Z12, Z14  \
-	LOAD((R12)(BX*1), K, Z13)  \
-	VADDPD       Z14, Z13, Z13 \
-	STORE(Z13, K, (R12)(BX*1)) \
+	VFMADD231PD  Z8, Z13, FX   \
+	VFMADD231PD  Z9, Z13, FY   \
+	VFMADD231PD  Z10, Z13, FZ  \
+	VMULPD       Q, Z12, Z14   \
+	VADDPD       Z14, Z28, Z28 \
 	VMULPD       Z11, Z14, Z14 \
-	LOAD((R13)(BX*1), K, Z13)  \
-	VFNMADD231PD Z8, Z14, Z13  \
-	STORE(Z13, K, (R13)(BX*1)) \
-	LOAD((R14)(BX*1), K, Z13)  \
-	VFNMADD231PD Z9, Z14, Z13  \
-	STORE(Z13, K, (R14)(BX*1)) \
-	LOAD((R15)(BX*1), K, Z13)  \
-	VFNMADD231PD Z10, Z14, Z13 \
-	STORE(Z13, K, (R15)(BX*1))
+	VFNMADD231PD Z8, Z14, Z29  \
+	VFNMADD231PD Z9, Z14, Z30  \
+	VFNMADD231PD Z10, Z14, Z31
+
+// TBCAST broadcasts element AX+OFF/8 of the target plane at PTR into R;
+// TSUM collapses the sums Zv (HSUM8) and adds them to element AX+OFF/8 of
+// the plane at PTR. Both clobber DX.
+#define TBCAST(PTR, OFF, R) \
+	MOVQ         PTR, DX \
+	VBROADCASTSD OFF(DX)(AX*8), R
+
+#define TSUM(Zv, Yv, Xv, PTR, OFF)   \
+	HSUM8(Zv, Yv, Xv, Y13, X13)  \
+	MOVQ   PTR, DX               \
+	VADDSD OFF(DX)(AX*8), Xv, Xv \
+	VMOVSD Xv, OFF(DX)(AX*8)
 
 // func pairFusedSoAAVX512(xs, ys, zs, qs, phi, gx, gy, gz *float64, cnt int, sx, sy, sz, sq, sphi, sgx, sgy, sgz *float64, scnt int)
 // Symmetric SoA potential + field from one inv = 1/sqrt(r2).
+//
+// Targets go two at a time, t in Z4-Z7 summing into Z0-Z3 and t+1 in
+// Z20-Z23 summing into Z16-Z19, so each group of sources is loaded and its
+// accumulators stored once per pair of targets. Each source still takes
+// t's deposit before t+1's, and each target still sums lane l over the
+// sources j ≡ l (mod 8), so the bits are the one-target order's. An odd
+// last target runs alone. HSUM8 ends in VHADDPD, which is VEX-only and
+// cannot read Z16 and up, so t+1's sums move to Z0-Z3 before the collapse.
 TEXT ·pairFusedSoAAVX512(SB), NOSPLIT, $0-144
 	MOVQ         cnt+64(FP), SI
 	MOVQ         sx+72(FP), R8
@@ -208,54 +237,97 @@ TEXT ·pairFusedSoAAVX512(SB), NOSPLIT, $0-144
 	XORQ         AX, AX
 
 pfi:
-	CMPQ         AX, SI
-	JGE          pfdone
-	MOVQ         xs+0(FP), DX
-	VBROADCASTSD (DX)(AX*8), Z4
-	MOVQ         ys+8(FP), DX
-	VBROADCASTSD (DX)(AX*8), Z5
-	MOVQ         zs+16(FP), DX
-	VBROADCASTSD (DX)(AX*8), Z6
-	MOVQ         qs+24(FP), DX
-	VBROADCASTSD (DX)(AX*8), Z7 // qi
-	VXORPD       Z0, Z0, Z0     // p
-	VXORPD       Z1, Z1, Z1     // fx
-	VXORPD       Z2, Z2, Z2     // fy
-	VXORPD       Z3, Z3, Z3     // fz
-	XORQ         BX, BX
-	CMPQ         BX, CX
-	JGE          pftail
+	MOVQ   SI, DX
+	SUBQ   AX, DX
+	CMPQ   DX, $1
+	JLT    pfdone
+	JEQ    pf1
+	TBCAST(xs+0(FP), 0, Z4)
+	TBCAST(ys+8(FP), 0, Z5)
+	TBCAST(zs+16(FP), 0, Z6)
+	TBCAST(qs+24(FP), 0, Z7)
+	TBCAST(xs+0(FP), 8, Z20)
+	TBCAST(ys+8(FP), 8, Z21)
+	TBCAST(zs+16(FP), 8, Z22)
+	TBCAST(qs+24(FP), 8, Z23)
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	VXORPD Z16, Z16, Z16
+	VXORPD Z17, Z17, Z17
+	VXORPD Z18, Z18, Z18
+	VXORPD Z19, Z19, Z19
+	XORQ   BX, BX
+	CMPQ   BX, CX
+	JGE    pf2tail
 
-pfj:
-	FUSEDGROUP(LOADW, STOREW, K3)
+pf2j:
+	SRCLOAD(LOADW, K3)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K3)
+	FUSEDT(Z20, Z21, Z22, Z23, Z16, Z17, Z18, Z19, K3)
+	SRCSTORE(STOREW, K3)
 	ADDQ $64, BX
 	CMPQ BX, CX
-	JLT  pfj
+	JLT  pf2j
 
-pftail:
+pf2tail:
 	KORTESTB K1, K1
-	JZ       pfsum
-	FUSEDGROUP(LOADT, STORET, K1)
+	JZ       pf2sum
+	SRCLOAD(LOADT, K1)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K1)
+	FUSEDT(Z20, Z21, Z22, Z23, Z16, Z17, Z18, Z19, K1)
+	SRCSTORE(STORET, K1)
 
-pfsum:
-	HSUM8(Z0, Y0, X0, Y13, X13)
-	MOVQ   phi+32(FP), DX
-	VADDSD (DX)(AX*8), X0, X0
-	VMOVSD X0, (DX)(AX*8)
-	HSUM8(Z1, Y1, X1, Y13, X13)
-	MOVQ   gx+40(FP), DX
-	VADDSD (DX)(AX*8), X1, X1
-	VMOVSD X1, (DX)(AX*8)
-	HSUM8(Z2, Y2, X2, Y13, X13)
-	MOVQ   gy+48(FP), DX
-	VADDSD (DX)(AX*8), X2, X2
-	VMOVSD X2, (DX)(AX*8)
-	HSUM8(Z3, Y3, X3, Y13, X13)
-	MOVQ   gz+56(FP), DX
-	VADDSD (DX)(AX*8), X3, X3
-	VMOVSD X3, (DX)(AX*8)
-	INCQ   AX
-	JMP    pfi
+pf2sum:
+	TSUM(Z0, Y0, X0, phi+32(FP), 0)
+	TSUM(Z1, Y1, X1, gx+40(FP), 0)
+	TSUM(Z2, Y2, X2, gy+48(FP), 0)
+	TSUM(Z3, Y3, X3, gz+56(FP), 0)
+	VMOVAPD Z16, Z0
+	VMOVAPD Z17, Z1
+	VMOVAPD Z18, Z2
+	VMOVAPD Z19, Z3
+	TSUM(Z0, Y0, X0, phi+32(FP), 8)
+	TSUM(Z1, Y1, X1, gx+40(FP), 8)
+	TSUM(Z2, Y2, X2, gy+48(FP), 8)
+	TSUM(Z3, Y3, X3, gz+56(FP), 8)
+	ADDQ    $2, AX
+	JMP     pfi
+
+pf1:
+	TBCAST(xs+0(FP), 0, Z4)
+	TBCAST(ys+8(FP), 0, Z5)
+	TBCAST(zs+16(FP), 0, Z6)
+	TBCAST(qs+24(FP), 0, Z7)
+	VXORPD Z0, Z0, Z0
+	VXORPD Z1, Z1, Z1
+	VXORPD Z2, Z2, Z2
+	VXORPD Z3, Z3, Z3
+	XORQ   BX, BX
+	CMPQ   BX, CX
+	JGE    pf1tail
+
+pf1j:
+	SRCLOAD(LOADW, K3)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K3)
+	SRCSTORE(STOREW, K3)
+	ADDQ $64, BX
+	CMPQ BX, CX
+	JLT  pf1j
+
+pf1tail:
+	KORTESTB K1, K1
+	JZ       pf1sum
+	SRCLOAD(LOADT, K1)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K1)
+	SRCSTORE(STORET, K1)
+
+pf1sum:
+	TSUM(Z0, Y0, X0, phi+32(FP), 0)
+	TSUM(Z1, Y1, X1, gx+40(FP), 0)
+	TSUM(Z2, Y2, X2, gy+48(FP), 0)
+	TSUM(Z3, Y3, X3, gz+56(FP), 0)
 
 pfdone:
 	VZEROUPPER
