@@ -7,8 +7,10 @@ import "nbody/internal/simd"
 // one of the function pointers below, and applyBackend rebinds them when
 // internal/simd switches backends. The scalar bindings are the portable
 // fallback and the only ones on non-amd64 builds; the AVX2 bindings live in
-// gemm_avx2_amd64.go and serve the avx512 backend too, which vectorizes only
-// the near-field pair kernels (internal/kernels).
+// gemm_avx2_amd64.go and serve the avx512 backend too, except that avx512
+// rebinds the slab kernel (rows_avx512_amd64.go): for K = 12 it runs a zmm
+// body that groups boxes across row ends, in avx2's order, so T1, T2 and T3
+// give the same bits on both backends.
 //
 // Reduction orders (the per-backend bitwise-reproducibility contract):
 //
@@ -18,6 +20,9 @@ import "nbody/internal/simd"
 //   - avx2: one fused-multiply-add chain per C element, ascending k —
 //     s = fma(a[i,k], b[k,j], s) — identical in every lane and block size
 //     (pinned by TestDgemmFMAOrderExact against a math.FMA transcription).
+//   - avx512: avx2's bodies and order; the K = 12 slab body keeps it too,
+//     since an FMA rounds once whatever the vector width (pinned by
+//     TestDgemmRowsTOrderExact against the same transcription).
 //
 // Within one backend repeated calls are bitwise identical; across backends
 // results differ by rounding only, bounded by the cross-backend matrix in
@@ -27,7 +32,7 @@ var (
 	gemmK72Impl func(m, n int, a, b, c []float64)                            = gemmK72
 	gemmImpl    func(m, k, n int, a, b, c []float64)                         = gemm4k
 	gemvImpl    func(rows, cols int, a, x, y []float64)                      = gemvScalar
-	rowsTImpl   func(k, n, srcStride, dstStride int, tt, src, dst []float64) = rowsTScalar
+	rowsTImpl   func(k, n, rows int, ss, ds Strides, tt, src, dst []float64) = rowsTScalar
 )
 
 func init() { simd.Register(applyBackend) }
@@ -37,11 +42,15 @@ func init() { simd.Register(applyBackend) }
 // a future backend this package predates, and the portable stream is the
 // correct degradation.
 func applyBackend(name string) {
-	if (name == simd.AVX2 || name == simd.AVX512) && haveAVX2 {
+	switch {
+	case name == simd.AVX2 && haveAVX2:
 		bindAVX2()
-		return
+	case name == simd.AVX512 && haveAVX2:
+		bindAVX2()
+		bindAVX512()
+	default:
+		bindScalar()
 	}
-	bindScalar()
 }
 
 func bindScalar() {

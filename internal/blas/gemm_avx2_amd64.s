@@ -305,32 +305,35 @@ gvdone:
 	VZEROUPPER
 	RET
 
-// func rowsTAVX2(k, n, srcStride, dstStride int, tt, src, dst *float64)
+// func rowsTAVX2(k, n, rows, srcBox, srcRow, dstBox, dstRow int, tt, src, dst *float64)
 //
-// The gather-free row kernel (rows.go): for i < n,
+// The gather-free slab kernel (rows.go): for r < rows and i < n,
 //
-//	dst[i*dstStride : +k] += T * src[i*srcStride : +k],   tt = Tᵀ, row-major.
+//	dst[r*dstRow + i*dstBox : +k] += T * src[r*srcRow + i*srcBox : +k],
+//
+// tt = Tᵀ, row-major.
 //
 // Reduction order: every destination element is one FMA chain from zero,
 // ascending j — s = fma(tt[j,c], src[j], s) — then one add into dst.
 //
-// Structure: destination columns in blocks of 12 (three YMM), boxes in
-// groups of 4, 2 and 1, so the full group holds 4 x 12 sums in Y0-Y11 —
-// twelve independent chains against the 4-cycle FMA latency — while row j
-// of the Tᵀ panel sits in Y12-Y14 and one broadcast source value in Y15.
-// With K = 12 that is the whole matrix per box group and the j loop is the
-// only loop. The column block is the outer loop, so at large K a 12-wide
-// panel of Tᵀ stays in L1 across the boxes of the row. The trailing k % 12
-// columns go four at a time through one masked vector (Y14 holds the mask).
+// Structure: one row of the slab at a time. Within a row, destination
+// columns in blocks of 12 (three YMM), boxes in groups of 4, 2 and 1, so
+// the full group holds 4 x 12 sums in Y0-Y11 — twelve independent chains
+// against the 4-cycle FMA latency — while row j of the Tᵀ panel sits in
+// Y12-Y14 and one broadcast source value in Y15. With K = 12 that is the
+// whole matrix per box group and the j loop is the only loop. The column
+// block is the outer loop within a row, so at large K a 12-wide panel of Tᵀ
+// stays in L1 across the boxes of the row. The trailing k % 12 columns go
+// four at a time through one masked vector (Y14 holds the mask).
 //
 // Registers:
-//	R8  k      R9  3*srcStride bytes   R10 srcStride bytes   R11 k*8
-//	SI  tt     DX  src                 DI  dst               BX  column
+//	R8  k      R9  3*srcBox bytes   R10 srcBox bytes   R11 k*8
+//	SI  tt     DX  src row          DI  dst row        BX  column
 //	CX  boxes left   R12 src box   R13 dst box+column
 //	R14 tt panel row   AX  src element   R15 j countdown
 // The j loops address sources only. The destination stride is needed once
 // per box group, after its j loop, when R14 and R15 are dead: DSTSTRIDES
-// reloads it into them from the frame.
+// reloads it into them from the frame. The rows left live in the frame too.
 
 #define ZERO3(a, b, c) \
 	VXORPD a, a, a; \
@@ -364,23 +367,27 @@ gvdone:
 	VADDPD Y13, a, a; \
 	VMASKMOVPD a, Y14, d
 
-TEXT ·rowsTAVX2(SB), NOSPLIT, $0-56
-// DSTSTRIDES sets R14 = dstStride bytes, R15 = 3*dstStride bytes. (Defined
+TEXT ·rowsTAVX2(SB), NOSPLIT, $8-80
+// DSTSTRIDES sets R14 = dstBox bytes, R15 = 3*dstBox bytes. (Defined
 // inside the function so that vet checks the frame reference against it.)
 #define DSTSTRIDES \
-	MOVQ dstStride+24(FP), R14; \
+	MOVQ dstBox+40(FP), R14; \
 	SHLQ $3, R14; \
 	LEAQ (R14)(R14*2), R15
 
 	MOVQ k+0(FP), R8
-	MOVQ srcStride+16(FP), R10
-	MOVQ tt+32(FP), SI
-	MOVQ src+40(FP), DX
-	MOVQ dst+48(FP), DI
+	MOVQ srcBox+24(FP), R10
+	MOVQ tt+56(FP), SI
+	MOVQ src+64(FP), DX
+	MOVQ dst+72(FP), DI
 	SHLQ $3, R10
 	LEAQ (R10)(R10*2), R9
 	MOVQ R8, R11
 	SHLQ $3, R11
+	MOVQ rows+16(FP), AX
+	MOVQ AX, rowsleft-8(SP)
+
+rtrow:
 	XORQ BX, BX
 
 rtcol:
@@ -473,7 +480,7 @@ rtcolnext:
 rttail:
 	MOVQ R8, AX
 	SUBQ BX, AX              // columns left, 0..11
-	JLE  rtdone
+	JLE  rtrownext
 	VPCMPEQQ Y14, Y14, Y14   // a full vector of four columns
 	CMPQ AX, $4
 	JGE  rtmasked
@@ -538,6 +545,14 @@ rttailnext:
 	ADDQ $4, BX
 	JMP  rttail
 
-rtdone:
+rtrownext:
+	MOVQ srcRow+32(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, DX
+	MOVQ dstRow+48(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, DI
+	DECQ rowsleft-8(SP)
+	JNZ  rtrow
 	VZEROUPPER
 	RET

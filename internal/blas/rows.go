@@ -1,5 +1,7 @@
 package blas
 
+import "unsafe"
+
 // This file holds the gather-free form of an aggregated translation: with
 // the K-vectors of many boxes laid out as the rows of a strided matrix, the
 // conversion of all of them by one translation matrix T is
@@ -21,9 +23,15 @@ package blas
 //
 //   - scalar: k-terms grouped in fours, each group summed left to right,
 //     groups accumulated ascending k, then dst += sum.
-//   - avx2: s = 0; s = fma(T[i,k], src[k], s) ascending k; dst += s.
+//   - avx2 and avx512: s = 0; s = fma(T[i,k], src[k], s) ascending k;
+//     dst += s.
 //
-// Both are pinned bitwise against element transcriptions by
+// Each body walks the whole slab itself. The avx512 body for K = 12 groups
+// boxes across row ends, so a group reads all its sources before it stores
+// any destination; that is why DgemmRowsT rejects slabs whose destination
+// rows overlap or whose source overlaps its destination. With no aliasing,
+// how boxes are grouped cannot move a bit, and avx512 equals avx2 bitwise.
+// Both orders are pinned bitwise against element transcriptions by
 // TestDgemmRowsTOrderExact; the solvers' reproducibility contracts rest on
 // them.
 
@@ -38,7 +46,9 @@ type Strides struct{ Box, Row int }
 //
 // where tt holds Tᵀ (K x K, row-major: tt[j*K+i] = T[i][j]). src and dst
 // start at the first vector of the slab; the vectors of a side must not
-// overlap (Box >= K). The call counts as one K x K x (rows*n) GEMM.
+// overlap (Box >= K), destination rows must not overlap each other, and the
+// source must not overlap the destination. The call counts as one
+// K x K x (rows*n) GEMM.
 func DgemmRowsT(tt Matrix, src, dst []float64, n, rows int, ss, ds Strides) {
 	k := tt.Rows
 	if tt.Cols != k {
@@ -47,25 +57,38 @@ func DgemmRowsT(tt Matrix, src, dst []float64, n, rows int, ss, ds Strides) {
 	if n <= 0 || rows <= 0 || k == 0 {
 		return
 	}
-	ss.check("source", k, n, rows, len(src))
-	ds.check("destination", k, n, rows, len(dst))
+	send := ss.check("source", k, n, rows, len(src))
+	dend := ds.check("destination", k, n, rows, len(dst))
+	if rows > 1 && ds.Row < (n-1)*ds.Box+k {
+		panic("blas: DgemmRowsT destination rows overlap")
+	}
+	if overlap(src[:send], dst[:dend]) {
+		panic("blas: DgemmRowsT source overlaps destination")
+	}
 	if countersOn.Load() {
 		countGemm(k, k, rows*n)
 	}
-	for r := 0; r < rows; r++ {
-		rowsTImpl(k, n, ss.Box, ds.Box, tt.Data, src[r*ss.Row:], dst[r*ds.Row:])
-	}
+	rowsTImpl(k, n, rows, ss, ds, tt.Data, src, dst)
 }
 
 // check panics unless a rows x n slab of K-vectors laid out by st fits in
-// size elements without two vectors of a row overlapping.
-func (st Strides) check(side string, k, n, rows, size int) {
+// size elements without two vectors of a row overlapping, and returns the
+// slab's extent.
+func (st Strides) check(side string, k, n, rows, size int) int {
 	if st.Box < k || st.Row < 0 {
 		panic("blas: DgemmRowsT " + side + " vectors overlap")
 	}
-	if end := (rows-1)*st.Row + (n-1)*st.Box + k; end > size {
+	end := (rows-1)*st.Row + (n-1)*st.Box + k
+	if end > size {
 		panic("blas: DgemmRowsT slab exceeds " + side)
 	}
+	return end
+}
+
+// overlap reports whether two non-empty slices share an element.
+func overlap(a, b []float64) bool {
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*8 && pb < pa+uintptr(len(a))*8
 }
 
 // DgemvT computes y += T*x given tt = Tᵀ: the single-vector case of
@@ -83,15 +106,17 @@ func DgemvT(tt Matrix, x, y []float64) {
 	if countersOn.Load() {
 		countGemv(k, k)
 	}
-	rowsTImpl(k, 1, k, k, tt.Data, x, y)
+	rowsTImpl(k, 1, 1, Strides{Box: k}, Strides{Box: k}, tt.Data, x, y)
 }
 
-// rowsTScalar is the portable row kernel, one box at a time.
-func rowsTScalar(k, n, srcStride, dstStride int, tt, src, dst []float64) {
+// rowsTScalar is the portable slab kernel, one box at a time, row by row.
+func rowsTScalar(k, n, rows int, ss, ds Strides, tt, src, dst []float64) {
 	if k == 12 {
-		for i := 0; i < n; i++ {
-			so, do := i*srcStride, i*dstStride
-			rowTK12(tt, src[so:so+12], dst[do:do+12])
+		for r := 0; r < rows; r++ {
+			for i := 0; i < n; i++ {
+				so, do := r*ss.Row+i*ss.Box, r*ds.Row+i*ds.Box
+				rowTK12(tt, src[so:so+12], dst[do:do+12])
+			}
 		}
 		return
 	}
@@ -102,9 +127,11 @@ func rowsTScalar(k, n, srcStride, dstStride int, tt, src, dst []float64) {
 	if k > len(buf) {
 		acc = make([]float64, k)
 	}
-	for i := 0; i < n; i++ {
-		so, do := i*srcStride, i*dstStride
-		rowT(k, tt, src[so:so+k], dst[do:do+k], acc[:k])
+	for r := 0; r < rows; r++ {
+		for i := 0; i < n; i++ {
+			so, do := r*ss.Row+i*ss.Box, r*ds.Row+i*ds.Box
+			rowT(k, tt, src[so:so+k], dst[do:do+k], acc[:k])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package blas
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nbody/internal/simd"
@@ -21,7 +22,10 @@ type rowsCase struct {
 // of strides the solvers use: both sides dense, both sides a lattice (2K),
 // dense sources into a lattice (parent -> children) and the reverse
 // (children -> parent), in single rows and in multi-row slabs whose row
-// strides differ per side as a parent grid's and a child grid's do.
+// strides differ per side as a parent grid's and a child grid's do. The
+// K = 12 slabs whose n*rows takes every residue mod 8 walk the avx512
+// body's groups of 8, 4, 2 and 1 across row ends from every starting
+// column, and the level-4 T2 planes are the solver's own shapes.
 func rowsCases() []rowsCase {
 	var cs []rowsCase
 	for _, k := range []int{12, 32, 50, 72} {
@@ -38,6 +42,18 @@ func rowsCases() []rowsCase {
 			rowsCase{k, 7, 3, lattice, lattice},
 			rowsCase{k, 7, 3, dense, lattice},
 			rowsCase{k, 7, 3, lattice, dense})
+	}
+	for n := 1; n <= 9; n++ {
+		lattice, dense := Strides{24, 24 * 16}, Strides{12, 12 * n}
+		for _, rows := range []int{1, 2, 3, 8} {
+			cs = append(cs,
+				rowsCase{12, n, rows, lattice, lattice},
+				rowsCase{12, n, rows, dense, lattice},
+				rowsCase{12, n, rows, lattice, dense})
+		}
+	}
+	for _, p := range t2Planes {
+		cs = append(cs, p.c)
 	}
 	// Shapes below every unroll width, and odd K.
 	for _, k := range []int{1, 2, 3, 5, 13, 98} {
@@ -163,15 +179,17 @@ func checkRowsOrderExact(t *testing.T, elem func(trow, x []float64) float64) {
 }
 
 // TestDgemmRowsTOrderExact pins the row kernel of each backend to its
-// documented reduction order.
+// documented reduction order; avx512's is avx2's.
 func TestDgemmRowsTOrderExact(t *testing.T) {
 	t.Run(simd.Scalar, func(t *testing.T) {
 		withBackend(t, simd.Scalar, func() { checkRowsOrderExact(t, groupedElem) })
 	})
-	t.Run(simd.AVX2, func(t *testing.T) {
-		requireBackend(t, simd.AVX2)
-		withBackend(t, simd.AVX2, func() { checkRowsOrderExact(t, fmaElem) })
-	})
+	for _, be := range []string{simd.AVX2, simd.AVX512} {
+		t.Run(be, func(t *testing.T) {
+			requireBackend(t, be)
+			withBackend(t, be, func() { checkRowsOrderExact(t, fmaElem) })
+		})
+	}
 }
 
 // TestDgemmRowsTCrossBackend bounds every backend against the plain dot
@@ -219,35 +237,68 @@ func TestDgemmRowsTCountsOneGemmPerSlab(t *testing.T) {
 
 // TestDgemmRowsTRejectsBadSlabs: shape errors are bugs in the caller and
 // panic before any element is touched, whichever side they are on; empty
-// slabs are no-ops.
+// slabs are no-ops. So do slabs whose destination rows overlap or whose
+// source overlaps the destination: a body may read a whole group of boxes
+// before it stores any, across row ends.
 func TestDgemmRowsTRejectsBadSlabs(t *testing.T) {
 	tt := NewMatrix(4, 4)
-	buf := make([]float64, 16)
+	src, dst := make([]float64, 16), make([]float64, 16)
+	buf := make([]float64, 32)
 	dense, wide := Strides{Box: 4}, Strides{Box: 4, Row: 8}
-	DgemmRowsT(tt, buf, buf, 0, 1, dense, dense)
-	DgemmRowsT(tt, buf, buf, 1, 0, dense, dense)
-	for name, f := range map[string]func(){
-		"src overlap":   func() { DgemmRowsT(tt, buf, buf, 2, 1, Strides{Box: 3}, dense) },
-		"dst overlap":   func() { DgemmRowsT(tt, buf, buf, 2, 1, dense, Strides{Box: 3}) },
-		"src row < 0":   func() { DgemmRowsT(tt, buf, buf, 1, 2, Strides{4, -4}, wide) },
-		"dst row < 0":   func() { DgemmRowsT(tt, buf, buf, 1, 2, wide, Strides{4, -4}) },
-		"short src":     func() { DgemmRowsT(tt, buf[:15], buf, 4, 1, dense, dense) },
-		"short dst":     func() { DgemmRowsT(tt, buf, buf[:15], 2, 2, wide, wide) },
-		"src too wide":  func() { DgemmRowsT(tt, buf, buf, 3, 1, Strides{Box: 8}, dense) },
-		"dst too wide":  func() { DgemmRowsT(tt, buf, buf, 3, 1, dense, Strides{Box: 8}) },
-		"src rows long": func() { DgemmRowsT(tt, buf, buf, 1, 3, Strides{4, 8}, dense) },
-		"nonsquare":     func() { DgemmRowsT(NewMatrix(4, 3), buf, buf, 1, 1, dense, dense) },
-		"gemv len":      func() { DgemvT(tt, buf[:3], buf[:4]) },
+	DgemmRowsT(tt, src, dst, 0, 1, dense, dense)
+	DgemmRowsT(tt, src, dst, 1, 0, dense, dense)
+	// Source rows may overlap: the source is only read.
+	DgemmRowsT(tt, src, dst, 1, 2, Strides{4, 0}, wide)
+	// Disjoint halves of one buffer are not an overlap.
+	DgemmRowsT(tt, buf[:16], buf[16:], 4, 1, dense, dense)
+	const (
+		srcVecs, dstVecs = "source vectors overlap", "destination vectors overlap"
+		srcLong, dstLong = "slab exceeds source", "slab exceeds destination"
+		dstRows, aliased = "destination rows overlap", "source overlaps destination"
+	)
+	for name, c := range map[string]struct {
+		want string
+		f    func()
+	}{
+		"src overlap":         {srcVecs, func() { DgemmRowsT(tt, src, dst, 2, 1, Strides{Box: 3}, dense) }},
+		"dst overlap":         {dstVecs, func() { DgemmRowsT(tt, src, dst, 2, 1, dense, Strides{Box: 3}) }},
+		"src row < 0":         {srcVecs, func() { DgemmRowsT(tt, src, dst, 1, 2, Strides{4, -4}, wide) }},
+		"dst row < 0":         {dstVecs, func() { DgemmRowsT(tt, src, dst, 1, 2, wide, Strides{4, -4}) }},
+		"short src":           {srcLong, func() { DgemmRowsT(tt, src[:15], dst, 4, 1, dense, dense) }},
+		"short dst":           {dstLong, func() { DgemmRowsT(tt, src, dst[:15], 2, 2, wide, wide) }},
+		"src too wide":        {srcLong, func() { DgemmRowsT(tt, src, dst, 3, 1, Strides{Box: 8}, dense) }},
+		"dst too wide":        {dstLong, func() { DgemmRowsT(tt, src, dst, 3, 1, dense, Strides{Box: 8}) }},
+		"src rows long":       {srcLong, func() { DgemmRowsT(tt, src, dst, 1, 3, Strides{4, 8}, dense) }},
+		"nonsquare":           {"square", func() { DgemmRowsT(NewMatrix(4, 3), src, dst, 1, 1, dense, dense) }},
+		"gemv len":            {"shape mismatch", func() { DgemvT(tt, src[:3], dst[:4]) }},
+		"dst row 0":           {dstRows, func() { DgemmRowsT(tt, src, dst, 1, 2, wide, Strides{4, 0}) }},
+		"dst rows interleave": {dstRows, func() { DgemmRowsT(tt, buf[:16], buf[16:], 2, 2, wide, Strides{8, 4}) }},
+		"aliased":             {aliased, func() { DgemmRowsT(tt, buf, buf, 1, 1, dense, dense) }},
+		"src into dst":        {aliased, func() { DgemmRowsT(tt, buf[:16], buf[12:], 4, 1, dense, dense) }},
+		"dst into src":        {aliased, func() { DgemmRowsT(tt, buf[12:], buf[:16], 4, 1, dense, dense) }},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
+				if r, _ := recover().(string); !strings.Contains(r, c.want) {
+					t.Errorf("%s: panic %q, want one about %q", name, r, c.want)
 				}
 			}()
-			f()
+			c.f()
 		}()
 	}
+}
+
+// t2Planes are the planes of a level-4 T2 sweep (16 boxes per axis, both
+// sides two boxes apart): a whole 8 x 8 octant plane and the clipped planes
+// of the interactive offsets.
+var t2Planes = []struct {
+	name string
+	c    rowsCase
+}{
+	{"K12plane8x8", rowsCase{12, 8, 8, Strides{24, 384}, Strides{24, 384}}},
+	{"K12plane7x7", rowsCase{12, 7, 7, Strides{24, 384}, Strides{24, 384}}},
+	{"K12plane6x6", rowsCase{12, 6, 6, Strides{24, 384}, Strides{24, 384}}},
+	{"K12plane5x7", rowsCase{12, 5, 7, Strides{24, 384}, Strides{24, 384}}},
 }
 
 func BenchmarkDgemmRowsT(b *testing.B) {
@@ -259,6 +310,7 @@ func BenchmarkDgemmRowsT(b *testing.B) {
 		{"K12x4x4", rowsCase{12, 4, 4, Strides{24, 24 * 8}, Strides{24, 24 * 8}}},
 		{"K12x8x8up", rowsCase{12, 8, 8, Strides{12, 12 * 8}, Strides{24, 24 * 16}}},
 		{"K72x8x8", rowsCase{72, 8, 8, Strides{144, 144 * 16}, Strides{144, 144 * 16}}},
+		t2Planes[0], t2Planes[1], t2Planes[2], t2Planes[3],
 	} {
 		for _, be := range simd.Supported() {
 			b.Run(sh.name+"/"+be, func(b *testing.B) {
@@ -270,7 +322,7 @@ func BenchmarkDgemmRowsT(b *testing.B) {
 						DgemmRowsT(tt, src, dst, c.n, c.rows, c.ss, c.ds)
 					}
 					flops := float64(DgemmFlops(c.k, c.k, c.n*c.rows)) * float64(b.N)
-					b.ReportMetric(flops/b.Elapsed().Seconds()/1e6, "Mflops/s")
+					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "Gflop/s")
 				})
 			})
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -382,4 +383,65 @@ func TestSupernodeSolveIndependentOfWorkerCount(t *testing.T) {
 		phi, err := potentials(s, pos, q)
 		return phi, nil, err
 	})
+}
+
+// TestFarFieldSameBitsOnAVX2AndAVX512: the avx512 slab body keeps avx2's
+// reduction order (internal/blas), so every expansion T1, T2 and T3 leave
+// behind — far and loc at every level, before the near field — is bitwise
+// the same on the two backends, plain and through supernodes, at the K = 12
+// the avx512 body serves and at a K it hands back to avx2.
+func TestFarFieldSameBitsOnAVX2AndAVX512(t *testing.T) {
+	if !slices.Contains(simd.Supported(), simd.AVX512) {
+		t.Skip("backend avx512 not supported on this host")
+	}
+	rng := rand.New(rand.NewSource(86))
+	pos, q := uniformParticles(rng, 4096)
+	for _, cfg := range []Config{
+		{Degree: 5, Depth: 4},
+		{Degree: 5, Depth: 4, Supernodes: true},
+		{Degree: 7, Depth: 4, Supernodes: true},
+	} {
+		s, err := NewSolver(unitBox(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		expansions := func(be string) [][]float64 {
+			var out [][]float64
+			withBackend(t, be, func() {
+				if _, err := potentials(s, pos, q); err != nil {
+					t.Fatal(err)
+				}
+				for l := range s.loc {
+					out = append(out, slices.Clone(s.far[l]), slices.Clone(s.loc[l]))
+				}
+			})
+			return out
+		}
+		avx2, avx512 := expansions(simd.AVX2), expansions(simd.AVX512)
+		for g := range avx2 {
+			grid := [2]string{"far", "loc"}[g%2]
+			for i := range avx2[g] {
+				if avx2[g][i] != avx512[g][i] {
+					t.Fatalf("K=%d supernodes=%v: %s[%d][%d] = %g on avx2, %g on avx512",
+						s.ts.K, cfg.Supernodes, grid, g/2, i, avx2[g][i], avx512[g][i])
+				}
+			}
+		}
+	}
+}
+
+// withBackend runs f with the named backend active, restoring the
+// previous backend afterwards.
+func withBackend(t *testing.T, name string, f func()) {
+	t.Helper()
+	prev := simd.Active()
+	if err := simd.SetBackend(name); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := simd.SetBackend(prev); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	f()
 }

@@ -3,10 +3,11 @@ package simd
 // CPUID feature probe for the vector backends. The repository vendors
 // nothing, so instead of golang.org/x/sys/cpu this is the same three-leaf
 // probe that package does: leaf 1 for FMA/AVX/OSXSAVE, XGETBV for OS-enabled
-// register state, leaf 7 for AVX2 (and, for avx512, AVX512F, AVX512DQ and
-// BMI2). Every condition must hold — FMA and AVX2 are separate CPUID bits,
-// and without OSXSAVE+XCR0 the OS does not preserve the upper YMM halves
-// (or the opmask and ZMM state) across context switches.
+// register state, leaf 7 for AVX2 (and, for avx512, AVX512F, AVX512DQ,
+// AVX512VL and BMI2). Every condition must hold — FMA and AVX2 are
+// separate CPUID bits, and without OSXSAVE+XCR0 the OS does not preserve
+// the upper YMM halves (or the opmask and ZMM state) across context
+// switches.
 
 // cpuid executes the CPUID instruction (implemented in cpu_amd64.s).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -39,7 +40,9 @@ func detect() (avx2fma, avx512 bool) {
 	const bmi2 = 1 << 8 // BZHI builds the avx512 kernels' tail mask
 	const avx512f = 1 << 16
 	const avx512dq = 1 << 17 // VFPCLASSPD and the byte opmask instructions
+	const avx512vl = 1 << 31 // EVEX ymm: the blas K = 12 slab body's Y16-Y23
+	const avx512all = bmi2 | avx512f | avx512dq | avx512vl
 	avx2fma = ebx7&avx2 != 0
-	avx512 = avx2fma && xcr0&0xe0 == 0xe0 && ebx7&(bmi2|avx512f|avx512dq) == bmi2|avx512f|avx512dq
+	avx512 = avx2fma && xcr0&0xe0 == 0xe0 && ebx7&avx512all == avx512all
 	return avx2fma, avx512
 }
