@@ -27,17 +27,48 @@ func benchEvalOuter(b *testing.B, rule *sphere.Rule, m int) {
 	_ = sink
 }
 
-func BenchmarkEvalInnerGradK12(b *testing.B) {
-	rule := sphere.Icosahedron()
+// leafBox is a 64-particle leaf box of side 1 at the origin with a K = 12
+// sphere of the solver's radius around it and random values on it: the
+// shape the two leaf kernels run once per box.
+func leafBox() (rule *sphere.Rule, a float64, g, xs, ys, zs, qs []float64) {
 	rng := rand.New(rand.NewSource(2))
-	g := make([]float64, rule.K())
+	rule = sphere.Icosahedron()
+	g = make([]float64, rule.K())
 	for i := range g {
 		g[i] = rng.NormFloat64()
 	}
-	x := geom.Vec3{X: 0.3, Y: -0.2, Z: 0.1}
+	const n = 64
+	xs, ys, zs, qs = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := range xs {
+		xs[j], ys[j], zs[j], qs[j] = rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()
+	}
+	return rule, Sqrt3Over2, g, xs, ys, zs, qs
+}
+
+func BenchmarkLeafOuterK12(b *testing.B) {
+	rule, a, g, xs, ys, zs, qs := leafBox()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvalInnerGrad(rule, 3, geom.Vec3{}, 1.1, g, x)
+		LeafOuter(rule, geom.Vec3{}, a, xs, ys, zs, qs, g)
+	}
+	b.ReportMetric(float64(len(xs)*b.N)/b.Elapsed().Seconds(), "particles/s")
+}
+
+func BenchmarkEvalLocalK12(b *testing.B) {
+	rule, a, g, xs, ys, zs, _ := leafBox()
+	n := len(xs)
+	phi, gx, gy, gz := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for _, force := range []bool{false, true} {
+		name, fx := "potential", []float64(nil)
+		if force {
+			name, fx = "force", gx
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				EvalLocal(rule, 3, geom.Vec3{}, a, g, xs, ys, zs, phi, fx, gy, gz)
+			}
+			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "particles/s")
+		})
 	}
 }
 

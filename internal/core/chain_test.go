@@ -115,7 +115,7 @@ func TestT2ChainMatchesDirect(t *testing.T) {
 				Y: (rng.Float64() - 0.5) * 0.9,
 				Z: (rng.Float64() - 0.5) * 0.9,
 			})
-			got := EvalInner(cfg.Rule, cfg.M, tc, cfg.RadiusRatio, gt, x)
+			got := evalInner(cfg.Rule, cfg.M, tc, cfg.RadiusRatio, gt, x)
 			var want float64
 			for j := range pos {
 				want += q[j] / x.Dist(pos[j])
@@ -163,7 +163,7 @@ func TestT3ChainPreservesField(t *testing.T) {
 				Y: (rng.Float64() - 0.5) * 0.9,
 				Z: (rng.Float64() - 0.5) * 0.9,
 			})
-			got := EvalInner(cfg.Rule, cfg.M, child.Center, cfg.RadiusRatio, gc, x)
+			got := evalInner(cfg.Rule, cfg.M, child.Center, cfg.RadiusRatio, gc, x)
 			want := truePot(x)
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-4 {
 				t.Errorf("oct %d: T3 chain error %.2e", oct, rel)

@@ -126,7 +126,7 @@ func TestInnerKernelReproducesFarSourceField(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		x := geom.Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(1.0)
-		got := EvalInner(rule, m, geom.Vec3{}, a, g, x)
+		got := evalInner(rule, m, geom.Vec3{}, a, g, x)
 		want := truePotential(x, pos, q)
 		if rel := math.Abs(got-want) / math.Abs(want); rel > 2e-3 {
 			t.Errorf("inner eval at %v: rel error %.2e", x, rel)
@@ -140,7 +140,7 @@ func TestEvalInnerAtCenterIsMean(t *testing.T) {
 	for i := range g {
 		g[i] = float64(i)
 	}
-	got := EvalInner(rule, 2, geom.Vec3{X: 1, Y: 2, Z: 3}, 0.5, g, geom.Vec3{X: 1, Y: 2, Z: 3})
+	got := evalInner(rule, 2, geom.Vec3{X: 1, Y: 2, Z: 3}, 0.5, g, geom.Vec3{X: 1, Y: 2, Z: 3})
 	want := 0.0
 	for i := range g {
 		want += rule.W[i] * g[i]
@@ -150,30 +150,103 @@ func TestEvalInnerAtCenterIsMean(t *testing.T) {
 	}
 }
 
+// evalGrad is EvalLocal's force path on a one-point box.
+func evalGrad(rule *sphere.Rule, m int, c geom.Vec3, a float64, g []float64, x geom.Vec3) (float64, geom.Vec3) {
+	var phi, gx, gy, gz [1]float64
+	EvalLocal(rule, m, c, a, g, []float64{x.X}, []float64{x.Y}, []float64{x.Z}, phi[:], gx[:], gy[:], gz[:])
+	return phi[0], geom.Vec3{X: gx[0], Y: gy[0], Z: gz[0]}
+}
+
+// refGrad is EvalLocal's force path written term by term from
+// sphere.LegendrePDeriv, in the kernel's operation order: the recurrence
+// the kernel carries inline must give these bits.
+func refGrad(rule *sphere.Rule, m int, c geom.Vec3, a float64, g []float64, x geom.Vec3) (float64, geom.Vec3) {
+	d := x.Sub(c)
+	r := d.Norm()
+	xh := d.Scale(1 / r)
+	var val float64
+	var grad geom.Vec3
+	for i, si := range rule.Points {
+		u := min(max(si.Dot(xh), -1), 1)
+		wg := rule.W[i] * g[i]
+		val += wg
+		radial, angular, pow := 0.0, 0.0, 1.0
+		for n := 1; n <= m; n++ {
+			pow *= r / a
+			cn := float64(2*n+1) * pow
+			p, dp := sphere.LegendrePDeriv(n, u)
+			val += wg * cn * p
+			radial += cn * float64(n) * p / r
+			angular += cn * dp / r
+		}
+		grad = grad.Add(xh.Scale(wg * radial))
+		grad = grad.Add(si.Sub(xh.Scale(u)).Scale(wg * angular))
+	}
+	return val, grad
+}
+
+// TestEvalInnerGradMatchesFiniteDifference holds EvalLocal's gradient to a
+// central difference of the potential and its bits to refGrad's, at random
+// targets and on the rays through the centre of rule points (both sides),
+// where u = s_i . x^ is exactly +1 or -1 and P'_n takes its endpoint limit.
+// There the P'_n term is multiplied by s_i - u x^, a rounding error, so
+// only the bitwise comparison sees its sign.
 func TestEvalInnerGradMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	rule := sphere.Product(5, 10)
-	m := 4
-	a := 1.3
-	g := make([]float64, rule.K())
-	for i := range g {
-		g[i] = rng.NormFloat64()
-	}
 	c := geom.Vec3{X: 0.2, Y: -0.1, Z: 0.05}
 	h := 1e-6
-	for trial := 0; trial < 20; trial++ {
-		x := c.Add(geom.Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(1.2))
-		val, grad := EvalInnerGrad(rule, m, c, a, g, x)
-		if want := EvalInner(rule, m, c, a, g, x); math.Abs(val-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("value mismatch: %g vs %g", val, want)
+	for _, tc := range []struct {
+		rule *sphere.Rule
+		m    int
+	}{
+		{sphere.Product(5, 10), 4},
+		{sphere.Product(8, 15), 7},
+	} {
+		rule, m := tc.rule, tc.m
+		a := 1.3
+		g := make([]float64, rule.K())
+		for i := range g {
+			g[i] = rng.NormFloat64()
 		}
-		fd := geom.Vec3{
-			X: (EvalInner(rule, m, c, a, g, x.Add(geom.Vec3{X: h})) - EvalInner(rule, m, c, a, g, x.Sub(geom.Vec3{X: h}))) / (2 * h),
-			Y: (EvalInner(rule, m, c, a, g, x.Add(geom.Vec3{Y: h})) - EvalInner(rule, m, c, a, g, x.Sub(geom.Vec3{Y: h}))) / (2 * h),
-			Z: (EvalInner(rule, m, c, a, g, x.Add(geom.Vec3{Z: h})) - EvalInner(rule, m, c, a, g, x.Sub(geom.Vec3{Z: h}))) / (2 * h),
+		var targets []geom.Vec3
+		for trial := 0; trial < 20; trial++ {
+			targets = append(targets, c.Add(geom.Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(1.2)))
 		}
-		if grad.Sub(fd).Norm() > 1e-5*(1+fd.Norm()) {
-			t.Errorf("grad %v vs FD %v at %v", grad, fd, x)
+		var ends [2]int // targets at u = -1 and at u = +1
+		for _, si := range rule.Points {
+			for _, tr := range []float64{-0.7, -0.45, 0.45, 0.7} {
+				x := c.Add(si.Scale(tr))
+				d := x.Sub(c)
+				switch u := si.Dot(d.Scale(1 / d.Norm())); {
+				case u <= -1:
+					ends[0]++
+				case u >= 1:
+					ends[1]++
+				default:
+					continue
+				}
+				targets = append(targets, x)
+			}
+		}
+		if ends[0] == 0 || ends[1] == 0 {
+			t.Fatalf("m=%d: %d targets at u = -1 and %d at u = +1, want some of each", m, ends[0], ends[1])
+		}
+		for _, x := range targets {
+			val, grad := evalGrad(rule, m, c, a, g, x)
+			if rv, rg := refGrad(rule, m, c, a, g, x); val != rv || grad != rg {
+				t.Errorf("m=%d at %v: EvalLocal (%v, %v), term by term (%v, %v)", m, x, val, grad, rv, rg)
+			}
+			if want := evalInner(rule, m, c, a, g, x); math.Abs(val-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("m=%d: value mismatch: %g vs %g", m, val, want)
+			}
+			fd := geom.Vec3{
+				X: (evalInner(rule, m, c, a, g, x.Add(geom.Vec3{X: h})) - evalInner(rule, m, c, a, g, x.Sub(geom.Vec3{X: h}))) / (2 * h),
+				Y: (evalInner(rule, m, c, a, g, x.Add(geom.Vec3{Y: h})) - evalInner(rule, m, c, a, g, x.Sub(geom.Vec3{Y: h}))) / (2 * h),
+				Z: (evalInner(rule, m, c, a, g, x.Add(geom.Vec3{Z: h})) - evalInner(rule, m, c, a, g, x.Sub(geom.Vec3{Z: h}))) / (2 * h),
+			}
+			if grad.Sub(fd).Norm() > 1e-5*(1+fd.Norm()) {
+				t.Errorf("m=%d: grad %v vs FD %v at %v", m, grad, fd, x)
+			}
 		}
 	}
 }
@@ -187,9 +260,9 @@ func TestEvalInnerGradAtCenter(t *testing.T) {
 	}
 	a := 0.7
 	c := geom.Vec3{}
-	_, grad := EvalInnerGrad(rule, 2, c, a, g, c)
+	_, grad := evalGrad(rule, 2, c, a, g, c)
 	// Compare with the limit from a tiny offset.
-	_, gradEps := EvalInnerGrad(rule, 2, c, a, g, geom.Vec3{X: 1e-9})
+	_, gradEps := evalGrad(rule, 2, c, a, g, geom.Vec3{X: 1e-9})
 	if grad.Sub(gradEps).Norm() > 1e-6*(1+grad.Norm()) {
 		t.Errorf("center grad %v vs limit %v", grad, gradEps)
 	}

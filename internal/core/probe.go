@@ -68,7 +68,7 @@ func (s *Solver) evalAt(targets []geom.Vec3, phi []float64) {
 		c := s.hier.LeafOf(x)
 		b := c.Index(n)
 		center := s.hier.Box(depth, c).Center
-		v := EvalInner(rule, m, center, a, loc[b*k:(b+1)*k], x)
+		v := evalInner(rule, m, center, a, loc[b*k:(b+1)*k], x)
 		// Near field: the target's own box plus its near offsets, as
 		// contiguous ranges of the box-sorted source mirrors.
 		sum := func(bi int) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"nbody/internal/direct"
@@ -84,9 +83,9 @@ type Solver struct {
 	phiS, gx, gy, gz []float64
 
 	// ctx is the cancellation signal of the solve in flight (nil outside a
-	// Solve, or when it was given none). Phase sweeps read it through par /
-	// parChunks / apply; a Solver runs one solve at a time, so a plain field
-	// is enough.
+	// Solve, or when it was given none). Phase sweeps read it through par
+	// and apply; a Solver runs one solve at a time, so a plain field is
+	// enough.
 	ctx context.Context
 
 	// phases is the declared pipeline (see buildPhases), built once here so
@@ -174,14 +173,10 @@ func (s *Solver) Stats() *Stats {
 // solvers into one report).
 func (s *Solver) Rec() *metrics.Rec { return &s.rec }
 
-// par and parChunks are the solver's parallel sweeps: sched.Run* bound to
-// the in-flight solve's cancellation signal. A canceled sweep returns
-// early with partial output; Solve notices at the next phase boundary.
+// par is the solver's parallel sweep: sched.RunCtx bound to the in-flight
+// solve's cancellation signal. A canceled sweep returns early with partial
+// output; Solve notices at the next phase boundary.
 func (s *Solver) par(n int, fn func(i int)) { _ = sched.RunCtx(s.ctx, n, fn) }
-
-func (s *Solver) parChunks(n int, body func(lo, hi int)) {
-	_ = sched.RunChunksCtx(s.ctx, n, body)
-}
 
 // Solve computes the potential phi_i = sum_{j != i} q_j / |x_i - x_j| at
 // every particle into phi (len(pos) entries) and, when acc is non-nil, the
@@ -307,31 +302,16 @@ func (s *Solver) leafOuter() {
 	rule := s.cfg.Rule
 	a := s.cfg.RadiusRatio * s.hier.BoxSide(s.cfg.Depth)
 	g := s.far[s.cfg.Depth]
-	var pairs int64
 	s.par(n*n*n, func(b int) {
 		pipeline.Fire(FaultSiteLeafOuterBody)
 		lo, hi := s.part.Start[b], s.part.Start[b+1]
 		if lo == hi {
 			return
 		}
-		c := geom.CoordFromIndex(b, n)
-		center := s.hier.Box(s.cfg.Depth, c).Center
-		out := g[b*k : (b+1)*k]
-		xb, yb, zb, qb := s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.qS[lo:hi]
-		for i, si := range rule.Points {
-			p := center.Add(si.Scale(a))
-			var v float64
-			for j := range xb {
-				d := geom.Vec3{X: p.X - xb[j], Y: p.Y - yb[j], Z: p.Z - zb[j]}
-				v += qb[j] / d.Norm()
-			}
-			out[i] = v
-		}
+		center := s.hier.Box(s.cfg.Depth, geom.CoordFromIndex(b, n)).Center
+		LeafOuter(rule, center, a, s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.qS[lo:hi], g[b*k:(b+1)*k])
 	})
-	for b := 0; b+1 < len(s.part.Start); b++ {
-		pairs += int64(s.part.Start[b+1]-s.part.Start[b]) * int64(k)
-	}
-	s.rec.AddFlops(PhaseLeafOuter, pairs*direct.FlopsPerPair)
+	s.rec.AddFlops(PhaseLeafOuter, int64(len(s.xs))*int64(k)*direct.FlopsPerPair)
 }
 
 // posAt is particle i of the box-sorted mirrors as a point.
@@ -348,14 +328,6 @@ func (s *Solver) upward() error {
 	return nil
 }
 
-// evalScratch holds the Legendre recurrence buffers of one evaluation
-// chunk; pooled so steady-state force solves stay allocation-free.
-type evalScratch struct {
-	p, dp []float64
-}
-
-var evalPool = sync.Pool{New: func() any { return new(evalScratch) }}
-
 // evalLocal is step 4: evaluate each leaf's inner approximation at its
 // particles, writing the box-ordered result mirrors.
 func (s *Solver) evalLocal(wantForce bool) {
@@ -365,34 +337,17 @@ func (s *Solver) evalLocal(wantForce bool) {
 	m := s.cfg.M
 	a := s.cfg.RadiusRatio * s.hier.BoxSide(s.cfg.Depth)
 	loc := s.loc[s.cfg.Depth]
-	s.parChunks(n*n*n, func(bLo, bHi int) {
-		es := evalPool.Get().(*evalScratch)
-		if cap(es.p) < m+1 {
-			es.p = make([]float64, m+1)
-			es.dp = make([]float64, m+1)
+	s.par(n*n*n, func(b int) {
+		lo, hi := s.part.Start[b], s.part.Start[b+1]
+		if lo == hi {
+			return
 		}
-		p, dp := es.p[:m+1], es.dp[:m+1]
-		for b := bLo; b < bHi; b++ {
-			lo, hi := s.part.Start[b], s.part.Start[b+1]
-			if lo == hi {
-				continue
-			}
-			c := geom.CoordFromIndex(b, n)
-			center := s.hier.Box(s.cfg.Depth, c).Center
-			g := loc[b*k : (b+1)*k]
-			if wantForce {
-				for i := lo; i < hi; i++ {
-					v, gr := EvalInnerGradWork(rule, m, center, a, g, s.posAt(i), p, dp)
-					s.phiS[i] = v
-					s.gx[i], s.gy[i], s.gz[i] = gr.X, gr.Y, gr.Z
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					s.phiS[i] = EvalInner(rule, m, center, a, g, s.posAt(i))
-				}
-			}
+		center := s.hier.Box(s.cfg.Depth, geom.CoordFromIndex(b, n)).Center
+		var gx, gy, gz []float64
+		if wantForce {
+			gx, gy, gz = s.gx[lo:hi], s.gy[lo:hi], s.gz[lo:hi]
 		}
-		evalPool.Put(es)
+		EvalLocal(rule, m, center, a, loc[b*k:(b+1)*k], s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.phiS[lo:hi], gx, gy, gz)
 	})
-	s.rec.AddFlops(PhaseEvalLocal, int64(len(s.xs))*int64(k)*int64(m+1)*FlopsKernel)
+	s.rec.AddFlops(PhaseEvalLocal, EvalLocalFlops(len(s.xs), k, m, wantForce))
 }

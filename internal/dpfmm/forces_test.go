@@ -100,3 +100,29 @@ func TestAccelerationsRejectBadInput(t *testing.T) {
 		t.Error("mismatched input accepted")
 	}
 }
+
+// TestForceEvalLocalAllocsFlat: the leaf evaluation of a force solve runs
+// the kernel on the particle planes in place, so what it allocates (the
+// machine's per-VU region, nothing per particle) does not grow with the
+// particle count. The slack of two is the scheduler's: its region
+// descriptors are recycled, so a run may allocate one or two more.
+func TestForceEvalLocalAllocsFlat(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{400, 3200} {
+		pos, q := uniformParticles(rand.New(rand.NewSource(113)), n)
+		s, err := NewSolver(newTestMachine(t, 4), unitBox(), core.Config{Degree: 5, Depth: 3}, DirectAliased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := s.partitionParticles(pos, q, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loc := s.M.NewGrid3(s.Hier.GridSize(s.Cfg.Depth), s.TS.K)
+		allocs = append(allocs, testing.AllocsPerRun(10, func() { s.evalLocal(pg, loc) }))
+	}
+	t.Logf("allocs per force evalLocal at N = 400, 3200: %v", allocs)
+	if allocs[1] > allocs[0]+2 {
+		t.Errorf("force evalLocal allocates %v at N = 400 and %v at N = 3200: it grows with the particles", allocs[0], allocs[1])
+	}
+}

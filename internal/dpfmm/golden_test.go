@@ -1,10 +1,17 @@
 package dpfmm
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"nbody/internal/core"
+	"nbody/internal/geom"
+	"nbody/internal/simd"
 )
 
 // machineCharges is what one solve charges the simulated machine: the
@@ -61,5 +68,58 @@ func TestPotentialMachineChargesGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// solveHash hashes the bits of a solve's results (acc may be nil), in
+// core's solveHash format.
+func solveHash(phi []float64, acc []geom.Vec3) uint64 {
+	h := fnv.New64a()
+	for i := range phi {
+		fmt.Fprintf(h, "%x\n", math.Float64bits(phi[i]))
+		if acc != nil {
+			fmt.Fprintf(h, "%x %x %x\n",
+				math.Float64bits(acc[i].X), math.Float64bits(acc[i].Y), math.Float64bits(acc[i].Z))
+		}
+	}
+	return h.Sum64()
+}
+
+// solvePins are the bits of potential and force solves at degree 5 and 9,
+// per backend. avx512 carries no entry: its near-field seed is the CPU's
+// VRSQRT14PD, pinned per kernel by the order tests instead.
+var solvePins = map[string][]string{
+	simd.Scalar: {"d5-potential-hash=a393ab6a555d54e8", "d5-force-hash=549a041aebbda64e",
+		"d9-potential-hash=023756097eef9e96", "d9-force-hash=8e1e4d5ec10fbe94"},
+	simd.AVX2: {"d5-potential-hash=cae88dba685a6474", "d5-force-hash=f67cfbc39c1a44be",
+		"d9-potential-hash=cdc64c290c4250e4", "d9-force-hash=09361124fb1ff932"},
+}
+
+// TestSolveBitsPinned holds the data-parallel solver's output bits: a
+// change that means to keep them (a refactor of a leaf kernel, the walk, the
+// storage) must leave these hashes alone on every pinned backend.
+func TestSolveBitsPinned(t *testing.T) {
+	pos, q := uniformParticles(rand.New(rand.NewSource(90)), 800)
+	var got []string
+	for _, degree := range []int{5, 9} {
+		s, err := NewSolver(newTestMachine(t, 4), unitBox(), core.Config{Degree: degree, Depth: 3}, DirectAliased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi, err := potentials(s, pos, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fphi, acc, err := accelerations(s, pos, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got,
+			fmt.Sprintf("d%d-potential-hash=%016x", degree, solveHash(phi, nil)),
+			fmt.Sprintf("d%d-force-hash=%016x", degree, solveHash(fphi, acc)))
+	}
+	t.Logf("%s: %v", simd.Active(), got)
+	if pin, ok := solvePins[simd.Active()]; ok && runtime.GOARCH == "amd64" && !slices.Equal(got, pin) {
+		t.Errorf("backend %s: %v, pinned %v", simd.Active(), got, pin)
 	}
 }

@@ -140,59 +140,34 @@ func (s *Solver) leafOuter(pg *particleGrid, far *dp.Grid3) {
 		if cnt == 0 {
 			return
 		}
-		center := s.Hier.Box(s.Cfg.Depth, c).Center
-		xs := pg.x.At(c)
-		ys := pg.y.At(c)
-		zs := pg.z.At(c)
-		qs := pg.q.At(c)
-		for i, si := range rule.Points {
-			p := center.Add(si.Scale(a))
-			var v float64
-			for j := 0; j < cnt; j++ {
-				v += qs[j] / p.Dist(geom.Vec3{X: xs[j], Y: ys[j], Z: zs[j]})
-			}
-			g[i] = v
-		}
+		p := pg.at(c, cnt)
+		core.LeafOuter(rule, s.Hier.Box(s.Cfg.Depth, c).Center, a, p.x, p.y, p.z, p.q, g)
 		s.M.ChargeCompute(layout.VUOf(c), int64(cnt)*int64(k)*direct.FlopsPerPair, eff)
 	})
 	s.rec.AddFlops(metrics.PhaseLeafOuter, int64(len(pg.index))*int64(k)*direct.FlopsPerPair)
 }
 
 // evalLocal evaluates the leaf inner approximations at the particles (step
-// 4), and in a force solve their gradients into the field planes.
+// 4), and in a force solve their gradients into the field planes. The
+// planes are fresh at this point, so the kernel's writes are the first.
 func (s *Solver) evalLocal(pg *particleGrid, loc *dp.Grid3) {
 	rule := s.Cfg.Rule
+	k := rule.K()
 	m := s.Cfg.M
 	a := s.Cfg.RadiusRatio * s.Hier.BoxSide(s.Cfg.Depth)
 	layout := loc.Layout
 	eff := s.M.Cost.KernelEfficiency
 	force := pg.gx != nil
-	perParticle := int64(rule.K()) * int64(m+1) * 6
-	if force {
-		perParticle *= 2
-	}
 	loc.ForEachBox(func(c geom.Coord3, g []float64) {
 		cnt := int(pg.count.At(c)[0])
 		if cnt == 0 {
 			return
 		}
-		center := s.Hier.Box(s.Cfg.Depth, c).Center
 		p := pg.at(c, cnt)
-		for j := 0; j < cnt; j++ {
-			x := geom.Vec3{X: p.x[j], Y: p.y[j], Z: p.z[j]}
-			if !force {
-				p.phi[j] += core.EvalInner(rule, m, center, a, g, x)
-				continue
-			}
-			v, grad := core.EvalInnerGrad(rule, m, center, a, g, x)
-			p.phi[j] += v
-			p.gx[j] += grad.X
-			p.gy[j] += grad.Y
-			p.gz[j] += grad.Z
-		}
-		s.M.ChargeCompute(layout.VUOf(c), int64(cnt)*perParticle, eff)
+		core.EvalLocal(rule, m, s.Hier.Box(s.Cfg.Depth, c).Center, a, g, p.x, p.y, p.z, p.phi, p.gx, p.gy, p.gz)
+		s.M.ChargeCompute(layout.VUOf(c), core.EvalLocalFlops(cnt, k, m, force), eff)
 	})
-	s.rec.AddFlops(metrics.PhaseEvalLocal, int64(len(pg.index))*perParticle)
+	s.rec.AddFlops(metrics.PhaseEvalLocal, core.EvalLocalFlops(len(pg.index), k, m, force))
 }
 
 // scatter writes the per-box potentials, and the fields when acc is not

@@ -143,6 +143,56 @@ func TestFlopsClosedForm(t *testing.T) {
 	}
 }
 
+// TestEvalLocalFlopsAgree checks that both 3-D solvers charge the leaf
+// evaluation of step 4 alike: FlopsKernel per kernel term and particle,
+// twice that when the solve forms the gradient too.
+func TestEvalLocalFlopsAgree(t *testing.T) {
+	const n, depth = 2048, 3
+	pos, q := testutil.RandomSystem(n, 8)
+	cfg, err := core.Config{Degree: 5, Depth: depth}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := core.NewSolver(testutil.UnitBox(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dp.NewMachine(8, 4, dp.CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dpfmm.NewSolver(m, testutil.UnitBox(), cfg, dpfmm.LinearizedAliased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sv := range []struct {
+		name  string
+		solve func(phi []float64, acc []geom.Vec3) error
+		stats func() *metrics.Snapshot
+	}{
+		{"core", func(phi []float64, acc []geom.Vec3) error { return cs.Solve(nil, pos, q, phi, acc) }, cs.Stats},
+		{"dpfmm", func(phi []float64, acc []geom.Vec3) error { return ds.Solve(nil, pos, q, phi, acc) }, ds.Stats},
+	} {
+		var before metrics.Snapshot
+		for _, force := range []bool{false, true} {
+			var acc []geom.Vec3
+			want := int64(n) * int64(cfg.Rule.K()) * int64(cfg.M+1) * core.FlopsKernel
+			if force {
+				acc = make([]geom.Vec3, n)
+				want *= 2
+			}
+			if err := sv.solve(make([]float64, n), acc); err != nil {
+				t.Fatal(err)
+			}
+			d := sv.stats().Diff(&before)
+			before = *sv.stats()
+			if got := d.Flops[metrics.PhaseEvalLocal]; got != want {
+				t.Errorf("%s force=%v: eval-local flops %d, want %d", sv.name, force, got, want)
+			}
+		}
+	}
+}
+
 // TestNearPairsAreUnorderedPairs checks the shared-memory solver's near-field
 // accounting against a count that shares nothing with its sweep: NearPairs is
 // the number of unordered particle pairs in near boxes — each evaluated once

@@ -33,24 +33,6 @@ func LegendreP(n int, x float64) float64 {
 	return p
 }
 
-// LegendreAll fills out[0..M] with P_0(x)..P_M(x); out must have length M+1.
-// It is the inner-loop primitive of translation-matrix construction, where
-// all degrees up to the truncation M are needed at once.
-func LegendreAll(x float64, out []float64) {
-	m := len(out) - 1
-	if m < 0 {
-		return
-	}
-	out[0] = 1
-	if m == 0 {
-		return
-	}
-	out[1] = x
-	for k := 2; k <= m; k++ {
-		out[k] = (float64(2*k-1)*x*out[k-1] - float64(k-1)*out[k-2]) / float64(k)
-	}
-}
-
 // LegendrePDeriv returns P_n(x) and its derivative P_n'(x). The derivative
 // is needed for force (gradient) evaluation of inner approximations. At the
 // endpoints x = ±1 the analytic limit P_n'(±1) = (±1)^(n+1) n(n+1)/2 is
@@ -70,33 +52,6 @@ func LegendrePDeriv(n int, x float64) (p, dp float64) {
 	pm1 := LegendreP(n-1, x)
 	dp = float64(n) * (x*p - pm1) / (x*x - 1)
 	return p, dp
-}
-
-// LegendreAllDeriv fills p[0..M] and dp[0..M] with the Legendre polynomials
-// and their derivatives at x. len(p) must equal len(dp).
-func LegendreAllDeriv(x float64, p, dp []float64) {
-	LegendreAll(x, p)
-	m := len(p) - 1
-	if m < 0 {
-		return
-	}
-	dp[0] = 0
-	if m == 0 {
-		return
-	}
-	if x == 1 || x == -1 {
-		for n := 1; n <= m; n++ {
-			s := 1.0
-			if x < 0 && n%2 == 0 {
-				s = -1
-			}
-			dp[n] = s * float64(n) * float64(n+1) / 2
-		}
-		return
-	}
-	for n := 1; n <= m; n++ {
-		dp[n] = float64(n) * (x*p[n] - p[n-1]) / (x*x - 1)
-	}
 }
 
 // GaussLegendre returns the n nodes and weights of the Gauss-Legendre

@@ -55,27 +55,6 @@ func TestLegendreBoundedOnInterval(t *testing.T) {
 	}
 }
 
-func TestLegendreAllMatchesScalar(t *testing.T) {
-	out := make([]float64, 16)
-	for _, x := range []float64{-0.9, -0.1, 0, 0.3, 0.99} {
-		LegendreAll(x, out)
-		for n := range out {
-			if got, want := out[n], LegendreP(n, x); math.Abs(got-want) > 1e-14 {
-				t.Errorf("LegendreAll[%d](%g) = %g, want %g", n, x, got, want)
-			}
-		}
-	}
-}
-
-func TestLegendreAllEdgeLengths(t *testing.T) {
-	LegendreAll(0.5, nil) // must not panic
-	one := []float64{0}
-	LegendreAll(0.5, one)
-	if one[0] != 1 {
-		t.Errorf("LegendreAll len-1 = %v", one[0])
-	}
-}
-
 func TestLegendreDerivative(t *testing.T) {
 	// Compare against central differences away from endpoints.
 	h := 1e-6
@@ -102,20 +81,6 @@ func TestLegendreDerivativeEndpoints(t *testing.T) {
 		}
 		if _, dp := LegendrePDeriv(n, -1); math.Abs(dp-wantNeg) > 1e-12 {
 			t.Errorf("P'_%d(-1) = %g, want %g", n, dp, wantNeg)
-		}
-	}
-}
-
-func TestLegendreAllDerivMatchesScalar(t *testing.T) {
-	p := make([]float64, 10)
-	dp := make([]float64, 10)
-	for _, x := range []float64{-1, -0.5, 0, 0.7, 1} {
-		LegendreAllDeriv(x, p, dp)
-		for n := range p {
-			wp, wdp := LegendrePDeriv(n, x)
-			if math.Abs(p[n]-wp) > 1e-13 || math.Abs(dp[n]-wdp) > 1e-10*(1+math.Abs(wdp)) {
-				t.Errorf("AllDeriv[%d](%g) = (%g,%g), want (%g,%g)", n, x, p[n], dp[n], wp, wdp)
-			}
 		}
 	}
 }

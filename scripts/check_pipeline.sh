@@ -123,4 +123,19 @@ if [ -n "$asserts" ]; then
     echo "give the solver a solveInto method instead of a capability interface" >&2
     exit 1
 fi
+# Seventh boundary: one leaf layer. The particle -> outer sphere and inner
+# sphere -> particle operations of both 3-D solvers are core.LeafOuter and
+# core.EvalLocal, run once per box. Outside kernel.go (those kernels) and
+# matrices.go (the translation matrices), no non-test file of internal/core
+# or internal/dpfmm walks a rule's integration points, so a second
+# hand-written leaf loop cannot come back beside them.
+walks=$(grep -nE 'range +[A-Za-z_.(]*\.Points\b' internal/core/*.go internal/dpfmm/*.go \
+    | grep -v '_test\.go:' \
+    | grep -vE '^internal/core/(kernel|matrices)\.go:' || true)
+if [ -n "$walks" ]; then
+    echo "check_pipeline: a leaf loop over a rule's points outside core's kernel.go/matrices.go:" >&2
+    echo "$walks" >&2
+    echo "call core.LeafOuter / core.EvalLocal on the box's particle planes instead" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"
