@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,17 +28,16 @@ func benchEvalOuter(b *testing.B, rule *sphere.Rule, m int) {
 	_ = sink
 }
 
-// leafBox is a 64-particle leaf box of side 1 at the origin with a K = 12
+// leafBox is an n-particle leaf box of side 1 at the origin with a K = 12
 // sphere of the solver's radius around it and random values on it: the
 // shape the two leaf kernels run once per box.
-func leafBox() (rule *sphere.Rule, a float64, g, xs, ys, zs, qs []float64) {
+func leafBox(n int) (rule *sphere.Rule, a float64, g, xs, ys, zs, qs []float64) {
 	rng := rand.New(rand.NewSource(2))
 	rule = sphere.Icosahedron()
 	g = make([]float64, rule.K())
 	for i := range g {
 		g[i] = rng.NormFloat64()
 	}
-	const n = 64
 	xs, ys, zs, qs = make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	for j := range xs {
 		xs[j], ys[j], zs[j], qs[j] = rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()
@@ -45,30 +45,39 @@ func leafBox() (rule *sphere.Rule, a float64, g, xs, ys, zs, qs []float64) {
 	return rule, Sqrt3Over2, g, xs, ys, zs, qs
 }
 
-func BenchmarkLeafOuterK12(b *testing.B) {
-	rule, a, g, xs, ys, zs, qs := leafBox()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LeafOuter(rule, geom.Vec3{}, a, xs, ys, zs, qs, g)
-	}
-	b.ReportMetric(float64(len(xs)*b.N)/b.Elapsed().Seconds(), "particles/s")
-}
+// leafBoxSizes are the leaf benchmarks' box sizes: 8 particles, the mean
+// box of the 32768-particle depth-4 solve, where a vector body's last
+// group and its per-call cost weigh most, and 64.
+var leafBoxSizes = []int{8, 64}
 
-func BenchmarkEvalLocalK12(b *testing.B) {
-	rule, a, g, xs, ys, zs, _ := leafBox()
-	n := len(xs)
-	phi, gx, gy, gz := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for _, force := range []bool{false, true} {
-		name, fx := "potential", []float64(nil)
-		if force {
-			name, fx = "force", gx
-		}
-		b.Run(name, func(b *testing.B) {
+func BenchmarkLeafOuterK12(b *testing.B) {
+	for _, n := range leafBoxSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rule, a, g, xs, ys, zs, qs := leafBox(n)
 			for i := 0; i < b.N; i++ {
-				EvalLocal(rule, 3, geom.Vec3{}, a, g, xs, ys, zs, phi, fx, gy, gz)
+				LeafOuter(rule, geom.Vec3{}, a, xs, ys, zs, qs, g)
 			}
 			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "particles/s")
 		})
+	}
+}
+
+func BenchmarkEvalLocalK12(b *testing.B) {
+	for _, n := range leafBoxSizes {
+		rule, a, g, xs, ys, zs, _ := leafBox(n)
+		phi, gx, gy, gz := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for _, force := range []bool{false, true} {
+			name, fx := "potential", []float64(nil)
+			if force {
+				name, fx = "force", gx
+			}
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					EvalLocal(rule, 3, geom.Vec3{}, a, g, xs, ys, zs, phi, fx, gy, gz)
+				}
+				b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "particles/s")
+			})
+		}
 	}
 }
 

@@ -115,7 +115,10 @@ func TestT2ChainMatchesDirect(t *testing.T) {
 				Y: (rng.Float64() - 0.5) * 0.9,
 				Z: (rng.Float64() - 0.5) * 0.9,
 			})
-			got := evalInner(cfg.Rule, cfg.M, tc, cfg.RadiusRatio, gt, x)
+			got := evalPot(cfg.Rule, cfg.M, tc, cfg.RadiusRatio, gt, x)
+			if want := evalInner(cfg.Rule, cfg.M, tc, cfg.RadiusRatio, gt, x); math.Abs(got-want) > oracleBound*(1+math.Abs(want)) {
+				t.Errorf("offset %v at %v: EvalLocal %v, trig-form oracle %v", o, x, got, want)
+			}
 			var want float64
 			for j := range pos {
 				want += q[j] / x.Dist(pos[j])
@@ -163,7 +166,10 @@ func TestT3ChainPreservesField(t *testing.T) {
 				Y: (rng.Float64() - 0.5) * 0.9,
 				Z: (rng.Float64() - 0.5) * 0.9,
 			})
-			got := evalInner(cfg.Rule, cfg.M, child.Center, cfg.RadiusRatio, gc, x)
+			got := evalPot(cfg.Rule, cfg.M, child.Center, cfg.RadiusRatio, gc, x)
+			if want := evalInner(cfg.Rule, cfg.M, child.Center, cfg.RadiusRatio, gc, x); math.Abs(got-want) > oracleBound*(1+math.Abs(want)) {
+				t.Errorf("oct %d at %v: EvalLocal %v, trig-form oracle %v", oct, x, got, want)
+			}
 			want := truePot(x)
 			if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-4 {
 				t.Errorf("oct %d: T3 chain error %.2e", oct, rel)

@@ -20,6 +20,7 @@ package core
 
 import (
 	"nbody/internal/geom"
+	"nbody/internal/kernels"
 	"nbody/internal/sphere"
 )
 
@@ -69,111 +70,42 @@ func EvalOuter(rule *sphere.Rule, m int, center geom.Vec3, a float64, g []float6
 	return s
 }
 
-// evalInner evaluates an inner sphere approximation at a point x inside the
-// sphere. At the exact center only the n = 0 term survives (the mean of g).
-func evalInner(rule *sphere.Rule, m int, center geom.Vec3, a float64, g []float64, x geom.Vec3) float64 {
-	d := x.Sub(center)
-	r := d.Norm()
-	if r == 0 {
-		var s float64
-		for i := range rule.Points {
-			s += rule.W[i] * g[i]
-		}
-		return s
-	}
-	xh := d.Scale(1 / r)
-	var s float64
-	for i, si := range rule.Points {
-		s += rule.W[i] * g[i] * innerKernel(m, a, r, si.Dot(xh))
-	}
-	return s
-}
-
 // LeafOuter samples the potential of one box's particles (positions xs, ys,
 // zs, charges qs) at the points of its outer sphere (center, radius a) into
-// out[0..K): the particle -> outer sphere operation of step 1.
+// out[0..K): the particle -> outer sphere operation of step 1. The sphere
+// points are the targets of the one-sided kernel, up to leafChunk at a time
+// from arrays on the stack; each target's sum is the kernel's alone, so the
+// chunking does not move a bit.
 func LeafOuter(rule *sphere.Rule, center geom.Vec3, a float64, xs, ys, zs, qs, out []float64) {
-	for i, si := range rule.Points {
-		p := center.Add(si.Scale(a))
-		var v float64
-		for j := range xs {
-			d := geom.Vec3{X: p.X - xs[j], Y: p.Y - ys[j], Z: p.Z - zs[j]}
-			v += qs[j] / d.Norm()
+	var px, py, pz [leafChunk]float64
+	for lo := 0; lo < len(rule.Points); lo += leafChunk {
+		pts := rule.Points[lo:min(lo+leafChunk, len(rule.Points))]
+		for i, si := range pts {
+			p := center.Add(si.Scale(a))
+			px[i], py[i], pz[i] = p.X, p.Y, p.Z
 		}
-		out[i] = v
+		o := out[lo : lo+len(pts)]
+		clear(o)
+		kernels.AccumulatePotentialSoA(px[:len(pts)], py[:len(pts)], pz[:len(pts)], o, xs, ys, zs, qs)
 	}
 }
+
+// leafChunk is how many sphere points LeafOuter hands the kernel at once.
+const leafChunk = 64
 
 // EvalLocal evaluates one box's inner sphere approximation (center, radius
 // a, values g, truncation m) at its particles xs, ys, zs, writing phi and,
 // unless gx is nil, the gradient into gx, gy, gz: the inner sphere ->
-// particle operation of step 4. The gradient is
-//
-//	grad Psi = sum_i w_i g_i sum_n (2n+1)/a^n *
-//	           [ n r^(n-1) P_n(u) x^ + r^(n-1) P'_n(u) (s_i - u x^) ]
-//
-// with u = s_i . x^. Both bracketed terms carry r^(n-1), so the n >= 1
-// series is finite as r -> 0; at r = 0 only n = 1 survives, giving
-// grad Psi = (3/a) sum_i w_i g_i s_i. P_n and P'_n come from the three-term
-// recurrence carried inline, P'_n = n (u P_n - P_(n-1)) / (u^2 - 1), and its
-// limit (+-1)^(n+1) n(n+1)/2 at u = +-1.
+// particle operation of step 4. It is the series of innerKernel summed over
+// the rule, taken by the solid-harmonic recurrence in (x - center)/a of
+// kernels.InnerPotentialSoA, which needs no square root and no divide, and
+// whose gradient needs no branch at the centre or at u = ±1.
 func EvalLocal(rule *sphere.Rule, m int, center geom.Vec3, a float64, g, xs, ys, zs, phi, gx, gy, gz []float64) {
-	for j := range xs {
-		x := geom.Vec3{X: xs[j], Y: ys[j], Z: zs[j]}
-		if gx == nil {
-			phi[j] = evalInner(rule, m, center, a, g, x)
-			continue
-		}
-		d := x.Sub(center)
-		r := d.Norm()
-		var val float64
-		var grad geom.Vec3
-		if r < 1e-300 {
-			for i, si := range rule.Points {
-				wg := rule.W[i] * g[i]
-				val += wg
-				if m >= 1 {
-					grad = grad.Add(si.Scale(3 * wg / a))
-				}
-			}
-		} else {
-			xh := d.Scale(1 / r)
-			rho := r / a
-			for i, si := range rule.Points {
-				u := min(max(si.Dot(xh), -1), 1)
-				end, den := u == 1 || u == -1, u*u-1
-				wg := rule.W[i] * g[i]
-				// n = 0 term contributes only to the value.
-				val += wg
-				radial := 0.0    // sum_n (2n+1) n (r/a)^n P_n(u) / r
-				angular := 0.0   // sum_n (2n+1) (r/a)^n P'_n(u) / r
-				powOverA := 1.0  // (r/a)^n
-				pm1, p := 1.0, u // P_(n-1), P_n
-				for n := 1; n <= m; n++ {
-					if n > 1 {
-						pm1, p = p, (float64(2*n-1)*u*p-float64(n-1)*pm1)/float64(n)
-					}
-					powOverA *= rho
-					c := float64(2*n+1) * powOverA
-					var dp float64
-					switch {
-					case !end:
-						dp = float64(n) * (u*p - pm1) / den
-					case u < 0 && n%2 == 0:
-						dp = -float64(n) * float64(n+1) / 2
-					default:
-						dp = float64(n) * float64(n+1) / 2
-					}
-					val += wg * c * p
-					radial += c * float64(n) * p / r
-					angular += c * dp / r
-				}
-				grad = grad.Add(xh.Scale(wg * radial))
-				grad = grad.Add(si.Sub(xh.Scale(u)).Scale(wg * angular))
-			}
-		}
-		phi[j], gx[j], gy[j], gz[j] = val, grad.X, grad.Y, grad.Z
+	if gx == nil {
+		kernels.InnerPotentialSoA(rule.Points, rule.W, g, m, center, a, xs, ys, zs, phi)
+		return
 	}
+	kernels.InnerFusedSoA(rule.Points, rule.W, g, m, center, a, xs, ys, zs, phi, gx, gy, gz)
 }
 
 // EvalLocalFlops is the nominal cost EvalLocal is charged for n particles

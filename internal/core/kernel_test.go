@@ -33,6 +33,39 @@ func truePotential(x geom.Vec3, pos []geom.Vec3, q []float64) float64 {
 	return v
 }
 
+// evalInner is the trig-form oracle of the inner series: innerKernel in r
+// and u = s_i . x^, summed over the rule — the square root and the divide
+// that EvalLocal's recurrence does without. At the exact centre only the
+// n = 0 term survives (the mean of g).
+func evalInner(rule *sphere.Rule, m int, center geom.Vec3, a float64, g []float64, x geom.Vec3) float64 {
+	d := x.Sub(center)
+	r := d.Norm()
+	if r == 0 {
+		var s float64
+		for i := range rule.Points {
+			s += rule.W[i] * g[i]
+		}
+		return s
+	}
+	xh := d.Scale(1 / r)
+	var s float64
+	for i, si := range rule.Points {
+		s += rule.W[i] * g[i] * innerKernel(m, a, r, si.Dot(xh))
+	}
+	return s
+}
+
+// evalPot is EvalLocal's potential path on a one-point box.
+func evalPot(rule *sphere.Rule, m int, c geom.Vec3, a float64, g []float64, x geom.Vec3) float64 {
+	var phi [1]float64
+	EvalLocal(rule, m, c, a, g, []float64{x.X}, []float64{x.Y}, []float64{x.Z}, phi[:], nil, nil, nil)
+	return phi[0]
+}
+
+// oracleBound is how far EvalLocal may sit from the trig-form oracle,
+// relative to 1 + |oracle|: the two round differently, nothing more.
+const oracleBound = 1e-13
+
 func TestOuterKernelReproducesPointChargeFarField(t *testing.T) {
 	// Charges in a unit box at the origin, outer sphere of radius ~ box
 	// circumradius, evaluation at two-separation distance (3 box sides).
@@ -126,7 +159,7 @@ func TestInnerKernelReproducesFarSourceField(t *testing.T) {
 	}
 	for trial := 0; trial < 50; trial++ {
 		x := geom.Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}.Scale(1.0)
-		got := evalInner(rule, m, geom.Vec3{}, a, g, x)
+		got := evalPot(rule, m, geom.Vec3{}, a, g, x)
 		want := truePotential(x, pos, q)
 		if rel := math.Abs(got-want) / math.Abs(want); rel > 2e-3 {
 			t.Errorf("inner eval at %v: rel error %.2e", x, rel)
@@ -140,7 +173,7 @@ func TestEvalInnerAtCenterIsMean(t *testing.T) {
 	for i := range g {
 		g[i] = float64(i)
 	}
-	got := evalInner(rule, 2, geom.Vec3{X: 1, Y: 2, Z: 3}, 0.5, g, geom.Vec3{X: 1, Y: 2, Z: 3})
+	got := evalPot(rule, 2, geom.Vec3{X: 1, Y: 2, Z: 3}, 0.5, g, geom.Vec3{X: 1, Y: 2, Z: 3})
 	want := 0.0
 	for i := range g {
 		want += rule.W[i] * g[i]
@@ -157,9 +190,13 @@ func evalGrad(rule *sphere.Rule, m int, c geom.Vec3, a float64, g []float64, x g
 	return phi[0], geom.Vec3{X: gx[0], Y: gy[0], Z: gz[0]}
 }
 
-// refGrad is EvalLocal's force path written term by term from
-// sphere.LegendrePDeriv, in the kernel's operation order: the recurrence
-// the kernel carries inline must give these bits.
+// refGrad is the trig-form oracle of the gradient, written term by term
+// from sphere.LegendrePDeriv:
+//
+//	grad Psi = sum_i w_i g_i sum_n (2n+1)/a^n *
+//	           [ n r^(n-1) P_n(u) x^ + r^(n-1) P'_n(u) (s_i - u x^) ]
+//
+// with u = s_i . x^ (not defined at the centre).
 func refGrad(rule *sphere.Rule, m int, c geom.Vec3, a float64, g []float64, x geom.Vec3) (float64, geom.Vec3) {
 	d := x.Sub(c)
 	r := d.Norm()
@@ -186,11 +223,11 @@ func refGrad(rule *sphere.Rule, m int, c geom.Vec3, a float64, g []float64, x ge
 }
 
 // TestEvalInnerGradMatchesFiniteDifference holds EvalLocal's gradient to a
-// central difference of the potential and its bits to refGrad's, at random
-// targets and on the rays through the centre of rule points (both sides),
-// where u = s_i . x^ is exactly +1 or -1 and P'_n takes its endpoint limit.
-// There the P'_n term is multiplied by s_i - u x^, a rounding error, so
-// only the bitwise comparison sees its sign.
+// central difference of its potential and, within oracleBound, to the
+// trig-form oracle refGrad, at random targets and on the rays through the
+// centre of rule points (both sides), where u = s_i . x^ is exactly +1 or -1
+// and the oracle's P'_n takes its endpoint limit. The potential of the force
+// path must be the potential path's bit for bit.
 func TestEvalInnerGradMatchesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	c := geom.Vec3{X: 0.2, Y: -0.1, Z: 0.05}
@@ -231,21 +268,52 @@ func TestEvalInnerGradMatchesFiniteDifference(t *testing.T) {
 		if ends[0] == 0 || ends[1] == 0 {
 			t.Fatalf("m=%d: %d targets at u = -1 and %d at u = +1, want some of each", m, ends[0], ends[1])
 		}
+		pot := func(x geom.Vec3) float64 { return evalPot(rule, m, c, a, g, x) }
 		for _, x := range targets {
 			val, grad := evalGrad(rule, m, c, a, g, x)
-			if rv, rg := refGrad(rule, m, c, a, g, x); val != rv || grad != rg {
-				t.Errorf("m=%d at %v: EvalLocal (%v, %v), term by term (%v, %v)", m, x, val, grad, rv, rg)
+			if p := pot(x); val != p {
+				t.Fatalf("m=%d at %v: force path potential %v, potential path %v", m, x, val, p)
 			}
-			if want := evalInner(rule, m, c, a, g, x); math.Abs(val-want) > 1e-12*(1+math.Abs(want)) {
-				t.Fatalf("m=%d: value mismatch: %g vs %g", m, val, want)
+			rv, rg := refGrad(rule, m, c, a, g, x)
+			if math.Abs(val-rv) > oracleBound*(1+math.Abs(rv)) || grad.Sub(rg).Norm() > oracleBound*(1+rg.Norm()) {
+				t.Errorf("m=%d at %v: EvalLocal (%v, %v), oracle (%v, %v)", m, x, val, grad, rv, rg)
 			}
 			fd := geom.Vec3{
-				X: (evalInner(rule, m, c, a, g, x.Add(geom.Vec3{X: h})) - evalInner(rule, m, c, a, g, x.Sub(geom.Vec3{X: h}))) / (2 * h),
-				Y: (evalInner(rule, m, c, a, g, x.Add(geom.Vec3{Y: h})) - evalInner(rule, m, c, a, g, x.Sub(geom.Vec3{Y: h}))) / (2 * h),
-				Z: (evalInner(rule, m, c, a, g, x.Add(geom.Vec3{Z: h})) - evalInner(rule, m, c, a, g, x.Sub(geom.Vec3{Z: h}))) / (2 * h),
+				X: (pot(x.Add(geom.Vec3{X: h})) - pot(x.Sub(geom.Vec3{X: h}))) / (2 * h),
+				Y: (pot(x.Add(geom.Vec3{Y: h})) - pot(x.Sub(geom.Vec3{Y: h}))) / (2 * h),
+				Z: (pot(x.Add(geom.Vec3{Z: h})) - pot(x.Sub(geom.Vec3{Z: h}))) / (2 * h),
 			}
 			if grad.Sub(fd).Norm() > 1e-5*(1+fd.Norm()) {
 				t.Errorf("m=%d: grad %v vs FD %v at %v", m, grad, fd, x)
+			}
+		}
+	}
+}
+
+// TestEvalLocalMatchesTrigOracle holds EvalLocal's potential to the
+// trig-form oracle within oracleBound at every truncation 1-7 and at one
+// beyond the kernels' shared coefficient table (66), on the default K = 12
+// rule and a K = 72 product rule, at random points of the box, at its
+// centre and on rays through rule points (u = ±1).
+func TestEvalLocalMatchesTrigOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	c := geom.Vec3{X: -0.3, Y: 0.6, Z: 0.1}
+	a := 1.1
+	for _, rule := range []*sphere.Rule{sphere.Icosahedron(), sphere.Product(6, 12)} {
+		g := make([]float64, rule.K())
+		for i := range g {
+			g[i] = rng.NormFloat64()
+		}
+		targets := []geom.Vec3{c, c.Add(rule.Points[0].Scale(0.5)), c.Add(rule.Points[1].Scale(-0.8))}
+		for trial := 0; trial < 40; trial++ {
+			targets = append(targets, c.Add(geom.Vec3{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5}))
+		}
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 66} {
+			for _, x := range targets {
+				got, want := evalPot(rule, m, c, a, g, x), evalInner(rule, m, c, a, g, x)
+				if math.Abs(got-want) > oracleBound*(1+math.Abs(want)) {
+					t.Errorf("K=%d m=%d at %v: EvalLocal %v, oracle %v", rule.K(), m, x, got, want)
+				}
 			}
 		}
 	}

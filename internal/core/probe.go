@@ -53,8 +53,8 @@ func (s *Solver) PotentialsAt(pos []geom.Vec3, q []float64, targets []geom.Vec3)
 }
 
 // evalAt evaluates the solved field at arbitrary target points: the local
-// expansion of each target's leaf box plus direct summation over its
-// near-field source particles.
+// expansion of each target's leaf box (EvalLocal on the target alone) plus
+// direct summation over its near-field source particles.
 func (s *Solver) evalAt(targets []geom.Vec3, phi []float64) {
 	depth := s.cfg.Depth
 	k := s.ts.K
@@ -63,12 +63,17 @@ func (s *Solver) evalAt(targets []geom.Vec3, phi []float64) {
 	m := s.cfg.M
 	a := s.cfg.RadiusRatio * s.hier.BoxSide(depth)
 	n := s.part.Grid
+	xs, ys, zs := make([]float64, len(targets)), make([]float64, len(targets)), make([]float64, len(targets))
+	for i, x := range targets {
+		xs[i], ys[i], zs[i] = x.X, x.Y, x.Z
+	}
 	sched.Run(len(targets), func(i int) {
 		x := targets[i]
 		c := s.hier.LeafOf(x)
 		b := c.Index(n)
 		center := s.hier.Box(depth, c).Center
-		v := evalInner(rule, m, center, a, loc[b*k:(b+1)*k], x)
+		EvalLocal(rule, m, center, a, loc[b*k:(b+1)*k], xs[i:i+1], ys[i:i+1], zs[i:i+1], phi[i:i+1], nil, nil, nil)
+		v := phi[i]
 		// Near field: the target's own box plus its near offsets, as
 		// contiguous ranges of the box-sorted source mirrors.
 		sum := func(bi int) {

@@ -367,8 +367,8 @@ func TestT2CancelMidSweepThenReuse(t *testing.T) {
 func TestSupernodeSolveIndependentOfWorkerCount(t *testing.T) {
 	if !inChild() {
 		sameHashesAtEveryWorkerCount(t, map[string][]string{
-			simd.Scalar: {"force-hash=d401ae6dd32ec507", "potential-hash=188d059c15cbb69f"},
-			simd.AVX2:   {"force-hash=2bf88616cb3978e5", "potential-hash=26b4f715f78a32fb"},
+			simd.Scalar: {"force-hash=f0921b419e1d4739", "potential-hash=db92b1ad3e77f453"},
+			simd.AVX2:   {"force-hash=7a10320ce323b86f", "potential-hash=475bd517e7a799ba"},
 		})
 		return
 	}

@@ -89,10 +89,10 @@ func solveHash(phi []float64, acc []geom.Vec3) uint64 {
 // per backend. avx512 carries no entry: its near-field seed is the CPU's
 // VRSQRT14PD, pinned per kernel by the order tests instead.
 var solvePins = map[string][]string{
-	simd.Scalar: {"d5-potential-hash=a393ab6a555d54e8", "d5-force-hash=549a041aebbda64e",
-		"d9-potential-hash=023756097eef9e96", "d9-force-hash=8e1e4d5ec10fbe94"},
-	simd.AVX2: {"d5-potential-hash=cae88dba685a6474", "d5-force-hash=f67cfbc39c1a44be",
-		"d9-potential-hash=cdc64c290c4250e4", "d9-force-hash=09361124fb1ff932"},
+	simd.Scalar: {"d5-potential-hash=c71e2a77aed3c6e4", "d5-force-hash=346fb03a97609e98",
+		"d9-potential-hash=54611f7a43bec8c5", "d9-force-hash=56cfc9c312853ae3"},
+	simd.AVX2: {"d5-potential-hash=26c995cbef9a4b17", "d5-force-hash=af3c5c33fae86a50",
+		"d9-potential-hash=25a2bf90833ada15", "d9-force-hash=91219dbe44877a39"},
 }
 
 // TestSolveBitsPinned holds the data-parallel solver's output bits: a

@@ -4,7 +4,9 @@
 // data-parallel FMM's traveling near-field walk, and the 2-D logarithmic
 // solver. Each kernel is the innermost double loop over a pair of particle
 // sets with the common `r == 0` coincidence guard (self-exclusion semantics:
-// coincident particles contribute nothing instead of Inf/NaN).
+// coincident particles contribute nothing instead of Inf/NaN). The two leaf
+// operations of the 3-D solvers run here too: the one-sided potential with
+// sphere points as targets, and the inner series of inner.go.
 //
 // The kernels come in three layouts matching their callers' storage:
 //

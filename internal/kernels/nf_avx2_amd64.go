@@ -3,13 +3,15 @@ package kernels
 import "nbody/internal/geom"
 
 // Go-side bindings of the AVX2/FMA near-field kernels (nf_avx2_amd64.s).
-// Each wrapper hands the assembly a source count truncated to a multiple
-// of four — the assembly's contract: no masked loads, never reads past the
-// truncated count — and feeds the 0-3 leftover sources through the scalar
-// kernel on sliced source operands, which appends the tail contributions
-// after the vector ones in a fixed order (determinism preserved). The
-// assembly is skipped entirely when either side of the truncated loop is
-// empty, so no empty slice is ever dereferenced.
+// Each pair or force wrapper hands the assembly a source count truncated to
+// a multiple of four — the assembly's contract: no masked loads, never
+// reads past the truncated count — and feeds the 0-3 leftover sources
+// through the scalar kernel on sliced source operands, which appends the
+// tail contributions after the vector ones in a fixed order (determinism
+// preserved). accumPotSoAVec truncates the targets instead and runs the 0-3
+// leftover targets through the scalar kernel, whose arithmetic each lane
+// repeats. The assembly is skipped entirely when either side of the
+// truncated loop is empty, so no empty slice is ever dereferenced.
 
 //go:noescape
 func accumPotSoAAVX2(xs, ys, zs, phi *float64, cnt int, sx, sy, sz, sq *float64, scnt int)
@@ -29,9 +31,11 @@ const haveAVX2 = true
 
 func bindAVX2() {
 	accumulateForceImpl = accumulateForceVec
-	accumPotSoAImpl = accumPotSoAVec
+	accumPotSoAVector = true
 	pairPotSoAImpl = pairPotSoAVec
 	pairFusedSoAImpl = pairFusedSoAVec
+	innerPotSoAImpl = innerPotSoAVec
+	innerFusedSoAImpl = innerFusedSoAVec
 }
 
 func accumulateForceVec(posA, accA, posB []geom.Vec3, qB []float64) {
@@ -47,12 +51,12 @@ func accumulateForceVec(posA, accA, posB []geom.Vec3, qB []float64) {
 
 func accumPotSoAVec(xs, ys, zs, phi, sx, sy, sz, sq []float64) {
 	cnt, scnt := len(xs), len(sx)
-	s4 := scnt &^ 3
-	if cnt > 0 && s4 > 0 {
-		accumPotSoAAVX2(&xs[0], &ys[0], &zs[0], &phi[0], cnt, &sx[0], &sy[0], &sz[0], &sq[0], s4)
+	c4 := cnt &^ 3
+	if c4 > 0 && scnt > 0 {
+		accumPotSoAAVX2(&xs[0], &ys[0], &zs[0], &phi[0], c4, &sx[0], &sy[0], &sz[0], &sq[0], scnt)
 	}
-	if s4 < scnt {
-		accumPotSoAScalar(xs, ys, zs, phi, sx[s4:], sy[s4:], sz[s4:], sq[s4:])
+	if c4 < cnt {
+		accumPotSoAScalar(xs[c4:], ys[c4:], zs[c4:], phi[c4:], sx, sy, sz, sq)
 	}
 }
 

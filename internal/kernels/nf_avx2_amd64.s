@@ -1,9 +1,11 @@
-// AVX2/FMA near-field kernels. Each routine vectorizes the source (inner)
-// loop of its scalar twin four-wide, keeping the target (outer) loop
-// serial, and is only ever called with a source count that is a positive
-// multiple of 4 — the Go wrappers in nf_avx2_amd64.go truncate and run the
-// 0-3 leftover sources through the scalar kernel, so no masked loads are
-// needed and no load touches memory past the truncated count.
+// AVX2/FMA near-field kernels. The pair and force routines vectorize the
+// source (inner) loop of their scalar twin four-wide, keeping the target
+// (outer) loop serial, and are only ever called with a source count that is
+// a positive multiple of 4 — the Go wrappers in nf_avx2_amd64.go truncate
+// and run the 0-3 leftover sources through the scalar kernel, so no masked
+// loads are needed and no load touches memory past the truncated count.
+// accumPotSoAAVX2 puts targets in lanes instead, and takes a target count
+// that is a multiple of 4 (its own comment).
 //
 // The coincident-particle guard (`if r2 == 0 continue` / `if r2 > 0`) is a
 // VCMPPD lane mask applied by VANDPD to every value headed for an
@@ -14,7 +16,7 @@
 // guard with `r2 == 0 continue` compare NEQ_UQ (predicate 4: true on NaN,
 // like the scalar `==` falling through).
 //
-// Lane partial sums collapse as (l0+l2) + (l1+l3) — VEXTRACTF128 +
+// Lane partial sums of the source-in-lanes routines collapse as (l0+l2) + (l1+l3) — VEXTRACTF128 +
 // VADDPD + VHADDPD, the same horizontal order as the blas Dgemv kernel —
 // which together with the serial outer loop makes every routine
 // deterministic: the avx2 half of the per-backend reproducibility
@@ -62,7 +64,12 @@ GLOBL nfones<>(SB), RODATA|NOPTR, $32
 	VBLENDPD $0xC, Yt, Yd, Yd
 
 // func accumPotSoAAVX2(xs, ys, zs, phi *float64, cnt int, sx, sy, sz, sq *float64, scnt int)
-// One-sided SoA potential: phi[i] += sum_j sq[j]/r, guard r2 > 0.
+// One-sided SoA potential, targets in lanes: phi[i] += sum_j sq[j]/r,
+// guard r2 > 0, for cnt (a multiple of four) targets against scnt >= 1
+// sources. Each lane is one target and its sum runs over j ascending with
+// the scalar body's roundings — r2 = (dx*dx + dy*dy) + dz*dz unfused, then
+// VSQRTPD and VDIVPD — so every target gets accumPotSoAScalar's bits and no
+// lanes are combined.
 TEXT ·accumPotSoAAVX2(SB), NOSPLIT, $0-80
 	MOVQ xs+0(FP), SI
 	MOVQ ys+8(FP), DI
@@ -74,44 +81,44 @@ TEXT ·accumPotSoAAVX2(SB), NOSPLIT, $0-80
 	MOVQ sz+56(FP), R13
 	MOVQ sq+64(FP), R14
 	MOVQ scnt+72(FP), R15
-	SHLQ $3, R15              // source bytes (multiple of 32)
-	XORQ AX, AX               // i
+	XORQ AX, AX               // first target of the group
+	VXORPD Y15, Y15, Y15      // +0
 
 psoai:
-	CMPQ AX, R10
-	JGE  psoadone
-	VBROADCASTSD (SI)(AX*8), Y1
-	VBROADCASTSD (DI)(AX*8), Y2
-	VBROADCASTSD (R8)(AX*8), Y3
-	VXORPD Y0, Y0, Y0         // acc
-	XORQ   BX, BX             // source byte offset
+	CMPQ    AX, R10
+	JGE     psoadone
+	VMOVUPD (SI)(AX*8), Y1    // target x, four lanes
+	VMOVUPD (DI)(AX*8), Y2
+	VMOVUPD (R8)(AX*8), Y3
+	VXORPD  Y0, Y0, Y0        // acc
+	XORQ    BX, BX            // source j
 
 psoaj:
-	VMOVUPD     (R11)(BX*1), Y4
-	VSUBPD      Y4, Y1, Y5    // dx = xi - sx
-	VMOVUPD     (R12)(BX*1), Y4
-	VSUBPD      Y4, Y2, Y6    // dy
-	VMOVUPD     (R13)(BX*1), Y4
-	VSUBPD      Y4, Y3, Y7    // dz
-	VMULPD      Y5, Y5, Y8
-	VFMADD231PD Y6, Y6, Y8
-	VFMADD231PD Y7, Y7, Y8    // r2
-	VXORPD      Y9, Y9, Y9
-	VCMPPD      $30, Y9, Y8, Y9 // mask = r2 > 0 (GT_OQ)
-	VSQRTPD     Y8, Y8        // r
-	VMOVUPD     (R14)(BX*1), Y4
-	VDIVPD      Y8, Y4, Y4    // sq / r
-	VANDPD      Y9, Y4, Y4    // dead lanes -> +0
-	VADDPD      Y4, Y0, Y0
-	ADDQ        $32, BX
-	CMPQ        BX, R15
-	JLT         psoaj
+	VBROADCASTSD (R11)(BX*8), Y4
+	VSUBPD       Y4, Y1, Y5   // dx = xi - sx
+	VBROADCASTSD (R12)(BX*8), Y4
+	VSUBPD       Y4, Y2, Y6   // dy
+	VBROADCASTSD (R13)(BX*8), Y4
+	VSUBPD       Y4, Y3, Y7   // dz
+	VMULPD       Y5, Y5, Y8
+	VMULPD       Y6, Y6, Y9
+	VADDPD       Y9, Y8, Y8
+	VMULPD       Y7, Y7, Y9
+	VADDPD       Y9, Y8, Y8   // r2
+	VCMPPD       $30, Y15, Y8, Y9 // mask = r2 > 0 (GT_OQ)
+	VSQRTPD      Y8, Y8       // r
+	VBROADCASTSD (R14)(BX*8), Y4
+	VDIVPD       Y8, Y4, Y4   // sq / r
+	VANDPD       Y9, Y4, Y4   // dead lanes -> +0
+	VADDPD       Y4, Y0, Y0
+	INCQ         BX
+	CMPQ         BX, R15
+	JLT          psoaj
 
-	HSUM(Y0, X0, X5)
-	VADDSD (R9)(AX*8), X0, X0
-	VMOVSD X0, (R9)(AX*8)
-	INCQ   AX
-	JMP    psoai
+	VADDPD  (R9)(AX*8), Y0, Y0
+	VMOVUPD Y0, (R9)(AX*8)
+	ADDQ    $4, AX
+	JMP     psoai
 
 psoadone:
 	VZEROUPPER

@@ -15,11 +15,14 @@ func pairFusedSoAAVX512(xs, ys, zs, qs, phi, gx, gy, gz *float64, cnt int, sx, s
 // refine, which the order pins transcribe from.
 func rsqrt14(x float64) float64
 
-// bindAVX512 rebinds the two pair kernels over the avx2 bindings; the
-// one-sided probe kernels keep their avx2 bodies.
+// bindAVX512 rebinds the two pair kernels and the two inner-series
+// kernels over the avx2 bindings; the one-sided kernels keep their avx2
+// bodies.
 func bindAVX512() {
 	pairPotSoAImpl = pairPotSoAVec512
 	pairFusedSoAImpl = pairFusedSoAVec512
+	innerPotSoAImpl = innerPotSoAVec512
+	innerFusedSoAImpl = innerFusedSoAVec512
 }
 
 func pairPotSoAVec512(xs, ys, zs, qs, phi, sx, sy, sz, sq, sphi []float64) {

@@ -12,3 +12,7 @@ func bindAVX2()   {}
 func bindAVX512() {}
 
 func rsqrt14(float64) float64 { panic("kernels: no VRSQRT14PD off amd64") }
+
+func accumPotSoAVec(xs, ys, zs, phi, sx, sy, sz, sq []float64) {
+	panic("kernels: no vector AccumulatePotentialSoA off amd64")
+}

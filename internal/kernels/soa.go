@@ -30,11 +30,16 @@ func WithinPotentialSoA(xs, ys, zs, qs, phi []float64) {
 }
 
 // AccumulatePotentialSoA adds to phi the potentials induced at the target
-// set by a source set, one-sided (sources untouched). Backend-dispatched
-// (dispatch.go). Like WithinPotentialSoA it is kept for the frozen bench
-// probe kernels.accumulate_soa_minter_s only.
+// set by a source set, one-sided (sources untouched): core.LeafOuter's
+// kernel, with a box's sphere points as the targets, and the frozen bench
+// probe kernels.accumulate_soa_minter_s. Backend-dispatched (dispatch.go),
+// with the same bits on every backend.
 func AccumulatePotentialSoA(xs, ys, zs, phi, sx, sy, sz, sq []float64) {
-	accumPotSoAImpl(xs, ys, zs, phi, sx, sy, sz, sq)
+	if accumPotSoAVector {
+		accumPotSoAVec(xs, ys, zs, phi, sx, sy, sz, sq)
+		return
+	}
+	accumPotSoAScalar(xs, ys, zs, phi, sx, sy, sz, sq)
 }
 
 func accumPotSoAScalar(xs, ys, zs, phi, sx, sy, sz, sq []float64) {

@@ -36,7 +36,7 @@
 //     panic and return to the job channel, so a contained failure in one
 //     parallel region never wedges later regions.
 //
-//   - RunCtx/RunChunksCtx accept a context whose cancellation is checked
+//   - RunCtx/RunEachCtx accept a context whose cancellation is checked
 //     in the chunk-claim loop of every participant: a canceled context
 //     stops the job within one chunk's work and the call returns ctx.Err().
 //
@@ -233,7 +233,7 @@ func RunCtx(ctx context.Context, n int, fn func(i int)) error {
 		return nil
 	}
 	if Workers() == 1 || n == 1 {
-		return runSerialCtx(ctx, n, 0, fn, nil)
+		return runSerialCtx(ctx, n, 0, fn)
 	}
 	return submit(ctx, n, 0, fn, nil)
 }
@@ -248,32 +248,15 @@ func RunEachCtx(ctx context.Context, n int, inline bool, fn func(i int)) error {
 		return nil
 	}
 	if Workers() == 1 || n == 1 || inline {
-		return runSerialCtx(ctx, n, 1, fn, nil)
+		return runSerialCtx(ctx, n, 1, fn)
 	}
 	return submit(ctx, n, 1, fn, nil)
-}
-
-// RunChunksCtx is RunChunks with cooperative cancellation, under the same
-// contract as RunCtx. The serial degenerate case still partitions [0, n)
-// into several chunks so cancellation latency stays bounded by one chunk.
-func RunChunksCtx(ctx context.Context, n int, body func(lo, hi int)) error {
-	if ctx == nil {
-		RunChunks(n, body)
-		return nil
-	}
-	if n <= 0 {
-		return nil
-	}
-	if Workers() == 1 {
-		return runSerialCtx(ctx, n, 0, nil, body)
-	}
-	return submit(ctx, n, 0, nil, body)
 }
 
 // runSerialCtx executes a cancellable region on the caller alone, checking
 // ctx (when there is one) between chunks — of the given size, or with
 // chunk == 0 of the adaptive size a one-worker pool would use.
-func runSerialCtx(ctx context.Context, n, chunk int, fnIdx func(i int), fnChunk func(lo, hi int)) error {
+func runSerialCtx(ctx context.Context, n, chunk int, fn func(i int)) error {
 	if statsOn.Load() {
 		defer chargeSerial(now())
 	}
@@ -290,12 +273,8 @@ func runSerialCtx(ctx context.Context, n, chunk int, fnIdx func(i int), fnChunk 
 		if hi > n {
 			hi = n
 		}
-		if fnChunk != nil {
-			fnChunk(lo, hi)
-		} else {
-			for i := lo; i < hi; i++ {
-				fnIdx(i)
-			}
+		for i := lo; i < hi; i++ {
+			fn(i)
 		}
 	}
 	return nil

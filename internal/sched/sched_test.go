@@ -249,14 +249,6 @@ func TestRunCtxNilAndBackground(t *testing.T) {
 	if total != 2000 {
 		t.Fatalf("total = %d, want 2000", total)
 	}
-	if err := RunChunksCtx(context.Background(), 1000, func(lo, hi int) {
-		atomic.AddInt64(&total, int64(hi-lo))
-	}); err != nil {
-		t.Fatalf("chunks background ctx: %v", err)
-	}
-	if total != 3000 {
-		t.Fatalf("total = %d, want 3000", total)
-	}
 }
 
 func TestRunCtxCanceledBeforeStart(t *testing.T) {
@@ -269,13 +261,6 @@ func TestRunCtxCanceledBeforeStart(t *testing.T) {
 	}
 	if ran != 0 {
 		t.Fatalf("%d indices ran under a pre-canceled context", ran)
-	}
-	err = RunChunksCtx(ctx, 100000, func(lo, hi int) { atomic.AddInt64(&ran, 1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("chunks err = %v, want context.Canceled", err)
-	}
-	if ran != 0 {
-		t.Fatalf("%d chunks ran under a pre-canceled context", ran)
 	}
 }
 
@@ -306,11 +291,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := RunChunksCtx(ctx, 1<<16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			time.Sleep(10 * time.Microsecond)
-		}
-	})
+	err := RunCtx(ctx, 1<<16, func(int) { time.Sleep(10 * time.Microsecond) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -363,12 +344,11 @@ func TestRunAllocs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for name, region := range map[string]func(){
-		"Run":          func() { Run(256, fnIdx) },
-		"Run16":        func() { Run(16, fnIdx) },
-		"RunChunks":    func() { RunChunks(256, fnChunk) },
-		"RunCtx":       func() { _ = RunCtx(ctx, 256, fnIdx) },
-		"RunEachCtx":   func() { _ = RunEachCtx(ctx, 16, false, fnIdx) },
-		"RunChunksCtx": func() { _ = RunChunksCtx(ctx, 256, fnChunk) },
+		"Run":        func() { Run(256, fnIdx) },
+		"Run16":      func() { Run(16, fnIdx) },
+		"RunChunks":  func() { RunChunks(256, fnChunk) },
+		"RunCtx":     func() { _ = RunCtx(ctx, 256, fnIdx) },
+		"RunEachCtx": func() { _ = RunEachCtx(ctx, 16, false, fnIdx) },
 	} {
 		if got := testing.AllocsPerRun(200, region); got != 0 {
 			t.Errorf("%s: %.1f allocs per region, want 0", name, got)
@@ -468,7 +448,7 @@ func TestRecycleStress(t *testing.T) {
 				case 1:
 					err = RunEachCtx(ctx, n, false, body)
 				default:
-					err = RunChunksCtx(ctx, n, func(lo, hi int) {
+					RunChunks(n, func(lo, hi int) {
 						for i := lo; i < hi; i++ {
 							body(i)
 						}

@@ -68,15 +68,28 @@ fi
 # internal/dpfmm — the symmetric pair kernels of its one traveling walk
 # (interact) — and neither calls any other kernel of package kernels, so a
 # second sweep (one-sided, serial-only, per-box, within-box) cannot come
-# back beside the row rounds or the Figure 10 walk unnoticed.
-want='kernels.PairwiseFusedSoA
+# back beside the row rounds or the Figure 10 walk unnoticed. The leaf
+# layer's three kernels are the one exception: core's kernel.go (LeafOuter
+# and EvalLocal, which dpfmm calls too) calls each of them once, and no
+# other file does.
+pairs='kernels.PairwiseFusedSoA
 kernels.PairwisePotentialSoA'
+leaf='kernels.AccumulatePotentialSoA
+kernels.InnerFusedSoA
+kernels.InnerPotentialSoA'
 for pkg in internal/core internal/dpfmm; do
     calls=$(grep -n 'kernels\.[A-Za-z]' "$pkg"/*.go | grep -v '_test\.go:' \
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
-    if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ]; then
+    want=$pairs
+    if [ "$pkg" = internal/core ]; then
+        want=$(printf '%s\n%s\n' "$pairs" "$leaf" | sort)
+    fi
+    stray=$(echo "$calls" | grep -E 'kernels\.(AccumulatePotentialSoA|Inner)' \
+        | grep -v '^internal/core/kernel\.go:' || true)
+    if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ] || [ -n "$stray" ]; then
         echo "check_pipeline: $pkg must call kernels.PairwisePotentialSoA and" >&2
-        echo "kernels.PairwiseFusedSoA once each and no other near-field kernel; found:" >&2
+        echo "kernels.PairwiseFusedSoA once each and no other near-field kernel" >&2
+        echo "(and core's kernel.go the three leaf kernels once each); found:" >&2
         echo "$calls" >&2
         exit 1
     fi
