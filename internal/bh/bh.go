@@ -250,14 +250,6 @@ func (t *Tree) Potentials(cfg Config) ([]float64, Stats) {
 	return phi, st
 }
 
-// PotentialAtPoint evaluates the field at an arbitrary point (no particle
-// exclusion).
-func (t *Tree) PotentialAtPoint(x geom.Vec3, cfg Config) float64 {
-	cfg = cfg.normalize()
-	var cells, parts int64
-	return t.potentialAt(x, -1, cfg, &cells, &parts)
-}
-
 func (t *Tree) potentialAt(x geom.Vec3, exclude int32, cfg Config, cells, parts *int64) float64 {
 	var phi float64
 	stack := make([]int32, 1, 128)
@@ -310,9 +302,6 @@ func (t *Tree) potentialAt(x geom.Vec3, exclude int32, cfg Config, cells, parts 
 	}
 	return phi
 }
-
-// NumNodes returns the octree size.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // MaxDepth returns the depth of the tree (root = 0).
 func (t *Tree) MaxDepth() int {

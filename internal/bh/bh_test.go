@@ -120,8 +120,8 @@ func TestTreeStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumNodes() < 1000/4 {
-		t.Errorf("suspiciously few nodes: %d", tr.NumNodes())
+	if len(tr.nodes) < 1000/4 {
+		t.Errorf("suspiciously few nodes: %d", len(tr.nodes))
 	}
 	d := tr.MaxDepth()
 	if d < 2 || d > 20 {
@@ -137,7 +137,8 @@ func TestPotentialAtPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := geom.Vec3{X: 3, Y: 3, Z: 3} // far outside: monopole should nail it
-	got := tr.PotentialAtPoint(x, Config{Theta: 0.5, Quadrupole: true})
+	var cells, parts int64
+	got := tr.potentialAt(x, -1, Config{Theta: 0.5, Quadrupole: true}.normalize(), &cells, &parts)
 	want := direct.PotentialAt(x, pos, q)
 	if math.Abs(got-want)/want > 1e-4 {
 		t.Errorf("far point: %g vs %g", got, want)

@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// TestMultiGemmMatchesSequentialGemms: the multiple-instance product is one
+// independent A * Bs[i] per instance, each against the naive reference.
 func TestMultiGemmMatchesSequentialGemms(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := randMatrix(rng, 12, 12)
@@ -18,7 +20,7 @@ func TestMultiGemmMatchesSequentialGemms(t *testing.T) {
 		want[i] = NewMatrix(12, 8)
 		naiveGemm(a, bs[i], want[i])
 	}
-	MultiGemm(a, bs, cs)
+	ParallelMultiGemm(a, bs, cs)
 	for i := range cs {
 		if !matricesClose(cs[i], want[i], 1e-10) {
 			t.Errorf("instance %d mismatch", i)
@@ -26,6 +28,8 @@ func TestMultiGemmMatchesSequentialGemms(t *testing.T) {
 	}
 }
 
+// TestParallelMultiGemmMatchesSerial: spreading instances over the pool
+// moves no bit against one Dgemm per instance in a serial loop.
 func TestParallelMultiGemmMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randMatrix(rng, 24, 24)
@@ -38,22 +42,17 @@ func TestParallelMultiGemmMatchesSerial(t *testing.T) {
 		cs[i] = NewMatrix(24, 5)
 		want[i] = NewMatrix(24, 5)
 	}
-	MultiGemm(a, bs, want)
+	for i := range bs {
+		Dgemm(a, bs[i], want[i])
+	}
 	ParallelMultiGemm(a, bs, cs)
 	for i := range cs {
-		if !matricesClose(cs[i], want[i], 1e-12) {
-			t.Errorf("instance %d mismatch", i)
+		for j := range cs[i].Data {
+			if cs[i].Data[j] != want[i].Data[j] {
+				t.Fatalf("instance %d element %d = %g, serial Dgemm %g", i, j, cs[i].Data[j], want[i].Data[j])
+			}
 		}
 	}
-}
-
-func TestMultiGemmMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	MultiGemm(NewMatrix(2, 2), make([]Matrix, 2), make([]Matrix, 3))
 }
 
 func TestParallelMultiGemmMismatchPanics(t *testing.T) {

@@ -3,10 +3,13 @@
 // (Section 3.3.3) is to express each translation operator as a K x K matrix,
 // apply it to a potential vector as a level-2 BLAS matrix-vector product,
 // and then aggregate the translations of many boxes into level-3 BLAS
-// matrix-matrix products (optionally "multiple-instance", the CMSSL notion
-// of a batched GEMM). This package provides those kernels in pure Go:
-// row-major float64 matrices, a blocked serial GEMM, a goroutine-parallel
-// driver, and a batched variant.
+// matrix-matrix products. This package provides those kernels over
+// row-major float64 matrices: the strided slab kernel DgemmRowsT and its
+// single-vector case DgemvT (rows.go), which every solver's translations
+// run on; the streaming Dgemm and its multiple-instance form
+// ParallelMultiGemm (the CMSSL notion of a batched GEMM), kept for the
+// benchmark's kernel probes; and Daxpy and Ddot. Scalar and vector bodies
+// sit behind one backend seam (dispatch.go).
 package blas
 
 import "fmt"
@@ -60,33 +63,9 @@ func Daxpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Dscal computes x *= alpha.
-func Dscal(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Dgemv computes y += A*x (level-2 BLAS, beta = 1 accumulate form: the form
-// every translation application uses, since child/interactive contributions
-// accumulate into the destination potential vector). The inner loop is
-// backend-dispatched (dispatch.go).
-func Dgemv(a Matrix, x, y []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("blas: Dgemv shape mismatch")
-	}
-	if a.Rows == 0 || a.Cols == 0 {
-		return
-	}
-	if countersOn.Load() {
-		countGemv(a.Rows, a.Cols)
-	}
-	gemvImpl(a.Rows, a.Cols, a.Data, x, y)
-}
-
-// DgemvFlops returns the floating-point operation count of one Dgemv of the
-// given shape (the 2mn convention used throughout the paper's efficiency
-// numbers).
+// DgemvFlops returns the floating-point operation count of one matrix-vector
+// product y += A*x of the given shape (the 2mn convention used throughout
+// the paper's efficiency numbers).
 func DgemvFlops(rows, cols int) int64 { return 2 * int64(rows) * int64(cols) }
 
 // Dgemm computes C += A*B. A is m x k, B is k x n, C is m x n, all

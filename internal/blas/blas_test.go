@@ -71,7 +71,7 @@ func TestDdotMismatchPanics(t *testing.T) {
 	Ddot([]float64{1}, []float64{1, 2})
 }
 
-func TestDaxpyAndDscal(t *testing.T) {
+func TestDaxpy(t *testing.T) {
 	y := []float64{1, 1, 1}
 	Daxpy(2, []float64{1, 2, 3}, y)
 	want := []float64{3, 5, 7}
@@ -86,29 +86,28 @@ func TestDaxpyAndDscal(t *testing.T) {
 			t.Fatalf("Daxpy alpha=0 modified y: %v", y)
 		}
 	}
-	Dscal(-1, y)
-	if y[0] != -3 || y[2] != -7 {
-		t.Errorf("Dscal = %v", y)
-	}
 }
 
+// TestDgemvAccumulates: the mat-vec kernel DgemvT adds A*x into y (the
+// beta = 1 form every translation uses) from the transposed matrix.
 func TestDgemvAccumulates(t *testing.T) {
-	a := Matrix{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
+	a := Matrix{Rows: 3, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}}
 	x := []float64{1, 1, 1}
-	y := []float64{10, 20}
-	Dgemv(a, x, y)
-	if y[0] != 16 || y[1] != 35 {
-		t.Errorf("Dgemv = %v", y)
+	y := []float64{10, 20, 30}
+	DgemvT(transpose(a), x, y)
+	if y[0] != 16 || y[1] != 35 || y[2] != 54 {
+		t.Errorf("DgemvT = %v", y)
 	}
 }
 
+// TestDgemvShapePanics: DgemvT takes square matrices only.
 func TestDgemvShapePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	Dgemv(NewMatrix(2, 3), make([]float64, 2), make([]float64, 2))
+	DgemvT(NewMatrix(2, 3), make([]float64, 2), make([]float64, 2))
 }
 
 func TestDgemmMatchesNaive(t *testing.T) {
@@ -148,7 +147,7 @@ func TestDgemvEquivalentToDgemmColumn(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	y := make([]float64, 12)
-	Dgemv(a, x, y)
+	DgemvT(transpose(a), x, y)
 
 	b := NewMatrix(12, 1)
 	for i := range x {
@@ -181,8 +180,10 @@ func TestDgemmLinearityProperty(t *testing.T) {
 		b := randMatrix(r, 7, 5)
 		c1 := NewMatrix(6, 5)
 		Dgemm(a, b, c1)
-		a2 := Matrix{Rows: 6, Cols: 7, Data: append([]float64(nil), a.Data...)}
-		Dscal(2.5, a2.Data)
+		a2 := NewMatrix(6, 7)
+		for i, v := range a.Data {
+			a2.Data[i] = 2.5 * v
+		}
 		c2 := NewMatrix(6, 5)
 		Dgemm(a2, b, c2)
 		for i := range c1.Data {

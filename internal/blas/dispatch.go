@@ -3,9 +3,9 @@ package blas
 import "nbody/internal/simd"
 
 // This file is the backend seam of the BLAS layer: every public kernel
-// (Dgemm, Dgemv, DgemmRowsT) routes its inner loops through
-// one of the function pointers below, and applyBackend rebinds them when
-// internal/simd switches backends. The scalar bindings are the portable
+// (Dgemm, DgemmRowsT and its single-vector case DgemvT) routes its inner
+// loops through one of the function pointers below, and applyBackend
+// rebinds them when internal/simd switches backends. The scalar bindings are the portable
 // fallback and the only ones on non-amd64 builds; the AVX2 bindings live in
 // gemm_avx2_amd64.go and serve the avx512 backend too, except that avx512
 // rebinds the slab kernel (rows_avx512_amd64.go): for K = 12 it runs a zmm
@@ -31,7 +31,6 @@ var (
 	gemmK12Impl func(m, n int, a, b, c []float64)                            = gemmK12
 	gemmK72Impl func(m, n int, a, b, c []float64)                            = gemmK72
 	gemmImpl    func(m, k, n int, a, b, c []float64)                         = gemm4k
-	gemvImpl    func(rows, cols int, a, x, y []float64)                      = gemvScalar
 	rowsTImpl   func(k, n, rows int, ss, ds Strides, tt, src, dst []float64) = rowsTScalar
 )
 
@@ -57,19 +56,5 @@ func bindScalar() {
 	gemmK12Impl = gemmK12
 	gemmK72Impl = gemmK72
 	gemmImpl = gemm4k
-	gemvImpl = gemvScalar
 	rowsTImpl = rowsTScalar
-}
-
-// gemvScalar is the portable Dgemv inner loop: each row's dot product is
-// accumulated left to right into one scalar.
-func gemvScalar(rows, cols int, a, x, y []float64) {
-	for i := 0; i < rows; i++ {
-		row := a[i*cols : (i+1)*cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] += s
-	}
 }

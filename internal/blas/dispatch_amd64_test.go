@@ -13,12 +13,12 @@ import (
 // would still pass.
 func TestApplierBindsVectorBodies(t *testing.T) {
 	ptr := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
-	seams := func() [5]uintptr {
-		return [5]uintptr{ptr(gemmK12Impl), ptr(gemmK72Impl), ptr(gemmImpl), ptr(gemvImpl), ptr(rowsTImpl)}
+	seams := func() [4]uintptr {
+		return [4]uintptr{ptr(gemmK12Impl), ptr(gemmK72Impl), ptr(gemmImpl), ptr(rowsTImpl)}
 	}
-	want := map[string][5]uintptr{
-		simd.AVX2:   {ptr(gemmK12Vec), ptr(gemmK72Vec), ptr(gemmVec), ptr(gemvVec), ptr(rowsTVec)},
-		simd.AVX512: {ptr(gemmK12Vec), ptr(gemmK72Vec), ptr(gemmVec), ptr(gemvVec), ptr(rowsTVec512)},
+	want := map[string][4]uintptr{
+		simd.AVX2:   {ptr(gemmK12Vec), ptr(gemmK72Vec), ptr(gemmVec), ptr(rowsTVec)},
+		simd.AVX512: {ptr(gemmK12Vec), ptr(gemmK72Vec), ptr(gemmVec), ptr(rowsTVec512)},
 	}
 	for _, be := range simd.Supported() {
 		if be == simd.Scalar {
@@ -26,7 +26,7 @@ func TestApplierBindsVectorBodies(t *testing.T) {
 		}
 		withBackend(t, be, func() {
 			if got := seams(); got != want[be] {
-				t.Errorf("%s binds %#x, want %#x (gemmK12, gemmK72, gemm, gemv, rowsT)", be, got, want[be])
+				t.Errorf("%s binds %#x, want %#x (gemmK12, gemmK72, gemm, rowsT)", be, got, want[be])
 			}
 		})
 	}

@@ -15,9 +15,6 @@ func gemmK12AVX2(m, n int, a, b, c *float64)
 func gemmK72AVX2(m, n int, a, b, c *float64)
 
 //go:noescape
-func dgemvAVX2(rows, cols int, a, x, y *float64)
-
-//go:noescape
 func rowsTAVX2(k, n, rows, srcBox, srcRow, dstBox, dstRow int, tt, src, dst *float64)
 
 // haveAVX2 reports that this build carries the AVX2 kernels; whether the
@@ -28,14 +25,12 @@ func bindAVX2() {
 	gemmK12Impl = gemmK12Vec
 	gemmK72Impl = gemmK72Vec
 	gemmImpl = gemmVec
-	gemvImpl = gemvVec
 	rowsTImpl = rowsTVec
 }
 
-func gemmK12Vec(m, n int, a, b, c []float64)    { gemmK12AVX2(m, n, &a[0], &b[0], &c[0]) }
-func gemmK72Vec(m, n int, a, b, c []float64)    { gemmK72AVX2(m, n, &a[0], &b[0], &c[0]) }
-func gemmVec(m, k, n int, a, b, c []float64)    { dgemmAVX2(m, k, n, &a[0], &b[0], &c[0]) }
-func gemvVec(rows, cols int, a, x, y []float64) { dgemvAVX2(rows, cols, &a[0], &x[0], &y[0]) }
+func gemmK12Vec(m, n int, a, b, c []float64) { gemmK12AVX2(m, n, &a[0], &b[0], &c[0]) }
+func gemmK72Vec(m, n int, a, b, c []float64) { gemmK72AVX2(m, n, &a[0], &b[0], &c[0]) }
+func gemmVec(m, k, n int, a, b, c []float64) { dgemmAVX2(m, k, n, &a[0], &b[0], &c[0]) }
 
 func rowsTVec(k, n, rows int, ss, ds Strides, tt, src, dst []float64) {
 	rowsTAVX2(k, n, rows, ss.Box, ss.Row, ds.Box, ds.Row, &tt[0], &src[0], &dst[0])

@@ -241,70 +241,6 @@ TEXT ·gemmK72AVX2(SB), NOSPLIT, $0-40
 	VZEROUPPER
 	RET
 
-// func dgemvAVX2(rows, cols int, a, x, y *float64)
-//
-// y += A*x, one row at a time. Reduction order: two four-lane accumulators
-// — acc0 takes column groups j ≡ 0 (mod 8) and the lone 4-wide group, acc1
-// takes groups j ≡ 4 (mod 8) and the masked tail — then
-// hsum(acc0 + acc1) = (l0+l2) + (l1+l3), added into y[i].
-TEXT ·dgemvAVX2(SB), NOSPLIT, $0-40
-	MOVQ rows+0(FP), R8
-	MOVQ cols+8(FP), R9
-	MOVQ a+16(FP), SI
-	MOVQ x+24(FP), DX
-	MOVQ y+32(FP), DI
-	MOVQ R9, R12
-	ANDQ $3, R12             // tail lane count
-	JZ   gvrows
-	MOVQ R12, AX
-	SHLQ $5, AX
-	LEAQ masktab<>(SB), CX
-	VMOVUPD (CX)(AX*1), Y9
-gvrows:
-	TESTQ R8, R8
-	JLE   gvdone
-gvrow:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	XORQ  BX, BX
-gv8:
-	LEAQ  8(BX), AX
-	CMPQ  AX, R9
-	JG    gv4
-	VMOVUPD (SI)(BX*8), Y2
-	VMOVUPD 32(SI)(BX*8), Y3
-	VFMADD231PD (DX)(BX*8), Y2, Y0
-	VFMADD231PD 32(DX)(BX*8), Y3, Y1
-	ADDQ  $8, BX
-	JMP   gv8
-gv4:
-	LEAQ  4(BX), AX
-	CMPQ  AX, R9
-	JG    gvtail
-	VMOVUPD (SI)(BX*8), Y2
-	VFMADD231PD (DX)(BX*8), Y2, Y0
-	ADDQ  $4, BX
-gvtail:
-	TESTQ R12, R12
-	JZ    gvsum
-	VMASKMOVPD (SI)(BX*8), Y9, Y2
-	VMASKMOVPD (DX)(BX*8), Y9, Y3
-	VFMADD231PD Y3, Y2, Y1
-gvsum:
-	VADDPD Y1, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	VADDSD (DI), X0, X0
-	VMOVSD X0, (DI)
-	ADDQ  $8, DI
-	LEAQ  (SI)(R9*8), SI
-	DECQ  R8
-	JNZ   gvrow
-gvdone:
-	VZEROUPPER
-	RET
-
 // func rowsTAVX2(k, n, rows, srcBox, srcRow, dstBox, dstRow int, tt, src, dst *float64)
 //
 // The gather-free slab kernel (rows.go): for r < rows and i < n,

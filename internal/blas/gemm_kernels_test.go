@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,38 +202,35 @@ func TestDgemmFMAOrderExact(t *testing.T) {
 	withBackend(t, simd.AVX2, func() { checkOrderExact(t, fmaGemm) })
 }
 
-// TestDgemvCrossBackend checks Dgemv on every backend against the serial
-// dot-product reference, including remainder column counts.
+// TestDgemvCrossBackend checks the mat-vec kernel DgemvT on every backend
+// against the serial dot-product reference: at the 2-D solver's K = 8, 16
+// and 32 (which no slab case of rows_test.go has), the icosahedral and
+// product-rule K = 12 and 72, and odd K below and across the vector widths.
 func TestDgemvCrossBackend(t *testing.T) {
 	for _, be := range simd.Supported() {
 		t.Run(be, func(t *testing.T) {
 			withBackend(t, be, func() {
 				rng := rand.New(rand.NewSource(11))
-				for _, sh := range [][2]int{{12, 12}, {72, 72}, {98, 98}, {7, 5}, {1, 3}, {5, 1}, {3, 17}} {
-					rows, cols := sh[0], sh[1]
-					a := randMatrix(rng, rows, cols)
-					x := make([]float64, cols)
+				for _, k := range []int{8, 16, 32, 12, 72, 1, 3, 7, 17, 98} {
+					a := randMatrix(rng, k, k)
+					x := make([]float64, k)
 					for i := range x {
 						x[i] = rng.NormFloat64()
 					}
-					got := make([]float64, rows)
-					want := make([]float64, rows)
+					got := make([]float64, k)
+					want := make([]float64, k)
 					for i := range got {
 						got[i] = rng.NormFloat64()
 						want[i] = got[i]
 					}
-					Dgemv(a, x, got)
-					for i := 0; i < rows; i++ {
-						var s float64
-						for j := 0; j < cols; j++ {
-							s += a.At(i, j) * x[j]
-						}
-						want[i] += s
+					DgemvT(transpose(a), x, got)
+					for i := range want {
+						want[i] += Ddot(a.Row(i), x)
 					}
 					for i := range want {
 						diff := math.Abs(got[i] - want[i])
 						if diff/(math.Abs(want[i])+1) > 1e-12 {
-							t.Fatalf("shape (%d,%d): row %d = %g, want %g", rows, cols, i, got[i], want[i])
+							t.Fatalf("K=%d: row %d = %g, want %g", k, i, got[i], want[i])
 						}
 					}
 				}
@@ -261,16 +259,6 @@ func TestDgemmDeterministicPerBackend(t *testing.T) {
 					for i := range c1.Data {
 						if c1.Data[i] != c2.Data[i] {
 							t.Fatalf("backend %s shape %v: nondeterministic element %d", be, sh, i)
-						}
-					}
-					y1 := make([]float64, m)
-					y2 := make([]float64, m)
-					x := b.Data[:k]
-					Dgemv(a, x, y1)
-					Dgemv(a, x, y2)
-					for i := range y1 {
-						if y1[i] != y2[i] {
-							t.Fatalf("backend %s shape %v: nondeterministic gemv row %d", be, sh, i)
 						}
 					}
 				}
@@ -314,34 +302,28 @@ func BenchmarkDgemmK12x128(b *testing.B) { benchDgemm(b, 12, 12, 128) }
 func BenchmarkDgemmK72x128(b *testing.B) { benchDgemm(b, 72, 72, 128) }
 func BenchmarkDgemm256(b *testing.B)     { benchDgemm(b, 256, 256, 256) }
 
-func BenchmarkDgemv(b *testing.B) {
-	for _, sh := range [][2]int{{12, 12}, {72, 72}} {
-		rows, cols := sh[0], sh[1]
+// BenchmarkDgemvT times the mat-vec kernel at the 2-D solver's K (8, 16,
+// 32) and the 3-D solvers' per-box K = 12.
+func BenchmarkDgemvT(b *testing.B) {
+	for _, k := range []int{8, 12, 16, 32} {
 		for _, be := range simd.Supported() {
-			b.Run(simdBenchName(rows, be), func(b *testing.B) {
+			b.Run(fmt.Sprintf("K%d/%s", k, be), func(b *testing.B) {
 				withBackend(b, be, func() {
 					rng := rand.New(rand.NewSource(13))
-					a := randMatrix(rng, rows, cols)
-					x := make([]float64, cols)
-					y := make([]float64, rows)
+					tt := randMatrix(rng, k, k)
+					x := make([]float64, k)
+					y := make([]float64, k)
 					for i := range x {
 						x[i] = rng.NormFloat64()
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						Dgemv(a, x, y)
+						DgemvT(tt, x, y)
 					}
-					flops := float64(DgemvFlops(rows, cols)) * float64(b.N)
+					flops := float64(DgemvFlops(k, k)) * float64(b.N)
 					b.ReportMetric(flops/b.Elapsed().Seconds()/1e6, "Mflops/s")
 				})
 			})
 		}
 	}
-}
-
-func simdBenchName(k int, backend string) string {
-	if k == 12 {
-		return "K12/" + backend
-	}
-	return "K72/" + backend
 }

@@ -218,7 +218,7 @@ func TestDgemmRowsTCrossBackend(t *testing.T) {
 
 // TestDgemmRowsTCountsOneGemmPerSlab pins the accounting the solvers'
 // flop cross-check relies on: one call and 2*K*K*vectors flops per slab,
-// however many rows it has, and one Dgemv per DgemvT.
+// however many rows it has, and one mat-vec per DgemvT.
 func TestDgemmRowsTCountsOneGemmPerSlab(t *testing.T) {
 	EnableCounters(true)
 	defer EnableCounters(false)

@@ -244,10 +244,6 @@ func (ts *TranslationSet) ApplyT2(o geom.Coord3, src, dst []float64) {
 	blas.DgemvT(ts.t2tFor(o), src, dst)
 }
 
-// NumT2Matrices returns the size of the full T2 indexing cube: 1331 for
-// separation 2, matching the paper's count.
-func (ts *TranslationSet) NumT2Matrices() int { return len(ts.T2T) }
-
 // MatrixBytes returns the memory footprint of the T2 matrix store in bytes
 // (the paper: 1.53 MB for K = 12, 53.9 MB for K = 72).
 func (ts *TranslationSet) MatrixBytes() int64 {

@@ -55,15 +55,3 @@ func (p *Partition) Count(c geom.Coord3) int {
 	b := c.Index(p.Grid)
 	return p.Start[b+1] - p.Start[b]
 }
-
-// MaxPerBox returns the largest box population (the paper's 4-D particle
-// arrays are dimensioned by this).
-func (p *Partition) MaxPerBox() int {
-	m := 0
-	for b := 0; b+1 < len(p.Start); b++ {
-		if c := p.Start[b+1] - p.Start[b]; c > m {
-			m = c
-		}
-	}
-	return m
-}

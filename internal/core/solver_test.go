@@ -353,8 +353,8 @@ func TestOptimalDepth(t *testing.T) {
 func TestTranslationSetCounts(t *testing.T) {
 	cfg, _ := Config{Degree: 5, Depth: 3, Supernodes: true}.normalize()
 	ts := NewTranslationSet(cfg)
-	if ts.NumT2Matrices() != 1331 {
-		t.Errorf("T2 store = %d, want 1331", ts.NumT2Matrices())
+	if len(ts.T2T) != 1331 {
+		t.Errorf("T2 store = %d, want 1331", len(ts.T2T))
 	}
 	// 1331 * 12^2 * 8 bytes = 1.53 MB, the paper's figure for K=12.
 	if mb := float64(ts.MatrixBytes()) / 1e6; math.Abs(mb-1.533) > 0.01 {

@@ -136,15 +136,16 @@ func innerKernel2(m int, a, r, dt float64) float64 {
 	return s
 }
 
-// translation is a K x K matrix plus the log-term vector: applying source
-// (Q, h) appends A*h + Q*v to the destination values.
+// translation is a K x K matrix A plus the log-term vector: applying source
+// (Q, h) appends A*h + Q*v to the destination values. A is stored
+// transposed (tt = Aᵀ), the layout blas.DgemvT reads.
 type translation struct {
-	a blas.Matrix
-	v []float64
+	tt blas.Matrix
+	v  []float64
 }
 
 func (t translation) apply(q float64, h, dst []float64) {
-	blas.Dgemv(t.a, h, dst)
+	blas.DgemvT(t.tt, h, dst)
 	blas.Daxpy(q, t.v, dst)
 }
 
@@ -155,7 +156,7 @@ type Solver struct {
 	rule *sphere.CircleRule
 
 	t1     [4]translation // child outer -> parent outer residual values
-	t3     [4]blas.Matrix // parent inner -> child inner (no log terms)
+	t3     [4]blas.Matrix // parent inner -> child inner (no log terms), transposed
 	t2     []translation  // same-size outer -> inner, indexed by offset
 	t2Side int
 	// t2Super[qd] maps supernode parent offsets to parent-granularity
@@ -181,7 +182,7 @@ func (s *Solver) Stats() *metrics.Snapshot {
 func (s *Solver) Rec() *metrics.Rec { return &s.rec }
 
 // translationFlops is the flop count of one translation application:
-// a K x K Dgemv plus the K-length log-term Daxpy.
+// a K x K mat-vec plus the K-length log-term Daxpy.
 func translationFlops(k int) int64 { return blas.DgemvFlops(k, k) + 2*int64(k) }
 
 // NewSolver builds the solver and precomputes all translation matrices.
@@ -231,7 +232,7 @@ func (s *Solver) buildMatrices() {
 	// where p_i is the parent circle point relative to the child center.
 	for qd := 0; qd < 4; qd++ {
 		cc := quadrantOffset(qd)
-		t := translation{a: blas.NewMatrix(k, k), v: make([]float64, k)}
+		t := translation{tt: blas.NewMatrix(k, k), v: make([]float64, k)}
 		t3 := blas.NewMatrix(k, k)
 		for i, si := range rule.Points {
 			xp := si.Scale(aP).Sub(cc)
@@ -243,8 +244,8 @@ func (s *Solver) buildMatrices() {
 			rc := xc.Norm()
 			tc := xc.Angle()
 			for j := range rule.Points {
-				t.a.Set(i, j, rule.W[j]*outerKernel2(cfg.M, aC, rp, tp-rule.Angles[j]))
-				t3.Set(i, j, rule.W[j]*innerKernel2(cfg.M, aP, rc, tc-rule.Angles[j]))
+				t.tt.Set(j, i, rule.W[j]*outerKernel2(cfg.M, aC, rp, tp-rule.Angles[j]))
+				t3.Set(j, i, rule.W[j]*innerKernel2(cfg.M, aP, rc, tc-rule.Angles[j]))
 			}
 		}
 		s.t1[qd] = t
@@ -264,14 +265,14 @@ func (s *Solver) buildMatrices() {
 			}
 			// Source = target + o: target center at -o from source.
 			rel := geom.Vec2{X: -float64(dx), Y: -float64(dy)}
-			t := translation{a: blas.NewMatrix(k, k), v: make([]float64, k)}
+			t := translation{tt: blas.NewMatrix(k, k), v: make([]float64, k)}
 			for i, si := range rule.Points {
 				x := rel.Add(si.Scale(aC))
 				r := x.Norm()
 				th := x.Angle()
 				t.v[i] = -math.Log(r)
 				for j := range rule.Points {
-					t.a.Set(i, j, rule.W[j]*outerKernel2(cfg.M, aC, r, th-rule.Angles[j]))
+					t.tt.Set(j, i, rule.W[j]*outerKernel2(cfg.M, aC, r, th-rule.Angles[j]))
 				}
 			}
 			s.t2[s.t2Index(o)] = t
@@ -289,14 +290,14 @@ func (s *Solver) buildMatrices() {
 			for _, tt := range sn.ParentOffsets {
 				// Target child center relative to source parent center.
 				rel := delta.Sub(geom.Vec2{X: float64(2 * tt.X), Y: float64(2 * tt.Y)})
-				t := translation{a: blas.NewMatrix(k, k), v: make([]float64, k)}
+				t := translation{tt: blas.NewMatrix(k, k), v: make([]float64, k)}
 				for i, si := range rule.Points {
 					x := rel.Add(si.Scale(aC))
 					r := x.Norm()
 					th := x.Angle()
 					t.v[i] = -math.Log(r)
 					for j := range rule.Points {
-						t.a.Set(i, j, rule.W[j]*outerKernel2(cfg.M, aS, r, th-rule.Angles[j]))
+						t.tt.Set(j, i, rule.W[j]*outerKernel2(cfg.M, aS, r, th-rule.Angles[j]))
 					}
 				}
 				mm[tt] = t
@@ -448,7 +449,7 @@ func (s *Solver) Solve(ctx context.Context, pos []geom.Vec2, q []float64, phi []
 					err := sched.RunCtx(ctx, gl*gl, func(cb int) {
 						cc := geom.Coord2FromIndex(cb, gl)
 						pb := cc.Parent().Index(gp)
-						blas.Dgemv(s.t3[cc.Quadrant()], loc[l-1][pb*k:(pb+1)*k], loc[l][cb*k:(cb+1)*k])
+						blas.DgemvT(s.t3[cc.Quadrant()], loc[l-1][pb*k:(pb+1)*k], loc[l][cb*k:(cb+1)*k])
 					})
 					s.rec.AddFlops(metrics.PhaseT3, int64(gl*gl)*blas.DgemvFlops(k, k))
 					return err

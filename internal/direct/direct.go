@@ -46,33 +46,6 @@ func Potentials(pos []geom.Vec3, q []float64) []float64 {
 // resident while a whole i-block streams against it.
 const pairTile = 256
 
-// PotentialsSymmetric returns the same result as Potentials using Newton's
-// third law: each pair is visited once, its reciprocal distance is computed
-// once, and it contributes to both endpoints, halving the operation count
-// (the optimization of Section 3.4 applied at particle granularity, as in
-// Applegate et al.). The triangle is swept in pairTile blocks — diagonal
-// tiles via Within, off-diagonal via Pairwise — so both sides of each tile
-// pair stay cache resident instead of streaming the full arrays per row.
-func PotentialsSymmetric(pos []geom.Vec3, q []float64) []float64 {
-	phi := make([]float64, len(pos))
-	n := len(pos)
-	for ib := 0; ib < n; ib += pairTile {
-		ie := ib + pairTile
-		if ie > n {
-			ie = n
-		}
-		Within(pos[ib:ie], q[ib:ie], phi[ib:ie])
-		for jb := ie; jb < n; jb += pairTile {
-			je := jb + pairTile
-			if je > n {
-				je = n
-			}
-			Pairwise(pos[ib:ie], q[ib:ie], phi[ib:ie], pos[jb:je], q[jb:je], phi[jb:je])
-		}
-	}
-	return phi
-}
-
 // PotentialsParallel computes Potentials with rows distributed over the
 // available cores. The row decomposition writes disjoint phi entries, so no
 // synchronization is needed.
@@ -181,13 +154,3 @@ func Within(pos []geom.Vec3, q, phi []float64) {
 // inverse square root, accumulate); the paper's efficiency bookkeeping for
 // the direct part uses the same convention.
 const FlopsPerPair = 9
-
-// PotentialEnergy returns U = (1/2) sum_i q_i phi_i for a set of computed
-// potentials.
-func PotentialEnergy(q, phi []float64) float64 {
-	var u float64
-	for i := range q {
-		u += q[i] * phi[i]
-	}
-	return u / 2
-}

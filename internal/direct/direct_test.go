@@ -27,18 +27,6 @@ func TestPotentialsTwoBody(t *testing.T) {
 	}
 }
 
-func TestSymmetricMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	pos, q := randomSystem(rng, 200)
-	a := Potentials(pos, q)
-	b := PotentialsSymmetric(pos, q)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-10*(1+math.Abs(a[i])) {
-			t.Fatalf("mismatch at %d: %g vs %g", i, a[i], b[i])
-		}
-	}
-}
-
 func TestParallelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	pos, q := randomSystem(rng, 300)
@@ -108,16 +96,6 @@ func TestPairwisePlusWithinEqualsFull(t *testing.T) {
 		if math.Abs(phiB[i-nA]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
 			t.Fatalf("B mismatch at %d", i)
 		}
-	}
-}
-
-func TestPotentialEnergyPairIdentity(t *testing.T) {
-	// For two unit charges at distance r, U = 1/r.
-	pos := []geom.Vec3{{}, {X: 4}}
-	q := []float64{1, 1}
-	phi := Potentials(pos, q)
-	if got := PotentialEnergy(q, phi); math.Abs(got-0.25) > 1e-15 {
-		t.Errorf("U = %g, want 0.25", got)
 	}
 }
 

@@ -23,30 +23,3 @@ func (m *Machine) Broadcast(words int64, group int) {
 	c.addCommCycles(m.Cost.BcastLatencyCycles + m.Cost.BcastHopCycles*hops +
 		float64(words)*m.Cost.BcastCyclesPerWord*(1+m.Cost.BcastWordHopFactor*hops))
 }
-
-// AllToAllBroadcast charges the cost of every VU in a group receiving a
-// distinct words-sized block from every other VU (the all-to-all broadcast
-// alternative the paper cites for matrix replication). On a fat tree this
-// is bandwidth-bound: (group-1) * words per VU through its link.
-func (m *Machine) AllToAllBroadcast(words int64, group int) {
-	if group <= 0 {
-		group = m.NumVUs()
-	}
-	c := &m.counters
-	atomicAdd64(&c.BcastCalls, 1)
-	atomicAdd64(&c.BcastWords, words*int64(group-1))
-	c.addCommCycles(m.Cost.BcastLatencyCycles + float64(words)*float64(group-1)*m.Cost.BcastCyclesPerWord)
-}
-
-// ReduceSum charges the cost of an all-reduce of words per VU over the
-// whole machine and returns nothing; data-parallel reductions in this
-// repository operate on values the caller already holds.
-func (m *Machine) ReduceSum(words int64) {
-	c := &m.counters
-	hops := math.Log2(float64(m.NumVUs()))
-	if hops < 1 {
-		hops = 1
-	}
-	c.addCommCycles(m.Cost.BcastLatencyCycles + m.Cost.BcastHopCycles*hops +
-		float64(words)*m.Cost.BcastCyclesPerWord*hops)
-}

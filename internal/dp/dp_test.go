@@ -31,9 +31,6 @@ func TestNewMachineValidation(t *testing.T) {
 	if m.NumVUs() != 32 {
 		t.Errorf("NumVUs = %d, want 32 (default 4 per node)", m.NumVUs())
 	}
-	if m.NodeOf(7) != 1 {
-		t.Errorf("NodeOf(7) = %d, want 1", m.NodeOf(7))
-	}
 }
 
 func TestGridAtRoundTrip(t *testing.T) {
@@ -294,16 +291,6 @@ func TestBroadcastCosts(t *testing.T) {
 	if grouped >= all {
 		t.Errorf("grouped broadcast (%.0f) not cheaper than full (%.0f)", grouped, all)
 	}
-	m.ResetCounters()
-	m.AllToAllBroadcast(144, 0)
-	if m.Counters().BcastWords == 0 {
-		t.Error("all-to-all recorded no words")
-	}
-	m.ResetCounters()
-	m.ReduceSum(10)
-	if m.Counters().CommCycles() == 0 {
-		t.Error("reduce recorded no cycles")
-	}
 }
 
 func TestChargeComputeAndImbalance(t *testing.T) {
@@ -376,19 +363,6 @@ func TestSortByKeysSortsAndCounts(t *testing.T) {
 	}
 	if m.Counters().SendCalls != 1 {
 		t.Error("sort did not record a send")
-	}
-}
-
-func TestSegmentedSumScan(t *testing.T) {
-	m := testMachine(t, 2)
-	a := m.NewArray1D([]float64{1, 2, 3, 4, 5, 6})
-	starts := []bool{true, false, false, true, false, false}
-	SegmentedSumScan(m, a, starts)
-	want := []float64{1, 3, 6, 4, 9, 15}
-	for i := range want {
-		if a.Data[i] != want[i] {
-			t.Fatalf("scan[%d] = %g, want %g", i, a.Data[i], want[i])
-		}
 	}
 }
 

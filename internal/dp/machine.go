@@ -62,11 +62,6 @@ func NewMachine(nodes, vusPerNode int, cost CostModel) (*Machine, error) {
 // NumVUs returns the total number of vector units.
 func (m *Machine) NumVUs() int { return m.Nodes * m.VUsPerNode }
 
-// NodeOf returns the processing node owning a VU. VUs of a node are
-// consecutive, matching the CM addressing where the VU index extends the
-// node address with its low bits.
-func (m *Machine) NodeOf(vu int) int { return vu / m.VUsPerNode }
-
 // String implements fmt.Stringer.
 func (m *Machine) String() string {
 	return fmt.Sprintf("Machine(%d nodes x %d VUs)", m.Nodes, m.VUsPerNode)

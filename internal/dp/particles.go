@@ -70,27 +70,3 @@ func SortByKeys(m *Machine, keys []uint64, attrs ...*Array1D) []int {
 	c.addCopyCycles(passes * float64(n) / nvu * m.Cost.CopyCyclesPerWord * float64(len(attrs)+1))
 	return perm
 }
-
-// SegmentedSumScan computes, in place, the inclusive prefix sum of data
-// restarting at every index where segmentStart is true. When the segments
-// are VU-local (the situation the coordinate sort establishes) the scan
-// needs no communication; otherwise a log-depth carry exchange is charged.
-func SegmentedSumScan(m *Machine, a *Array1D, segmentStart []bool) {
-	crossesVU := false
-	var run float64
-	for i := range a.Data {
-		if segmentStart[i] {
-			run = 0
-		} else if i > 0 && a.VUOf(i) != a.VUOf(i-1) {
-			crossesVU = true
-		}
-		run += a.Data[i]
-		a.Data[i] = run
-	}
-	c := &m.counters
-	nvu := float64(m.NumVUs())
-	c.addCopyCycles(2 * float64(len(a.Data)) / nvu * m.Cost.CopyCyclesPerWord)
-	if crossesVU {
-		c.addCommCycles(m.Cost.BcastLatencyCycles * 2)
-	}
-}

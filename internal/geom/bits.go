@@ -24,14 +24,6 @@ func Log2(n int) int {
 	return bits.TrailingZeros(uint(n))
 }
 
-// CeilPow2 returns the smallest power of two >= n (n >= 1).
-func CeilPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << (bits.Len(uint(n - 1)))
-}
-
 // AxisSplit describes the block-allocation address split of one axis: the
 // extent 2^(VUBits+LocalBits), with the high VUBits selecting the VU along
 // this axis and the low LocalBits selecting the position within the VU's
@@ -40,9 +32,6 @@ type AxisSplit struct {
 	VUBits    int
 	LocalBits int
 }
-
-// Extent returns the axis extent 2^(VUBits+LocalBits).
-func (a AxisSplit) Extent() int { return 1 << (a.VUBits + a.LocalBits) }
 
 // Split decomposes an axis coordinate into (vu, local) parts.
 func (a AxisSplit) Split(x int) (vu, local int) {
@@ -131,40 +120,4 @@ func BalancedLayout3(n, nvu int) Layout3 {
 		Y: AxisSplit{VUBits: yb, LocalBits: k - yb},
 		Z: AxisSplit{VUBits: zb, LocalBits: k - zb},
 	}
-}
-
-// Morton3 interleaves the low bits of (x,y,z) into a Morton code, x in the
-// least significant position. Used for locality-preserving particle orders
-// and tests.
-func Morton3(c Coord3) uint64 {
-	return spread3(uint64(c.X)) | spread3(uint64(c.Y))<<1 | spread3(uint64(c.Z))<<2
-}
-
-// UnMorton3 inverts Morton3.
-func UnMorton3(m uint64) Coord3 {
-	return Coord3{
-		X: int(compact3(m)),
-		Y: int(compact3(m >> 1)),
-		Z: int(compact3(m >> 2)),
-	}
-}
-
-func spread3(x uint64) uint64 {
-	x &= 0x1fffff // 21 bits
-	x = (x | x<<32) & 0x1f00000000ffff
-	x = (x | x<<16) & 0x1f0000ff0000ff
-	x = (x | x<<8) & 0x100f00f00f00f00f
-	x = (x | x<<4) & 0x10c30c30c30c30c3
-	x = (x | x<<2) & 0x1249249249249249
-	return x
-}
-
-func compact3(x uint64) uint64 {
-	x &= 0x1249249249249249
-	x = (x | x>>2) & 0x10c30c30c30c30c3
-	x = (x | x>>4) & 0x100f00f00f00f00f
-	x = (x | x>>8) & 0x1f0000ff0000ff
-	x = (x | x>>16) & 0x1f00000000ffff
-	x = (x | x>>32) & 0x1fffff
-	return x
 }

@@ -1,10 +1,8 @@
 package geom
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestIsPow2(t *testing.T) {
@@ -34,21 +32,9 @@ func TestLog2(t *testing.T) {
 	Log2(3)
 }
 
-func TestCeilPow2(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 100: 128, 1024: 1024, 1025: 2048}
-	for in, want := range cases {
-		if got := CeilPow2(in); got != want {
-			t.Errorf("CeilPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestAxisSplitRoundTrip(t *testing.T) {
 	a := AxisSplit{VUBits: 3, LocalBits: 4}
-	if a.Extent() != 128 {
-		t.Fatalf("Extent = %d", a.Extent())
-	}
-	for x := 0; x < a.Extent(); x++ {
+	for x := 0; x < 1<<(a.VUBits+a.LocalBits); x++ {
 		vu, local := a.Split(x)
 		if vu < 0 || vu >= 8 || local < 0 || local >= 16 {
 			t.Fatalf("Split(%d) = (%d,%d) out of range", x, vu, local)
@@ -153,25 +139,5 @@ func TestSortKeyOrdersVUMajor(t *testing.T) {
 			t.Fatalf("duplicate sort key for %v", c)
 		}
 		seen[k] = true
-	}
-}
-
-func TestMortonRoundTrip(t *testing.T) {
-	f := func(x, y, z uint16) bool {
-		c := Coord3{int(x & 0x3ff), int(y & 0x3ff), int(z & 0x3ff)}
-		return UnMorton3(Morton3(c)) == c
-	}
-	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(9))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMortonPreservesOctantNesting(t *testing.T) {
-	// The high bits of a Morton code are the parent's Morton code.
-	c := Coord3{5, 3, 6}
-	p := c.Parent()
-	if Morton3(c)>>3 != Morton3(p) {
-		t.Errorf("Morton(%v)>>3 != Morton(parent %v)", c, p)
 	}
 }

@@ -1,8 +1,8 @@
 // Package geom provides the small geometric and index-arithmetic vocabulary
 // shared by every other package in this repository: 2-D and 3-D vectors,
-// axis-aligned boxes, power-of-two grid coordinate math, Morton (bit
-// interleaved) codes, and the VU-address / local-memory-address bit splits
-// used by the data-parallel layouts of Hu & Johnsson (SC'96), Figures 4-5.
+// axis-aligned boxes, power-of-two grid coordinate math, and the
+// VU-address / local-memory-address bit splits used by the data-parallel
+// layouts of Hu & Johnsson (SC'96), Figures 4-5.
 package geom
 
 import (
@@ -26,15 +26,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 
 // Dot returns the inner product v . w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the vector product v x w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm returns the Euclidean length |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }

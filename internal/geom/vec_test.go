@@ -2,9 +2,7 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -23,35 +21,6 @@ func TestVec3Arithmetic(t *testing.T) {
 	}
 	if got := v.Dot(w); got != -4+10+1.5 {
 		t.Errorf("Dot = %v", got)
-	}
-}
-
-func TestVec3Cross(t *testing.T) {
-	x := Vec3{1, 0, 0}
-	y := Vec3{0, 1, 0}
-	z := Vec3{0, 0, 1}
-	if got := x.Cross(y); got != z {
-		t.Errorf("x cross y = %v, want z", got)
-	}
-	if got := y.Cross(z); got != x {
-		t.Errorf("y cross z = %v, want x", got)
-	}
-	if got := z.Cross(x); got != y {
-		t.Errorf("z cross x = %v, want y", got)
-	}
-}
-
-func TestVec3CrossOrthogonalProperty(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz int16) bool {
-		a := Vec3{float64(ax) / 128, float64(ay) / 128, float64(az) / 128}
-		b := Vec3{float64(bx) / 128, float64(by) / 128, float64(bz) / 128}
-		c := a.Cross(b)
-		scale := a.Norm()*b.Norm() + 1
-		return almostEq(c.Dot(a)/scale, 0, 1e-9) && almostEq(c.Dot(b)/scale, 0, 1e-9)
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -17,8 +17,7 @@
 // like the scalar `==` falling through).
 //
 // Lane partial sums of the source-in-lanes routines collapse as (l0+l2) + (l1+l3) — VEXTRACTF128 +
-// VADDPD + VHADDPD, the same horizontal order as the blas Dgemv kernel —
-// which together with the serial outer loop makes every routine
+// VADDPD + VHADDPD — which together with the serial outer loop makes every routine
 // deterministic: the avx2 half of the per-backend reproducibility
 // contract (dispatch.go).
 

@@ -169,16 +169,13 @@ func initPool() {
 	}
 }
 
-// Workers returns the pool size (GOMAXPROCS at first use). Callers sizing
-// per-worker scratch should use MaxParticipants.
+// Workers returns the pool size (GOMAXPROCS at first use). One job runs on
+// at most Workers()+1 goroutines: every pool worker plus the submitting
+// caller.
 func Workers() int {
 	initOnce.Do(initPool)
 	return poolSize
 }
-
-// MaxParticipants bounds the number of goroutines that can execute chunks
-// of one job concurrently: every pool worker plus the submitting caller.
-func MaxParticipants() int { return Workers() + 1 }
 
 // Run executes fn(i) for every i in [0, n), distributing index chunks over
 // the worker pool. fn must be safe to call concurrently for distinct i. If

@@ -86,9 +86,6 @@ func TestWorkersPositive(t *testing.T) {
 	if Workers() < 1 {
 		t.Fatalf("Workers() = %d", Workers())
 	}
-	if MaxParticipants() != Workers()+1 {
-		t.Fatalf("MaxParticipants() = %d, want %d", MaxParticipants(), Workers()+1)
-	}
 }
 
 // TestFullQueueCompletesOnCaller reproduces the wake-loop bug: with every
@@ -281,7 +278,7 @@ func TestRunCtxCancelMidway(t *testing.T) {
 	}
 	// Each participant may finish the chunk it already claimed; nothing
 	// beyond one chunk each may run after the cancel.
-	limit := int64(MaxParticipants()) * int64(n/chunksPerWorker+1)
+	limit := int64(Workers()+1) * int64(n/chunksPerWorker+1)
 	if got := atomic.LoadInt64(&ran); got >= n || got > 100+limit {
 		t.Fatalf("ran %d of %d indices after cancel (limit %d)", got, n, 100+limit)
 	}

@@ -170,18 +170,13 @@ func (d *Dispatcher) Do(ctx context.Context, tenant string, fn func(context.Cont
 	return d.DoBudget(ctx, tenant, Budget{}, fn)
 }
 
-// PredictedWait is the dispatcher's queue-delay estimate for a newly
+// predictedWaitLocked is the dispatcher's queue-delay estimate for a newly
 // admitted request: the summed predicted cost of all queued work plus half
 // the in-flight work (on average a running solve is halfway done), divided
 // across the worker fleet. It deliberately ignores per-tenant fairness
 // caps — a global lower bound is what the shed decision needs, and the
-// Retry-After hint only has to be the right order of magnitude.
-func (d *Dispatcher) PredictedWait() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.predictedWaitLocked()
-}
-
+// Retry-After hint only has to be the right order of magnitude. d.mu must
+// be held.
 func (d *Dispatcher) predictedWaitLocked() time.Duration {
 	return time.Duration((d.queuedEstNS + d.runningEstNS/2) / int64(d.workers))
 }

@@ -98,8 +98,11 @@ func TestShedStaleAtDequeue(t *testing.T) {
 		t.Errorf("aggregate ShedStale = %d, want 1", got)
 	}
 	// The estimate bookkeeping must return to zero once everything drained.
-	if wait := d.PredictedWait(); wait != 0 {
-		t.Errorf("PredictedWait = %v after drain, want 0", wait)
+	d.mu.Lock()
+	wait := d.predictedWaitLocked()
+	d.mu.Unlock()
+	if wait != 0 {
+		t.Errorf("predicted wait = %v after drain, want 0", wait)
 	}
 }
 

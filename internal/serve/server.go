@@ -269,9 +269,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, _ *http.Request) {
 // Planner exposes the plan subsystem (tests and the load harness).
 func (s *Server) Planner() *plan.Planner { return s.planner }
 
-// PlanStats exposes the plan cache counters (tests and the load harness).
-func (s *Server) PlanStats() CacheStats { return s.plans.Stats() }
-
 // statusFor maps the error taxonomy onto HTTP status codes: the request
 // classes to 4xx, the caller's deadline to 504, a ladder-wide solver
 // failure to 500.

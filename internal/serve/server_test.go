@@ -196,7 +196,7 @@ func TestPlanCacheHitsAcrossRequests(t *testing.T) {
 			}
 		}
 	}
-	st := srv.PlanStats()
+	st := srv.plans.Stats()
 	if st.Hits < 2 || st.Misses != 1 {
 		t.Fatalf("plan stats = %+v, want 1 miss and >= 2 hits", st)
 	}
@@ -623,7 +623,7 @@ func TestLifecycleSharedByBothEndpoints(t *testing.T) {
 			srv.Planner().Observe(key, time.Minute)
 			resp, data := postJSON(t, hs.URL+ep.path, body)
 			wantRejected(t, srv, resp, data, http.StatusTooManyRequests, "shed_deadline")
-			if srv.PlanStats().Misses != 0 {
+			if srv.plans.Stats().Misses != 0 {
 				t.Error("a shed request checked out a plan")
 			}
 		})

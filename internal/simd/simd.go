@@ -7,10 +7,15 @@
 // The package sits at the bottom of the import graph (no dependencies), so
 // blas, kernels, metrics, and cli can all consult it without cycles.
 //
-// Backend contract: results are bitwise reproducible *within* a backend —
-// each backend pins its reduction order and repeated solves on reused state
-// produce identical bits — while results *across* backends differ by
-// summation-order rounding only, bounded by the differential test suite.
+// Backend contract: results are bitwise reproducible per (backend, CPU).
+// Each backend pins its reduction order, and repeated solves on reused state
+// produce identical bits. The scalar and avx2 bodies are exact IEEE
+// arithmetic in a pinned order, so their bits are the same on every CPU
+// that runs them. The avx512 near-field pair kernels start each inverse
+// square root from a VRSQRT14PD seed, which is the CPU's own approximation,
+// so avx512 bits are pinned per CPU (internal/kernels/dispatch.go). Across
+// backends, and for avx512 across CPUs, results differ by rounding only,
+// bounded by the differential test suite.
 // SetBackend must not race with a running solve: switch backends between
 // solves (commands do it before building a solver; tests do it
 // sequentially).
