@@ -120,6 +120,15 @@ func rowsTScalar(k, n, rows int, ss, ds Strides, tt, src, dst []float64) {
 		}
 		return
 	}
+	if k%4 == 0 && k <= 16 {
+		for r := 0; r < rows; r++ {
+			for i := 0; i < n; i++ {
+				so, do := r*ss.Row+i*ss.Box, r*ds.Row+i*ds.Box
+				rowTQuads(k, tt, src[so:so+k], dst[do:do+k])
+			}
+		}
+		return
+	}
 	// The sums of one box, kept apart from dst until complete (the order
 	// contract adds them in once). On the stack for every K in use.
 	var buf [128]float64
@@ -171,6 +180,38 @@ func rowT(k int, tt, x, y, acc []float64) {
 	}
 	for r, v := range acc {
 		y[r] += v
+	}
+}
+
+// rowTQuads is rowTK12's body for the other small K (4, 8, 16 — the 2-D
+// solver's): the same order, four destination elements at a time held in
+// scalars across the k loop, so no sums buffer and no per-row slices. K = 12
+// keeps its own copy, whose constant trip counts clear the bounds checks
+// (15 % faster there than this one).
+func rowTQuads(k int, tt, x, y []float64) {
+	tt = tt[:k*k]
+	x = x[:k]
+	y = y[:k]
+	for r := 0; r < k; r += 4 {
+		var s0, s1, s2, s3 float64
+		for kk := 0; kk < k; kk += 4 {
+			b := kk*k + r
+			t0, t1, t2, t3 := tt[b:b+4], tt[b+k:b+k+4], tt[b+2*k:b+2*k+4], tt[b+3*k:b+3*k+4]
+			x0, x1, x2, x3 := x[kk], x[kk+1], x[kk+2], x[kk+3]
+			g0 := t0[0]*x0 + t1[0]*x1 + t2[0]*x2 + t3[0]*x3
+			g1 := t0[1]*x0 + t1[1]*x1 + t2[1]*x2 + t3[1]*x3
+			g2 := t0[2]*x0 + t1[2]*x1 + t2[2]*x2 + t3[2]*x3
+			g3 := t0[3]*x0 + t1[3]*x1 + t2[3]*x2 + t3[3]*x3
+			if kk == 0 {
+				s0, s1, s2, s3 = g0, g1, g2, g3
+			} else {
+				s0, s1, s2, s3 = s0+g0, s1+g1, s2+g2, s3+g3
+			}
+		}
+		y[r] += s0
+		y[r+1] += s1
+		y[r+2] += s2
+		y[r+3] += s3
 	}
 }
 

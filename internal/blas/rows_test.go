@@ -16,9 +16,9 @@ type rowsCase struct {
 	ss, ds     Strides
 }
 
-// rowsCases covers the K = 12 fast path, generic K with full 12-column
-// blocks only (72), with a four-column tail (32) and with a masked tail
-// (50), every box-group class (4, 2, 1 and their mixes), and every pairing
+// rowsCases covers the K = 12 fast path, the other small-K path (K = 4, 8,
+// 16: the 2-D solver's), generic K with full 12-column blocks only (72),
+// with a four-column tail (32) and with a masked tail (50), every box-group class (4, 2, 1 and their mixes), and every pairing
 // of strides the solvers use: both sides dense, both sides a lattice (2K),
 // dense sources into a lattice (parent -> children) and the reverse
 // (children -> parent), in single rows and in multi-row slabs whose row
@@ -28,7 +28,7 @@ type rowsCase struct {
 // column, and the level-4 T2 planes are the solver's own shapes.
 func rowsCases() []rowsCase {
 	var cs []rowsCase
-	for _, k := range []int{12, 32, 50, 72} {
+	for _, k := range []int{8, 12, 16, 32, 50, 72} {
 		for _, n := range []int{1, 3, 4, 5, 8, 64} {
 			for _, s := range []int{k, 2 * k} {
 				for _, d := range []int{k, 2 * k} {
@@ -56,7 +56,7 @@ func rowsCases() []rowsCase {
 		cs = append(cs, p.c)
 	}
 	// Shapes below every unroll width, and odd K.
-	for _, k := range []int{1, 2, 3, 5, 13, 98} {
+	for _, k := range []int{1, 2, 3, 4, 5, 13, 98} {
 		a, b := Strides{k + 1, 9 * (k + 1)}, Strides{2*k + 3, 7 * (2*k + 3)}
 		cs = append(cs, rowsCase{k, 6, 2, a, a}, rowsCase{k, 6, 2, a, b}, rowsCase{k, 6, 2, b, a})
 	}

@@ -17,6 +17,9 @@ import (
 // scanner does not recognise it does not judge — the same bytes go through
 // encoding/json (decodeSolveRequest / decodeSimulateRequest), which remains
 // the definition of the accepted language and of every error a client sees.
+// A float is checked and converted in one pass over its bytes (float, with
+// atof.go's exact conversions), to the bits strconv.ParseFloat — and so
+// encoding/json — gives it.
 // Nothing here is pooled or kept between requests: exactly sized fresh
 // buffers measured the same latency as pooled ones, and a smaller heap.
 
@@ -66,8 +69,11 @@ func (s *scanner) word(w string) bool {
 	return false
 }
 
-// ws skips JSON whitespace.
+// ws skips JSON whitespace: one compare when the next byte is a token's.
 func (s *scanner) ws() {
+	if s.i < len(s.b) && s.b[s.i] > ' ' {
+		return
+	}
 	for s.skip(' ') || s.skip('\n') || s.skip('\t') || s.skip('\r') {
 	}
 }
@@ -133,12 +139,109 @@ func (s *scanner) number() (lit []byte, integer, ok bool) {
 	return s.b[start:s.i], integer, true
 }
 
-// float consumes a number and converts it the way encoding/json does: the
-// checked literal through strconv.ParseFloat, whose range error is a refusal.
+// float consumes one literal of number's grammar and converts it in the same
+// pass to the float64 strconv.ParseFloat returns for it, which is what
+// encoding/json stores. The first 19 significant digits fold into a uint64,
+// eight at a time where eight digits follow, and decimalToFloat converts
+// them exactly; a literal it declines, or whose digits past the 19th are not
+// all zeros, goes to strconv.ParseFloat, whose range error is a refusal.
+// What it consumes, and what it refuses, is number's.
 func (s *scanner) float() (float64, bool) {
-	lit, _, ok := s.number()
-	f, err := strconv.ParseFloat(string(lit), 64)
-	return f, ok && err == nil
+	s.ws()
+	b, i := s.b, s.i
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var m mantissa
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' <= 8:
+		i = m.digits(b, i, false)
+	default:
+		return 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		j := m.digits(b, i+1, true)
+		if j == i+1 {
+			return 0, false
+		}
+		i = j
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (eneg || b[i] == '+') {
+			i++
+		}
+		e, j := 0, i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // strconv's cap, so that both read the same exponent
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
+			return 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		m.exp10 += e
+	}
+	s.i = i
+	if !m.cut {
+		if f, ok := decimalToFloat(m.man, m.exp10, neg); ok {
+			return f, true
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return f, err == nil
+}
+
+// mantissa is a decimal literal's value as far as float reads it:
+// man·10^exp10, man its first 19 significant digits.
+type mantissa struct {
+	man   uint64
+	nd    int  // digits in man, leading zeros not counted
+	exp10 int  // where the decimal point sits relative to man's last digit
+	cut   bool // a nonzero digit past the 19th was dropped
+}
+
+// digits folds the run of digits at b[i:] into m and returns the index past
+// it. The folded digits of a fraction move the point left; the dropped ones
+// of an integer part move it right.
+func (m *mantissa) digits(b []byte, i int, frac bool) int {
+	start := i
+	if m.man == 0 { // a fraction's leading zeros, after "0."
+		for i < len(b) && b[i] == '0' {
+			i++
+		}
+	}
+	for m.nd <= 19-8 {
+		v, ok := eightDigits(b, i)
+		if !ok {
+			break
+		}
+		m.man = m.man*1e8 + v
+		m.nd += 8
+		i += 8
+	}
+	for ; i < len(b) && b[i]-'0' <= 9 && m.nd < 19; i++ {
+		m.man = m.man*10 + uint64(b[i]-'0')
+		m.nd++
+	}
+	folded := i - start
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		m.cut = m.cut || b[i] != '0'
+	}
+	if frac {
+		m.exp10 -= folded
+	} else {
+		m.exp10 += i - start - folded
+	}
+	return i
 }
 
 // integer consumes a number without fraction or exponent that fits an int64.

@@ -113,6 +113,19 @@ if [ "$(echo "$decodes" | grep -c .)" != 1 ] || [ "$(echo "$relayouts" | grep -c
     echo "parse into and encode from the solver's arrays (wire.go) instead" >&2
     exit 1
 fi
+# The request floats have one conversion: non-test internal/serve calls
+# strconv.ParseFloat from exactly one place, scanner.float's fallback for
+# the literals its exact paths decline, so a second conversion cannot fork
+# off beside it.
+parses=$(grep -n 'strconv\.ParseFloat(' internal/serve/*.go | grep -v '_test\.go:' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(echo "$parses" | grep -c .)" != 1 ]; then
+    echo "check_pipeline: internal/serve must call strconv.ParseFloat from one place," >&2
+    echo "scanner.float's fallback; found:" >&2
+    echo "$parses" >&2
+    echo "convert request numbers through scanner.float (wire.go) instead" >&2
+    exit 1
+fi
 # Sixth boundary: one solve contract. Each solver package's Solver exports
 # one solve method, Solve (into caller slices, nil ctx for no cancellation),
 # and no Potentials…/Accelerations… variants beside it (core's PotentialsAt,
