@@ -35,6 +35,7 @@ import (
 
 	"nbody/internal/faults"
 	"nbody/internal/metrics"
+	"nbody/internal/sched"
 )
 
 // A Phase is one declared step of a solver's pipeline.
@@ -97,7 +98,14 @@ func (e *PanicError) Unwrap() error {
 // then span + body + fault site as documented on Phase. It returns the
 // first phase error, ctx.Err() on cancellation, or a *PanicError if a
 // phase body panicked. Steady-state calls perform no allocations.
+//
+// Run holds the worker pool (sched.Hold) from its first phase to its
+// return, so the solve's parallel regions reach workers that are still
+// polling instead of waking parked ones; the hold ends before Run returns,
+// whatever the outcome.
 func Run(ctx context.Context, rec *metrics.Rec, name string, phases []Phase) (err error) {
+	sched.Hold()
+	defer sched.Release()
 	defer containPanic(rec, name, &err)
 	for i := range phases {
 		p := &phases[i]

@@ -8,8 +8,25 @@
 // Design:
 //
 //   - Workers are created once (lazily, on the first parallel call) and
-//     live for the life of the process, parked on a job channel between
-//     calls. Pool size is GOMAXPROCS at first use.
+//     live for the life of the process. Pool size is GOMAXPROCS at first
+//     use. A worker that is not in a region blocks on the job channel,
+//     except while a solve holds the pool (below).
+//
+//   - A region reaches a blocked worker as a channel send, and the Go
+//     runtime delivers it late: the woken goroutine is queued on the
+//     submitter's own P, and an idle P takes it only by stealing, after a
+//     back-off. On a two-core host that cost 60-150 µs per region, longer
+//     than many of a solve's regions last. So a solve holds the pool
+//     (Hold/Release, taken by the phase runner around a solve's phase
+//     list). While any hold is active, a worker that leaves a region keeps
+//     polling the job channel, yielding the P every few polls, and takes
+//     the next region out of the channel's buffer with no wake-up at all
+//     (a few µs); the submitter likewise polls for its region's last chunk
+//     before it blocks. A worker stops polling as soon as no hold remains,
+//     or after lingerBound without a region, and then blocks as before.
+//     The polling is limited to a held solve because a serving host is
+//     CPU-bound: workers that polled after every region, whoever sent it,
+//     took the time the request goroutines needed.
 //
 //   - Work distribution is dynamic: participants claim contiguous index
 //     chunks from an atomic counter. The chunk size adapts to the iteration
@@ -56,6 +73,7 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // chunksPerWorker controls adaptive chunking: each participant should get
@@ -66,6 +84,22 @@ import (
 // the cancellation granularity: a canceled context is noticed at the next
 // chunk boundary.
 const chunksPerWorker = 8
+
+// lingerBound is how long a worker polls for the next region without
+// getting one before it blocks on the job channel, hold or no hold. It caps
+// what a hold around a long serial phase (the sort at N = 2^21, for one)
+// costs in polling at one millisecond of CPU per worker. Between the regions
+// of a uniform solve a worker almost never reaches it; in a clustered force
+// solve it does about once per solve, idle through the tail of a near-field
+// round that one heavy row keeps busy (EXPERIMENTS.md, "The pool stays awake
+// through a solve").
+const lingerBound = time.Millisecond
+
+// pollsPerYield is how many polls a waiting participant makes between
+// runtime.Gosched calls: often enough (under a microsecond apart) that a
+// request goroutine queued on the same P runs soon, rarely enough that the
+// scheduler round trip does not dominate the poll.
+const pollsPerYield = 64
 
 // panicBox carries the first recovered panic of a job back to the
 // submitting goroutine, with the stack of the participant that raised it.
@@ -136,7 +170,24 @@ var (
 	poolSize int
 	jobs     chan *job
 	jobPool  = sync.Pool{New: func() any { return new(job) }}
+
+	// holds counts the solves holding the pool (Hold/Release); lingering
+	// counts the workers that are polling the job channel (or running a
+	// region they took while polling) instead of blocking on it.
+	holds     atomic.Int32
+	lingering atomic.Int32
 )
+
+// Hold marks a solve in flight until the matching Release: while any hold
+// is active, a pool worker that leaves a region polls for the next one
+// instead of blocking, and a submitter polls for its region's last chunk
+// before it blocks, so a region reaches a worker without a goroutine
+// wake-up. Holds nest and may be taken by concurrent solves; they allocate
+// nothing. The phase runner (pipeline.Run) takes one around every solve.
+func Hold() { holds.Add(1) }
+
+// Release ends a Hold. Workers stop polling once no hold remains.
+func Release() { holds.Add(-1) }
 
 // initPool sizes and starts the worker pool. Workers run forever; each
 // blocks on the job channel between parallel regions. A panic inside a job
@@ -163,6 +214,7 @@ func initPool() {
 				for j := range jobs {
 					j.participate(slot)
 					j.release()
+					linger(slot)
 				}
 			})
 		}(w)
@@ -311,6 +363,9 @@ wakeLoop:
 		}
 	}
 	j.participate(0)
+	if holds.Load() > 0 {
+		j.await()
+	}
 	j.fin.Wait()
 	pb := j.panicVal.Load()
 	var err error
@@ -325,6 +380,58 @@ wakeLoop:
 		panic(pb.val)
 	}
 	return err
+}
+
+// linger keeps a worker that has just left a region polling the job
+// channel while a solve holds the pool, so that the solve's next region is
+// taken from the channel's buffer instead of being handed to a blocked
+// goroutine. A region joined this way is joined through its wake-up, and so
+// through the job's own reference count, exactly like one received by a
+// blocked worker. The worker returns to blocking once no hold remains or
+// after lingerBound without a region.
+func linger(slot int) {
+	if holds.Load() == 0 {
+		return
+	}
+	lingering.Add(1)
+	defer lingering.Add(-1)
+	idleSince := time.Now()
+	for polls := 0; holds.Load() > 0; polls++ {
+		// The first poll after every region yields: if this worker
+		// finished a region whose submitter had blocked in fin.Wait, the
+		// submitter now sits in this P's runnext, and a P that keeps
+		// polling would strand it there until another P steals it.
+		if polls%pollsPerYield == 0 {
+			runtime.Gosched()
+			if time.Since(idleSince) > lingerBound {
+				return
+			}
+		}
+		select {
+		case j := <-jobs:
+			j.participate(slot)
+			j.release()
+			polls, idleSince = -1, time.Now()
+		default:
+		}
+	}
+}
+
+// await polls for the job's completion, yielding the P every few polls,
+// for at most lingerBound; the caller then blocks in fin.Wait, which
+// returns at once if the poll saw the job finish. A held solve's submitter
+// waits this way for a worker's last chunk so that its own wake-up does not
+// pay the same hand-over delay as a worker's.
+func (j *job) await() {
+	start := time.Now()
+	for polls := 1; !j.finished.Load(); polls++ {
+		if polls%pollsPerYield == 0 {
+			runtime.Gosched()
+			if time.Since(start) > lingerBound {
+				return
+			}
+		}
+	}
 }
 
 // participate runs the job on behalf of one participant, containing any

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,12 @@ import (
 // TestMain forces a multi-worker pool before its lazy first-use sizing:
 // the CI container is single-core, and with GOMAXPROCS=1 every call takes
 // the serial fast path, leaving the pool, panic-containment, and drain
-// logic untested.
+// logic untested. A GOMAXPROCS set in the environment is kept, so that
+// `GOMAXPROCS=2 go test` runs the pool at two workers.
 func TestMain(m *testing.M) {
-	runtime.GOMAXPROCS(4)
+	if os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(4)
+	}
 	m.Run()
 }
 
@@ -168,7 +172,9 @@ func staleJob() *job {
 // TestPanicReRaisedOnCaller: a body panic on any participant must surface
 // as a panic on the submitting goroutine with the original value, and the
 // pool must keep working afterwards.
-func TestPanicReRaisedOnCaller(t *testing.T) {
+func TestPanicReRaisedOnCaller(t *testing.T) { inEachMode(t, testPanicReRaisedOnCaller) }
+
+func testPanicReRaisedOnCaller(t *testing.T) {
 	for _, form := range []string{"run", "chunks"} {
 		got := func() (r any) {
 			defer func() { r = recover() }()
@@ -201,7 +207,9 @@ func TestPanicReRaisedOnCaller(t *testing.T) {
 
 // TestPanicOnEveryParticipant: all participants panic concurrently; exactly
 // one value is re-raised and submit does not hang on fin.
-func TestPanicOnEveryParticipant(t *testing.T) {
+func TestPanicOnEveryParticipant(t *testing.T) { inEachMode(t, testPanicOnEveryParticipant) }
+
+func testPanicOnEveryParticipant(t *testing.T) {
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		Run(10000, func(i int) { panic(i) })
@@ -216,7 +224,9 @@ func TestPanicOnEveryParticipant(t *testing.T) {
 // a panic, no participant is still executing the body, so the caller may
 // immediately reuse the body's buffers without synchronization. Run under
 // -race this fails loudly if a straggler is still writing.
-func TestDrainAfterPanic(t *testing.T) {
+func TestDrainAfterPanic(t *testing.T) { inEachMode(t, testDrainAfterPanic) }
+
+func testDrainAfterPanic(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		buf := make([]int, 4096)
 		func() {
@@ -263,7 +273,9 @@ func TestRunCtxCanceledBeforeStart(t *testing.T) {
 
 // TestRunCtxCancelMidway cancels from inside the body and checks the region
 // stops within one chunk per participant instead of finishing the range.
-func TestRunCtxCancelMidway(t *testing.T) {
+func TestRunCtxCancelMidway(t *testing.T) { inEachMode(t, testRunCtxCancelMidway) }
+
+func testRunCtxCancelMidway(t *testing.T) {
 	const n = 1 << 20
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -330,7 +342,8 @@ func BenchmarkRunChunksEmpty4096(b *testing.B) {
 // path at zero: the job comes from a pool and goes back when its last
 // reference (submitter, participants, queued wake-ups) is dropped, there is
 // no completion channel, and no closure when the caller passes a prebuilt
-// body. Solvers issue dozens of regions per solve on every time step.
+// body. Solvers issue dozens of regions per solve on every time step, under
+// a hold, which allocates nothing either.
 func TestRunAllocs(t *testing.T) {
 	if Workers() == 1 {
 		t.Skip("pool path needs more than one worker")
@@ -340,17 +353,19 @@ func TestRunAllocs(t *testing.T) {
 	fnChunk := func(lo, hi int) { sink.Add(int64(hi - lo)) }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for name, region := range map[string]func(){
-		"Run":        func() { Run(256, fnIdx) },
-		"Run16":      func() { Run(16, fnIdx) },
-		"RunChunks":  func() { RunChunks(256, fnChunk) },
-		"RunCtx":     func() { _ = RunCtx(ctx, 256, fnIdx) },
-		"RunEachCtx": func() { _ = RunEachCtx(ctx, 16, false, fnIdx) },
-	} {
-		if got := testing.AllocsPerRun(200, region); got != 0 {
-			t.Errorf("%s: %.1f allocs per region, want 0", name, got)
+	inEachMode(t, func(t *testing.T) {
+		for name, region := range map[string]func(){
+			"Run":        func() { Run(256, fnIdx) },
+			"Run16":      func() { Run(16, fnIdx) },
+			"RunChunks":  func() { RunChunks(256, fnChunk) },
+			"RunCtx":     func() { _ = RunCtx(ctx, 256, fnIdx) },
+			"RunEachCtx": func() { _ = RunEachCtx(ctx, 16, false, fnIdx) },
+		} {
+			if got := testing.AllocsPerRun(200, region); got != 0 {
+				t.Errorf("%s: %.1f allocs per region, want 0", name, got)
+			}
 		}
-	}
+	})
 }
 
 // TestRunEachClaimsOneAtATime: every index runs once, and no participant is
@@ -428,6 +443,10 @@ func TestRecycleStress(t *testing.T) {
 	if Workers() == 1 {
 		t.Skip("needs a worker pool")
 	}
+	inEachMode(t, testRecycleStress)
+}
+
+func testRecycleStress(t *testing.T) {
 	const goroutines, regions, n = 8, 400, 7
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -459,4 +478,164 @@ func TestRecycleStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// BenchmarkRegionBurst issues bursts of 30 back-to-back regions of about
+// 50 µs of work each, the shape of a solve's phase list, and reports the
+// start delay per region: the time from the call to the first index a pool
+// worker runs. Every region has two indices of 25 µs of spinning each, and
+// whichever runs first spins until the other has started, so the second
+// index can only be started by a worker and its start time is the worker's
+// arrival, however late. "held" runs each burst under a Hold, as a solve
+// does; "free" does not, so its workers block between regions.
+func BenchmarkRegionBurst(b *testing.B) {
+	if Workers() == 1 {
+		b.Skip("needs a worker pool")
+	}
+	const regions, work = 30, 25 * time.Microsecond
+	for _, held := range []bool{false, true} {
+		name := "free"
+		if held {
+			name = "held"
+		}
+		b.Run(name, func(b *testing.B) {
+			var total time.Duration
+			for i := 0; i < b.N; i++ {
+				if held {
+					Hold()
+				}
+				for r := 0; r < regions; r++ {
+					var entered atomic.Int32
+					var second atomic.Int64
+					start := time.Now()
+					_ = RunEachCtx(nil, 2, false, func(int) {
+						t := time.Now()
+						if entered.Add(1) == 2 {
+							second.Store(int64(t.Sub(start)))
+						}
+						for deadline := t.Add(time.Second); entered.Load() < 2 && time.Now().Before(deadline); {
+						}
+						for time.Since(t) < work {
+						}
+					})
+					total += time.Duration(second.Load())
+				}
+				if held {
+					Release()
+				}
+			}
+			b.ReportMetric(float64(total.Microseconds())/float64(b.N*regions), "start-µs/region")
+		})
+	}
+}
+
+// inEachMode runs body as a subtest twice: with no hold, where every region
+// wakes a blocked worker, and inside a Hold, where workers poll between
+// regions, so that a region is joined by a worker that took it from the
+// channel's buffer as well as by one it woke.
+func inEachMode(t *testing.T, body func(t *testing.T)) {
+	for _, held := range []bool{false, true} {
+		name := "free"
+		if held {
+			name = "held"
+		}
+		t.Run(name, func(t *testing.T) {
+			if held {
+				Hold()
+				defer Release()
+			}
+			body(t)
+		})
+	}
+}
+
+// waitLingering waits, yielding, until no worker polls, or fails after ten
+// seconds.
+func waitLingering(t *testing.T, why string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); lingering.Load() != 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers still polling %s", lingering.Load(), why)
+		}
+	}
+}
+
+// startPolling issues regions under the caller's hold until a worker polls
+// between them.
+func startPolling(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); lingering.Load() == 0; {
+		Run(64, func(int) {})
+		if time.Now().After(deadline) {
+			t.Fatal("no worker polled between regions under a hold")
+		}
+	}
+}
+
+// TestWorkersStopPollingAfterRelease: workers poll between a held solve's
+// regions, keep doing so while any of two nested holds remains, stop once
+// the last is released, and do not start again, although every worker is
+// still handed a region every few microseconds.
+func TestWorkersStopPollingAfterRelease(t *testing.T) {
+	if Workers() == 1 {
+		t.Skip("needs a worker pool")
+	}
+	Hold()
+	Hold()
+	startPolling(t)
+	Release()
+	startPolling(t)
+	// The regions come from the workers themselves: each one-index region
+	// queues the next while feed is set, one chain per worker, so no
+	// submitter's scheduling can leave a worker without a region for long
+	// enough that the bound, not the release, ends its polling.
+	var feed atomic.Bool
+	var chain func() *job
+	chain = func() *job {
+		j := &job{n: 1, chunk: 1}
+		j.fin.Add(1)
+		j.refs.Store(2) // the wake-up's and one never released: not recycled
+		j.fnIdx = func(int) {
+			if feed.Load() {
+				jobs <- chain()
+			}
+		}
+		return j
+	}
+	feed.Store(true)
+	defer func() {
+		feed.Store(false)
+		for len(jobs) > 0 {
+			runtime.Gosched()
+		}
+	}()
+	for w := 1; w < Workers(); w++ {
+		jobs <- chain()
+	}
+	Release()
+	waitLingering(t, "after the last Release")
+	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); runtime.Gosched() {
+		if n := lingering.Load(); n != 0 {
+			t.Fatalf("%d workers polling again with no hold", n)
+		}
+	}
+}
+
+// TestHoldWithoutRegionsLetsWorkersBlock: a hold around a long serial
+// stretch does not keep workers polling through it; after lingerBound
+// without a region they block, while the hold is still active.
+func TestHoldWithoutRegionsLetsWorkersBlock(t *testing.T) {
+	if Workers() == 1 {
+		t.Skip("needs a worker pool")
+	}
+	Hold()
+	defer Release()
+	startPolling(t)
+	waitLingering(t, "under a hold with no regions")
+	// A region after the bound still completes: it wakes a blocked worker.
+	var total atomic.Int64
+	Run(1000, func(int) { total.Add(1) })
+	if total.Load() != 1000 {
+		t.Fatalf("region after the bound covered %d/1000", total.Load())
+	}
 }
