@@ -8,15 +8,12 @@
 //	phases -solver dp -nodes 8     # data-parallel solver on the simulated machine
 //	phases -solver 2d -depth 4     # the 2-D solver
 //	phases -degree 13              # the high-accuracy configuration
-//	phases -json                   # machine-readable output (scripts/bench.sh)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"nbody"
 	"nbody/internal/blas"
@@ -37,7 +34,6 @@ func main() {
 		nodes   = flag.Int("nodes", 8, "simulated machine nodes (dp solver)")
 		seed    = flag.Int64("seed", 1, "particle seed")
 		solves  = flag.Int("solves", 1, "number of solves to accumulate")
-		asJSON  = flag.Bool("json", false, "emit JSON instead of the table")
 		workers = flag.Bool("workers", true, "capture per-worker scheduler utilization")
 		backend = flag.String("backend", "", cli.BackendHelp)
 
@@ -105,18 +101,10 @@ func main() {
 	if *workers {
 		st.CaptureWorkers()
 	}
-	// The planner counters ride along in both outputs when this run owned
-	// a planner (-autotune / -plan-store).
+	// The planner counters ride along in the table when this run owned a
+	// planner (-autotune / -plan-store).
 	st.Planner = plannerStats
 
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	fmt.Printf("solver=%s solves=%d\n", *solver, *solves)
 	fmt.Print(st.Table())
 	c := blas.ReadCounters()

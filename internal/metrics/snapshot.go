@@ -201,8 +201,8 @@ type phaseJSON struct {
 }
 
 // MarshalJSON emits the snapshot with phases as named rows (inactive
-// phases skipped), plus the totals and the shape, so downstream tooling
-// (scripts/bench.sh, regression diffing) does not depend on Phase ordinals.
+// phases skipped), plus the totals and the shape, so a reader of
+// Solver.Stats() as JSON does not depend on Phase ordinals.
 func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	phases := make([]phaseJSON, 0, NumPhases)
 	for p := Phase(0); p < NumPhases; p++ {

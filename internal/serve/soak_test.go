@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -58,7 +59,37 @@ func TestSoakChurnCancelFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	// The probe below needs to know when every churn request has reached
+	// the server and left it: dialed counts the clients' connections,
+	// accepted the server's, and busy holds the server's connections that
+	// are new or serving a request.
+	var dialed atomic.Int64
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := new(net.Dialer).DialContext(ctx, network, addr)
+			if err == nil {
+				dialed.Add(1)
+			}
+			return c, err
+		},
+	}}
+	var connMu sync.Mutex
+	var accepted int64
+	busy := map[net.Conn]bool{}
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		connMu.Lock()
+		if st == http.StateNew {
+			accepted++
+		}
+		if st == http.StateNew || st == http.StateActive {
+			busy[c] = true
+		} else {
+			delete(busy, c)
+		}
+		connMu.Unlock()
+	}
+	hs.Start()
 	defer faults.Reset()
 
 	sys := nbody.NewUniformSystem(256, 2)
@@ -78,14 +109,14 @@ func TestSoakChurnCancelFault(t *testing.T) {
 					req, _ := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/solve",
 						bytes.NewReader(soakBody(t, tenant, sys, 0)))
 					req.Header.Set("Content-Type", "application/json")
-					resp, err := http.DefaultClient.Do(req)
+					resp, err := client.Do(req)
 					if err == nil {
 						io.Copy(io.Discard, resp.Body)
 						resp.Body.Close()
 					}
 					cancel()
 				case 1: // tight server-side deadline
-					resp, err := http.Post(hs.URL+"/v1/solve", "application/json",
+					resp, err := client.Post(hs.URL+"/v1/solve", "application/json",
 						bytes.NewReader(soakBody(t, tenant, sys, 1+int64(rng.Intn(4)))))
 					if err == nil {
 						// 504 is this branch's expected outcome; anything
@@ -100,7 +131,7 @@ func TestSoakChurnCancelFault(t *testing.T) {
 					if g == 0 && i == iters/2 {
 						faults.InjectPanicN("core/T2", "soak fault", 1)
 					}
-					resp, err := http.Post(hs.URL+"/v1/solve", "application/json",
+					resp, err := client.Post(hs.URL+"/v1/solve", "application/json",
 						bytes.NewReader(soakBody(t, tenant, sys, 0)))
 					if err != nil {
 						t.Errorf("transport error: %v", err)
@@ -129,9 +160,34 @@ func TestSoakChurnCancelFault(t *testing.T) {
 
 	// Deterministic healing probe: with the churn quiesced, arm one panic
 	// and send one plain solve — the only request that can consume it. It
-	// must succeed and report its own recovery delta.
+	// must succeed and report its own recovery delta. The fault is
+	// process-global, and a churn request can outlive its client: a
+	// cancelled request may still wait in the listener's backlog or be read
+	// by the server, which then admits it, and a solve keeps running after
+	// a cancel or a 504. So wait until the server has accepted every
+	// connection the clients dialed and none is new or serving a request,
+	// and then, as Drain does, until the dispatcher has nothing queued or
+	// running. Once all three hold, nothing but the probe can start a
+	// solve. A dial that completes after its request was cancelled leaves a
+	// connection in the client's idle pool that the server sees as new
+	// until it closes, so each poll closes the idle ones.
+	quiet := func() bool {
+		client.CloseIdleConnections()
+		d := dialed.Load()
+		connMu.Lock()
+		settled := accepted >= d && len(busy) == 0
+		connMu.Unlock()
+		return settled && srv.disp.Quiesced()
+	}
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for giveUp := time.Now().Add(10 * time.Second); !quiet(); <-tick.C {
+		if time.Now().After(giveUp) {
+			t.Fatalf("server not quiet 10 s after the churn: %+v", srv.disp.Stats())
+		}
+	}
 	faults.InjectPanicN("core/T2", "soak probe fault", 1)
-	resp, err := http.Post(hs.URL+"/v1/solve", "application/json",
+	resp, err := client.Post(hs.URL+"/v1/solve", "application/json",
 		bytes.NewReader(soakBody(t, "probe", sys, 0)))
 	if err != nil {
 		t.Fatal(err)
