@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nbody/internal/geom"
+	"nbody/internal/sched"
 	"nbody/internal/sphere"
 	"nbody/internal/tree"
 )
@@ -124,6 +125,33 @@ func BenchmarkSolveK12Depth4(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(32768*b.N)/b.Elapsed().Seconds(), "particles/s")
+}
+
+// BenchmarkNearFieldK12Depth4 times the near-field sweep alone at
+// BenchmarkSolveK12Depth4's shape (the bench's solve_uniform): 25 rounds of
+// row-pair jobs on a prepared Solver, under a hold as in a solve, so the
+// pool's workers take each round as a solve's do. Mpairs/s counts each pair
+// once.
+func BenchmarkNearFieldK12Depth4(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	pos, q := uniformParticles(rng, 32768)
+	s, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.prepare(pos, q); err != nil {
+		b.Fatal(err)
+	}
+	sched.Hold()
+	defer sched.Release()
+	s.nearField()
+	pairs := s.nearPairs.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.nearField()
+	}
+	b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
 // BenchmarkAccelPlummerDepth3 measures the steady-state force solve on a

@@ -103,8 +103,9 @@ func buildNearRounds(n, d int) []nearRound {
 // barrier after each, and within a round no two jobs touch a common row, so
 // jobs write phi and the field in place with no colouring and no per-worker
 // buffer. A particle receives its contributions in an order set by the
-// round list, the occupancies (nearSplit) and nearRow's walk alone — not by
-// which worker ran which job — so the result does not depend on the pool.
+// round list, the occupancies (nearSplit) and the job walk of the pair
+// kernels alone — not by which worker ran which job — so the result does
+// not depend on the pool.
 //
 // Rows are coarse and uneven (a Plummer sphere puts most pairs in four of
 // them), so jobs are claimed one at a time; a round of at most
@@ -172,53 +173,23 @@ func (s *Solver) nearSplit(r *nearRound) (first, second []nearJob, work int) {
 }
 
 // nearRow is the body of a round's region (s.nearRun): job i of the list in
-// flight. Box indices run x fastest, so the 2d+1 x-neighbours of a box in
-// the other row are one contiguous run of the mirrors, clipped at the grid
-// edges (and to the job's tile): one kernel call per box, over sources up to
-// 2d+1 boxes long. In the own-row round a particle meets what follows it in
-// its row — the rest of its box and the d boxes after it — which visits
-// every pair within a box, and every pair of boxes at most d apart in x,
-// exactly once.
+// flight, handed to the pair kernels' job entry as it stands. The kernel
+// walks the job's boxes itself (kernels.NearJob): box indices run x
+// fastest, so the 2d+1 x-neighbours of a box in the other row are one
+// contiguous run of the mirrors, and in the own-row round a particle meets
+// what follows it in its row — the rest of its box and the d boxes after it.
 func (s *Solver) nearRow(i int) {
 	pipeline.Fire(FaultSiteNearBody)
 	j := &s.nearCur[i]
-	n, d := s.part.Grid, s.cfg.Separation
-	start := s.part.Start
-	var pairs int64
-	for x := 0; x < n; x++ {
-		lo, hi := max(start[j.row*n+x], j.tLo), min(start[j.row*n+x+1], j.tHi)
-		if lo >= hi {
-			continue
-		}
-		if j.other != j.row {
-			sLo := max(start[j.other*n+max(x-d, 0)], j.sLo)
-			sHi := min(start[j.other*n+min(x+d, n-1)+1], j.sHi)
-			if sLo < sHi {
-				s.nearPair(lo, hi, sLo, sHi)
-				pairs += int64(hi-lo) * int64(sHi-sLo)
-			}
-			continue
-		}
-		end := start[j.row*n+min(x+d, n-1)+1]
-		for p := lo; p < hi && p+1 < end; p++ {
-			s.nearPair(p, p+1, p+1, end)
-		}
-		t := int64(hi - lo)
-		pairs += t*(t-1)/2 + t*int64(end-hi)
+	n, start := s.part.Grid, s.part.Start
+	job := kernels.NearJob{T: start[j.row*n : (j.row+1)*n+1], D: s.cfg.Separation,
+		TLo: j.tLo, THi: j.tHi, SLo: j.sLo, SHi: j.sHi}
+	if j.other != j.row {
+		job.S = start[j.other*n : (j.other+1)*n+1]
 	}
-	s.nearPairs.Add(pairs)
-}
-
-// nearPair evaluates every pair of a target in [tLo, tHi) and a source in
-// [sLo, sHi) of the mirrors, two disjoint non-empty ranges, writing both.
-func (s *Solver) nearPair(tLo, tHi, sLo, sHi int) {
 	if s.in.acc == nil {
-		kernels.PairwisePotentialSoA(s.xs[tLo:tHi], s.ys[tLo:tHi], s.zs[tLo:tHi], s.qS[tLo:tHi], s.phiS[tLo:tHi],
-			s.xs[sLo:sHi], s.ys[sLo:sHi], s.zs[sLo:sHi], s.qS[sLo:sHi], s.phiS[sLo:sHi])
+		s.nearPairs.Add(kernels.PairwisePotentialJob(&s.near, &job))
 		return
 	}
-	kernels.PairwiseFusedSoA(s.xs[tLo:tHi], s.ys[tLo:tHi], s.zs[tLo:tHi], s.qS[tLo:tHi],
-		s.phiS[tLo:tHi], s.gx[tLo:tHi], s.gy[tLo:tHi], s.gz[tLo:tHi],
-		s.xs[sLo:sHi], s.ys[sLo:sHi], s.zs[sLo:sHi], s.qS[sLo:sHi],
-		s.phiS[sLo:sHi], s.gx[sLo:sHi], s.gy[sLo:sHi], s.gz[sLo:sHi])
+	s.nearPairs.Add(kernels.PairwiseFusedJob(&s.near, &job))
 }

@@ -47,7 +47,7 @@ func (s *Solver) buildPhases() {
 	depth := s.cfg.Depth
 	ps := []pipeline.Phase{
 		{Name: PhaseSort, Site: FaultSiteSort,
-			Run: func(context.Context) error { s.prepare(s.in.pos, s.in.q); return nil }},
+			Run: func(context.Context) error { return s.prepare(s.in.pos, s.in.q) }},
 		{Name: PhaseLeafOuter, Site: FaultSiteLeafOuter,
 			Slice: func() []float64 { return s.far[depth] },
 			Run:   func(context.Context) error { s.leafOuter(); return nil }},

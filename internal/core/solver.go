@@ -7,6 +7,7 @@ import (
 
 	"nbody/internal/direct"
 	"nbody/internal/geom"
+	"nbody/internal/kernels"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
 	"nbody/internal/sched"
@@ -81,6 +82,8 @@ type Solver struct {
 	// boxes, and any run of neighbours within it, is one slice of each plane.
 	xs, ys, zs, qS   []float64
 	phiS, gx, gy, gz []float64
+	// near is the same eight planes as the near-field kernels take them.
+	near kernels.NearPlanes
 
 	// ctx is the cancellation signal of the solve in flight (nil outside a
 	// Solve, or when it was given none). Phase sweeps read it through par
@@ -199,11 +202,6 @@ func (s *Solver) Solve(ctx context.Context, pos []geom.Vec3, q []float64, phi []
 	if acc != nil && len(acc) != len(pos) {
 		return fmt.Errorf("core: %d accelerations for %d positions", len(acc), len(pos))
 	}
-	for _, p := range pos {
-		if !s.hier.Root.Contains(p) && !inClosedBox(s.hier.Root, p) {
-			return fmt.Errorf("core: particle %v outside domain %v", p, s.hier.Root)
-		}
-	}
 	s.rec.SetShape(len(pos), s.cfg.Depth, s.ts.K)
 	s.ctx = ctx
 	s.in.pos, s.in.q, s.in.phi, s.in.acc = pos, q, phi, acc
@@ -220,8 +218,9 @@ func (s *Solver) clearSolveState() {
 
 // prepare runs the per-solve setup on reused buffers: the counting-sort
 // partition, the box-sorted particle mirrors, and zeroing of the expansion
-// grids.
-func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
+// grids. It rejects a particle outside the closed root box in the same pass
+// that bins the particles, before anything but its own scratch is written.
+func (s *Solver) prepare(pos []geom.Vec3, q []float64) error {
 	n := s.hier.GridSize(s.cfg.Depth)
 	nb := n * n * n
 	np := len(pos)
@@ -247,6 +246,7 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
 	s.part.Perm = s.part.Perm[:np]
 	s.xs, s.ys, s.zs, s.qS = s.xs[:np], s.ys[:np], s.zs[:np], s.qS[:np]
 	s.phiS, s.gx, s.gy, s.gz = s.phiS[:np], s.gx[:np], s.gy[:np], s.gz[:np]
+	s.near = kernels.NearPlanes{X: s.xs, Y: s.ys, Z: s.zs, Q: s.qS, Phi: s.phiS, GX: s.gx, GY: s.gy, GZ: s.gz}
 	if s.part.Start == nil {
 		s.part.Start = make([]int, nb+1)
 		s.fill = make([]int, nb)
@@ -256,7 +256,11 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
 	for b := range start {
 		start[b] = 0
 	}
+	lo, hi := closedBounds(s.hier.Root)
 	for i, p := range pos {
+		if !(p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y && p.Z >= lo.Z && p.Z <= hi.Z) {
+			return fmt.Errorf("core: particle %v outside domain %v", p, s.hier.Root)
+		}
 		b := s.hier.LeafOf(p).Index(n)
 		s.boxOf[i] = int32(b)
 		start[b+1]++
@@ -282,15 +286,23 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) {
 		clear(s.far[l])
 		clear(s.loc[l])
 	}
+	return nil
 }
 
 // inClosedBox reports whether p lies in the CLOSED root box. Points exactly
 // on the upper faces are accepted (BoxOf3 clamps them into the boundary
 // leaf).
 func inClosedBox(b geom.Box3, p geom.Vec3) bool {
+	lo, hi := closedBounds(b)
+	return p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y && p.Z >= lo.Z && p.Z <= hi.Z
+}
+
+// closedBounds returns the lower and upper corners of b, for tests over many
+// points that keep them out of the loop.
+func closedBounds(b geom.Box3) (lo, hi geom.Vec3) {
 	h := b.Side / 2
-	inRange := func(v, c float64) bool { return v >= c-h && v <= c+h }
-	return inRange(p.X, b.Center.X) && inRange(p.Y, b.Center.Y) && inRange(p.Z, b.Center.Z)
+	return geom.Vec3{X: b.Center.X - h, Y: b.Center.Y - h, Z: b.Center.Z - h},
+		geom.Vec3{X: b.Center.X + h, Y: b.Center.Y + h, Z: b.Center.Z + h}
 }
 
 // leafOuter is step 1: sample the potential of each leaf box's particles at

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -270,6 +271,52 @@ func TestSolverRejectsOutOfDomainParticle(t *testing.T) {
 	_, err = potentials(s, []geom.Vec3{{X: 2, Y: 0.5, Z: 0.5}}, []float64{1})
 	if err == nil {
 		t.Error("out-of-domain particle accepted")
+	}
+}
+
+// TestSolverOutOfDomainLeavesOutputs: the domain check runs in the sort's
+// binning pass, after the particles before the stray one are binned. The
+// error still names the particle and the domain, the caller's outputs keep
+// every bit, and the next solve on the Solver equals a fresh Solver's.
+func TestSolverOutOfDomainLeavesOutputs(t *testing.T) {
+	pos, q := uniformParticles(rand.New(rand.NewSource(9)), 600)
+	s, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stray := range []geom.Vec3{{X: 0.5, Y: 1.5, Z: 0.5}, {X: 0.5, Y: 0.5, Z: math.NaN()}} {
+		bad := append(append([]geom.Vec3(nil), pos...), stray)
+		phi, acc := make([]float64, len(bad)), make([]geom.Vec3, len(bad))
+		for i := range phi {
+			phi[i], acc[i] = -7, geom.Vec3{X: -7, Y: -7, Z: -7}
+		}
+		err := s.Solve(nil, bad, append(append([]float64(nil), q...), 1), phi, acc)
+		want := fmt.Sprintf("core: particle %v outside domain %v", stray, unitBox())
+		if err == nil || err.Error() != want {
+			t.Fatalf("Solve with %v = %v, want %q", stray, err, want)
+		}
+		for i := range phi {
+			if phi[i] != -7 || acc[i] != (geom.Vec3{X: -7, Y: -7, Z: -7}) {
+				t.Fatalf("particle %d: output written by a rejected solve", i)
+			}
+		}
+	}
+	got, err := potentials(s, pos, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSolver(unitBox(), Config{Degree: 5, Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := potentials(fresh, pos, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("particle %d after a rejected solve: %v, a fresh solver gives %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -12,7 +12,12 @@ import (
 //   - PairwisePotentialSoA and PairwiseFusedSoA, the symmetric pair kernels:
 //     every near field of the repository — the shared-memory solver's row
 //     rounds and the data-parallel solver's traveling walk, intra-box pairs
-//     included — evaluates each pair once through one of these two.
+//     included — evaluates each pair once through one of these two. The
+//     shared-memory solver calls them through their job entries
+//     (PairwisePotentialJob, PairwiseFusedJob, job.go): the job is its unit,
+//     one call per row pair, tile or own row, and the kernel walks the job's
+//     boxes, making the per-box calls in the order they would be made one by
+//     one. On avx512 the walk runs in the assembly.
 //   - AccumulatePotentialSoA, the one-sided potential: both 3-D solvers'
 //     particle -> outer sphere operation (core.LeafOuter, the sphere points
 //     as targets), and the frozen benchmark probes.
@@ -51,7 +56,9 @@ import (
 //     sources one more group under a lane mask (no scalar tail), lanes
 //     combined as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), fused as in avx2.
 //     inv is a VRSQRT14PD seed and two Newton steps (nf_avx512_amd64.s),
-//     zeroed on lanes whose r2 is ±0 or +Inf.
+//     zeroed on lanes whose r2 is ±0 or +Inf. Both bodies take targets two
+//     at a time on one load of a group, t's deposit before t+1's, which is
+//     the one-target order.
 //
 // PairwiseFusedSoA follows the same orders for each of the target's four
 // sums (potential and three field components), accumulated from zero and
@@ -85,6 +92,11 @@ var (
 // the heap — an allocation per box.
 var accumPotSoAVector bool
 
+// pairJobAVX512 selects the assembly walk of the pair kernels' job entries
+// (job.go) the same way: the walk hands its calls, from a buffer on its
+// stack, to the assembly by a direct call.
+var pairJobAVX512 bool
+
 func init() { simd.Register(applyBackend) }
 
 // applyBackend rebinds the kernel seams for the named backend; unknown
@@ -104,6 +116,7 @@ func applyBackend(name string) {
 func bindScalar() {
 	accumulateForceImpl = accumulateForceScalar
 	accumPotSoAVector = false
+	pairJobAVX512 = false
 	pairPotSoAImpl = pairPotSoAScalar
 	pairFusedSoAImpl = pairFusedSoAScalar
 	innerPotSoAImpl = innerPotSoAScalar

@@ -30,6 +30,9 @@ func TestApplierBindsVectorBodies(t *testing.T) {
 			if !accumPotSoAVector {
 				t.Errorf("%s leaves AccumulatePotentialSoA on its scalar body", be)
 			}
+			if pairJobAVX512 != (be == simd.AVX512) {
+				t.Errorf("%s sets the job entries' assembly walk to %v", be, pairJobAVX512)
+			}
 		})
 	}
 }

@@ -613,7 +613,8 @@ func BenchmarkAccumulatePotentialSoA64(b *testing.B) { benchSoA(b, 64) }
 // the next page. "staggered" adds the solver's 512 B per plane. The shapes
 // are the Plummer solve's: 64 a few sparse boxes' run, 940 a crowded box,
 // 1880 a crowded box's window of its neighbour row, 2 and 40 the thin
-// calls of its light rounds. Mpairs/s counts each pair once, although it is
+// calls of its light rounds; 8x40 is also the uniform solve's cross-row
+// call, a box against its window of five. Mpairs/s counts each pair once, although it is
 // deposited twice.
 func benchPair(b *testing.B, cnt, scnt int, fused bool) {
 	for _, be := range simd.Supported() {
@@ -653,6 +654,7 @@ func benchPair(b *testing.B, cnt, scnt int, fused bool) {
 
 func BenchmarkPairwisePotentialSoA64(b *testing.B)   { benchPair(b, 64, 64, false) }
 func BenchmarkPairwisePotentialSoA940(b *testing.B)  { benchPair(b, 940, 940, false) }
+func BenchmarkPairwisePotentialSoA8x40(b *testing.B) { benchPair(b, 8, 40, false) }
 func BenchmarkPairwiseFusedSoA64(b *testing.B)       { benchPair(b, 64, 64, true) }
 func BenchmarkPairwiseFusedSoA940(b *testing.B)      { benchPair(b, 940, 940, true) }
 func BenchmarkPairwiseFusedSoA940x1880(b *testing.B) { benchPair(b, 940, 1880, true) }

@@ -30,6 +30,7 @@ func pairFusedSoAAVX2(xs, ys, zs, qs, phi, gx, gy, gz *float64, cnt int, sx, sy,
 const haveAVX2 = true
 
 func bindAVX2() {
+	pairJobAVX512 = false
 	accumulateForceImpl = accumulateForceVec
 	accumPotSoAVector = true
 	pairPotSoAImpl = pairPotSoAVec

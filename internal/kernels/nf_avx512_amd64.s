@@ -73,30 +73,88 @@ GLOBL nfhalf<>(SB), RODATA|NOPTR, $8
 	VADDPD        Xt, Xv, Xv  \
 	VHADDPD       Xv, Xv, Xv
 
-// POTGROUP is one group of PairwisePotentialSoA at source byte offset BX,
-// K masking the lanes (LOADT/STORET) or not (LOADW/STOREW): d = target -
-// source, then acc += sq*inv and sphi += qi*inv, both fused.
-#define POTGROUP(LOAD, STORE, K)  \
-	LOAD((R11)(BX*1), K, Z8)  \
+// POT1 is one group of the potential kernel for the target in Z4-Z7 (x, y,
+// z, q) summing into Z0, with the group's sources at the memory operands
+// SX, SY, SZ, SQ and their accumulators at SP, K masking the lanes
+// (LOADT/STORET) or not (LOADW/STOREW): d = target - source, then
+// acc += sq*inv and sphi += qi*inv, both fused.
+#define POT1(LOAD, STORE, K, SX, SY, SZ, SQ, SP) \
+	LOAD(SX, K, Z8)           \
 	VSUBPD      Z8, Z4, Z8    \
-	LOAD((R12)(BX*1), K, Z9)  \
+	LOAD(SY, K, Z9)           \
 	VSUBPD      Z9, Z5, Z9    \
-	LOAD((R13)(BX*1), K, Z10) \
+	LOAD(SZ, K, Z10)          \
 	VSUBPD      Z10, Z6, Z10  \
 	VMULPD      Z8, Z8, Z11   \
 	VFMADD231PD Z9, Z9, Z11   \
 	VFMADD231PD Z10, Z10, Z11 \
 	LIVE(Z11, K, K2)          \
 	RSQRT2(Z11, Z12, Z13, K2) \
-	LOAD((R14)(BX*1), K, Z13) \
+	LOAD(SQ, K, Z13)          \
 	VFMADD231PD Z12, Z13, Z0  \
-	LOAD((CX)(BX*1), K, Z13)  \
+	LOAD(SP, K, Z13)          \
 	VFMADD231PD Z7, Z12, Z13  \
-	STORE(Z13, K, (CX)(BX*1))
+	STORE(Z13, K, SP)
+
+// POT2 is POT1 for two targets on one load of the group: t in Z4-Z7 summing
+// into Z0 and t+1 in Z16-Z19 summing into Z1. Each source takes t's deposit
+// before t+1's, each in the one-target arithmetic, so the bits are POT1's
+// run for t and then for t+1.
+#define POT2(LOAD, STORE, K, SX, SY, SZ, SQ, SP) \
+	LOAD(SX, K, Z20)          \
+	LOAD(SY, K, Z21)          \
+	LOAD(SZ, K, Z22)          \
+	VSUBPD      Z20, Z4, Z8   \
+	VSUBPD      Z21, Z5, Z9   \
+	VSUBPD      Z22, Z6, Z10  \
+	VSUBPD      Z20, Z16, Z24 \
+	VSUBPD      Z21, Z17, Z25 \
+	VSUBPD      Z22, Z18, Z26 \
+	VMULPD      Z8, Z8, Z11   \
+	VFMADD231PD Z9, Z9, Z11   \
+	VFMADD231PD Z10, Z10, Z11 \
+	VMULPD      Z24, Z24, Z27 \
+	VFMADD231PD Z25, Z25, Z27 \
+	VFMADD231PD Z26, Z26, Z27 \
+	LIVE(Z11, K, K2)          \
+	LIVE(Z27, K, K4)          \
+	RSQRT2(Z11, Z12, Z13, K2) \
+	RSQRT2(Z27, Z28, Z29, K4) \
+	LOAD(SQ, K, Z13)          \
+	VFMADD231PD Z12, Z13, Z0  \
+	VFMADD231PD Z28, Z13, Z1  \
+	LOAD(SP, K, Z13)          \
+	VFMADD231PD Z7, Z12, Z13  \
+	VFMADD231PD Z19, Z28, Z13 \
+	STORE(Z13, K, SP)
+
+// TARGET1 broadcasts target AX of the planes X, Y, Z, Q into Z4-Z7 and
+// clears its sum Z0; TARGET2 does the same for t+1 into Z16-Z19 and Z1.
+#define TARGET1(X, Y, Z, Q) \
+	VBROADCASTSD (X)(AX*8), Z4 \
+	VBROADCASTSD (Y)(AX*8), Z5 \
+	VBROADCASTSD (Z)(AX*8), Z6 \
+	VBROADCASTSD (Q)(AX*8), Z7 \
+	VXORPD       Z0, Z0, Z0
+
+#define TARGET2(X, Y, Z, Q) \
+	VBROADCASTSD 8(X)(AX*8), Z16 \
+	VBROADCASTSD 8(Y)(AX*8), Z17 \
+	VBROADCASTSD 8(Z)(AX*8), Z18 \
+	VBROADCASTSD 8(Q)(AX*8), Z19 \
+	VXORPD       Z1, Z1, Z1
+
+// ADDSUM collapses the sums Zv (HSUM8) and adds them to element AX+OFF/8 of
+// the plane at P.
+#define ADDSUM(Zv, Yv, Xv, P, OFF)  \
+	HSUM8(Zv, Yv, Xv, Y13, X13) \
+	VADDSD OFF(P)(AX*8), Xv, Xv \
+	VMOVSD Xv, OFF(P)(AX*8)
 
 // func pairPotSoAAVX512(xs, ys, zs, qs, phi *float64, cnt int, sx, sy, sz, sq, sphi *float64, scnt int)
 // Symmetric traveling SoA potential: phi[i] += sum sq[j]*inv and
-// sphi[j] += qs[i]*inv.
+// sphi[j] += qs[i]*inv. Targets go two at a time (POT2), an odd last one
+// alone (POT1).
 TEXT ·pairPotSoAAVX512(SB), NOSPLIT, $0-96
 	MOVQ xs+0(FP), SI
 	MOVQ ys+8(FP), DI
@@ -116,41 +174,60 @@ TEXT ·pairPotSoAAVX512(SB), NOSPLIT, $0-96
 	XORQ         AX, AX     // i
 
 ppi:
-	CMPQ         AX, R10
-	JGE          ppdone
-	VBROADCASTSD (SI)(AX*8), Z4
-	VBROADCASTSD (DI)(AX*8), Z5
-	VBROADCASTSD (R8)(AX*8), Z6
-	VBROADCASTSD (R9)(AX*8), Z7 // qi
-	VXORPD       Z0, Z0, Z0     // acc
-	XORQ         BX, BX         // source byte offset
-	CMPQ         BX, R15
-	JGE          pptail
+	MOVQ R10, BX
+	SUBQ AX, BX
+	CMPQ BX, $1
+	JLT  ppdone
+	JEQ  pp1
+	TARGET1(SI, DI, R8, R9)
+	TARGET2(SI, DI, R8, R9)
+	XORQ BX, BX             // source byte offset
+	CMPQ BX, R15
+	JGE  pp2tail
 
-ppj:
-	POTGROUP(LOADW, STOREW, K3)
+pp2j:
+	POT2(LOADW, STOREW, K3, (R11)(BX*1), (R12)(BX*1), (R13)(BX*1), (R14)(BX*1), (CX)(BX*1))
 	ADDQ $64, BX
 	CMPQ BX, R15
-	JLT  ppj
+	JLT  pp2j
 
-pptail:
+pp2tail:
 	KORTESTB K1, K1
-	JZ       ppsum
-	POTGROUP(LOADT, STORET, K1)
+	JZ       pp2sum
+	POT2(LOADT, STORET, K1, (R11)(BX*1), (R12)(BX*1), (R13)(BX*1), (R14)(BX*1), (CX)(BX*1))
 
-ppsum:
-	HSUM8(Z0, Y0, X0, Y13, X13)
-	VADDSD (DX)(AX*8), X0, X0
-	VMOVSD X0, (DX)(AX*8)
-	INCQ   AX
-	JMP    ppi
+pp2sum:
+	ADDSUM(Z0, Y0, X0, DX, 0)
+	ADDSUM(Z1, Y1, X1, DX, 8)
+	ADDQ $2, AX
+	JMP  ppi
+
+pp1:
+	TARGET1(SI, DI, R8, R9)
+	XORQ BX, BX
+	CMPQ BX, R15
+	JGE  pp1tail
+
+pp1j:
+	POT1(LOADW, STOREW, K3, (R11)(BX*1), (R12)(BX*1), (R13)(BX*1), (R14)(BX*1), (CX)(BX*1))
+	ADDQ $64, BX
+	CMPQ BX, R15
+	JLT  pp1j
+
+pp1tail:
+	KORTESTB K1, K1
+	JZ       pp1sum
+	POT1(LOADT, STORET, K1, (R11)(BX*1), (R12)(BX*1), (R13)(BX*1), (R14)(BX*1), (CX)(BX*1))
+
+pp1sum:
+	ADDSUM(Z0, Y0, X0, DX, 0)
 
 ppdone:
 	VZEROUPPER
 	RET
 
 // SRCLOAD loads the group of sources at BX for PairwiseFusedSoA, K masking
-// the lanes as in POTGROUP: positions and charges into Z24-Z27, their
+// the lanes as in POT1: positions and charges into Z24-Z27, their
 // accumulators sphi, sgx, sgy, sgz into Z28-Z31. SRCSTORE writes the
 // accumulators back.
 #define SRCLOAD(LOAD, K)          \
@@ -330,6 +407,383 @@ pf1sum:
 	TSUM(Z3, Y3, X3, gz+56(FP), 0)
 
 pfdone:
+	VZEROUPPER
+	RET
+
+// The job walkers (job.go): a batch of a job's per-box calls in one call,
+// on the solver's planes, where targets and sources are index ranges of the
+// same planes. BX and AX index sources and targets in elements. GROUPS
+// turns the source count N of a window starting at S0 into the index past
+// its whole groups of eight and sets K to the mask of the remaining N mod 8
+// sources, clobbering T and U.
+#define GROUPS(N, S0, T, U, K) \
+	MOVQ  N, T        \
+	ANDQ  $7, T       \
+	MOVL  $0xff, U    \
+	BZHIQ T, U, U     \
+	KMOVB U, K        \
+	ANDQ  $-8, N      \
+	ADDQ  S0, N
+
+// func pairPotRowsAVX512(x, y, z, q, phi *float64, calls *boxCall, ncalls int)
+// A row pair's or tile's calls: call c's targets [t0, t1) two at a time
+// against its window [s0, s1), as pairPotSoAAVX512 takes them.
+TEXT ·pairPotRowsAVX512(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         z+16(FP), R8
+	MOVQ         q+24(FP), R9
+	MOVQ         phi+32(FP), DX
+	MOVQ         calls+40(FP), R12
+	MOVQ         ncalls+48(FP), R13
+	SHLQ         $5, R13
+	ADDQ         R12, R13 // past the last call
+	KXNORB       K3, K3, K3
+	VBROADCASTSD nfhalf<>(SB), Z15
+
+prcall:
+	CMPQ R12, R13
+	JGE  prdone
+	MOVQ 16(R12), R11       // s0
+	MOVQ 24(R12), R15
+	SUBQ R11, R15
+	GROUPS(R15, R11, BX, R14, K1)
+	MOVQ 0(R12), AX         // t0
+	MOVQ 8(R12), R10        // t1
+
+prt:
+	MOVQ R10, BX
+	SUBQ AX, BX
+	CMPQ BX, $1
+	JLT  prnext
+	JEQ  pr1
+	TARGET1(SI, DI, R8, R9)
+	TARGET2(SI, DI, R8, R9)
+	MOVQ R11, BX
+	CMPQ BX, R15
+	JGE  pr2tail
+
+pr2j:
+	POT2(LOADW, STOREW, K3, (SI)(BX*8), (DI)(BX*8), (R8)(BX*8), (R9)(BX*8), (DX)(BX*8))
+	ADDQ $8, BX
+	CMPQ BX, R15
+	JLT  pr2j
+
+pr2tail:
+	KORTESTB K1, K1
+	JZ       pr2sum
+	POT2(LOADT, STORET, K1, (SI)(BX*8), (DI)(BX*8), (R8)(BX*8), (R9)(BX*8), (DX)(BX*8))
+
+pr2sum:
+	ADDSUM(Z0, Y0, X0, DX, 0)
+	ADDSUM(Z1, Y1, X1, DX, 8)
+	ADDQ $2, AX
+	JMP  prt
+
+pr1:
+	TARGET1(SI, DI, R8, R9)
+	MOVQ R11, BX
+	CMPQ BX, R15
+	JGE  pr1tail
+
+pr1j:
+	POT1(LOADW, STOREW, K3, (SI)(BX*8), (DI)(BX*8), (R8)(BX*8), (R9)(BX*8), (DX)(BX*8))
+	ADDQ $8, BX
+	CMPQ BX, R15
+	JLT  pr1j
+
+pr1tail:
+	KORTESTB K1, K1
+	JZ       pr1sum
+	POT1(LOADT, STORET, K1, (SI)(BX*8), (DI)(BX*8), (R8)(BX*8), (R9)(BX*8), (DX)(BX*8))
+
+pr1sum:
+	ADDSUM(Z0, Y0, X0, DX, 0)
+
+prnext:
+	ADDQ $32, R12
+	JMP  prcall
+
+prdone:
+	VZEROUPPER
+	RET
+
+// func pairPotOwnAVX512(x, y, z, q, phi *float64, calls *boxCall, ncalls int)
+// An own row's calls: each target p of [t0, t1) alone against [p+1, s1),
+// as the one-target pairPotSoAAVX512 call on that window takes it.
+TEXT ·pairPotOwnAVX512(SB), NOSPLIT, $0-56
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         z+16(FP), R8
+	MOVQ         q+24(FP), R9
+	MOVQ         phi+32(FP), DX
+	MOVQ         calls+40(FP), R12
+	MOVQ         ncalls+48(FP), R13
+	SHLQ         $5, R13
+	ADDQ         R12, R13
+	KXNORB       K3, K3, K3
+	VBROADCASTSD nfhalf<>(SB), Z15
+
+pocall:
+	CMPQ R12, R13
+	JGE  podone
+	MOVQ 0(R12), AX         // t0
+	MOVQ 8(R12), R10        // t1
+	MOVQ 24(R12), CX        // s1
+
+pot:
+	CMPQ AX, R10
+	JGE  ponext
+	LEAQ 1(AX), R11         // the window starts past the target
+	MOVQ CX, R15
+	SUBQ R11, R15
+	CMPQ R15, $1
+	JLT  ponext             // nor has any later target a source
+	GROUPS(R15, R11, BX, R14, K1)
+	TARGET1(SI, DI, R8, R9)
+	MOVQ R11, BX
+	CMPQ BX, R15
+	JGE  potail
+
+poj:
+	POT1(LOADW, STOREW, K3, (SI)(BX*8), (DI)(BX*8), (R8)(BX*8), (R9)(BX*8), (DX)(BX*8))
+	ADDQ $8, BX
+	CMPQ BX, R15
+	JLT  poj
+
+potail:
+	KORTESTB K1, K1
+	JZ       posum
+	POT1(LOADT, STORET, K1, (SI)(BX*8), (DI)(BX*8), (R8)(BX*8), (R9)(BX*8), (DX)(BX*8))
+
+posum:
+	ADDSUM(Z0, Y0, X0, DX, 0)
+	INCQ AX
+	JMP  pot
+
+ponext:
+	ADDQ $32, R12
+	JMP  pocall
+
+podone:
+	VZEROUPPER
+	RET
+
+// JSRCLOAD and JSRCSTORE are SRCLOAD and SRCSTORE on the shared planes, at
+// source index BX.
+#define JSRCLOAD(LOAD, K)         \
+	LOAD((SI)(BX*8), K, Z24)  \
+	LOAD((DI)(BX*8), K, Z25)  \
+	LOAD((R8)(BX*8), K, Z26)  \
+	LOAD((R9)(BX*8), K, Z27)  \
+	LOAD((R10)(BX*8), K, Z28) \
+	LOAD((R11)(BX*8), K, Z29) \
+	LOAD((R12)(BX*8), K, Z30) \
+	LOAD((R13)(BX*8), K, Z31)
+
+#define JSRCSTORE(STORE, K)        \
+	STORE(Z28, K, (R10)(BX*8)) \
+	STORE(Z29, K, (R11)(BX*8)) \
+	STORE(Z30, K, (R12)(BX*8)) \
+	STORE(Z31, K, (R13)(BX*8))
+
+// JTARGET1 broadcasts target AX into Z4-Z7 and clears its sums Z0-Z3;
+// JTARGET2 does the same for t+1 into Z20-Z23 and Z16-Z19.
+#define JTARGET1 \
+	VBROADCASTSD (SI)(AX*8), Z4 \
+	VBROADCASTSD (DI)(AX*8), Z5 \
+	VBROADCASTSD (R8)(AX*8), Z6 \
+	VBROADCASTSD (R9)(AX*8), Z7 \
+	VXORPD       Z0, Z0, Z0     \
+	VXORPD       Z1, Z1, Z1     \
+	VXORPD       Z2, Z2, Z2     \
+	VXORPD       Z3, Z3, Z3
+
+#define JTARGET2 \
+	VBROADCASTSD 8(SI)(AX*8), Z20 \
+	VBROADCASTSD 8(DI)(AX*8), Z21 \
+	VBROADCASTSD 8(R8)(AX*8), Z22 \
+	VBROADCASTSD 8(R9)(AX*8), Z23 \
+	VXORPD       Z16, Z16, Z16    \
+	VXORPD       Z17, Z17, Z17    \
+	VXORPD       Z18, Z18, Z18    \
+	VXORPD       Z19, Z19, Z19
+
+// JSUMS adds the sums Z0-Z3 to element AX+OFF/8 of phi, gx, gy, gz.
+#define JSUMS(OFF) \
+	ADDSUM(Z0, Y0, X0, R10, OFF) \
+	ADDSUM(Z1, Y1, X1, R11, OFF) \
+	ADDSUM(Z2, Y2, X2, R12, OFF) \
+	ADDSUM(Z3, Y3, X3, R13, OFF)
+
+// func pairFusedRowsAVX512(x, y, z, q, phi, gx, gy, gz *float64, calls *boxCall, ncalls int)
+// A row pair's or tile's calls for the fused kernel: call c's targets
+// [t0, t1) two at a time against its window [s0, s1), as
+// pairFusedSoAAVX512 takes them. The call pointer is R14, the end of the
+// calls a local.
+TEXT ·pairFusedRowsAVX512(SB), NOSPLIT, $8-80
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         z+16(FP), R8
+	MOVQ         q+24(FP), R9
+	MOVQ         phi+32(FP), R10
+	MOVQ         gx+40(FP), R11
+	MOVQ         gy+48(FP), R12
+	MOVQ         gz+56(FP), R13
+	MOVQ         calls+64(FP), R14
+	MOVQ         ncalls+72(FP), AX
+	SHLQ         $5, AX
+	ADDQ         R14, AX
+	MOVQ         AX, end-8(SP)
+	KXNORB       K3, K3, K3
+	VBROADCASTSD nfhalf<>(SB), Z15
+
+frcall:
+	CMPQ R14, end-8(SP)
+	JGE  frdone
+	MOVQ 16(R14), CX        // s0
+	MOVQ 24(R14), R15
+	SUBQ CX, R15
+	GROUPS(R15, CX, AX, BX, K1)
+	MOVQ 0(R14), AX         // t0
+	MOVQ 8(R14), DX         // t1
+
+frt:
+	MOVQ DX, BX
+	SUBQ AX, BX
+	CMPQ BX, $1
+	JLT  frnext
+	JEQ  fr1
+	JTARGET1
+	JTARGET2
+	MOVQ CX, BX
+	CMPQ BX, R15
+	JGE  fr2tail
+
+fr2j:
+	JSRCLOAD(LOADW, K3)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K3)
+	FUSEDT(Z20, Z21, Z22, Z23, Z16, Z17, Z18, Z19, K3)
+	JSRCSTORE(STOREW, K3)
+	ADDQ $8, BX
+	CMPQ BX, R15
+	JLT  fr2j
+
+fr2tail:
+	KORTESTB K1, K1
+	JZ       fr2sum
+	JSRCLOAD(LOADT, K1)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K1)
+	FUSEDT(Z20, Z21, Z22, Z23, Z16, Z17, Z18, Z19, K1)
+	JSRCSTORE(STORET, K1)
+
+fr2sum:
+	JSUMS(0)
+	VMOVAPD Z16, Z0
+	VMOVAPD Z17, Z1
+	VMOVAPD Z18, Z2
+	VMOVAPD Z19, Z3
+	JSUMS(8)
+	ADDQ    $2, AX
+	JMP     frt
+
+fr1:
+	JTARGET1
+	MOVQ CX, BX
+	CMPQ BX, R15
+	JGE  fr1tail
+
+fr1j:
+	JSRCLOAD(LOADW, K3)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K3)
+	JSRCSTORE(STOREW, K3)
+	ADDQ $8, BX
+	CMPQ BX, R15
+	JLT  fr1j
+
+fr1tail:
+	KORTESTB K1, K1
+	JZ       fr1sum
+	JSRCLOAD(LOADT, K1)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K1)
+	JSRCSTORE(STORET, K1)
+
+fr1sum:
+	JSUMS(0)
+
+frnext:
+	ADDQ $32, R14
+	JMP  frcall
+
+frdone:
+	VZEROUPPER
+	RET
+
+// func pairFusedOwnAVX512(x, y, z, q, phi, gx, gy, gz *float64, calls *boxCall, ncalls int)
+// An own row's calls for the fused kernel: each target p of [t0, t1) alone
+// against [p+1, s1), as the one-target pairFusedSoAAVX512 call on that
+// window takes it. t1 and s1 are read from the call record.
+TEXT ·pairFusedOwnAVX512(SB), NOSPLIT, $8-80
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         z+16(FP), R8
+	MOVQ         q+24(FP), R9
+	MOVQ         phi+32(FP), R10
+	MOVQ         gx+40(FP), R11
+	MOVQ         gy+48(FP), R12
+	MOVQ         gz+56(FP), R13
+	MOVQ         calls+64(FP), R14
+	MOVQ         ncalls+72(FP), AX
+	SHLQ         $5, AX
+	ADDQ         R14, AX
+	MOVQ         AX, end-8(SP)
+	KXNORB       K3, K3, K3
+	VBROADCASTSD nfhalf<>(SB), Z15
+
+focall:
+	CMPQ R14, end-8(SP)
+	JGE  fodone
+	MOVQ 0(R14), AX         // t0
+
+fot:
+	CMPQ AX, 8(R14)
+	JGE  fonext
+	LEAQ 1(AX), CX          // the window starts past the target
+	MOVQ 24(R14), R15
+	SUBQ CX, R15
+	CMPQ R15, $1
+	JLT  fonext             // nor has any later target a source
+	GROUPS(R15, CX, BX, DX, K1)
+	JTARGET1
+	MOVQ CX, BX
+	CMPQ BX, R15
+	JGE  fotail
+
+foj:
+	JSRCLOAD(LOADW, K3)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K3)
+	JSRCSTORE(STOREW, K3)
+	ADDQ $8, BX
+	CMPQ BX, R15
+	JLT  foj
+
+fotail:
+	KORTESTB K1, K1
+	JZ       fosum
+	JSRCLOAD(LOADT, K1)
+	FUSEDT(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, K1)
+	JSRCSTORE(STORET, K1)
+
+fosum:
+	JSUMS(0)
+	INCQ AX
+	JMP  fot
+
+fonext:
+	ADDQ $32, R14
+	JMP  focall
+
+fodone:
 	VZEROUPPER
 	RET
 

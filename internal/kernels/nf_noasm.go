@@ -16,3 +16,11 @@ func rsqrt14(float64) float64 { panic("kernels: no VRSQRT14PD off amd64") }
 func accumPotSoAVec(xs, ys, zs, phi, sx, sy, sz, sq []float64) {
 	panic("kernels: no vector AccumulatePotentialSoA off amd64")
 }
+
+func pairPotCallsAVX512(*NearPlanes, []boxCall, bool) {
+	panic("kernels: no avx512 near-field job off amd64")
+}
+
+func pairFusedCallsAVX512(*NearPlanes, []boxCall, bool) {
+	panic("kernels: no avx512 near-field job off amd64")
+}

@@ -103,6 +103,20 @@ func TestFullQueueCompletesOnCaller(t *testing.T) {
 	gate := make(chan struct{})
 	var blocked atomic.Int32
 	blockers := make([]*job, Workers()-1)
+	// Open the gate on every exit, a failure's included, and wait for the
+	// blockers and the stale jobs, so that no later test finds the pool
+	// parked or its wake-ups landing behind them.
+	defer func() {
+		close(gate)
+		for _, b := range blockers {
+			if b != nil {
+				b.fin.Wait()
+			}
+		}
+		for len(jobs) > 0 {
+			runtime.Gosched()
+		}
+	}()
 	for i := range blockers {
 		b := &job{n: 1, chunk: 1}
 		b.fin.Add(1)
@@ -148,16 +162,6 @@ fill:
 		if h != 1 {
 			t.Fatalf("index %d executed %d times", i, h)
 		}
-	}
-
-	close(gate)
-	for _, b := range blockers {
-		b.fin.Wait()
-	}
-	// Let the workers chew through the stale jobs before other tests rely
-	// on wake-ups landing.
-	for len(jobs) > 0 {
-		runtime.Gosched()
 	}
 }
 
@@ -560,15 +564,31 @@ func waitLingering(t *testing.T, why string) {
 	}
 }
 
-// startPolling issues regions under the caller's hold until a worker polls
-// between them.
+// startPolling issues regions under the caller's hold until one runs while
+// a worker polls. Each region is a rendezvous: two indices, each of whose
+// bodies waits until the other index's participant has joined, so every
+// region has provably been run by a worker as well as by the caller, and
+// each worker that runs one polls after it. No time bound ends the loop.
+// A region's wake-ups are dropped when the queue is full (the caller then
+// runs it alone, which a rendezvous cannot), so each region waits for the
+// workers to drain the stale wake-ups earlier tests left.
 func startPolling(t *testing.T) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); lingering.Load() == 0; {
-		Run(64, func(int) {})
-		if time.Now().After(deadline) {
-			t.Fatal("no worker polled between regions under a hold")
+	var polled atomic.Bool
+	for !polled.Load() {
+		for len(jobs) > 0 {
+			runtime.Gosched()
 		}
+		var arrived atomic.Int32
+		_ = RunEachCtx(nil, 2, false, func(int) {
+			arrived.Add(1)
+			for arrived.Load() < 2 {
+				runtime.Gosched()
+			}
+			if lingering.Load() > 0 {
+				polled.Store(true)
+			}
+		})
 	}
 }
 
@@ -590,12 +610,15 @@ func TestWorkersStopPollingAfterRelease(t *testing.T) {
 	// submitter's scheduling can leave a worker without a region for long
 	// enough that the bound, not the release, ends its polling.
 	var feed atomic.Bool
+	var bodies sync.WaitGroup // chain jobs whose body has not returned
 	var chain func() *job
 	chain = func() *job {
+		bodies.Add(1)
 		j := &job{n: 1, chunk: 1}
 		j.fin.Add(1)
 		j.refs.Store(2) // the wake-up's and one never released: not recycled
 		j.fnIdx = func(int) {
+			defer bodies.Done()
 			if feed.Load() {
 				jobs <- chain()
 			}
@@ -603,11 +626,11 @@ func TestWorkersStopPollingAfterRelease(t *testing.T) {
 		return j
 	}
 	feed.Store(true)
+	// Every chain job queued runs; once their bodies have all returned, no
+	// late send can land in a later test's queue.
 	defer func() {
 		feed.Store(false)
-		for len(jobs) > 0 {
-			runtime.Gosched()
-		}
+		bodies.Wait()
 	}()
 	for w := 1; w < Workers(); w++ {
 		jobs <- chain()

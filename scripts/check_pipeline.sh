@@ -63,15 +63,18 @@ if [ -n "$ledger" ]; then
     exit 1
 fi
 # Fourth boundary: each solver has one near-field path. Non-test
-# internal/core calls the near-field kernels from exactly one place each —
-# the symmetric pair kernels of Solver.nearPair — and so does non-test
-# internal/dpfmm — the symmetric pair kernels of its one traveling walk
-# (interact) — and neither calls any other kernel of package kernels, so a
-# second sweep (one-sided, serial-only, per-box, within-box) cannot come
-# back beside the row rounds or the Figure 10 walk unnoticed. The leaf
-# layer's three kernels are the one exception: core's kernel.go (LeafOuter
-# and EvalLocal, which dpfmm calls too) calls each of them once, and no
-# other file does.
+# internal/core calls the pair kernels' job entries from exactly one place
+# each — Solver.nearRow, one call per job of its row rounds — and no per-box
+# pair kernel; non-test internal/dpfmm calls the per-box symmetric pair
+# kernels from exactly one place each — its one traveling walk (interact).
+# Neither calls any other kernel of package kernels, so a second sweep
+# (one-sided, serial-only, per-box, within-box) cannot come back beside the
+# row rounds or the Figure 10 walk unnoticed. The leaf layer's three
+# kernels are the one exception: core's kernel.go (LeafOuter and EvalLocal,
+# which dpfmm calls too) calls each of them once, and no other file does.
+# The job entries' two types (NearJob, NearPlanes) are not kernels.
+jobs='kernels.PairwiseFusedJob
+kernels.PairwisePotentialJob'
 pairs='kernels.PairwiseFusedSoA
 kernels.PairwisePotentialSoA'
 leaf='kernels.AccumulatePotentialSoA
@@ -82,14 +85,16 @@ for pkg in internal/core internal/dpfmm; do
         | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
     want=$pairs
     if [ "$pkg" = internal/core ]; then
-        want=$(printf '%s\n%s\n' "$pairs" "$leaf" | sort)
+        want=$(printf '%s\n%s\n' "$jobs" "$leaf" | sort)
     fi
     stray=$(echo "$calls" | grep -E 'kernels\.(AccumulatePotentialSoA|Inner)' \
         | grep -v '^internal/core/kernel\.go:' || true)
-    if [ "$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | sort)" != "$want" ] || [ -n "$stray" ]; then
-        echo "check_pipeline: $pkg must call kernels.PairwisePotentialSoA and" >&2
-        echo "kernels.PairwiseFusedSoA once each and no other near-field kernel" >&2
-        echo "(and core's kernel.go the three leaf kernels once each); found:" >&2
+    used=$(echo "$calls" | grep -o 'kernels\.[A-Za-z]*' | grep -vxE 'kernels\.Near(Job|Planes)' | sort)
+    if [ "$used" != "$want" ] || [ -n "$stray" ]; then
+        echo "check_pipeline: internal/core must call kernels.PairwisePotentialJob and" >&2
+        echo "kernels.PairwiseFusedJob once each, internal/dpfmm kernels.PairwisePotentialSoA" >&2
+        echo "and kernels.PairwiseFusedSoA once each, neither any other near-field kernel" >&2
+        echo "(and core's kernel.go the three leaf kernels once each); $pkg has:" >&2
         echo "$calls" >&2
         exit 1
     fi

@@ -101,7 +101,8 @@ bench_module() { (cd bench && go vet ./... && go test ./...); }
 # solve and a potential solve must each give the same bits with one, two and
 # four workers (these tests start their own children), and a cancellation
 # inside any round must leave no trace. The third line is the pair kernels'
-# half of that: two runs, equal bits, both sides. Both lines carry the shared
+# half of that: two runs, equal bits, both sides, and each job entry equal
+# to its per-box calls. Both lines carry the shared
 # translation set's proof (eight goroutines construct and solve on one set,
 # and solves leave its bits alone: a write to it shows here). The fourth line
 # holds dpfmm's pinned output bits with its VUs running the shared leaf
@@ -111,7 +112,7 @@ bench_module() { (cd bench && go vet ./... && go test ./...); }
 race() {
     go test -race -short ./...
     GOMAXPROCS=4 go test -race -count=3 ./internal/core/ -run 'TestT2SweepPartition|TestT2CancelMidSweepThenReuse|TestRepeatedSolvesBitwiseIdentical|TestSolverAggregationMatchesGemv|TestSupernodeSolveIndependentOfWorkerCount|TestForceSolveIndependentOfWorkerCount|TestPotentialSolveIndependentOfWorkerCount|TestNearCancelMidSweepThenReuse|TestNearRunSweepCoversNearFieldOnce|TestNearRoundsPartitionRowPairs|TestNearSplitTilesDisjoint|TestSharedSetConcurrentConstructAndSolve|TestSharedSetSolveBitwiseAndImmutable'
-    go test -race -count=3 ./internal/kernels/ -run 'TestNearFieldDeterministicPerBackend|TestPairwise(Potential|Fused)OrderExact'
+    go test -race -count=3 ./internal/kernels/ -run 'TestNearFieldDeterministicPerBackend|TestPairwise(Potential|Fused)OrderExact|TestNearJobMatchesPerBoxCalls'
     GOMAXPROCS=4 go test -race -count=3 ./internal/dpfmm/ -run 'TestSolveBitsPinned'
     GOMAXPROCS=4 go test -race -count=10 ./internal/sched/
 }
@@ -218,9 +219,9 @@ leaf_pins_avx2() {
 # T3 run on (DESIGN.md §11) — the 2-D solver's translations included, through
 # DgemvT — so the packages whose translations, near fields, leaf layers and
 # pins run on them are tested under it, and the sanity check proves it was
-# active. The slab kernel's order pin and the three leaf kernels' must have
-# run their avx512 subtests, not skipped them: the step counts the subtests'
-# PASS lines. Runs where NBODY_BACKEND is avx2, the workflow's condition too.
+# active. The slab kernel's order pin, the three leaf kernels', the two pair
+# kernels' and the pin of their job entries must have run their avx512
+# subtests, not skipped them: the step counts the subtests' PASS lines. Runs where NBODY_BACKEND is avx2, the workflow's condition too.
 # Hosts may lack AVX-512; the log line says which it was, so a green run
 # never hides a skipped leg.
 avx512() {
@@ -238,6 +239,7 @@ avx512() {
     NBODY_BACKEND=avx512 go test ./internal/kernels ./internal/blas ./internal/core ./internal/core2 ./internal/dpfmm ./internal/testutil .
     NBODY_BACKEND=avx512 _count_pass 1 '--- PASS: TestDgemmRowsTOrderExact/avx512' ./internal/blas -run TestDgemmRowsTOrderExact
     NBODY_BACKEND=avx512 _count_pass 3 '--- PASS: Test[A-Za-z]*OrderExact/avx512' ./internal/kernels -run 'Test(AccumulatePotential|InnerPotential|InnerFused)OrderExact'
+    NBODY_BACKEND=avx512 _count_pass 3 '--- PASS: Test[A-Za-z]*/avx512' ./internal/kernels -run 'TestPairwise(Potential|Fused)OrderExact|TestNearJobMatchesPerBoxCalls'
     _backend_active avx512
     echo "avx512: ran"
 }
