@@ -1,9 +1,6 @@
 package core
 
-import (
-	"nbody/internal/blas"
-	"nbody/internal/sched"
-)
+import "nbody/internal/blas"
 
 // This file applies the translations of many boxes as level-3 BLAS (Section
 // 3.3.3, technique 4) — in the gather-free form. The paper gathers the
@@ -15,32 +12,7 @@ import (
 // nothing is copied. T1, T3, plain T2 and supernode T2 all run through the
 // one walker below.
 
-// apply runs one sweep — a parallel region of its jobs, or a loop on the
-// caller when the sweep is marked inline — and charges its translations and
-// flops to the sweep's phase. A canceled sweep applied only part of its
-// lattices: it returns the context's error and charges nothing.
-func (s *Solver) apply(sw *sweep) error {
-	if sw.inline {
-		for job := 0; job < sw.jobs(); job++ {
-			if s.ctx != nil {
-				if err := s.ctx.Err(); err != nil {
-					return err
-				}
-			}
-			sw.run(job)
-		}
-	} else if err := sched.RunCtx(s.ctx, sw.jobs(), sw.run); err != nil {
-		return err
-	}
-	if sw.phase == PhaseT2 {
-		s.rec.AddT2(sw.count)
-	}
-	k := s.ts.K
-	s.rec.AddFlops(sw.phase, sw.count*blas.DgemmFlops(k, k, 1))
-	return nil
-}
-
-// sweepJob is the body of a sweep's region (sweep.run): job i applies every
+// sweepJob is the body of a sweep's region (buildPhases): job i applies every
 // lattice of its class, in order, to the plane of targets it owns. Owners
 // are disjoint, so jobs write disjoint boxes, and each box receives its
 // contributions in the same order under any schedule — results are bitwise

@@ -144,12 +144,14 @@ func BenchmarkNearFieldK12Depth4(b *testing.B) {
 	}
 	sched.Hold()
 	defer sched.Release()
-	s.nearField()
-	pairs := s.nearPairs.Load()
+	if err := nearField(s); err != nil {
+		b.Fatal(err)
+	}
+	pairs := s.Stats().NearPairs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.nearField()
+		_ = nearField(s)
 	}
 	b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }

@@ -4,7 +4,6 @@ import (
 	"nbody/internal/direct"
 	"nbody/internal/kernels"
 	"nbody/internal/pipeline"
-	"nbody/internal/sched"
 )
 
 // NearFlopsPerPair is what the near field charges per particle pair: each
@@ -93,42 +92,27 @@ func buildNearRounds(n, d int) []nearRound {
 	return rounds
 }
 
-// nearField is step 5: direct evaluation against the d-separation near
-// field, every pair of particles once, deposited on both (Newton's third
-// law: the paper's 124 -> 62 box-box interactions), for potential and force
-// solves alike and at every worker count.
+// The near field is step 5: direct evaluation against the d-separation
+// near field, every pair of particles once, deposited on both (Newton's
+// third law: the paper's 124 -> 62 box-box interactions), for potential and
+// force solves alike and at every worker count.
 //
 // The unit of work is an x-row of leaf boxes, the unit of exclusion a pair
-// of rows: the sweep is the fixed list of rounds of buildNearRounds with a
-// barrier after each, and within a round no two jobs touch a common row, so
-// jobs write phi and the field in place with no colouring and no per-worker
-// buffer. A particle receives its contributions in an order set by the
-// round list, the occupancies (nearSplit) and the job walk of the pair
-// kernels alone — not by which worker ran which job — so the result does
-// not depend on the pool.
+// of rows: the sweep is the fixed list of rounds of buildNearRounds, one
+// region entry each (runRegions), with a barrier after each, and within a
+// round no two jobs touch a common row, so jobs write phi and the field in
+// place with no colouring and no per-worker buffer. A particle receives its
+// contributions in an order set by the round list, the occupancies
+// (nearSplit) and the job walk of the pair kernels alone — not by which
+// worker ran which job — so the result does not depend on the pool.
 //
 // Rows are coarse and uneven (a Plummer sphere puts most pairs in four of
 // them), so jobs are claimed one at a time; a round of at most
 // nearInlinePairs runs on the caller, in the same order.
-func (s *Solver) nearField() {
-	s.nearPairs.Store(0)
-	for i := range s.nearRounds {
-		first, second, work := s.nearSplit(&s.nearRounds[i])
-		for _, jobs := range [][]nearJob{first, second} {
-			s.nearCur = jobs
-			// A canceled round evaluated only part of the near field: not counted.
-			if sched.RunEachCtx(s.ctx, len(jobs), work <= nearInlinePairs, s.nearRun) != nil {
-				return
-			}
-		}
-	}
-	pairs := s.nearPairs.Load()
-	s.rec.AddNearPairs(pairs)
-	s.rec.AddFlops(PhaseNear, pairs*NearFlopsPerPair)
-}
 
-// nearSplit turns a round into its job lists for the occupancies of this
-// solve, in buffers the Solver owns. Row pairs with an empty side are
+// nearSplit turns a round into its two job lists for the occupancies of
+// this solve, in the buffers s.nearLists, and returns its size, summed over
+// its row pairs as occupancy products. Row pairs with an empty side are
 // dropped. A pair above nearSplitPairs — a crowded row against another, which
 // would otherwise be most of its round in one job — becomes four tiles on
 // the halves T1, T2 and S1, S2 of the two rows' particles, taken round-robin:
@@ -143,9 +127,9 @@ func (s *Solver) nearField() {
 // adjacent, so the two T1 tiles are taken transposed (sources as targets:
 // the same pairs, swept along T1): a list's two sweeps are then T1 and a
 // half of S, at least half a row apart.
-func (s *Solver) nearSplit(r *nearRound) (first, second []nearJob, work int) {
+func (s *Solver) nearSplit(r *nearRound) (work int) {
 	n, start := s.part.Grid, s.part.Start
-	first, second = s.nearJobs[:0], s.nearTiles[:0]
+	first, second := s.nearLists[0][:0], s.nearLists[1][:0]
 	for _, row := range r.rows {
 		j := nearJob{row: int(row), other: int(row) + r.off}
 		j.tLo, j.tHi = start[j.row*n], start[(j.row+1)*n]
@@ -168,19 +152,18 @@ func (s *Solver) nearSplit(r *nearRound) (first, second []nearJob, work int) {
 		t2s2.sLo, t2s2.sHi = sm, j.sHi
 		first, second = append(first, t1s1, t2s2), append(second, t1s2, t2s1)
 	}
-	s.nearJobs, s.nearTiles = first, second
-	return first, second, work
+	s.nearLists = [2][]nearJob{first, second}
+	return work
 }
 
-// nearRow is the body of a round's region (s.nearRun): job i of the list in
-// flight, handed to the pair kernels' job entry as it stands. The kernel
+// nearRow runs one job of a round's list (the body s.nearBodies binds),
+// handed to the pair kernels' job entry as it stands. The kernel
 // walks the job's boxes itself (kernels.NearJob): box indices run x
 // fastest, so the 2d+1 x-neighbours of a box in the other row are one
 // contiguous run of the mirrors, and in the own-row round a particle meets
 // what follows it in its row — the rest of its box and the d boxes after it.
-func (s *Solver) nearRow(i int) {
+func (s *Solver) nearRow(j *nearJob) {
 	pipeline.Fire(FaultSiteNearBody)
-	j := &s.nearCur[i]
 	n, start := s.part.Grid, s.part.Start
 	job := kernels.NearJob{T: start[j.row*n : (j.row+1)*n+1], D: s.cfg.Separation,
 		TLo: j.tLo, THi: j.tHi, SLo: j.sLo, SHi: j.sHi}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -12,7 +10,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"nbody/internal/geom"
@@ -49,9 +46,15 @@ func plummerParticles(rng *rand.Rand, n int) ([]geom.Vec3, []float64) {
 	return pos, q
 }
 
+// nearField runs the near-field rounds alone, the last entries of the
+// region list, on a prepared Solver.
+func nearField(s *Solver) error {
+	return s.runRegions(len(s.regions)-len(s.nearRounds), len(s.regions))
+}
+
 // runNearSweep runs the near-field sweep alone on a prepared Solver, from
-// zeroed accumulators, round by round on the calling goroutine.
-func runNearSweep(t *testing.T, s *Solver, pos []geom.Vec3, q []float64, wantForce bool) {
+// zeroed accumulators, and returns the pairs it counted.
+func runNearSweep(t *testing.T, s *Solver, pos []geom.Vec3, q []float64, wantForce bool) int64 {
 	t.Helper()
 	s.prepare(pos, q)
 	for _, plane := range [][]float64{s.phiS, s.gx, s.gy, s.gz} {
@@ -62,7 +65,11 @@ func runNearSweep(t *testing.T, s *Solver, pos []geom.Vec3, q []float64, wantFor
 		s.in.acc = make([]geom.Vec3, len(pos))
 	}
 	t.Cleanup(s.clearSolveState)
-	s.nearField()
+	before := s.Stats().NearPairs
+	if err := nearField(s); err != nil {
+		t.Fatal(err)
+	}
+	return s.Stats().NearPairs - before
 }
 
 // TestNearRunSweepCoversNearFieldOnce checks the round list and its run
@@ -116,7 +123,7 @@ func TestNearRunSweepCoversNearFieldOnce(t *testing.T) {
 }
 
 func checkNearRunSweep(t *testing.T, s *Solver, pos []geom.Vec3, q []float64, sep int, wantForce bool) {
-	runNearSweep(t, s, pos, q, wantForce)
+	pairs := runNearSweep(t, s, pos, q, wantForce)
 
 	n := s.part.Grid
 	offsets := append([]geom.Coord3{{}}, tree.NearOffsets(sep)...)
@@ -152,8 +159,8 @@ func checkNearRunSweep(t *testing.T, s *Solver, pos []geom.Vec3, q []float64, se
 			}
 		}
 	}
-	if got := s.nearPairs.Load(); got != ordered/2 {
-		t.Errorf("sweep counted %d pairs, the near boxes hold %d unordered pairs", got, ordered/2)
+	if pairs != ordered/2 {
+		t.Errorf("sweep counted %d pairs, the near boxes hold %d unordered pairs", pairs, ordered/2)
 	}
 }
 
@@ -229,10 +236,10 @@ func TestNearSplitTilesDisjoint(t *testing.T) {
 	n, start := s.part.Grid, s.part.Start
 	tiles := 0
 	for ri := range s.nearRounds {
-		first, second, _ := s.nearSplit(&s.nearRounds[ri])
-		tiles += len(second)
+		s.nearSplit(&s.nearRounds[ri])
+		tiles += len(s.nearLists[1])
 		area := map[[2]int]int{}
-		for li, jobs := range [][]nearJob{first, second} {
+		for li, jobs := range s.nearLists {
 			writer := make([]int, len(pos))
 			for ji, j := range jobs {
 				// A tile may be taken transposed: key it by the unordered row pair.
@@ -455,76 +462,5 @@ func TestPotentialSolveIndependentOfWorkerCount(t *testing.T) {
 			phi, err := potentials(s, pos, q)
 			return phi, nil, err
 		})
-	}
-}
-
-// TestNearCancelMidSweepThenReuse cancels from inside a near-field round —
-// the first, one in the middle of the list and a late one, in a force and
-// in a potential solve — here and again in a one-worker child (where a
-// round is the caller's own loop): the solve must return ctx.Err() having
-// abandoned the rest of the sweep, count no near-field work, and leave the
-// Solver reproducing a fresh Solver's result bitwise.
-func TestNearCancelMidSweepThenReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	pos, q := uniformParticles(rng, 4000)
-	cfg := Config{Degree: 5, Depth: 3}
-	fresh, err := NewSolver(unitBox(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPhi, wantAcc, err := accelerations(fresh, pos, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jobs int64
-	for _, r := range fresh.nearRounds {
-		jobs += int64(len(r.rows))
-	}
-	// The late point leaves more jobs unstarted than a pool has workers: each
-	// may have passed its last context check when the cancellation lands.
-	for i, cancelAt := range []int64{3, jobs / 2, jobs - 10} {
-		s, err := NewSolver(unitBox(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		run := s.nearRun
-		var ran atomic.Int64
-		s.nearRun = func(job int) {
-			if ran.Add(1) == cancelAt {
-				cancel()
-			}
-			run(job)
-		}
-		if i%2 == 0 {
-			err = s.Solve(ctx, pos, q, make([]float64, len(pos)), make([]geom.Vec3, len(pos)))
-		} else {
-			err = s.Solve(ctx, pos, q, make([]float64, len(pos)), nil)
-		}
-		s.nearRun = run
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel at job %d: solve returned %v, want context.Canceled", cancelAt, err)
-		}
-		if got := ran.Load(); got < cancelAt || got >= jobs {
-			t.Fatalf("cancel at job %d: %d of %d jobs ran; the cancellation should land mid-sweep", cancelAt, got, jobs)
-		}
-		if got := s.Stats().NearPairs; got != 0 {
-			t.Errorf("cancel at job %d: canceled near field counted %d pairs", cancelAt, got)
-		}
-
-		gotPhi, gotAcc, err := accelerations(s, pos, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range wantPhi {
-			if gotPhi[i] != wantPhi[i] || gotAcc[i] != wantAcc[i] {
-				t.Fatalf("particle %d after a solve canceled at job %d: (%g, %v), fresh solver (%g, %v)",
-					i, cancelAt, gotPhi[i], gotAcc[i], wantPhi[i], wantAcc[i])
-			}
-		}
-	}
-	if !inChild() {
-		rerunAt(t, 1)
 	}
 }

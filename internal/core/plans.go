@@ -58,8 +58,8 @@ type lattice struct {
 // it — and a class into z-planes, so a job is a (class, plane) and walks its
 // class's lattices, in order, over the targets it owns. No two jobs write
 // the same box, and every target receives its contributions in the order of
-// lats, whatever the schedule. Built once in NewSolver, region body
-// included, so a steady-state sweep allocates no closure.
+// lats, whatever the schedule. Built once in NewSolver; its region
+// (buildPhases) runs sweepJob over the jobs.
 type sweep struct {
 	phase  Phase
 	shapes []shape
@@ -67,16 +67,12 @@ type sweep struct {
 	lo     []int32   // class c owns lats[lo[c]:lo[c+1]]
 	planes int       // planes per class
 	count  int64     // translations per sweep (sum of lattice sizes)
-	// inline runs the jobs on the caller instead of opening a region: set
-	// for the parent-child sweeps of a level too small to repay one.
-	inline bool
-	run    func(job int)
 }
 
 // inlineBoxes is the largest parent level (in boxes) whose T1/T3 sweeps run
-// on the caller: eight matrices over at most this many vectors each finish
-// in microseconds, less than a scheduler round trip, and a region would
-// cost its allocations on every solve of a shallow hierarchy.
+// on the caller (their region's inline flag): eight matrices over at most
+// this many vectors each finish in microseconds, less than a scheduler round
+// trip.
 const inlineBoxes = 128
 
 // jobs returns the number of jobs in the sweep.
@@ -84,16 +80,14 @@ func (sw *sweep) jobs() int { return (len(sw.lo) - 1) * sw.planes }
 
 // newSweep starts a sweep of the given phase whose classes have the given
 // number of planes, with room for nlats lattices.
-func (s *Solver) newSweep(phase Phase, planes, nlats int, shapes ...shape) *sweep {
-	sw := &sweep{
+func newSweep(phase Phase, planes, nlats int, shapes ...shape) *sweep {
+	return &sweep{
 		phase:  phase,
 		shapes: shapes,
 		lats:   make([]lattice, 0, nlats),
 		lo:     make([]int32, 1, 9), // at most eight classes
 		planes: planes,
 	}
-	sw.run = func(job int) { s.sweepJob(sw, job) }
-	return sw
 }
 
 // add appends a lattice to the class being filled; empty ones are dropped.
@@ -123,7 +117,7 @@ func (s *Solver) buildT2(l int, interactive *[8][]geom.Coord3) *sweep {
 			}
 		}
 	}
-	sw := s.newSweep(PhaseT2, n/2, nlats,
+	sw := newSweep(PhaseT2, n/2, nlats,
 		shape{src: side{s.far[l], n, 2}, dst: side{s.loc[l], n, 2}})
 	for oct := range interactive {
 		for _, o := range interactive[oct] {
@@ -149,7 +143,7 @@ func (s *Solver) buildT2Supernodes(l int) *sweep {
 		supers[oct] = tree.SupernodeDecomposition(s.cfg.Separation, oct)
 		nlats += len(supers[oct].ParentOffsets) + len(supers[oct].ChildOffsets)
 	}
-	sw := s.newSweep(PhaseT2, np, nlats,
+	sw := newSweep(PhaseT2, np, nlats,
 		shape{src: side{s.far[l-1], np, 1}, dst: side{s.loc[l], n, 2}},
 		shape{src: side{s.far[l], n, 2}, dst: side{s.loc[l], n, 2}})
 	for oct, sn := range supers {
@@ -169,13 +163,12 @@ func (s *Solver) buildT2Supernodes(l int) *sweep {
 func (s *Solver) buildT3(l int) *sweep {
 	n := s.hier.GridSize(l)
 	np := n / 2
-	sw := s.newSweep(PhaseT3, np, 8,
+	sw := newSweep(PhaseT3, np, 8,
 		shape{src: side{s.loc[l-1], np, 1}, dst: side{s.loc[l], n, 2}})
 	for oct := 0; oct < 8; oct++ {
 		sw.add(parentLattice(np, oct, geom.Coord3{}, s.ts.T3[oct]))
 		sw.endClass()
 	}
-	sw.inline = np*np*np <= inlineBoxes
 	return sw
 }
 
@@ -185,7 +178,7 @@ func (s *Solver) buildT3(l int) *sweep {
 // ascending order.
 func (s *Solver) buildT1(l int) *sweep {
 	np := s.hier.GridSize(l)
-	sw := s.newSweep(PhaseUpward, np, 8,
+	sw := newSweep(PhaseUpward, np, 8,
 		shape{src: side{s.far[l+1], 2 * np, 2}, dst: side{s.far[l], np, 1}})
 	for oct := 0; oct < 8; oct++ {
 		lat, ok := parentLattice(np, oct, geom.Coord3{}, s.ts.T1[oct])
@@ -193,7 +186,6 @@ func (s *Solver) buildT1(l int) *sweep {
 		sw.add(lat, ok)
 	}
 	sw.endClass()
-	sw.inline = np*np*np <= inlineBoxes
 	return sw
 }
 

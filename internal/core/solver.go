@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"nbody/internal/direct"
 	"nbody/internal/geom"
 	"nbody/internal/kernels"
 	"nbody/internal/metrics"
 	"nbody/internal/pipeline"
-	"nbody/internal/sched"
 	"nbody/internal/tree"
 )
 
@@ -21,18 +19,19 @@ import (
 //
 // Steady-state reuse contract: everything a solve needs besides the output
 // slices — the per-level far/local expansion grids, the partition scratch,
-// the box-sorted particle mirrors, and each level's translation sweeps (T1,
-// T3, T2) with their region bodies — is owned by the Solver and built once
-// in NewSolver (see plans.go). A Solver therefore performs repeated solves
-// (time-stepping, parameter sweeps) without rebuilding anything: call Solve
-// with caller-owned output buffers. With one executor such a solve
-// allocates nothing; on a worker pool it allocates nothing either once the
+// the box-sorted particle mirrors, each level's translation sweeps (T1, T3,
+// T2, see plans.go) and the list of the solve's parallel regions with their
+// bodies (buildPhases) — is owned by the Solver and built once in
+// NewSolver. A Solver therefore performs repeated solves (time-stepping,
+// parameter sweeps) without rebuilding anything: call Solve with
+// caller-owned output buffers. With one executor such a solve allocates
+// nothing; on a worker pool it allocates nothing either once the
 // scheduler's pool of region descriptors is warm.
 // Consecutive solves on identical inputs are bitwise reproducible, and
 // every solve — potentials and forces alike — is bitwise independent of the
 // number of workers, one included: a translation sweep writes a box from
 // exactly one job, in an order fixed by the box, and the near field's rounds
-// (nearField) give every particle its contributions in an order fixed by
+// (near.go) give every particle its contributions in an order fixed by
 // the round list. Replicas with different core counts therefore answer one
 // request with the same bits, which idempotent replay, plan reuse and
 // resumed streams rely on. A Solver is not safe for concurrent solves.
@@ -43,15 +42,13 @@ type Solver struct {
 
 	nearOff []geom.Coord3 // PotentialsAt's per-target source boxes
 
-	// The near-field sweep (near.go): its rounds, the job lists of the round
-	// in flight (reused buffers; nearCur is the one being run), the region
-	// body (nearRow) built once here like sweep.run, and the pair count its
-	// jobs add up.
-	nearRounds          []nearRound
-	nearJobs, nearTiles []nearJob
-	nearCur             []nearJob
-	nearRun             func(job int)
-	nearPairs           atomic.Int64
+	// The near-field sweep (near.go): its rounds, the two job lists of the
+	// round in flight (reused buffers, see nearSplit), a body for each built
+	// once here, and the pair count the round's jobs add up.
+	nearRounds []nearRound
+	nearLists  [2][]nearJob
+	nearBodies [2]func(job int)
+	nearPairs  atomic.Int64
 
 	// rec is the always-on per-phase recorder; snap is the materialized
 	// view Stats() refreshes (kept on the Solver so Stats() allocates
@@ -86,18 +83,19 @@ type Solver struct {
 	near kernels.NearPlanes
 
 	// ctx is the cancellation signal of the solve in flight (nil outside a
-	// Solve, or when it was given none). Phase sweeps read it through par
-	// and apply; a Solver runs one solve at a time, so a plain field is
-	// enough.
+	// Solve, or when it was given none), read by runRegions; a Solver runs
+	// one solve at a time, so a plain field is enough.
 	ctx context.Context
 
-	// phases is the declared pipeline (see buildPhases), built once here so
-	// steady-state solves run through pipeline.Run without allocating; in
-	// binds the in-flight solve's inputs and outputs for the phase bodies,
-	// and nHier marks the end of the hierarchy phases for PotentialsAt.
-	phases []pipeline.Phase
-	nHier  int
-	in     struct {
+	// phases is the declared pipeline and regions its list of parallel
+	// regions (see buildPhases), built once here so steady-state solves run
+	// through pipeline.Run without allocating; in binds the in-flight
+	// solve's inputs and outputs for the phase and region bodies, and nHier
+	// marks the end of the hierarchy phases for PotentialsAt.
+	phases  []pipeline.Phase
+	regions []region
+	nHier   int
+	in      struct {
 		pos []geom.Vec3
 		q   []float64
 		phi []float64
@@ -122,7 +120,10 @@ func NewSolver(root geom.Box3, cfg Config) (*Solver, error) {
 	s.ts = sharedTranslationSet(ncfg, &s.rec)
 	s.nearOff = tree.NearOffsets(ncfg.Separation)
 	s.nearRounds = buildNearRounds(h.GridSize(ncfg.Depth), ncfg.Separation)
-	s.nearRun = s.nearRow
+	s.nearBodies = [2]func(int){
+		func(i int) { s.nearRow(&s.nearLists[0][i]) },
+		func(i int) { s.nearRow(&s.nearLists[1][i]) },
+	}
 
 	depth := ncfg.Depth
 	k := s.ts.K
@@ -175,11 +176,6 @@ func (s *Solver) Stats() *Stats {
 // Rec exposes the live recorder (for callers that aggregate several
 // solvers into one report).
 func (s *Solver) Rec() *metrics.Rec { return &s.rec }
-
-// par is the solver's parallel sweep: sched.RunCtx bound to the in-flight
-// solve's cancellation signal. A canceled sweep returns early with partial
-// output; Solve notices at the next phase boundary.
-func (s *Solver) par(n int, fn func(i int)) { _ = sched.RunCtx(s.ctx, n, fn) }
 
 // Solve computes the potential phi_i = sum_{j != i} q_j / |x_i - x_j| at
 // every particle into phi (len(pos) entries) and, when acc is non-nil, the
@@ -252,30 +248,8 @@ func (s *Solver) prepare(pos []geom.Vec3, q []float64) error {
 		s.fill = make([]int, nb)
 	}
 	s.part.Grid = n
-	start := s.part.Start
-	for b := range start {
-		start[b] = 0
-	}
-	lo, hi := closedBounds(s.hier.Root)
-	for i, p := range pos {
-		if !(p.X >= lo.X && p.X <= hi.X && p.Y >= lo.Y && p.Y <= hi.Y && p.Z >= lo.Z && p.Z <= hi.Z) {
-			return fmt.Errorf("core: particle %v outside domain %v", p, s.hier.Root)
-		}
-		b := s.hier.LeafOf(p).Index(n)
-		s.boxOf[i] = int32(b)
-		start[b+1]++
-	}
-	for b := 0; b < nb; b++ {
-		start[b+1] += start[b]
-	}
-	for b := range s.fill {
-		s.fill[b] = 0
-	}
-	for i := range pos {
-		b := s.boxOf[i]
-		at := start[b] + s.fill[b]
-		s.part.Perm[at] = i
-		s.fill[b]++
+	if i := s.part.sort(s.hier.Root, pos, s.boxOf, s.fill); i >= 0 {
+		return fmt.Errorf("core: particle %v outside domain %v", pos[i], s.hier.Root)
 	}
 	for i, j := range s.part.Perm {
 		s.xs[i], s.ys[i], s.zs[i] = pos[j].X, pos[j].Y, pos[j].Z
@@ -305,61 +279,38 @@ func closedBounds(b geom.Box3) (lo, hi geom.Vec3) {
 		geom.Vec3{X: b.Center.X + h, Y: b.Center.Y + h, Z: b.Center.Z + h}
 }
 
-// leafOuter is step 1: sample the potential of each leaf box's particles at
-// its outer-sphere integration points. The box-sorted mirrors make the
-// inner particle loop a contiguous sweep.
-func (s *Solver) leafOuter() {
-	n := s.part.Grid
-	k := s.ts.K
-	rule := s.cfg.Rule
-	a := s.cfg.RadiusRatio * s.hier.BoxSide(s.cfg.Depth)
-	g := s.far[s.cfg.Depth]
-	s.par(n*n*n, func(b int) {
-		pipeline.Fire(FaultSiteLeafOuterBody)
-		lo, hi := s.part.Start[b], s.part.Start[b+1]
-		if lo == hi {
-			return
-		}
-		center := s.hier.Box(s.cfg.Depth, geom.CoordFromIndex(b, n)).Center
-		LeafOuter(rule, center, a, s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.qS[lo:hi], g[b*k:(b+1)*k])
-	})
-	s.rec.AddFlops(PhaseLeafOuter, int64(len(s.xs))*int64(k)*direct.FlopsPerPair)
+// leafOuter is step 1 for leaf box b, the body of its region: sample the
+// potential of the box's particles at its outer-sphere integration points.
+// The box-sorted mirrors make the inner particle loop a contiguous sweep.
+func (s *Solver) leafOuter(b int) {
+	pipeline.Fire(FaultSiteLeafOuterBody)
+	lo, hi := s.part.Start[b], s.part.Start[b+1]
+	if lo == hi {
+		return
+	}
+	depth, k := s.cfg.Depth, s.ts.K
+	center := s.hier.Box(depth, geom.CoordFromIndex(b, s.part.Grid)).Center
+	a := s.cfg.RadiusRatio * s.hier.BoxSide(depth)
+	LeafOuter(s.cfg.Rule, center, a, s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.qS[lo:hi], s.far[depth][b*k:(b+1)*k])
 }
 
 // posAt is particle i of the box-sorted mirrors as a point.
 func (s *Solver) posAt(i int) geom.Vec3 { return geom.Vec3{X: s.xs[i], Y: s.ys[i], Z: s.zs[i]} }
 
-// upward is step 2: combine child outer approximations into parents with T1,
-// from level depth-1 down to level 2.
-func (s *Solver) upward() error {
-	for l := s.cfg.Depth - 1; l >= 2; l-- {
-		if err := s.apply(s.t1[l]); err != nil {
-			return err
-		}
+// evalLocal is step 4 for leaf box b, the body of its region: evaluate
+// the box's inner approximation at its particles, writing the box-ordered
+// result mirrors (the field too in a force solve).
+func (s *Solver) evalLocal(b int) {
+	lo, hi := s.part.Start[b], s.part.Start[b+1]
+	if lo == hi {
+		return
 	}
-	return nil
-}
-
-// evalLocal is step 4: evaluate each leaf's inner approximation at its
-// particles, writing the box-ordered result mirrors.
-func (s *Solver) evalLocal(wantForce bool) {
-	n := s.part.Grid
-	k := s.ts.K
-	rule := s.cfg.Rule
-	m := s.cfg.M
-	a := s.cfg.RadiusRatio * s.hier.BoxSide(s.cfg.Depth)
-	loc := s.loc[s.cfg.Depth]
-	s.par(n*n*n, func(b int) {
-		lo, hi := s.part.Start[b], s.part.Start[b+1]
-		if lo == hi {
-			return
-		}
-		center := s.hier.Box(s.cfg.Depth, geom.CoordFromIndex(b, n)).Center
-		var gx, gy, gz []float64
-		if wantForce {
-			gx, gy, gz = s.gx[lo:hi], s.gy[lo:hi], s.gz[lo:hi]
-		}
-		EvalLocal(rule, m, center, a, loc[b*k:(b+1)*k], s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.phiS[lo:hi], gx, gy, gz)
-	})
-	s.rec.AddFlops(PhaseEvalLocal, EvalLocalFlops(len(s.xs), k, m, wantForce))
+	depth, k := s.cfg.Depth, s.ts.K
+	center := s.hier.Box(depth, geom.CoordFromIndex(b, s.part.Grid)).Center
+	a := s.cfg.RadiusRatio * s.hier.BoxSide(depth)
+	var gx, gy, gz []float64
+	if s.in.acc != nil {
+		gx, gy, gz = s.gx[lo:hi], s.gy[lo:hi], s.gz[lo:hi]
+	}
+	EvalLocal(s.cfg.Rule, s.cfg.M, center, a, s.loc[depth][b*k:(b+1)*k], s.xs[lo:hi], s.ys[lo:hi], s.zs[lo:hi], s.phiS[lo:hi], gx, gy, gz)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nbody/internal/blas"
+	"nbody/internal/direct"
 	"nbody/internal/geom"
 	"nbody/internal/metrics"
 	"nbody/internal/simd"
@@ -159,7 +160,12 @@ func TestT2SweepPartition(t *testing.T) {
 		t.Errorf("interior box: %d supernode conversions, want 189", got)
 	}
 
-	// The sweeps are what a solve counts, at every depth.
+	// The sweeps are what a solve counts, at every depth, and what the blas
+	// counters count: every translation is one DgemmRowsT slab, and nothing
+	// else in a solve multiplies matrices. The leaf regions charge their
+	// closed forms.
+	blas.EnableCounters(true)
+	defer blas.EnableCounters(false)
 	for d := 2; d <= depth; d++ {
 		for _, sup := range []bool{false, true} {
 			s, err := NewSolver(unitBox(), Config{Degree: 5, Depth: d, Supernodes: sup})
@@ -178,10 +184,22 @@ func TestT2SweepPartition(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(71))
 			pos, q := uniformParticles(rng, 2000)
+			blas.ResetCounters()
 			if _, err := potentials(s, pos, q); err != nil {
 				t.Fatal(err)
 			}
 			st := s.Stats()
+			if c, got := blas.ReadCounters(), st.Flops[PhaseUpward]+st.Flops[PhaseT2]+st.Flops[PhaseT3]; got != c.GemmFlops || c.GemvFlops != 0 {
+				t.Errorf("depth %d supernodes=%v: T1+T2+T3 charged %d flops, blas counted %d gemm and %d gemv",
+					d, sup, got, c.GemmFlops, c.GemvFlops)
+			}
+			k, n := int64(s.ts.K), int64(len(pos))
+			if want := n * k * direct.FlopsPerPair; st.Flops[PhaseLeafOuter] != want {
+				t.Errorf("depth %d supernodes=%v: leaf-outer charged %d flops, want %d", d, sup, st.Flops[PhaseLeafOuter], want)
+			}
+			if want := EvalLocalFlops(len(pos), s.ts.K, s.cfg.M, false); st.Flops[PhaseEvalLocal] != want {
+				t.Errorf("depth %d supernodes=%v: eval-local charged %d flops, want %d", d, sup, st.Flops[PhaseEvalLocal], want)
+			}
 			if st.T2Count != total {
 				t.Errorf("depth %d supernodes=%v: solver counted %d conversions, the sweeps hold %d", d, sup, st.T2Count, total)
 			}
@@ -262,84 +280,136 @@ func checkPartition(t *testing.T, sw *sweep, phase Phase, want func(c geom.Coord
 	}
 }
 
-// TestT2CancelMidSweepThenReuse cancels the context from inside a
-// translation sweep of each kind — plain T2, supernode T2, T1, T3, and a T1
-// small enough to run inline on the caller: the solve must return ctx.Err()
-// having abandoned the rest of the sweep, the abandoned sweep must charge
-// nothing (the finished ones everything), and the same Solver must then
-// reproduce a fresh Solver's result bitwise (the half-written grids are
-// rebuilt, no job state survives).
+// TestT2CancelMidSweepThenReuse cancels the context from inside an entry
+// of every kind of the region list: a T1 sweep small enough to run inline
+// on the caller, T1, T3, plain and supernode T2, leaf-outer, eval-local, and
+// near-field rounds (the first, one in the middle and the last, pooled and
+// inline, force and potential solves), here and again in a one-worker
+// child, where every entry is the caller's own loop. The solve must return
+// ctx.Err() having abandoned the rest of the entry; the abandoned entry
+// must charge nothing and every finished one its work, held against closed
+// forms (a sweep's translations, direct.FlopsPerPair, EvalLocalFlops, a
+// round's pairs counted box by box); and the same Solver must then
+// reproduce a fresh Solver's result bitwise (the half-written grids and
+// mirrors are rebuilt, no job state survives).
 func TestT2CancelMidSweepThenReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	pos, q := uniformParticles(rng, 6000)
+	pos, q := uniformParticles(rand.New(rand.NewSource(72)), 6000)
+	nearPos, nearQ := uniformParticles(rand.New(rand.NewSource(83)), 4000)
+	depth4, depth3 := Config{Degree: 5, Depth: 4}, Config{Degree: 5, Depth: 3}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		// pick returns the sweep to cancel in and the downward sweeps that
-		// complete before it (the upward ones always do, unless it is one).
-		pick func(s *Solver) (*sweep, []*sweep)
+		name  string
+		cfg   Config
+		phase Phase
+		nth   int // the entry is the nth of its phase in list order; -1 is the last
+		// near uses the near-field fixture; inline is the entry's flag once
+		// it has run.
+		near, force, inline bool
 	}{
-		{"T2", Config{Degree: 5, Depth: 4}, func(s *Solver) (*sweep, []*sweep) {
-			return s.t2[4], []*sweep{s.t2[2], s.t3[3], s.t2[3], s.t3[4]}
-		}},
-		{"supernodes", Config{Degree: 5, Depth: 4, Supernodes: true}, func(s *Solver) (*sweep, []*sweep) {
-			return s.t2[4], []*sweep{s.t2[2], s.t3[3], s.t2[3], s.t3[4]}
-		}},
-		{"T3", Config{Degree: 5, Depth: 4}, func(s *Solver) (*sweep, []*sweep) {
-			return s.t3[4], []*sweep{s.t2[2], s.t3[3], s.t2[3]}
-		}},
-		{"T1", Config{Degree: 5, Depth: 5}, func(s *Solver) (*sweep, []*sweep) { return s.t1[4], nil }},
-		{"T1 inline", Config{Degree: 5, Depth: 3}, func(s *Solver) (*sweep, []*sweep) { return s.t1[2], nil }},
+		{"T2", depth4, PhaseT2, 2, false, false, false},
+		{"supernodes", Config{Degree: 5, Depth: 4, Supernodes: true}, PhaseT2, 2, false, false, false},
+		{"T3", depth4, PhaseT3, 1, false, false, false},
+		{"T1", Config{Degree: 5, Depth: 5}, PhaseUpward, 0, false, false, false},
+		{"T1 inline", depth3, PhaseUpward, 0, false, false, true},
+		{"leaf-outer", depth4, PhaseLeafOuter, 0, false, false, false},
+		{"eval-local", depth4, PhaseEvalLocal, 0, false, true, false},
+		{"near first", depth3, PhaseNear, 0, true, true, false},
+		{"near middle", depth3, PhaseNear, 12, true, false, false},
+		{"near last", depth3, PhaseNear, -1, true, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			pos, q := pos, q
+			if tc.near {
+				pos, q = nearPos, nearQ
+			}
+			solve := func(ctx context.Context, s *Solver) ([]float64, []geom.Vec3, error) {
+				phi := make([]float64, len(pos))
+				var acc []geom.Vec3
+				if tc.force {
+					acc = make([]geom.Vec3, len(pos))
+				}
+				return phi, acc, s.Solve(ctx, pos, q, phi, acc)
+			}
 			s, err := NewSolver(unitBox(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw, done := tc.pick(s)
-			if sw.phase != PhaseUpward {
-				for l := 2; l < tc.cfg.Depth; l++ {
-					done = append(done, s.t1[l])
-				}
-			}
-			if inline := tc.name == "T1 inline"; sw.inline != inline {
-				t.Fatalf("sweep inline = %v, want %v", sw.inline, inline)
-			}
+			c := entryOf(t, s, tc.phase, tc.nth)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			run := sw.run
-			var ran atomic.Int64
-			sw.run = func(i int) {
-				if ran.Add(1) == 3 {
-					cancel()
+			// The entry's jobs are counted from before; a near round's run
+			// through the bodies all rounds share, after the jobs of the
+			// rounds before it.
+			var ran, before atomic.Int64
+			wrap := func(body func(int)) func(int) {
+				return func(i int) {
+					if ran.Add(1)-before.Load() == 3 {
+						cancel()
+					}
+					body(i)
 				}
-				run(i)
 			}
-			err = s.Solve(ctx, pos, q, make([]float64, len(pos)), nil)
-			sw.run = run
-			if !errors.Is(err, context.Canceled) {
+			if tc.near {
+				if err := s.prepare(pos, q); err != nil {
+					t.Fatal(err)
+				}
+				for j := len(s.regions) - len(s.nearRounds); j < c; j++ {
+					s.nearSplit(s.regions[j].round)
+					before.Add(int64(len(s.nearLists[0]) + len(s.nearLists[1])))
+				}
+				for l, body := range s.nearBodies {
+					s.nearBodies[l] = wrap(body)
+				}
+			} else {
+				s.regions[c].body = wrap(s.regions[c].body)
+			}
+			if _, _, err := solve(ctx, s); !errors.Is(err, context.Canceled) {
 				t.Fatalf("canceled solve returned %v, want context.Canceled", err)
 			}
-			if got := ran.Load(); got < 3 || got >= int64(sw.jobs()) {
-				t.Fatalf("%d of %d jobs ran; the cancellation should land mid-sweep", got, sw.jobs())
+			r := &s.regions[c]
+			jobs := int64(r.jobs)
+			if tc.near {
+				jobs = int64(len(s.nearLists[0]) + len(s.nearLists[1]))
 			}
-			// The abandoned sweep is not counted; the finished ones are.
-			var count [metrics.NumPhases]int64
-			for _, d := range done {
-				count[d.phase] += d.count
+			if got := ran.Load() - before.Load(); got < 3 || got >= jobs {
+				t.Fatalf("%d of %d jobs ran; the cancellation should land mid-entry", got, jobs)
 			}
-			st := s.Stats()
-			k := s.ts.K
-			for _, p := range []Phase{PhaseUpward, PhaseT3, PhaseT2} {
-				if want := count[p] * blas.DgemmFlops(k, k, 1); st.Flops[p] != want {
-					t.Errorf("canceled solve charged %d flops to %v, the completed sweeps hold %d", st.Flops[p], p, want)
-				}
-			}
-			if st.T2Count != count[PhaseT2] {
-				t.Errorf("canceled solve counted %d conversions, the completed sweeps hold %d", st.T2Count, count[PhaseT2])
+			if r.inline != tc.inline {
+				t.Errorf("entry inline = %v, want %v", r.inline, tc.inline)
 			}
 
-			got, err := potentials(s, pos, q)
+			// The abandoned entry is not charged; the finished ones are.
+			var flops [metrics.NumPhases]int64
+			var t2, pairs int64
+			n, k := int64(len(pos)), int64(s.ts.K)
+			for j := 0; j < c; j++ {
+				switch e := &s.regions[j]; e.phase {
+				case PhaseLeafOuter:
+					flops[e.phase] += n * k * direct.FlopsPerPair
+				case PhaseEvalLocal:
+					flops[e.phase] += EvalLocalFlops(len(pos), s.ts.K, s.cfg.M, tc.force)
+				case PhaseNear:
+					p := roundPairs(s, e.round)
+					pairs += p
+					flops[e.phase] += p * NearFlopsPerPair
+				default:
+					flops[e.phase] += e.count * blas.DgemmFlops(s.ts.K, s.ts.K, 1)
+					if e.phase == PhaseT2 {
+						t2 += e.count
+					}
+				}
+			}
+			st := s.Stats()
+			for _, p := range []Phase{PhaseLeafOuter, PhaseUpward, PhaseT3, PhaseT2, PhaseEvalLocal, PhaseNear} {
+				if st.Flops[p] != flops[p] {
+					t.Errorf("canceled solve charged %d flops to %v, the finished entries hold %d", st.Flops[p], p, flops[p])
+				}
+			}
+			if st.T2Count != t2 || st.NearPairs != pairs {
+				t.Errorf("canceled solve counted %d conversions and %d pairs, the finished entries hold %d and %d",
+					st.T2Count, st.NearPairs, t2, pairs)
+			}
+
+			gotPhi, gotAcc, err := solve(nil, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,17 +417,70 @@ func TestT2CancelMidSweepThenReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := potentials(fresh, pos, q)
+			wantPhi, wantAcc, err := solve(nil, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("potential %d after a canceled solve: %g, fresh solver %g", i, got[i], want[i])
+			for i := range wantPhi {
+				if gotPhi[i] != wantPhi[i] {
+					t.Fatalf("potential %d after a canceled solve: %g, fresh solver %g", i, gotPhi[i], wantPhi[i])
+				}
+				if tc.force && gotAcc[i] != wantAcc[i] {
+					t.Fatalf("field %d after a canceled solve: %v, fresh solver %v", i, gotAcc[i], wantAcc[i])
 				}
 			}
 		})
 	}
+	if !inChild() {
+		rerunAt(t, 1)
+	}
+}
+
+// entryOf returns the index in the region list of the nth entry of phase p
+// (the last for nth == -1).
+func entryOf(t *testing.T, s *Solver, p Phase, nth int) int {
+	t.Helper()
+	var of []int
+	for i := range s.regions {
+		if s.regions[i].phase == p {
+			of = append(of, i)
+		}
+	}
+	if nth < 0 {
+		nth += len(of)
+	}
+	if nth < 0 || nth >= len(of) {
+		t.Fatalf("no entry %d of phase %v among %d", nth, p, len(of))
+	}
+	return of[nth]
+}
+
+// roundPairs counts a near round's unordered pairs box by box, from the
+// occupancies alone: in the own-row round each box's pairs among its own
+// particles and with the d boxes after it, otherwise each box of a row
+// against the boxes of the other row at most d apart in x.
+func roundPairs(s *Solver, r *nearRound) int64 {
+	n, d, start := s.part.Grid, s.cfg.Separation, s.part.Start
+	count := func(b int) int64 { return int64(start[b+1] - start[b]) }
+	var pairs int64
+	for _, row := range r.rows {
+		for x := 0; x < n; x++ {
+			tb := int(row)*n + x
+			for dx := -d; dx <= d; dx++ {
+				if x+dx < 0 || x+dx >= n {
+					continue
+				}
+				sb := (int(row)+r.off)*n + x + dx
+				switch {
+				case r.off != 0 || dx > 0:
+					pairs += count(tb) * count(sb)
+				case dx == 0:
+					pairs += count(tb) * (count(tb) - 1) / 2
+				}
+			}
+		}
+	}
+	return pairs
 }
 
 // TestSupernodeSolveIndependentOfWorkerCount: the supernode sweep is

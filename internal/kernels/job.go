@@ -1,7 +1,7 @@
 package kernels
 
 // The job-level entries of the two symmetric pair kernels: the shared-memory
-// solver's near field (core.Solver.nearField) hands each kernel one job —
+// solver's near field (core.Solver.nearRow) hands each kernel one job —
 // a pair of x-rows of leaf boxes, a tile of one, or one row against itself
 // — and the kernel walks the job's boxes and their windows itself. A job
 // gives every particle its contributions in the order the same walk's

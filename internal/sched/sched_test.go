@@ -300,18 +300,29 @@ func testRunCtxCancelMidway(t *testing.T) {
 	}
 }
 
+// TestRunCtxDeadline: a deadline that passes mid-region stops it within one
+// chunk per participant, and RunCtx returns context.DeadlineExceeded.
 func TestRunCtxDeadline(t *testing.T) {
+	const n, k = 1 << 16, 1000
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	start := time.Now()
-	err := RunCtx(ctx, 1<<16, func(int) { time.Sleep(10 * time.Microsecond) })
+	// Every index from k on waits for the deadline, so it lands while each
+	// participant is inside the body; after it, a participant may finish
+	// the chunk it holds, and must claim no other.
+	var late atomic.Int64
+	err := RunCtx(ctx, n, func(i int) {
+		if i >= k {
+			<-ctx.Done()
+			late.Add(1)
+		}
+	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	// 2^16 indices at 10us each would be ~0.65s serial; cancellation must
-	// cut that to roughly one chunk per participant.
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("cancellation took %v", el)
+	chunk := (n + Workers()*chunksPerWorker - 1) / (Workers() * chunksPerWorker)
+	if got, limit := late.Load(), int64(Workers()+1)*int64(chunk); got > limit {
+		t.Fatalf("%d indices ran after the deadline, more than one %d-index chunk for each of %d participants",
+			got, chunk, Workers()+1)
 	}
 }
 

@@ -169,4 +169,22 @@ if [ -n "$walks" ]; then
     echo "call core.LeafOuter / core.EvalLocal on the box's particle planes instead" >&2
     exit 1
 fi
+# Eighth boundary: one region runner. A core solve's parallel regions are one
+# list (buildPhases), and non-test internal/core enters package sched only
+# from the runner of that list, Solver.runRegions, and from PotentialsAt's
+# target evaluation (evalAt), which is not a solve phase. So a phase cannot
+# open a region, choose inline or pool, or skip the charge on its own.
+regions=$(awk '
+    FNR == 1 { fn = "" }
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/\(.*/, "", fn) }
+    /^[[:space:]]*\/\// { next }
+    /sched\.[A-Z]/ { print FILENAME ":" FNR ": " fn }
+' $(ls internal/core/*.go | grep -v '_test\.go$'))
+stray=$(echo "$regions" | grep -vE '^internal/core/(pipeline\.go:[0-9]+: runRegions|probe\.go:[0-9]+: evalAt)$' || true)
+if [ -n "$stray" ]; then
+    echo "check_pipeline: internal/core calls package sched outside Solver.runRegions and evalAt:" >&2
+    echo "$stray" >&2
+    echo "add the work to the region list (buildPhases) instead" >&2
+    exit 1
+fi
 echo "check_pipeline: OK"

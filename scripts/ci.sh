@@ -111,7 +111,7 @@ bench_module() { (cd bench && go vet ./... && go test ./...); }
 # solve's hold outnumber the host's CPUs.
 race() {
     go test -race -short ./...
-    GOMAXPROCS=4 go test -race -count=3 ./internal/core/ -run 'TestT2SweepPartition|TestT2CancelMidSweepThenReuse|TestRepeatedSolvesBitwiseIdentical|TestSolverAggregationMatchesGemv|TestSupernodeSolveIndependentOfWorkerCount|TestForceSolveIndependentOfWorkerCount|TestPotentialSolveIndependentOfWorkerCount|TestNearCancelMidSweepThenReuse|TestNearRunSweepCoversNearFieldOnce|TestNearRoundsPartitionRowPairs|TestNearSplitTilesDisjoint|TestSharedSetConcurrentConstructAndSolve|TestSharedSetSolveBitwiseAndImmutable'
+    GOMAXPROCS=4 go test -race -count=3 ./internal/core/ -run 'TestT2SweepPartition|TestT2CancelMidSweepThenReuse|TestRepeatedSolvesBitwiseIdentical|TestSolverAggregationMatchesGemv|TestSupernodeSolveIndependentOfWorkerCount|TestForceSolveIndependentOfWorkerCount|TestPotentialSolveIndependentOfWorkerCount|TestNearRunSweepCoversNearFieldOnce|TestNearRoundsPartitionRowPairs|TestNearSplitTilesDisjoint|TestSharedSetConcurrentConstructAndSolve|TestSharedSetSolveBitwiseAndImmutable'
     go test -race -count=3 ./internal/kernels/ -run 'TestNearFieldDeterministicPerBackend|TestPairwise(Potential|Fused)OrderExact|TestNearJobMatchesPerBoxCalls'
     GOMAXPROCS=4 go test -race -count=3 ./internal/dpfmm/ -run 'TestSolveBitsPinned'
     GOMAXPROCS=4 go test -race -count=10 ./internal/sched/
@@ -258,22 +258,22 @@ _allocs_at_most() {
 }
 
 # Two budgets, because the two paths allocate differently. With one executor
-# every sweep runs inline on prebuilt state: 2 allocs/op for the potential
-# solve and for the clustered force solve alike, and any closure or scheduler
-# round trip added to the serial path shows here. With a pool a region costs
-# nothing either — its body is prebuilt and its descriptor recycled
-# (internal/sched) — until a GC empties the descriptor pool: 2 to 4
-# allocs/op, gated at 6. One unrecycled job per region would read 35 (the
+# every region of the solve's list runs on the caller with a body built in
+# NewSolver: 0 allocs/op for the potential solve and for the clustered force
+# solve alike, and any closure or scheduler round trip added to the serial
+# path shows here. With a pool a region costs nothing either — its descriptor
+# is recycled (internal/sched) — until a GC empties the descriptor pool: 0 to
+# 2 allocs/op, still gated at 6. One unrecycled job per region would read 35 (the
 # near field alone issues 25 to 27 regions). The last line is the request
 # path's own ceiling, on this backend: one warm N = 512 /v1/solve through the
 # handler, allocations and bytes; the test skips under -race, so its PASS
 # line is counted.
 alloc_gate() {
-    _allocs_at_most 1 SolveK12Depth4 2
+    _allocs_at_most 1 SolveK12Depth4 0
     _allocs_at_most 2 SolveK12Depth4 6
-    _allocs_at_most 1 SolveSupernodesK32Depth4 2
+    _allocs_at_most 1 SolveSupernodesK32Depth4 0
     _allocs_at_most 2 SolveSupernodesK32Depth4 6
-    _allocs_at_most 1 AccelPlummerDepth3 2
+    _allocs_at_most 1 AccelPlummerDepth3 0
     _allocs_at_most 2 AccelPlummerDepth3 6
     _count_pass 1 '--- PASS: TestSolveHandlerAllocs ' ./internal/serve/ -run 'TestSolveHandlerAllocs' -count=1
 }
